@@ -53,5 +53,6 @@ from .response import (  # noqa: F401
     chi_from_correlator,
     ensemble_chi,
     polariton_roots,
+    resolvent_chi,
     susceptibility_from_correlator,
 )

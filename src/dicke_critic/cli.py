@@ -5,7 +5,9 @@ Subcommands:
 * ``gc``       -- critical coupling for one parameter point
 * ``sweep``    -- phase-boundary table over a parameter grid
 * ``corr``     -- sampled two-time correlator S_x(t)
-* ``spectrum`` -- cavity determinant and susceptibility over frequency
+* ``spectrum`` -- cavity determinant and susceptibility over frequency;
+  chi(omega) and chi0 come from one batched resolvent solve
+  (``response.resolvent_chi``), not from the sampled correlator
 * ``oracle``   -- closed form vs mean-field threshold comparison table
 
 Exit codes: 0 success, 1 usage or parse error, 2 no transition,
@@ -227,15 +229,13 @@ def cmd_corr(cfg: RunConfig) -> int:
 def cmd_spectrum(cfg: RunConfig) -> int:
     _require_bath(cfg)
     model = baths.spin_model(cfg.bath, cfg.omega_z)
-    from .lindblad import steady_state, two_time_sx
-
     omega_max = cfg.omega_max if cfg.omega_max is not None else 2.5 * max(
         cfg.cavity.omega0, abs(cfg.omega_z)
     )
     omega_min = cfg.omega_min if cfg.omega_min is not None else -omega_max
     omegas = np.linspace(omega_min, omega_max, cfg.omega_points)
-    series = two_time_sx(model, steady_state(model).rho)
-    chi = response.susceptibility_from_correlator(series, omegas)
+    values = response.resolvent_chi(model, np.concatenate(([0.0], omegas)))
+    chi = response.Susceptibility(chi0=values[0].real, omegas=omegas, values=values[1:])
     unit = 1.0 if cfg.raw_units else cfg.omega_z
     lines = ["omega,re_det,im_det,re_chi,im_chi"]
     for w in omegas:

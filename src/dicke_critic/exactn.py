@@ -103,9 +103,15 @@ def _sparse_dissipator(op: sp.csr_matrix, rate: float, dim: int) -> sp.csr_matri
     )
 
 
-def build_full_generator(spec: FullSystemSpec) -> sp.csr_matrix:
-    """Sparse generator on vec(rho), cavity channel plus per-atom channels."""
-    ops = embedded_ops(spec)
+def build_full_generator(
+    spec: FullSystemSpec, ops: dict[str, sp.csr_matrix] | None = None
+) -> sp.csr_matrix:
+    """Sparse generator on vec(rho), cavity channel plus per-atom channels.
+
+    ops are the embedded operators of spec, built here when not given.
+    """
+    if ops is None:
+        ops = embedded_ops(spec)
     dim = spec.hilbert_dim
     h = full_hamiltonian(spec, ops)
     eye = sp.identity(dim, dtype=complex, format="csr")
@@ -128,16 +134,19 @@ def trace_preservation_defect(gen: sp.csr_matrix) -> float:
     return float(np.max(np.abs(tr_row @ gen)))
 
 
-def steady_full(spec: FullSystemSpec, method: str = "auto") -> np.ndarray:
+def steady_full(
+    spec: FullSystemSpec, method: str = "auto", ops: dict[str, sp.csr_matrix] | None = None
+) -> np.ndarray:
     """Steady density matrix of the full system (must be unique).
 
     method "dense" counts the null space by full eigendecomposition and can
     type a degeneracy exactly; "direct" replaces one generator row by the
     trace functional and solves the bordered sparse system, which is far
     cheaper and fails with a residual diagnostic if the steady state is not
-    unique. "auto" picks dense only at small dimension.
+    unique. "auto" picks dense only at small dimension. ops are passed on
+    to build_full_generator.
     """
-    gen = build_full_generator(spec)
+    gen = build_full_generator(spec, ops)
     dim = spec.hilbert_dim
     if method == "auto":
         method = "dense" if dim <= _DEGENERACY_CHECK_DIM else "direct"
@@ -181,8 +190,8 @@ class Observables:
 
 
 def full_steady_observables(spec: FullSystemSpec) -> Observables:
-    rho = steady_full(spec)
     ops = embedded_ops(spec)
+    rho = steady_full(spec, ops=ops)
     number = (ops["a"].conj().T @ ops["a"]).tocsr()
 
     def expect(op: sp.csr_matrix) -> float:

@@ -19,6 +19,7 @@ complex conjugate and is available via ``ordering="left"``.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +38,11 @@ ENVELOPE_EFOLDS = 22.0
 DEFAULT_DT_FACTOR = 0.02
 MAX_SAMPLES = 2_000_000
 _EIG_COND_LIMIT = 1e8
+# the mode amplitudes must sum to f(0) = Tr[obs init] this closely
+_MODE_SUM_TOL = 1e-12
 
 _SX = qops.sigma("x")
+logger = logging.getLogger("dicke_critic")
 
 
 @dataclass(frozen=True)
@@ -191,13 +195,33 @@ class CorrelationSeries:
 def _mode_decomposition(gen: np.ndarray, init: np.ndarray, obs: np.ndarray):
     """Amplitudes m_k and rates lam_k with f(t) = sum_k m_k exp(lam_k t)."""
     vals, vecs = np.linalg.eig(gen)
-    if np.linalg.cond(vecs) > _EIG_COND_LIMIT:
+    cond = np.linalg.cond(vecs)
+    if cond > _EIG_COND_LIMIT:
         raise ConvergenceError(
             "generator is too close to defective for spectral correlator evaluation"
         )
     w0 = np.linalg.solve(vecs, qops.vectorize(init))
     amps = (qops.observable_row(obs) @ vecs) * w0
+    f0 = complex(np.trace(obs @ init))
+    if abs(np.sum(amps) - f0) > _MODE_SUM_TOL * max(1.0, abs(f0)):
+        i, j = _closest_pair(vals)
+        raise ConvergenceError(
+            f"mode amplitudes sum to {complex(np.sum(amps))}, not f(0) = {f0}: eigenvalues "
+            f"{complex(vals[i]):.10g} and {complex(vals[j]):.10g} nearly coalesce "
+            f"(eigenvector condition number {cond:.3g}), an exceptional point of the generator"
+        )
     return vals, amps
+
+
+def _closest_pair(vals: np.ndarray) -> tuple[int, int]:
+    """Indices of the two eigenvalues closest to each other."""
+    best, pair = np.inf, (0, 0)
+    for i in range(vals.size - 1):
+        gaps = np.abs(vals[i + 1:] - vals[i])
+        j = int(np.argmin(gaps))
+        if gaps[j] < best:
+            best, pair = gaps[j], (i, i + 1 + j)
+    return pair
 
 
 def _build_tail(lams: np.ndarray, amps: np.ndarray, start: float) -> Tail:
@@ -286,8 +310,14 @@ def correlation_series_from_generator(
     if n_panels + 1 > MAX_SAMPLES:
         # shorten the sampled window instead of exhausting memory; the
         # analytic tail keeps the transform exact for the slow modes
+        requested = tmax
         n_panels = MAX_SAMPLES - 1 - (MAX_SAMPLES - 1) % 4
         tmax = n_panels * dt
+        logger.warning(
+            "correlator window shortened by the MAX_SAMPLES = %d cap: tmax %.6g -> %.6g "
+            "(slowest damped rate %.6g)",
+            MAX_SAMPLES, requested, tmax, tail_start_rate,
+        )
     times = np.linspace(0.0, tmax, n_panels + 1)
     values = np.exp(np.outer(times, lams)) @ amps
     tail = _build_tail(lams[tail_mask], amps[tail_mask], start=float(tmax))

@@ -3,12 +3,24 @@
 The per-atom susceptibility is the half-line transform of the correlator's
 imaginary part,
 
-    chi(omega) = -8 * int_0^inf Im[S_x(t)] e^{i omega t} dt,
+    chi(omega) = -8 * int_0^inf Im[S_x(t)] e^{i omega t} dt.
 
-so the cavity self-energy is Sigma(omega) = g^2 chi(omega). The sampled
-part of the correlator is integrated with a composite Boole rule; the
-analytic tail is integrated in closed form, which also covers undamped
-(purely oscillatory) correlators in the Abel-limit sense.
+Two routes compute it:
+
+* ``resolvent_chi`` takes the transform in closed form. By the regression
+  theorem the integral is a resolvent of the single-spin generator L,
+
+      chi(omega) = -4i Tr[sx (L + i omega)^{-1} (rho sx - sx rho)],
+
+  one 4x4 linear solve per frequency, batched over the whole grid. It
+  works on complex omega, at exceptional points of L, and at any damping,
+  and it is the route of the ``spectrum`` command.
+* ``chi_from_correlator`` integrates a sampled correlator: a composite
+  Boole rule over the samples plus the analytic tail in closed form, which
+  also covers undamped (purely oscillatory) correlators in the Abel-limit
+  sense. It is kept as the independent time-domain check of the resolvent.
+
+The cavity self-energy is Sigma(omega) = g^2 chi(omega).
 
 Sign convention for the inverse Green function: the 2x2 particle/hole
 matrix is assembled as
@@ -33,6 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import qops
 from .baths import CavityParams
 from .errors import (
     ConvergenceError,
@@ -40,9 +53,14 @@ from .errors import (
     NonIntegrableTailError,
     PreconditionError,
 )
-from .lindblad import CorrelationSeries, Tail
+from .lindblad import CorrelationSeries, SpinModel, Tail, steady_state
 
 CHI0_IMAG_TOL = 1e-10
+# |lambda + i omega| below this (times the spectral scale) is a resonance
+# with an undamped mode; the same threshold marks undamped modes in lindblad
+RESONANCE_TOL = 1e-12
+
+_SX = qops.sigma("x")
 
 
 def _boole_weights(n: int) -> np.ndarray:
@@ -104,6 +122,76 @@ def chi_from_correlator(corr: CorrelationSeries, omega: float) -> complex:
             )
         return complex(value.real)
     return value
+
+
+def resolvent_chi(model: SpinModel, omegas):
+    """chi(omega) on a grid of real or complex frequencies, by the resolvent.
+
+    Solves (L + |rho><1| + i omega (1 - |rho><1|)) x = rho sx - sx rho for
+    every omega at once as a stack of 4x4 systems and returns
+    chi = -4i Tr[sx x] with the shape of ``omegas``. The right-hand side is
+    traceless, and on traceless operators the bordered matrix is L + i
+    omega, so the border changes no solution; it replaces the steady
+    state's zero eigenvalue by 1, which makes omega = 0 solvable. A
+    degenerate null space (dephasing) leaves one more zero mode: only
+    omega = 0 then needs least squares, and sx does not see the extra
+    diagonal direction. Complex omega continues chi analytically, as
+    ``polariton_roots`` needs.
+
+    Raises NonIntegrableTailError when omega meets -i lambda for an
+    undamped mode lambda of L, where the transform diverges, and
+    InvalidModelError when Im chi(0) exceeds CHI0_IMAG_TOL.
+    """
+    om = np.asarray(omegas, dtype=complex)
+    flat = om.reshape(-1)
+    state = steady_state(model)
+    rho = state.rho
+    rhs = qops.vectorize(rho @ _SX - _SX @ rho)
+    chi = np.zeros(flat.size, dtype=complex)
+    if not np.any(rhs):
+        # rho commutes with sx: no linear response at any frequency
+        return chi.reshape(om.shape)[()]
+
+    gen = model.generator()
+    lams = np.linalg.eigvals(gen)
+    scale = max(1.0, float(np.max(np.abs(lams))), abs(model.omega_z))
+    modes = np.delete(lams, np.argmin(np.abs(lams)))  # all but the steady state
+    lstsq = np.zeros(flat.size, dtype=bool)
+    if state.degenerate:
+        # the extra zero mode of a degenerate null space is invisible to sx
+        lstsq = np.abs(flat) <= RESONANCE_TOL * scale
+    near = np.abs(modes[None, :] + 1j * flat[:, None]) <= RESONANCE_TOL * scale
+    hit = np.flatnonzero(np.any(near, axis=1) & ~lstsq)
+    if hit.size:
+        k = hit[0]
+        lam = modes[np.argmax(near[k])]
+        raise NonIntegrableTailError(
+            f"undamped mode (eigenvalue {complex(lam):.6g}) evaluated at its resonance "
+            f"omega = {np.asarray(omegas).reshape(-1)[k]}"
+        )
+
+    border = np.outer(qops.vectorize(rho), qops.trace_functional(2))
+    bordered = gen + border
+    mats = bordered + 1j * flat[~lstsq, None, None] * (np.eye(4) - border)
+    x = np.linalg.solve(mats, rhs[:, None])[..., 0]
+    chi[~lstsq] = -4j * (x @ qops.observable_row(_SX))
+    if np.any(lstsq):
+        x0 = np.linalg.lstsq(bordered, rhs, rcond=None)[0]
+        residual = float(np.max(np.abs(bordered @ x0 - rhs)))
+        if residual > RESONANCE_TOL * scale * float(np.max(np.abs(rhs))):
+            raise NonIntegrableTailError(
+                f"response does not decay on the degenerate null space: chi diverges "
+                f"at omega = 0 (least-squares residual {residual:.3g})"
+            )
+        chi[lstsq] = -4j * (qops.observable_row(_SX) @ x0)
+
+    static = flat == 0
+    if np.any(np.abs(chi[static].imag) > CHI0_IMAG_TOL):
+        raise InvalidModelError(
+            f"Im chi(0) = {chi[static][0].imag} should vanish; resolvent is inconsistent"
+        )
+    chi[static] = chi[static].real
+    return chi.reshape(om.shape)[()]
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,38 @@ class TestSpectrum:
         assert neg[np.argmin(mags[omegas < 0])] == pytest.approx(-1.0, abs=0.02)
 
 
+    def test_undamped_resonance_exits_1(self, capsys):
+        # the default 201-point grid holds omega = +-omega_z exactly
+        code, out, err = run_cli(
+            capsys, "spectrum", "--bath", "dephasing(gamma=0,sz=-0.5)", "--g", "0.3",
+        )
+        assert code == 1
+        assert out == ""
+        assert "undamped mode" in err
+        assert "resonance omega = -1.0" in err
+
+    def test_exceptional_point_spectrum(self, capsys):
+        # 2 t gamma = omega_z, where the sampled correlator cannot be built
+        from dicke_critic import baths
+
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--bath", "generalized(gamma=1,t=0.5)",
+            "--g", "0.4", "--kappa", "0.1", "--omega-points", "41",
+        )
+        assert code == 0
+        rows = np.array([line.split(",") for line in out.splitlines()[2:]], dtype=float)
+        chi = baths.closed_form_chi(baths.Generalized(1.0, 0.5), 1.0)(rows[:, 0])
+        assert np.max(np.abs(rows[:, 3] + 1j * rows[:, 4] - chi)) < 1e-12
+
+    def test_repeated_runs_are_byte_identical(self, capsys, tmp_path):
+        args = ["spectrum", "--bath", "thermal(gamma=0.003,T=0.5)", "--g", "0.3",
+                "--kappa", "0.2"]
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            assert run_cli(capsys, *args, "--output", str(path))[0] == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 class TestOracleCommand:
     def test_oracle_suite_passes(self, capsys, tmp_path):
         out_file = tmp_path / "oracle.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dicke_critic import baths
+from dicke_critic import baths, exactn
 from dicke_critic.baths import CavityParams, Dephasing, Generalized, Thermal
 from dicke_critic.errors import (
     DegenerateSteadyStateError,
@@ -52,6 +52,19 @@ class TestConstruction:
 
 
 class TestSteadyObservables:
+    def test_embedded_ops_built_once_per_solve(self, monkeypatch):
+        calls = []
+        build = exactn.embedded_ops
+
+        def counted(spec):
+            calls.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(exactn, "embedded_ops", counted)
+        spec = spec_for(Thermal(gamma=0.2, temperature=0.4), n_fock=4, g=0.3)
+        full_steady_observables(spec)
+        assert len(calls) == 1
+
     def test_decoupled_cavity_is_empty(self):
         spec = spec_for(Thermal(gamma=0.2, temperature=0.4), g=0.0)
         obs = full_steady_observables(spec)

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from dicke_critic import baths
 from dicke_critic.baths import Dephasing, Generalized, Thermal
-from dicke_critic.errors import DegenerateSteadyStateError, PreconditionError
+from dicke_critic import lindblad
+from dicke_critic.errors import ConvergenceError, DegenerateSteadyStateError, PreconditionError
 from dicke_critic.lindblad import SpinModel, propagate, steady_state, two_time_sx
 
 
@@ -142,3 +145,32 @@ class TestTwoTimeCorrelator:
         rho = steady_state(model).rho
         with pytest.raises(PreconditionError):
             two_time_sx(model, rho, tmax=12.0 / 0.3)  # envelope ~ 6e-6 > 1e-10
+
+    def test_exceptional_point_names_the_coalescing_pair(self):
+        # 2 t gamma = omega_z: the two transverse modes merge at -gamma (1 + t^2)
+        for gamma, t in ((1.0, 0.5), (2.0, 0.25), (0.5, 1.0)):
+            model = model_for(Generalized(gamma=gamma, t=t))
+            with pytest.raises(ConvergenceError, match="nearly coalesce") as info:
+                two_time_sx(model, steady_state(model).rho)
+            pair = re.search(r"eigenvalues (\S+) and (\S+) nearly", str(info.value))
+            for text in pair.groups():
+                assert complex(text) == pytest.approx(-gamma * (1 + t**2), abs=1e-6)
+            assert "condition number" in str(info.value)
+
+    def test_window_cap_is_reported(self, monkeypatch, caplog):
+        monkeypatch.setattr(lindblad, "MAX_SAMPLES", 401)
+        model = model_for(Dephasing(gamma=0.3, sz=-0.5))
+        with caplog.at_level("WARNING", logger="dicke_critic"):
+            series = two_time_sx(model, steady_state(model).rho)
+        assert series.times.size == 401
+        [record] = caplog.records
+        message = record.getMessage()
+        assert "MAX_SAMPLES = 401" in message
+        assert f"{22.0 / 0.3:.6g} -> {series.times[-1]:.6g}" in message
+        assert "slowest damped rate 0.3" in message
+
+    def test_uncapped_window_is_silent(self, caplog):
+        model = model_for(Dephasing(gamma=0.3, sz=-0.5))
+        with caplog.at_level("WARNING", logger="dicke_critic"):
+            two_time_sx(model, steady_state(model).rho)
+        assert not caplog.records

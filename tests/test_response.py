@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dicke_critic import baths
-from dicke_critic.baths import CavityParams, Dephasing, Generalized, Thermal
+from dicke_critic import qops
+from dicke_critic.baths import CavityParams, Custom, Dephasing, Generalized, Thermal
 from dicke_critic.critical import solve_gc
 from dicke_critic.errors import NonIntegrableTailError, PreconditionError
 from dicke_critic.lindblad import steady_state, two_time_sx
@@ -11,6 +12,7 @@ from dicke_critic.response import (
     cavity_det,
     chi_from_correlator,
     polariton_roots,
+    resolvent_chi,
     susceptibility_from_correlator,
 )
 
@@ -102,6 +104,76 @@ class TestChiQuadrature:
             closed = baths.closed_form_gc(bath, 1.0, cavity).g_c
             chi0 = chi_from_correlator(series_for(bath), 0.0).real
             assert solve_gc(chi0, cavity).g_c == pytest.approx(closed, rel=1e-6)
+
+
+def max_rel_dev(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestResolventChi:
+    def test_matches_closed_form_for_all_baths(self):
+        for gamma in (0.1, 0.4, 1e-3):
+            for wz in (0.7, 1.5):
+                omegas = np.linspace(-2.5, 2.5, 101) * wz
+                for bath in (
+                    Dephasing(gamma=gamma, sz=-0.4),
+                    Thermal(gamma=gamma, temperature=0.6 * wz),
+                    Generalized(gamma=gamma, t=0.35),
+                ):
+                    got = resolvent_chi(baths.spin_model(bath, wz), omegas)
+                    want = baths.closed_form_chi(bath, wz)(omegas)
+                    assert max_rel_dev(got, want) < 1e-12, bath
+
+    def test_exceptional_points(self):
+        # 2 t gamma = omega_z: the generator is defective there
+        omegas = np.linspace(-3.0, 3.0, 61)
+        for gamma, t in ((1.0, 0.5), (2.0, 0.25), (0.5, 1.0)):
+            bath = Generalized(gamma=gamma, t=t)
+            got = resolvent_chi(baths.spin_model(bath, 1.0), omegas)
+            want = baths.closed_form_chi(bath, 1.0)(omegas)
+            assert np.max(np.abs(got - want)) < 1e-12, (gamma, t)
+
+    def test_degenerate_dephasing_static_value(self):
+        for gamma in (0.0, 0.3):
+            bath = Dephasing(gamma=gamma, sz=-0.4)
+            model = baths.spin_model(bath, 1.3)
+            assert steady_state(model).degenerate
+            chi0 = resolvent_chi(model, 0.0)
+            assert chi0.imag == 0.0
+            assert chi0.real == pytest.approx(baths.closed_form_chi0(bath, 1.3), rel=1e-12)
+
+    def test_custom_bath_matches_quadrature(self):
+        channels = (
+            qops.LindbladChannel(qops.sigma("minus"), 0.15),
+            qops.LindbladChannel(qops.sigma("plus"), 0.05),
+            qops.LindbladChannel(qops.sigma("z"), 0.1),
+        )
+        model = baths.spin_model(Custom(channels), 1.0)
+        series = two_time_sx(model, steady_state(model).rho)
+        omegas = np.array([0.0, 0.3, -0.7, 1.0, 1.9])
+        quad = np.array([chi_from_correlator(series, w) for w in omegas])
+        got = resolvent_chi(model, omegas)
+        assert max_rel_dev(got, quad) < 1e-9
+
+    def test_polariton_roots_with_complex_omega(self):
+        bath = Thermal(gamma=0.2, temperature=0.4)
+        model = baths.spin_model(bath, 1.0)
+        cavity = CavityParams(1.0, 0.2)
+        gc = baths.closed_form_gc(bath, 1.0, cavity).g_c
+        for g in (0.5 * gc, 0.97 * gc):
+            want = polariton_roots(cavity, g, baths.closed_form_chi(bath, 1.0))
+            got = polariton_roots(cavity, g, lambda w: resolvent_chi(model, w))
+            assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-9
+
+    def test_unpolarized_response_vanishes(self):
+        model = baths.spin_model(Dephasing(gamma=0.0, sz=0.0), 1.0)
+        assert np.all(resolvent_chi(model, [0.0, 1.0, 2.0]) == 0)
+
+    def test_undamped_resonance_is_typed_error(self):
+        model = baths.spin_model(Dephasing(gamma=0.0, sz=-0.5), 1.0)
+        assert resolvent_chi(model, 0.5) == pytest.approx(-2.0 / (1.0 - 0.25), rel=1e-12)
+        with pytest.raises(NonIntegrableTailError, match="omega = 1.0"):
+            resolvent_chi(model, [0.5, 1.0])
 
 
 class TestCavityDet:
