@@ -15,16 +15,12 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import numpy as np
 
 from . import baths
 from .baths import BathSpec, CavityParams, GcMode
-from .errors import InvalidModelError, PreconditionError
-
-THREADS_ENV_VAR = "DICKE_CRITIC_THREADS"
+from .errors import PreconditionError
 
 
 class NoTransitionReason(enum.Enum):
@@ -142,24 +138,10 @@ def _sweep_point(plan: SweepPlan, params: tuple[float, ...]) -> SweepRow:
     return SweepRow(params, chi0, result, math.nan, f"no-transition:{result.reason.value}")
 
 
-def max_workers() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidModelError(f"{THREADS_ENV_VAR}={raw!r} is not an integer") from None
-    return max(1, n)
-
-
 def sweep(plan: SweepPlan) -> list[SweepRow]:
     """One row per grid point, in grid order (row-major for two axes)."""
-    grid: list[tuple[float, ...]] = []
     if plan.axis2 is None:
         grid = [(v,) for v in plan.values]
     else:
         grid = [(v1, v2) for v1 in plan.values for v2 in plan.values2]
-    workers = max_workers()
-    if workers == 1:
-        return [_sweep_point(plan, p) for p in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda p: _sweep_point(plan, p), grid))
+    return [_sweep_point(plan, p) for p in grid]

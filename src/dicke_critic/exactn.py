@@ -2,7 +2,10 @@
 
 Builds the complete generator for N atoms (N <= 4) coupled to one cavity
 mode truncated at n_fock photon states, with the cavity decay channel and
-the per-atom channels all in the doubled dissipator convention. Serves as
+the per-atom channels all in the doubled dissipator convention. The
+operators are lifted to the full space as scipy.sparse matrices and handed
+to the same builder as the single-spin engine, ``qops.lindblad_generator``;
+the steady state is one bordered sparse LU solve. Serves as
 an end-to-end oracle: at g = 0 the embedded single-atom correlator must
 reproduce the single-spin engine, and the steady photon number exhibits
 the finite-size superradiance onset around the infinite-N critical
@@ -29,10 +32,10 @@ from .errors import (
     PreconditionError,
 )
 from .lindblad import CorrelationSeries, SpinModel, correlation_series_from_generator, steady_state
+from .qops import trace_preservation_defect  # noqa: F401  (re-exported)
 
 MAX_HILBERT_DIM = 128
 _DENSE_EIG_DIM = 64  # dense spectral correlator up to this Hilbert dimension
-_DEGENERACY_CHECK_DIM = 32  # full null-space count is affordable below this
 
 
 @dataclass(frozen=True)
@@ -59,28 +62,27 @@ class FullSystemSpec:
         return 2**self.n_atoms * self.n_fock
 
 
-def _kron_chain(mats) -> sp.csr_matrix:
-    out = mats[0]
-    for m in mats[1:]:
-        out = sp.kron(out, m, format="csr")
-    return out.tocsr()
-
-
 def annihilation(n_fock: int) -> sp.csr_matrix:
     return sp.diags(np.sqrt(np.arange(1, n_fock)), 1).astype(complex).tocsr()
 
 
+def _embed(spec: FullSystemSpec, factor, slot: int) -> sp.csr_matrix:
+    """factor at tensor slot `slot` (0 = cavity, 1 + j = atom j), identities elsewhere."""
+    chain = [sp.identity(spec.n_fock, dtype=complex, format="csr")]
+    chain += [sp.identity(2, dtype=complex, format="csr")] * spec.n_atoms
+    chain[slot] = sp.csr_matrix(factor)
+    out = chain[0]
+    for m in chain[1:]:
+        out = sp.kron(out, m, format="csr")
+    return out
+
+
 def embedded_ops(spec: FullSystemSpec) -> dict[str, sp.csr_matrix]:
     """Cavity and per-atom operators lifted to the full Hilbert space."""
-    n, nc = spec.n_atoms, spec.n_fock
-    eye_c = sp.identity(nc, dtype=complex, format="csr")
-    eye_2 = sp.identity(2, dtype=complex, format="csr")
-    ops = {"a": _kron_chain([annihilation(nc)] + [eye_2] * n)}
-    for j in range(n):
+    ops = {"a": _embed(spec, annihilation(spec.n_fock), 0)}
+    for j in range(spec.n_atoms):
         for label in ("x", "y", "z", "plus", "minus"):
-            chain = [eye_c] + [eye_2] * n
-            chain[1 + j] = sp.csr_matrix(qops.sigma(label))
-            ops[f"{label}{j}"] = _kron_chain(chain)
+            ops[f"{label}{j}"] = _embed(spec, qops.sigma(label), 1 + j)
     return ops
 
 
@@ -95,14 +97,6 @@ def full_hamiltonian(spec: FullSystemSpec, ops: dict[str, sp.csr_matrix]) -> sp.
     return h.tocsr()
 
 
-def _sparse_dissipator(op: sp.csr_matrix, rate: float, dim: int) -> sp.csr_matrix:
-    eye = sp.identity(dim, dtype=complex, format="csr")
-    ldl = (op.conj().T @ op).tocsr()
-    return rate * (
-        2.0 * sp.kron(op.conj(), op) - sp.kron(eye, ldl) - sp.kron(ldl.T, eye)
-    )
-
-
 def build_full_generator(
     spec: FullSystemSpec, ops: dict[str, sp.csr_matrix] | None = None
 ) -> sp.csr_matrix:
@@ -112,72 +106,41 @@ def build_full_generator(
     """
     if ops is None:
         ops = embedded_ops(spec)
-    dim = spec.hilbert_dim
-    h = full_hamiltonian(spec, ops)
-    eye = sp.identity(dim, dtype=complex, format="csr")
-    gen = -1j * (sp.kron(eye, h) - sp.kron(h.T, eye))
+    channels = []
     if spec.cavity.kappa > 0:
-        gen = gen + _sparse_dissipator(ops["a"], spec.cavity.kappa, dim)
+        channels.append(qops.LindbladChannel(ops["a"], spec.cavity.kappa))
     for ch in spec.model.channels:
         for j in range(spec.n_atoms):
-            chain = [sp.identity(spec.n_fock, dtype=complex, format="csr")]
-            chain += [sp.identity(2, dtype=complex, format="csr")] * spec.n_atoms
-            chain[1 + j] = sp.csr_matrix(ch.op)
-            gen = gen + _sparse_dissipator(_kron_chain(chain), ch.rate, dim)
-    return gen.tocsr()
+            channels.append(qops.LindbladChannel(_embed(spec, ch.op, 1 + j), ch.rate))
+    return qops.lindblad_generator(full_hamiltonian(spec, ops), channels)
 
 
-def trace_preservation_defect(gen: sp.csr_matrix) -> float:
-    dim = int(round(np.sqrt(gen.shape[0])))
-    tr_row = np.zeros(dim * dim)
-    tr_row[np.arange(dim) * (dim + 1)] = 1.0
-    return float(np.max(np.abs(tr_row @ gen)))
-
-
-def steady_full(
-    spec: FullSystemSpec, method: str = "auto", ops: dict[str, sp.csr_matrix] | None = None
-) -> np.ndarray:
+def steady_full(spec: FullSystemSpec, ops: dict[str, sp.csr_matrix] | None = None) -> np.ndarray:
     """Steady density matrix of the full system (must be unique).
 
-    method "dense" counts the null space by full eigendecomposition and can
-    type a degeneracy exactly; "direct" replaces one generator row by the
-    trace functional and solves the bordered sparse system, which is far
-    cheaper and fails with a residual diagnostic if the steady state is not
-    unique. "auto" picks dense only at small dimension. ops are passed on
-    to build_full_generator.
+    Replaces row 0 of the generator by the trace functional and solves the
+    bordered system L' x = e_0 by sparse LU. Tr o L = 0 makes row 0 of L a
+    combination of the others, so L' is singular exactly when the null
+    space of L has dimension > 1: a singular factorization is reported as
+    DegenerateSteadyStateError, a solution that leaves L x != 0 as
+    ConvergenceError. ops are passed on to build_full_generator.
     """
     gen = build_full_generator(spec, ops)
     dim = spec.hilbert_dim
-    if method == "auto":
-        method = "dense" if dim <= _DEGENERACY_CHECK_DIM else "direct"
-    if method == "dense":
-        vals, vecs = np.linalg.eig(gen.toarray())
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        null = np.flatnonzero(np.abs(vals) < 1e-9 * scale)
-        if null.size == 0:
-            raise ConvergenceError("no zero eigenvalue found in the full generator")
-        if null.size > 1:
-            raise DegenerateSteadyStateError(
-                f"full steady state is degenerate (null dimension {null.size})"
-            )
-        rho = vecs[:, null[0]].reshape(dim, dim, order="F")
-    elif method == "direct":
-        a = gen.tolil()
-        tr_row = np.zeros(dim * dim)
-        tr_row[np.arange(dim) * (dim + 1)] = 1.0
-        a[0] = tr_row
-        b = np.zeros(dim * dim, dtype=complex)
-        b[0] = 1.0
-        x = spla.spsolve(a.tocsc(), b)
-        residual = np.max(np.abs(gen @ x)) if np.all(np.isfinite(x)) else np.inf
-        if not np.isfinite(residual) or residual > 1e-8:
-            raise ConvergenceError(
-                f"direct steady-state solve left residual {residual}; "
-                "the steady state may be degenerate"
-            )
-        rho = x.reshape(dim, dim, order="F")
-    else:
-        raise PreconditionError(f"unknown method {method!r}")
+    bordered = gen.tolil()
+    bordered[0] = qops.trace_functional(dim)
+    rhs = np.zeros(dim * dim, dtype=complex)
+    rhs[0] = 1.0
+    try:
+        x = spla.splu(bordered.tocsc()).solve(rhs)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise DegenerateSteadyStateError(
+            f"full steady state is degenerate: bordered generator is singular ({exc})"
+        ) from None
+    residual = np.max(np.abs(gen @ x))
+    if not residual <= 1e-8:  # also catches a non-finite solution
+        raise ConvergenceError(f"direct steady-state solve left residual {residual}")
+    rho = x.reshape(dim, dim, order="F")
     rho = rho / np.trace(rho)
     return 0.5 * (rho + rho.conj().T)
 
@@ -250,7 +213,7 @@ def full_regression_sx(
     rho_full = np.kron(vac, atom)
     ops = embedded_ops(spec)
     sx_full = ops["x0"].toarray()
-    gen = build_full_generator(spec).toarray()
+    gen = build_full_generator(spec, ops).toarray()
     return correlation_series_from_generator(
         gen,
         rho_full @ sx_full,

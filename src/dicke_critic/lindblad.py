@@ -121,12 +121,7 @@ def propagate(model: SpinModel, rho0: np.ndarray, t: float) -> np.ndarray:
     """exp(L t) applied to rho0."""
     if t < 0:
         raise PreconditionError(f"propagation time t = {t} < 0")
-    gen = model.generator()
-    vals, vecs = np.linalg.eig(gen)
-    if np.linalg.cond(vecs) > _EIG_COND_LIMIT:
-        prop = scipy.linalg.expm(gen * t)
-    else:
-        prop = (vecs * np.exp(vals * t)) @ np.linalg.inv(vecs)
+    prop = scipy.linalg.expm(model.generator() * t)
     return qops.devectorize(prop @ qops.vectorize(rho0))
 
 

@@ -70,12 +70,16 @@ def unpack(y: np.ndarray) -> MeanFieldState:
 
 
 class _System:
-    """Precomputed matrices for fast repeated RHS evaluation."""
+    """Precomputed matrices for fast repeated RHS evaluation.
 
-    def __init__(self, cavity: CavityParams, model: SpinModel, g: float):
+    gen is the atomic generator (``model.generator()``), which does not
+    depend on g.
+    """
+
+    def __init__(self, cavity: CavityParams, gen: np.ndarray, g: float):
         self.cavity = cavity
         self.g = g
-        self.gen = model.generator()
+        self.gen = gen
 
     def rhs(self, y: np.ndarray) -> np.ndarray:
         alpha = complex(y[0], y[1])
@@ -94,7 +98,7 @@ def mf_derivative(
     state: MeanFieldState, cavity: CavityParams, model: SpinModel, g: float
 ) -> MeanFieldDerivative:
     """Time derivative of (alpha, rho)."""
-    sys = _System(cavity, model, g)
+    sys = _System(cavity, model.generator(), g)
     dy = sys.rhs(pack(state))
     d = unpack(dy)
     return MeanFieldDerivative(dalpha=d.alpha, drho=d.rho)
@@ -114,8 +118,10 @@ def jacobian(
     """6x6 real Jacobian at the given state (normal fixed point by default)."""
     if state is None:
         state = normal_fixed_point(model)
-    sys = _System(cavity, model, g)
-    y0 = pack(state)
+    return _central_jacobian(_System(cavity, model.generator(), g), pack(state), step)
+
+
+def _central_jacobian(sys: _System, y0: np.ndarray, step: float) -> np.ndarray:
     jac = np.empty((6, 6))
     for j in range(6):
         e = np.zeros(6)
@@ -124,9 +130,13 @@ def jacobian(
     return jac
 
 
+def _max_real_eigenvalue(jac: np.ndarray) -> float:
+    return float(np.max(np.real(np.linalg.eigvals(jac))))
+
+
 def growth_rate(cavity: CavityParams, model: SpinModel, g: float) -> float:
     """Largest real part of the linearization spectrum at the normal state."""
-    return float(np.max(np.real(np.linalg.eigvals(jacobian(cavity, model, g)))))
+    return _max_real_eigenvalue(jacobian(cavity, model, g))
 
 
 def stability_threshold(
@@ -140,15 +150,20 @@ def stability_threshold(
 
     The conserved directions (trace, and <sz> for dephasing-only baths) sit
     at eigenvalue zero for every g, so instability is flagged only above a
-    small scale-aware threshold.
+    small scale-aware threshold. The normal fixed point and the atomic
+    generator do not depend on g: they are built once and reused at every
+    bisection step, which evaluates the same growth_rate arithmetic.
     """
     if not 0 <= g_lo < g_hi:
         raise PreconditionError(f"need 0 <= g_lo < g_hi, got ({g_lo}, {g_hi})")
     scale = max(cavity.omega0, abs(model.omega_z), cavity.kappa, 1e-12)
     eps = GROWTH_EPS_FACTOR * scale
+    y0 = pack(normal_fixed_point(model))
+    gen = model.generator()
 
     def unstable(g: float) -> bool:
-        return growth_rate(cavity, model, g) > eps
+        jac = _central_jacobian(_System(cavity, gen, g), y0, JACOBIAN_STEP)
+        return _max_real_eigenvalue(jac) > eps
 
     if unstable(g_lo) or not unstable(g_hi):
         raise NoThresholdError(
@@ -209,7 +224,7 @@ def simulate(
     """Integrate the full nonlinear mean-field equations (adaptive RK45)."""
     if dt <= 0:
         raise PreconditionError(f"dt = {dt} must be positive")
-    sys = _System(cavity, model, g)
+    sys = _System(cavity, model.generator(), g)
     t_eval = np.arange(0.0, duration + 0.5 * dt, dt)
     sol = solve_ivp(
         lambda _t, y: sys.rhs(y),

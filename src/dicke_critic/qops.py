@@ -1,5 +1,10 @@
 """Operator algebra for few-level systems.
 
+The superoperator builders (``hamiltonian_superop``, ``dissipator``,
+``lindblad_generator``) take numpy or scipy.sparse operators and return
+the generator in the same representation: the dense 4x4 single-spin
+generator and the sparse exact-N generator come from the same code.
+
 Conventions used throughout the package:
 
 * spin operators carry the 1/2: ``sigma('x') = X/2`` etc., so that
@@ -18,8 +23,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, InvalidModelError, UnknownOperatorError
 
@@ -58,8 +65,9 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
+    """Hermiticity test for numpy or scipy.sparse operators."""
+    return bool(abs(a - a.conj().T).max() <= tol)
 
 
 def is_unitary(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
@@ -111,7 +119,7 @@ def observable_row(a: np.ndarray) -> np.ndarray:
 class LindbladChannel:
     """Jump operator plus rate, in the doubled dissipator normalization."""
 
-    op: np.ndarray = field(repr=False)
+    op: np.ndarray = field(repr=False)  # numpy or scipy.sparse
     rate: float
 
     def __post_init__(self):
@@ -119,28 +127,34 @@ class LindbladChannel:
             raise InvalidModelError(f"channel rate {self.rate} is not finite")
         if self.rate < 0:
             raise InvalidModelError(f"channel rate {self.rate} < 0")
-        if not np.all(np.isfinite(self.op)):
+        entries = self.op.data if sp.issparse(self.op) else self.op
+        if not np.all(np.isfinite(entries)):
             raise InvalidModelError("jump operator has non-finite entries")
 
 
-def dissipator(op: np.ndarray, rate: float) -> np.ndarray:
+def _kron_and_eye(a):
+    """Kronecker product and identity in the representation of a."""
+    d = a.shape[0]
+    if sp.issparse(a):
+        return partial(sp.kron, format="csr"), sp.identity(d, dtype=complex, format="csr")
+    return np.kron, np.eye(d, dtype=complex)
+
+
+def dissipator(op, rate: float):
     """Superoperator of a single channel, doubled convention."""
-    d = op.shape[0]
-    eye = np.eye(d, dtype=complex)
+    kron, eye = _kron_and_eye(op)
     ldl = op.conj().T @ op
-    return rate * (
-        2.0 * np.kron(op.conj(), op) - np.kron(eye, ldl) - np.kron(ldl.T, eye)
-    )
+    return rate * (2.0 * kron(op.conj(), op) - kron(eye, ldl) - kron(ldl.T, eye))
 
 
-def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
-    d = h.shape[0]
-    eye = np.eye(d, dtype=complex)
-    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+def hamiltonian_superop(h):
+    """-i[h, .] on vec(rho), in the representation of h."""
+    kron, eye = _kron_and_eye(h)
+    return -1j * (kron(eye, h) - kron(h.T, eye))
 
 
-def lindblad_generator(h: np.ndarray, channels: list[LindbladChannel] | tuple) -> np.ndarray:
-    """Dense generator acting on vec(rho)."""
+def lindblad_generator(h, channels: list[LindbladChannel] | tuple):
+    """Generator acting on vec(rho); numpy or scipy.sparse like h."""
     if not is_hermitian(h):
         raise InvalidModelError("Hamiltonian must be Hermitian within 1e-12")
     gen = hamiltonian_superop(h)
@@ -155,7 +169,7 @@ def lindblad_generator(h: np.ndarray, channels: list[LindbladChannel] | tuple) -
     return gen
 
 
-def trace_preservation_defect(gen: np.ndarray) -> float:
+def trace_preservation_defect(gen) -> float:
     """Sup-norm of the trace functional composed with the generator."""
     d = int(round(np.sqrt(gen.shape[0])))
     return float(np.max(np.abs(trace_functional(d) @ gen)))

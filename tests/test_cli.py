@@ -126,18 +126,6 @@ class TestSweep:
         run_cli(capsys, *args, "--output", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
 
-    def test_threads_do_not_change_bytes(self, capsys, tmp_path, monkeypatch):
-        args = [
-            "sweep", "--bath", "thermal(gamma=0.2,T=0.1)",
-            "--sweep-param", "T", "--sweep-start", "0.05", "--sweep-stop", "2.0",
-            "--sweep-points", "40",
-        ]
-        f1, f2 = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-        run_cli(capsys, *args, "--output", str(f1))
-        monkeypatch.setenv("DICKE_CRITIC_THREADS", "4")
-        run_cli(capsys, *args, "--output", str(f2))
-        assert f1.read_bytes() == f2.read_bytes()
-
     def test_missing_grid_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--bath", "thermal(gamma=0.2,T=0.1)")
         assert code == 1

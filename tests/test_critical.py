@@ -171,16 +171,3 @@ class TestSweep:
         merged = ensemble_chi([(0.25, chi)] * 4)
         cavity = CavityParams(1.0, 0.2)
         assert solve_gc(merged.chi0, cavity) == solve_gc(chi.chi0, cavity)
-
-    def test_threads_env_var(self, monkeypatch):
-        plan = SweepPlan(
-            bath=Thermal(gamma=0.2, temperature=0.1),
-            omega_z=1.0,
-            cavity=CavityParams(1.0, 0.3),
-            axis="T",
-            values=tuple(np.linspace(0.05, 2.0, 7)),
-        )
-        serial = sweep(plan)
-        monkeypatch.setenv("DICKE_CRITIC_THREADS", "3")
-        parallel = sweep(plan)
-        assert [r.result for r in serial] == [r.result for r in parallel]

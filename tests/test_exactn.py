@@ -52,7 +52,11 @@ class TestConstruction:
 
 
 class TestSteadyObservables:
-    def test_embedded_ops_built_once_per_solve(self, monkeypatch):
+    @pytest.mark.parametrize("entry, g", [
+        (full_steady_observables, 0.3),
+        (full_regression_sx, 0.0),
+    ], ids=["full_steady_observables", "full_regression_sx"])
+    def test_embedded_ops_built_once_per_solve(self, monkeypatch, entry, g):
         calls = []
         build = exactn.embedded_ops
 
@@ -61,8 +65,7 @@ class TestSteadyObservables:
             return build(spec)
 
         monkeypatch.setattr(exactn, "embedded_ops", counted)
-        spec = spec_for(Thermal(gamma=0.2, temperature=0.4), n_fock=4, g=0.3)
-        full_steady_observables(spec)
+        entry(spec_for(Thermal(gamma=0.2, temperature=0.4), n_fock=4, g=g))
         assert len(calls) == 1
 
     def test_decoupled_cavity_is_empty(self):
@@ -90,11 +93,24 @@ class TestSteadyObservables:
         with pytest.raises(DegenerateSteadyStateError):
             steady_full(spec)
 
+    def test_degenerate_dephasing_rejected_at_larger_dimension(self):
+        # same physical defect, same error type, whatever the Hilbert dimension
+        spec = spec_for(Dephasing(gamma=0.3, sz=-0.5), n_atoms=2, n_fock=10, g=0.0)
+        assert spec.hilbert_dim == 40
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_full(spec)
+
     def test_dense_and_direct_solvers_agree(self):
+        # the sparse LU solve against the normalized null vector of the
+        # dense eigendecomposition of the same generator
         spec = spec_for(Generalized(gamma=0.2, t=0.0), n_atoms=2, n_fock=8, g=0.45)
-        rho_dense = steady_full(spec, method="dense")
-        rho_direct = steady_full(spec, method="direct")
-        assert np.max(np.abs(rho_dense - rho_direct)) < 1e-10
+        vals, vecs = np.linalg.eig(build_full_generator(spec).toarray())
+        null = np.flatnonzero(np.abs(vals) < 1e-9 * np.max(np.abs(vals)))
+        assert null.size == 1
+        dim = spec.hilbert_dim
+        rho_dense = vecs[:, null[0]].reshape(dim, dim, order="F")
+        rho_dense = rho_dense / np.trace(rho_dense)
+        assert np.max(np.abs(rho_dense - steady_full(spec))) < 1e-10
 
 
 class TestRegressionCorrelator:

@@ -51,6 +51,12 @@ class TestPropagate:
         rho0 = np.diag([0.7, 0.3]).astype(complex)
         assert np.allclose(propagate(model, rho0, 0.0), rho0, atol=1e-14)
 
+    def test_zero_time_identity_at_exceptional_point(self):
+        # 2 t gamma = omega_z: the generator is defective there
+        model = model_for(Generalized(gamma=1.0, t=0.5))
+        rho0 = np.array([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]], dtype=complex)
+        assert np.max(np.abs(propagate(model, rho0, 0.0) - rho0)) <= 1e-14
+
     def test_negative_time_rejected(self):
         model = model_for(Thermal(gamma=0.2, temperature=0.4))
         with pytest.raises(PreconditionError):

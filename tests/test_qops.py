@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicke_critic import qops
+from dicke_critic import baths, qops
+from dicke_critic.baths import Dephasing, Generalized, Thermal
 from dicke_critic.errors import (
     DimensionMismatchError,
     InvalidModelError,
@@ -71,6 +73,35 @@ def test_generator_rejects_non_hermitian_hamiltonian():
 def test_generator_rejects_negative_rate():
     with pytest.raises(InvalidModelError):
         qops.LindbladChannel(qops.sigma("z"), -0.1)
+
+
+def test_sparse_checks_match_dense():
+    with pytest.raises(InvalidModelError):
+        qops.lindblad_generator(sp.csr_matrix(qops.sigma("plus")), [])
+    with pytest.raises(InvalidModelError):
+        qops.LindbladChannel(sp.csr_matrix(np.array([[0, np.nan], [0, 0]], dtype=complex)), 0.1)
+    with pytest.raises(DimensionMismatchError):
+        qops.lindblad_generator(
+            sp.csr_matrix(qops.sigma("z")),
+            [qops.LindbladChannel(sp.identity(3, dtype=complex, format="csr"), 0.1)],
+        )
+
+
+@pytest.mark.parametrize("bath", [
+    Dephasing(gamma=0.3, sz=-0.4),
+    Thermal(gamma=0.1, temperature=0.5),
+    Generalized(gamma=0.2, t=0.4),
+])
+def test_sparse_generator_equals_dense(bath):
+    # one builder for both representations: same entries, bit for bit
+    model = baths.spin_model(bath, 1.3)
+    dense = qops.lindblad_generator(model.hamiltonian(), model.channels)
+    sparse = qops.lindblad_generator(
+        sp.csr_matrix(model.hamiltonian()),
+        [qops.LindbladChannel(sp.csr_matrix(ch.op), ch.rate) for ch in model.channels],
+    )
+    assert sp.issparse(sparse)
+    assert np.array_equal(sparse.toarray(), dense)
 
 
 def test_bare_precession_spectrum():
