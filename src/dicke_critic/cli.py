@@ -4,14 +4,17 @@ Subcommands:
 
 * ``gc``       -- critical coupling for one parameter point
 * ``sweep``    -- phase-boundary table over a parameter grid
-* ``corr``     -- sampled two-time correlator S_x(t)
+* ``corr``     -- sampled two-time correlator S_x(t), stepped by one
+  propagator, so it also runs at exceptional points of the generator
 * ``spectrum`` -- cavity determinant and susceptibility over frequency;
   chi(omega) and chi0 come from one batched resolvent solve
   (``response.resolvent_chi``), not from the sampled correlator
 * ``oracle``   -- closed form vs mean-field threshold comparison table
 
 Exit codes: 0 success, 1 usage or parse error, 2 no transition,
-3 oracle disagreement.
+3 oracle disagreement. An error message on stderr names the parameter
+point of the run (bath, omega_z, omega0, kappa) once the configuration
+has been read.
 
 All floats are printed with 17 significant digits so repeated runs are
 byte-identical. Frequencies are reported in units of omega_z unless
@@ -210,17 +213,9 @@ def cmd_corr(cfg: RunConfig) -> int:
     from .lindblad import steady_state, two_time_sx
 
     series = two_time_sx(model, steady_state(model).rho, tmax=cfg.tmax, dt=cfg.dt)
-    times, values = series.times, series.values
-    if series.tail_only:
-        # undamped correlator: sample the analytic tail over a display window
-        freq = series.tail.frequency or abs(cfg.omega_z) or 1.0
-        tmax = cfg.tmax if cfg.tmax is not None else 12.0 * 2.0 * np.pi / freq
-        dt = cfg.dt if cfg.dt is not None else 0.02 / freq
-        times = np.arange(0.0, tmax + 0.5 * dt, dt)
-        values = series.tail.value(times)
     unit = 1.0 if cfg.raw_units else cfg.omega_z
     lines = ["t,re_sx,im_sx"]
-    for t, v in zip(times, values):
+    for t, v in zip(series.times, series.values):
         lines.append(f"{fmt(t * unit)},{fmt(v.real)},{fmt(v.imag)}")
     _write(cfg.output, _csv(lines))
     return EXIT_OK
@@ -292,8 +287,17 @@ _COMMANDS = {
 }
 
 
+def _point(cfg: RunConfig) -> str:
+    """The parameter point of a run, as error messages name it."""
+    parts = [] if cfg.bath is None else [f"bath = {baths.format_bath(cfg.bath)}"]
+    parts += [f"omega_z = {fmt(cfg.omega_z)}", f"omega0 = {fmt(cfg.cavity.omega0)}",
+              f"kappa = {fmt(cfg.cavity.kappa)}"]
+    return ", ".join(parts)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    cfg = None
     try:
         args = parser.parse_args(argv)
         cfg = _run_config(args)
@@ -301,7 +305,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     except DickeCriticError as exc:
-        print(f"dicke-critic: error: {exc}", file=sys.stderr)
+        where = "" if cfg is None else f"at {_point(cfg)}: "
+        print(f"dicke-critic: error: {where}{exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

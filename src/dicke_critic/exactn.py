@@ -35,7 +35,8 @@ from .lindblad import CorrelationSeries, SpinModel, correlation_series_from_gene
 from .qops import trace_preservation_defect  # noqa: F401  (re-exported)
 
 MAX_HILBERT_DIM = 128
-_DENSE_EIG_DIM = 64  # dense spectral correlator up to this Hilbert dimension
+# the regression correlator steps a dense expm propagator of dimension dim^2
+_DENSE_PROPAGATOR_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -197,15 +198,18 @@ def full_regression_sx(
     Validates the embedding against the single-spin engine: the atoms are
     decoupled from the cavity, so the full-space correlator of atom 0 must
     match the single-spin result. The cavity factor of the initial state
-    is the vacuum (the g = 0 steady state for any kappa >= 0).
+    is the vacuum (the g = 0 steady state for any kappa >= 0). The series
+    is stepped by the dense propagator of the full generator, and its tail
+    is closed without a full-space steady state.
     """
     if spec.n_atoms != 1:
         raise PreconditionError("the regression validation runs with exactly one atom")
     if spec.g != 0.0:
         raise PreconditionError("the regression validation requires g = 0")
-    if spec.hilbert_dim > _DENSE_EIG_DIM:
+    if spec.hilbert_dim > _DENSE_PROPAGATOR_DIM:
         raise PreconditionError(
-            f"regression correlator needs Hilbert dimension <= {_DENSE_EIG_DIM}"
+            f"regression correlator steps a dense propagator: Hilbert dimension "
+            f"{spec.hilbert_dim} > {_DENSE_PROPAGATOR_DIM}"
         )
     atom = steady_state(spec.model).rho
     vac = np.zeros((spec.n_fock, spec.n_fock), dtype=complex)

@@ -15,11 +15,19 @@ with the perturbation multiplied from the *right*. With the standard
 for the dephasing bath, which is the closed form every downstream formula
 in this package is written against. The opposite ordering gives the
 complex conjugate and is available via ``ordering="left"``.
+
+The correlator is sampled by stepping one propagator P = expm(L dt)
+across a uniform grid. No eigenvectors are involved, so exceptional
+points, where L is defective, are no special case. The series keeps the
+generator, the observable row and the state at the end of the window;
+``response.chi_from_correlator`` closes the transform past the window
+from them with one resolvent solve.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,9 +45,8 @@ from .errors import (
 ENVELOPE_EFOLDS = 22.0
 DEFAULT_DT_FACTOR = 0.02
 MAX_SAMPLES = 2_000_000
-_EIG_COND_LIMIT = 1e8
-# the mode amplitudes must sum to f(0) = Tr[obs init] this closely
-_MODE_SUM_TOL = 1e-12
+# window of a correlator without damped modes, in periods of its fastest mode
+DISPLAY_PERIODS = 12
 
 _SX = qops.sigma("x")
 logger = logging.getLogger("dicke_critic")
@@ -126,39 +133,19 @@ def propagate(model: SpinModel, rho0: np.ndarray, t: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Tail:
-    """Analytic continuation of a correlator past the sampled window.
-
-    value(t) = exp(-decay_rate * t) * (amp_cos * cos(frequency * t)
-                                       + amp_sin * sin(frequency * t))
-    valid for t >= start (absolute time, not offset).
-    """
-
-    decay_rate: float
-    frequency: float
-    amp_cos: complex
-    amp_sin: complex
-    start: float
-
-    def __post_init__(self):
-        if self.decay_rate < 0:
-            raise InvalidModelError(f"tail decay rate {self.decay_rate} < 0")
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(-self.decay_rate * t) * (
-            self.amp_cos * np.cos(self.frequency * t)
-            + self.amp_sin * np.sin(self.frequency * t)
-        )
-
-
-@dataclass(frozen=True)
 class CorrelationSeries:
-    """Uniform samples of S_x(t) plus the analytic tail beyond them."""
+    """Uniform samples f(t_k) = obs_row . exp(L t_k) x0 of S_x(t).
+
+    generator, obs_row and end_state (x_T = exp(L T) x0 at the last sample
+    time T) carry what the exact transform past the window needs;
+    ``response.chi_from_correlator`` closes it with a resolvent solve.
+    """
 
     times: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    tail: Tail
+    generator: np.ndarray = field(repr=False)
+    obs_row: np.ndarray = field(repr=False)
+    end_state: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -182,59 +169,70 @@ class CorrelationSeries:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0]) if self.times.size > 1 else 0.0
 
-    @property
-    def tail_only(self) -> bool:
-        return self.times.size == 1
 
+def _window(
+    lams: np.ndarray, omega_scale: float, tmax: float | None, dt: float | None
+) -> tuple[float, float, float]:
+    """(tmax, dt, slowest damped rate) from the eigenvalues of the generator.
 
-def _mode_decomposition(gen: np.ndarray, init: np.ndarray, obs: np.ndarray):
-    """Amplitudes m_k and rates lam_k with f(t) = sum_k m_k exp(lam_k t)."""
-    vals, vecs = np.linalg.eig(gen)
-    cond = np.linalg.cond(vecs)
-    if cond > _EIG_COND_LIMIT:
-        raise ConvergenceError(
-            "generator is too close to defective for spectral correlator evaluation"
+    Zero modes are stationary and left out. dt resolves the fastest
+    nonzero mode and omega_scale; tmax spans ENVELOPE_EFOLDS of the slowest
+    damped mode, or DISPLAY_PERIODS periods when no mode is damped.
+    """
+    scale = max(1.0, float(np.max(np.abs(lams))), abs(omega_scale))
+    modes = lams[np.abs(lams) > 1e-12 * scale]
+    rates = np.clip(-np.real(modes), 0.0, None)
+    damped = rates[rates >= 1e-12 * scale]
+    slow = float(np.min(damped)) if damped.size else 0.0
+    freq = float(np.max(np.abs(np.imag(modes)), initial=0.0))
+    fastest = max(float(np.max(rates, initial=0.0)), abs(omega_scale), freq) or 1.0
+
+    if tmax is None:
+        if damped.size:
+            tmax = ENVELOPE_EFOLDS / slow
+        else:
+            tmax = DISPLAY_PERIODS * 2.0 * np.pi / (freq or abs(omega_scale) or 1.0)
+    elif damped.size and slow * tmax < np.log(0.25e10):
+        raise PreconditionError(
+            f"tmax = {tmax} leaves the envelope above 1e-10 "
+            f"(need tmax >= {np.log(0.25e10) / slow:.6g})"
         )
-    w0 = np.linalg.solve(vecs, qops.vectorize(init))
-    amps = (qops.observable_row(obs) @ vecs) * w0
-    f0 = complex(np.trace(obs @ init))
-    if abs(np.sum(amps) - f0) > _MODE_SUM_TOL * max(1.0, abs(f0)):
-        i, j = _closest_pair(vals)
-        raise ConvergenceError(
-            f"mode amplitudes sum to {complex(np.sum(amps))}, not f(0) = {f0}: eigenvalues "
-            f"{complex(vals[i]):.10g} and {complex(vals[j]):.10g} nearly coalesce "
-            f"(eigenvector condition number {cond:.3g}), an exceptional point of the generator"
-        )
-    return vals, amps
+
+    if dt is None:
+        dt = DEFAULT_DT_FACTOR / fastest
+    else:
+        limit = max(abs(omega_scale), slow)
+        bound = 0.1 / limit if limit > 0 else np.inf
+        if dt > bound * (1 + 1e-12):
+            raise PreconditionError(f"dt = {dt} exceeds 0.1*min(1/omega_z, 1/gamma) = {bound:.6g}")
+        if dt <= 0:
+            raise PreconditionError(f"dt = {dt} must be positive")
+    return tmax, dt, slow
 
 
-def _closest_pair(vals: np.ndarray) -> tuple[int, int]:
-    """Indices of the two eigenvalues closest to each other."""
-    best, pair = np.inf, (0, 0)
-    for i in range(vals.size - 1):
-        gaps = np.abs(vals[i + 1:] - vals[i])
-        j = int(np.argmin(gaps))
-        if gaps[j] < best:
-            best, pair = gaps[j], (i, i + 1 + j)
-    return pair
+def _step(
+    gen: np.ndarray, starts: np.ndarray, row: np.ndarray, dt: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """row . P^k s for k < n and each column s of starts, P = expm(gen dt).
 
-
-def _build_tail(lams: np.ndarray, amps: np.ndarray, start: float) -> Tail:
-    """Fold a set of modes sharing one decay rate into the Tail record."""
-    rates = -np.real(lams)
-    rate = float(np.clip(np.mean(rates), 0.0, None))
-    freqs = np.imag(lams)
-    freq = float(np.max(np.abs(freqs)))
-    scale = max(1.0, float(np.max(np.abs(lams)))) if lams.size else 1.0
-    if freq < 1e-12 * scale:
-        return Tail(rate, 0.0, complex(np.sum(amps)), 0.0 + 0.0j, start)
-    if np.any(np.abs(np.abs(freqs) - freq) > 1e-9 * scale):
-        raise InvalidModelError(
-            "slow modes carry more than one frequency; tail record cannot represent them"
-        )
-    m_plus = complex(np.sum(amps[freqs > 0]))
-    m_minus = complex(np.sum(amps[freqs <= 0]))
-    return Tail(rate, freq, m_plus + m_minus, 1j * (m_plus - m_minus), start)
+    Returns the (n, columns) samples and P^(n-1) starts. Two-level blocks
+    keep the Python loop at O(sqrt n): the rows row P^j for j < b, the
+    states (P^b)^i starts, and one product of the two.
+    """
+    prop = scipy.linalg.expm(gen * dt)
+    b = math.isqrt(n - 1) + 1
+    rows = np.empty((b, row.size), dtype=complex)
+    rows[0] = row
+    for j in range(1, b):
+        rows[j] = rows[j - 1] @ prop
+    jump = np.linalg.matrix_power(prop, b)
+    states = np.empty((-(-n // b), *starts.shape), dtype=complex)
+    states[0] = starts
+    for i in range(1, states.shape[0]):
+        states[i] = jump @ states[i - 1]
+    samples = (rows @ states).reshape(-1, starts.shape[1])[:n]
+    i, j = divmod(n - 1, b)
+    return samples, np.linalg.matrix_power(prop, j) @ states[i]
 
 
 def correlation_series_from_generator(
@@ -246,77 +244,43 @@ def correlation_series_from_generator(
     dt: float | None = None,
     times: np.ndarray | None = None,
 ) -> CorrelationSeries:
-    """Sampled-plus-tail correlator f(t) = Tr[obs exp(L t) init].
+    """Samples of f(t) = Tr[obs exp(L t) init], obs Hermitian, stepped by one propagator.
 
-    Shared by the single-spin engine and by the exact small-N engine. An
+    Shared by the single-spin engine and by the exact small-N engine. It
+    needs no eigenvectors, so it holds at exceptional points of L. An
     explicit `times` grid overrides the tmax/dt selection (used to compare
     two engines on identical samples).
     """
-    lams, amps = _mode_decomposition(gen, init, obs)
-    scale = max(1.0, float(np.max(np.abs(lams))), abs(omega_scale))
-    keep = np.abs(amps) > 1e-13 * max(1.0, float(np.max(np.abs(amps))))
-    lams, amps = lams[keep], amps[keep]
-    if lams.size == 0:
-        raise InvalidModelError("correlator has no contributing modes")
-    rates = np.clip(-np.real(lams), 0.0, None)
-    undamped = rates < 1e-12 * scale
-
-    if times is not None:
-        times = np.asarray(times, dtype=float)
-        values = np.exp(np.outer(times, lams)) @ amps
-        tail_mask = rates <= float(np.min(rates)) + 1e-9 * scale
-        tail = _build_tail(lams[tail_mask], amps[tail_mask], start=float(times[-1]))
-        return CorrelationSeries(times=times, values=values, tail=tail)
-
-    if np.all(undamped):
-        # pure oscillation: the tail is the whole story
-        tail = _build_tail(lams, amps, start=0.0)
-        t0 = np.array([0.0])
-        return CorrelationSeries(times=t0, values=np.atleast_1d(tail.value(0.0)), tail=tail)
-
-    damped_rates = rates[~undamped]
-    slow_damped = float(np.min(damped_rates))
-    if np.any(undamped):
-        tail_mask = undamped
-    else:
-        tail_mask = rates <= slow_damped + 1e-9 * scale
-    tail_start_rate = slow_damped
-
-    if tmax is None:
-        tmax = ENVELOPE_EFOLDS / tail_start_rate
-    elif tail_start_rate * tmax < np.log(0.25e10):
-        raise PreconditionError(
-            f"tmax = {tmax} leaves the envelope above 1e-10 "
-            f"(need tmax >= {np.log(0.25e10) / tail_start_rate:.6g})"
-        )
-
-    fastest = max(float(np.max(rates)), abs(omega_scale), float(np.max(np.abs(np.imag(lams)))))
-    if dt is None:
-        dt = DEFAULT_DT_FACTOR / fastest
-    else:
-        bound = 0.1 / max(abs(omega_scale), slow_damped)
-        if dt > bound * (1 + 1e-12):
-            raise PreconditionError(f"dt = {dt} exceeds 0.1*min(1/omega_z, 1/gamma) = {bound:.6g}")
-        if dt <= 0:
-            raise PreconditionError(f"dt = {dt} must be positive")
-
-    n_panels = int(np.ceil(tmax / dt))
-    n_panels += (-n_panels) % 4  # composite Boole wants a multiple of 4 panels
-    if n_panels + 1 > MAX_SAMPLES:
-        # shorten the sampled window instead of exhausting memory; the
-        # analytic tail keeps the transform exact for the slow modes
-        requested = tmax
-        n_panels = MAX_SAMPLES - 1 - (MAX_SAMPLES - 1) % 4
-        tmax = n_panels * dt
-        logger.warning(
-            "correlator window shortened by the MAX_SAMPLES = %d cap: tmax %.6g -> %.6g "
-            "(slowest damped rate %.6g)",
-            MAX_SAMPLES, requested, tmax, tail_start_rate,
-        )
-    times = np.linspace(0.0, tmax, n_panels + 1)
-    values = np.exp(np.outer(times, lams)) @ amps
-    tail = _build_tail(lams[tail_mask], amps[tail_mask], start=float(tmax))
-    return CorrelationSeries(times=times, values=values, tail=tail)
+    if not qops.is_hermitian(obs):
+        raise InvalidModelError("the correlator observable must be Hermitian")
+    if times is None:
+        tmax, dt, slow = _window(np.linalg.eigvals(gen), omega_scale, tmax, dt)
+        n_panels = int(np.ceil(tmax / dt))
+        n_panels += (-n_panels) % 4  # composite Boole wants a multiple of 4 panels
+        if n_panels + 1 > MAX_SAMPLES:
+            # shorten the sampled window instead of exhausting memory; the
+            # resolvent tail keeps the transform exact past it
+            requested = tmax
+            n_panels = MAX_SAMPLES - 1 - (MAX_SAMPLES - 1) % 4
+            tmax = n_panels * dt
+            logger.warning(
+                "correlator window shortened by the MAX_SAMPLES = %d cap: tmax %.6g -> %.6g "
+                "(slowest damped rate %.6g)",
+                MAX_SAMPLES, requested, tmax, slow,
+            )
+        times = np.linspace(0.0, tmax, n_panels + 1)
+    times = np.asarray(times, dtype=float)
+    step = float(times[-1]) / (times.size - 1) if times.size > 1 else 0.0
+    # init = h + i y with h, y Hermitian; L keeps them Hermitian, so
+    # Re f and Im f are the real numbers Tr[obs h(t)] and Tr[obs y(t)].
+    # Stepping h and y apart keeps the rounding of one out of the other.
+    adj = init.conj().T
+    parts = np.stack([qops.vectorize(init + adj) / 2, qops.vectorize(init - adj) / 2j], axis=1)
+    row = qops.observable_row(obs)
+    samples, ends = _step(gen, parts, row, step, times.size)
+    values = samples[:, 0].real + 1j * samples[:, 1].real
+    end = ends[:, 0] + 1j * ends[:, 1]
+    return CorrelationSeries(times=times, values=values, generator=gen, obs_row=row, end_state=end)
 
 
 def two_time_sx(

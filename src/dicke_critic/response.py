@@ -16,9 +16,11 @@ Two routes compute it:
   works on complex omega, at exceptional points of L, and at any damping,
   and it is the route of the ``spectrum`` command.
 * ``chi_from_correlator`` integrates a sampled correlator: a composite
-  Boole rule over the samples plus the analytic tail in closed form, which
-  also covers undamped (purely oscillatory) correlators in the Abel-limit
-  sense. It is kept as the independent time-domain check of the resolvent.
+  Boole rule over the samples, plus the transform past the window, which
+  the same bordered solve (``_resolvent``) gives exactly from the state
+  at the end of the window. For undamped (purely oscillatory) correlators
+  that term is the Abel limit. The Boole body is the independent
+  time-domain check of the resolvent.
 
 The cavity self-energy is Sigma(omega) = g^2 chi(omega).
 
@@ -40,6 +42,7 @@ ensemble pulls the polariton root toward zero frequency.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -53,7 +56,7 @@ from .errors import (
     NonIntegrableTailError,
     PreconditionError,
 )
-from .lindblad import CorrelationSeries, SpinModel, Tail, steady_state
+from .lindblad import CorrelationSeries, SpinModel, steady_state
 
 CHI0_IMAG_TOL = 1e-10
 # |lambda + i omega| below this (times the spectral scale) is a resonance
@@ -82,39 +85,69 @@ def _integrate_samples(times: np.ndarray, values: np.ndarray) -> complex:
     return complex(np.sum(_boole_weights(n) * values) * dt)
 
 
-def _tail_transform(tail: Tail, omega: complex) -> complex:
-    """int_{tail.start}^inf e^{i omega t} tail(t) dt, in closed form."""
-    if tail.amp_cos == 0 and tail.amp_sin == 0:
-        return 0.0 + 0.0j
-    s = tail.decay_rate - 1j * omega
-    for sign in (+1, -1):
-        if abs(s - sign * 1j * tail.frequency) == 0.0:
+def _resolvent(gen: np.ndarray, rhs: np.ndarray, omegas, ref: np.ndarray, omega_scale=0.0):
+    """x = (L + i omega)^{-1} rhs for a traceless rhs, one row per omega.
+
+    Solves (L + |ref><1| + i omega (1 - |ref><1|)) x = rhs for every omega
+    at once as a stack of systems; ref is any trace-one state. Tr o L = 0,
+    so on traceless operators the bordered matrix is L + i omega and the
+    border changes no solution; it replaces the zero eigenvalue of the
+    steady state by 1, which makes omega = 0 solvable. Where omega meets
+    -i lambda for another undamped mode lambda of L (the extra zero mode of
+    a degenerate null space, as under dephasing, is one), the system is
+    solved by least squares: its residual shows whether rhs excites that
+    mode.
+
+    Raises NonIntegrableTailError when it does, since the transform then
+    diverges.
+    """
+    flat = np.asarray(omegas, dtype=complex).reshape(-1)
+    x = np.zeros((flat.size, rhs.size), dtype=complex)
+    if not np.any(rhs):
+        return x
+    lams = np.linalg.eigvals(gen)
+    scale = max(1.0, float(np.max(np.abs(lams))), abs(omega_scale))
+    modes = np.delete(lams, np.argmin(np.abs(lams)))  # all but the steady state
+    near = np.abs(modes[None, :] + 1j * flat[:, None]) <= RESONANCE_TOL * scale
+    resonant = np.any(near, axis=1)
+
+    border = np.outer(ref, qops.trace_functional(math.isqrt(rhs.size)))
+    mats = gen + border + 1j * flat[:, None, None] * (np.eye(rhs.size) - border)
+    x[~resonant] = np.linalg.solve(mats[~resonant], rhs[:, None])[..., 0]
+    for k in np.flatnonzero(resonant):
+        x[k] = np.linalg.lstsq(mats[k], rhs, rcond=None)[0]
+        residual = float(np.max(np.abs(mats[k] @ x[k] - rhs)))
+        if residual > RESONANCE_TOL * scale * float(np.max(np.abs(rhs))):
+            lam = modes[np.argmax(near[k])]
             raise NonIntegrableTailError(
-                f"undamped tail evaluated at its resonance omega = {omega}"
+                f"undamped mode (eigenvalue {complex(lam):.6g}) evaluated at its resonance "
+                f"omega = {np.asarray(omegas).reshape(-1)[k]} (least-squares residual "
+                f"{residual:.3g})"
             )
-    ep = cmath.exp((-s + 1j * tail.frequency) * tail.start) / (s - 1j * tail.frequency)
-    em = cmath.exp((-s - 1j * tail.frequency) * tail.start) / (s + 1j * tail.frequency)
-    i_cos = 0.5 * (ep + em)
-    i_sin = (ep - em) / 2j
-    return tail.amp_cos * i_cos + tail.amp_sin * i_sin
+    return x
 
 
 def chi_from_correlator(corr: CorrelationSeries, omega: float) -> complex:
-    """chi(omega) from sampled correlator plus analytic tail.
+    """chi(omega) from the sampled correlator plus the exact tail past it.
 
-    At omega = 0 the imaginary part must vanish; it is checked against
+    A composite Boole rule integrates the samples up to the last sample
+    time T. Past T, with x_T = corr.end_state,
+
+        int_T^inf e^{i omega t} Im f dt
+            = -e^{i omega T} obs (L + i omega)^{-1} (x_T - x_T^+) / 2i,
+
+    one bordered resolvent solve (``_resolvent``, bordered with the
+    maximally mixed state); for undamped modes it is the Abel limit. At
+    omega = 0 the imaginary part must vanish; it is checked against
     CHI0_IMAG_TOL and discarded.
     """
     im_vals = np.imag(corr.values)
     body = _integrate_samples(corr.times, -8.0 * im_vals * np.exp(1j * omega * corr.times))
-    im_tail = Tail(
-        corr.tail.decay_rate,
-        corr.tail.frequency,
-        complex(corr.tail.amp_cos.imag),
-        complex(corr.tail.amp_sin.imag),
-        corr.tail.start,
-    )
-    value = body + (-8.0) * _tail_transform(im_tail, omega)
+    end = corr.end_state
+    rhs = (end - qops.vectorize(qops.devectorize(end).conj().T)) / 2j
+    dim = math.isqrt(end.size)
+    x = _resolvent(corr.generator, rhs, omega, qops.trace_functional(dim) / dim)[0]
+    value = body + 8.0 * cmath.exp(1j * omega * corr.times[-1]) * complex(corr.obs_row @ x)
     if omega == 0.0:
         if abs(value.imag) > CHI0_IMAG_TOL:
             raise InvalidModelError(
@@ -127,16 +160,11 @@ def chi_from_correlator(corr: CorrelationSeries, omega: float) -> complex:
 def resolvent_chi(model: SpinModel, omegas):
     """chi(omega) on a grid of real or complex frequencies, by the resolvent.
 
-    Solves (L + |rho><1| + i omega (1 - |rho><1|)) x = rho sx - sx rho for
-    every omega at once as a stack of 4x4 systems and returns
-    chi = -4i Tr[sx x] with the shape of ``omegas``. The right-hand side is
-    traceless, and on traceless operators the bordered matrix is L + i
-    omega, so the border changes no solution; it replaces the steady
-    state's zero eigenvalue by 1, which makes omega = 0 solvable. A
-    degenerate null space (dephasing) leaves one more zero mode: only
-    omega = 0 then needs least squares, and sx does not see the extra
-    diagonal direction. Complex omega continues chi analytically, as
-    ``polariton_roots`` needs.
+    Solves (L + i omega) x = rho sx - sx rho for every omega at once by
+    ``_resolvent``, bordered with the steady state rho, and returns
+    chi = -4i Tr[sx x] with the shape of ``omegas``. Complex omega
+    continues chi analytically, as ``polariton_roots`` needs; sx does not
+    see the extra zero mode of a degenerate null space.
 
     Raises NonIntegrableTailError when omega meets -i lambda for an
     undamped mode lambda of L, where the transform diverges, and
@@ -144,47 +172,10 @@ def resolvent_chi(model: SpinModel, omegas):
     """
     om = np.asarray(omegas, dtype=complex)
     flat = om.reshape(-1)
-    state = steady_state(model)
-    rho = state.rho
+    rho = steady_state(model).rho
     rhs = qops.vectorize(rho @ _SX - _SX @ rho)
-    chi = np.zeros(flat.size, dtype=complex)
-    if not np.any(rhs):
-        # rho commutes with sx: no linear response at any frequency
-        return chi.reshape(om.shape)[()]
-
-    gen = model.generator()
-    lams = np.linalg.eigvals(gen)
-    scale = max(1.0, float(np.max(np.abs(lams))), abs(model.omega_z))
-    modes = np.delete(lams, np.argmin(np.abs(lams)))  # all but the steady state
-    lstsq = np.zeros(flat.size, dtype=bool)
-    if state.degenerate:
-        # the extra zero mode of a degenerate null space is invisible to sx
-        lstsq = np.abs(flat) <= RESONANCE_TOL * scale
-    near = np.abs(modes[None, :] + 1j * flat[:, None]) <= RESONANCE_TOL * scale
-    hit = np.flatnonzero(np.any(near, axis=1) & ~lstsq)
-    if hit.size:
-        k = hit[0]
-        lam = modes[np.argmax(near[k])]
-        raise NonIntegrableTailError(
-            f"undamped mode (eigenvalue {complex(lam):.6g}) evaluated at its resonance "
-            f"omega = {np.asarray(omegas).reshape(-1)[k]}"
-        )
-
-    border = np.outer(qops.vectorize(rho), qops.trace_functional(2))
-    bordered = gen + border
-    mats = bordered + 1j * flat[~lstsq, None, None] * (np.eye(4) - border)
-    x = np.linalg.solve(mats, rhs[:, None])[..., 0]
-    chi[~lstsq] = -4j * (x @ qops.observable_row(_SX))
-    if np.any(lstsq):
-        x0 = np.linalg.lstsq(bordered, rhs, rcond=None)[0]
-        residual = float(np.max(np.abs(bordered @ x0 - rhs)))
-        if residual > RESONANCE_TOL * scale * float(np.max(np.abs(rhs))):
-            raise NonIntegrableTailError(
-                f"response does not decay on the degenerate null space: chi diverges "
-                f"at omega = 0 (least-squares residual {residual:.3g})"
-            )
-        chi[lstsq] = -4j * (qops.observable_row(_SX) @ x0)
-
+    x = _resolvent(model.generator(), rhs, omegas, qops.vectorize(rho), model.omega_z)
+    chi = -4j * (x @ qops.observable_row(_SX))
     static = flat == 0
     if np.any(np.abs(chi[static].imag) > CHI0_IMAG_TOL):
         raise InvalidModelError(

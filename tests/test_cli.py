@@ -158,6 +158,16 @@ class TestCorr:
         re_sx = np.array([float(r[1]) for r in rows])
         assert np.max(np.abs(re_sx - 0.25 * np.exp(-0.4 * ts) * np.cos(ts))) < 1e-12
 
+    @pytest.mark.parametrize("gamma, t", [(1.0, 0.5), (2.0, 0.25), (0.5, 1.0)])
+    def test_exceptional_point_rows(self, capsys, gamma, t):
+        # 2 t gamma = omega_z: S_x = e^{-gamma(1+t^2) tau} (1/4 + tau (1/4 - i sz/2))
+        code, out, _ = run_cli(capsys, "corr", "--bath", f"generalized(gamma={gamma},t={t})")
+        assert code == 0
+        rows = np.array([line.split(",") for line in out.splitlines()[2:]], dtype=float)
+        ts, sz = rows[:, 0], -0.5 * (1 - t**2) / (1 + t**2)
+        expected = np.exp(-gamma * (1 + t**2) * ts) * (0.25 + ts * (0.25 - 0.5j * sz))
+        assert np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - expected)) < 1e-10
+
 
 class TestSpectrum:
     def test_bare_cavity_minima_at_poles(self, capsys, tmp_path):
@@ -190,8 +200,23 @@ class TestSpectrum:
         assert "undamped mode" in err
         assert "resonance omega = -1.0" in err
 
+    def test_error_names_the_point(self, capsys, tmp_path):
+        out_file = tmp_path / "spec.csv"
+        code, out, err = run_cli(
+            capsys, "spectrum", "--bath", "dephasing(gamma=0,sz=-0.5)", "--g", "0.3",
+            "--omega-z", "1.5", "--omega0", "1.25", "--kappa", "0.5",
+            "--output", str(out_file),
+        )
+        assert code == 1
+        assert out == ""
+        assert not out_file.exists()
+        assert err.startswith(
+            "dicke-critic: error: at bath = dephasing(gamma=0.0, sz=-0.5), "
+            "omega_z = 1.5, omega0 = 1.25, kappa = 0.5: undamped mode"
+        )
+
     def test_exceptional_point_spectrum(self, capsys):
-        # 2 t gamma = omega_z, where the sampled correlator cannot be built
+        # 2 t gamma = omega_z, where the generator is defective
         from dicke_critic import baths
 
         code, out, _ = run_cli(

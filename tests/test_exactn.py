@@ -18,6 +18,7 @@ from dicke_critic.exactn import (
     trace_preservation_defect,
 )
 from dicke_critic.lindblad import steady_state, two_time_sx
+from dicke_critic.response import chi_from_correlator
 
 
 def spec_for(bath, n_atoms=1, n_fock=6, g=0.0, kappa=0.4, omega_z=1.0, omega0=1.0):
@@ -119,18 +120,37 @@ class TestRegressionCorrelator:
         Thermal(gamma=0.1, temperature=0.5),
         Generalized(gamma=0.2, t=0.4),
     ])
-    def test_matches_single_spin_engine(self, bath):
+    def test_matches_single_spin_engine(self, bath, transverse_sx):
         model = baths.spin_model(bath, 1.0)
         single = two_time_sx(model, steady_state(model).rho)
         full = full_regression_sx(spec_for(bath, n_fock=6, kappa=0.37), times=single.times)
         assert np.max(np.abs(single.values - full.values)) < 1e-10
-        assert full.tail.decay_rate == pytest.approx(single.tail.decay_rate, abs=1e-10)
+        assert np.max(np.abs(full.values - transverse_sx(bath, 1.0, full.times))) < 1e-10
+        # the tail past the window, closed in the full space without a steady state
+        assert chi_from_correlator(full, 0.0).real == pytest.approx(
+            chi_from_correlator(single, 0.0).real, rel=1e-10
+        )
 
     def test_thermal_envelope_rate(self):
         bath = Thermal(gamma=0.1, temperature=0.5)
         series = full_regression_sx(spec_for(bath, n_fock=5))
         n = baths.bose_occupation(1.0, 0.5)
-        assert series.tail.decay_rate == pytest.approx((1 + 2 * n) * 0.1, rel=1e-9)
+        sz = baths.steady_sz(bath, 1.0)
+        ts = series.times
+        expected = 0.25 * np.exp(-(1 + 2 * n) * 0.1 * ts) * (np.cos(ts) - 2j * sz * np.sin(ts))
+        assert np.max(np.abs(series.values - expected)) < 1e-10
+        assert chi_from_correlator(series, 0.0).real == pytest.approx(
+            baths.closed_form_chi0(bath, 1.0), rel=1e-8
+        )
+
+    def test_undamped_cavity_modes_are_not_resonances(self):
+        # kappa = 0: the cavity coherences are undamped modes at omega = k omega0
+        # that atom 0's sx does not excite, so chi stays finite there
+        bath = Dephasing(gamma=0.3, sz=-0.5)
+        series = full_regression_sx(spec_for(bath, n_fock=4, kappa=0.0))
+        chi = baths.closed_form_chi(bath, 1.0)
+        for w in (0.0, 1.0, 2.0):
+            assert abs(chi_from_correlator(series, w) - chi(w)) < 1e-9 * abs(chi(w))
 
     def test_requires_single_atom_and_zero_g(self):
         with pytest.raises(PreconditionError):

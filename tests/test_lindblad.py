@@ -1,12 +1,10 @@
-import re
-
 import numpy as np
 import pytest
 
 from dicke_critic import baths
 from dicke_critic.baths import Dephasing, Generalized, Thermal
 from dicke_critic import lindblad
-from dicke_critic.errors import ConvergenceError, DegenerateSteadyStateError, PreconditionError
+from dicke_critic.errors import DegenerateSteadyStateError, PreconditionError
 from dicke_critic.lindblad import SpinModel, propagate, steady_state, two_time_sx
 
 
@@ -94,34 +92,37 @@ class TestTwoTimeCorrelator:
                 assert np.max(np.abs(series.values - expected)) < 1e-10
 
     def test_undamped_unpolarized_is_pure_cosine(self):
+        # no damped mode: the samples span the 12-period display window
         model = model_for(Dephasing(gamma=0.0, sz=0.0), omega_z=1.0)
         series = two_time_sx(model, steady_state(model).rho)
-        assert series.tail_only
-        assert series.tail.decay_rate == 0.0
-        ts = np.linspace(0, 20, 101)
-        vals = series.tail.value(ts)
-        assert np.max(np.abs(vals - 0.25 * np.cos(ts))) < 1e-12
+        assert series.times[-1] == pytest.approx(12 * 2 * np.pi, rel=1e-14)
+        vals = series.values
+        assert np.max(np.abs(vals - 0.25 * np.cos(series.times))) < 1e-12
         assert np.max(np.abs(np.imag(vals))) < 1e-15
 
     def test_thermal_envelope_rate(self):
+        # both transverse components decay at (1 + 2n) gamma, at frequency omega_z
         gamma_t, temp = 0.1, 0.5
         model = model_for(Thermal(gamma=gamma_t, temperature=temp))
         series = two_time_sx(model, steady_state(model).rho)
         n = baths.bose_occupation(1.0, temp)
-        assert series.tail.decay_rate == pytest.approx((1 + 2 * n) * gamma_t, rel=1e-10)
-        assert series.tail.frequency == pytest.approx(1.0, rel=1e-10)
+        sz = -0.5 * np.tanh(1.0 / (2 * temp))
+        expected = closed_form_sx(series.times, (1 + 2 * n) * gamma_t, 1.0, sz)
+        assert np.max(np.abs(series.values - expected)) < 1e-12
 
-    def test_generalized_coherence_modes(self):
+    def test_generalized_coherence_modes(self, transverse_sx):
         # the two transverse components decay at gamma(1-t)^2 and gamma(1+t)^2,
         # so the correlator oscillates at a shifted frequency and its envelope
         # decays at their mean gamma(1+t^2)
         gamma, t, wz = 0.2, 0.4, 1.0
-        model = model_for(Generalized(gamma=gamma, t=t), omega_z=wz)
+        bath = Generalized(gamma=gamma, t=t)
+        model = model_for(bath, omega_z=wz)
         series = two_time_sx(model, steady_state(model).rho)
-        assert series.tail.decay_rate == pytest.approx(gamma * (1 + t**2), rel=1e-12)
-        assert series.tail.frequency == pytest.approx(
-            np.sqrt(wz**2 - 4 * t**2 * gamma**2), rel=1e-12
-        )
+        assert np.max(np.abs(series.values - transverse_sx(bath, wz, series.times))) < 1e-12
+        shifted = np.sqrt(wz**2 - 4 * t**2 * gamma**2)
+        lams = np.linalg.eigvals(model.generator())
+        for lam in (-gamma * (1 + t**2) + 1j * shifted, -gamma * (1 + t**2) - 1j * shifted):
+            assert np.min(np.abs(lams - lam)) < 1e-12
 
     def test_orderings_are_conjugate(self):
         model = model_for(Generalized(gamma=0.2, t=0.4))
@@ -152,16 +153,17 @@ class TestTwoTimeCorrelator:
         with pytest.raises(PreconditionError):
             two_time_sx(model, rho, tmax=12.0 / 0.3)  # envelope ~ 6e-6 > 1e-10
 
-    def test_exceptional_point_names_the_coalescing_pair(self):
+    def test_exceptional_point_matches_closed_form(self, transverse_sx):
         # 2 t gamma = omega_z: the two transverse modes merge at -gamma (1 + t^2)
+        # and the generator is defective; S_x picks up a secular term
         for gamma, t in ((1.0, 0.5), (2.0, 0.25), (0.5, 1.0)):
-            model = model_for(Generalized(gamma=gamma, t=t))
-            with pytest.raises(ConvergenceError, match="nearly coalesce") as info:
-                two_time_sx(model, steady_state(model).rho)
-            pair = re.search(r"eigenvalues (\S+) and (\S+) nearly", str(info.value))
-            for text in pair.groups():
-                assert complex(text) == pytest.approx(-gamma * (1 + t**2), abs=1e-6)
-            assert "condition number" in str(info.value)
+            bath = Generalized(gamma=gamma, t=t)
+            model = model_for(bath)
+            series = two_time_sx(model, steady_state(model).rho)
+            ts, sz = series.times, baths.steady_sz(bath, 1.0)
+            expected = np.exp(-gamma * (1 + t**2) * ts) * (0.25 + ts * (0.25 - 0.5j * sz))
+            assert np.max(np.abs(series.values - expected)) < 1e-12
+            assert np.max(np.abs(series.values - transverse_sx(bath, 1.0, ts))) < 1e-12
 
     def test_window_cap_is_reported(self, monkeypatch, caplog):
         monkeypatch.setattr(lindblad, "MAX_SAMPLES", 401)

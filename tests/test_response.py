@@ -65,11 +65,13 @@ class TestChiQuadrature:
         for omega in (0.0, 0.5, 2.0):
             assert abs(chi_from_correlator(series, omega)) < 1e-14
 
-    def test_undamped_abel_limit(self):
-        # gamma = 0: the analytic tail carries the whole integral
+    def test_undamped_abel_limit(self, transverse_sx):
+        # gamma = 0: the resolvent tail past the window is the Abel limit
         sz, wz = -0.5, 1.0
-        series = series_for(Dephasing(gamma=0.0, sz=sz), wz)
-        assert series.tail_only
+        bath = Dephasing(gamma=0.0, sz=sz)
+        series = series_for(bath, wz)
+        assert series.times[-1] == pytest.approx(12 * 2 * np.pi / wz, rel=1e-14)
+        assert np.max(np.abs(series.values - transverse_sx(bath, wz, series.times))) < 1e-12
         chi0 = chi_from_correlator(series, 0.0)
         assert chi0.real == pytest.approx(4 * sz / wz, rel=1e-12)
 
@@ -77,6 +79,23 @@ class TestChiQuadrature:
         series = series_for(Dephasing(gamma=0.0, sz=-0.5), 1.0)
         with pytest.raises(NonIntegrableTailError):
             chi_from_correlator(series, 1.0)
+
+    def test_exceptional_manifold_scan(self):
+        # 2 t gamma = omega_z (1 + eps): on and around the manifold where the
+        # mixed channel's generator is defective; bounds are c04's
+        failures = []
+        for t in (0.25, 0.5, 0.75, 1.0):
+            for eps in (-1e-3, -1e-7, 0.0, 1e-7, 1e-3):
+                bath = Generalized(gamma=(1.0 + eps) / (2.0 * t), t=t)
+                numeric = chi_from_correlator(series_for(bath), 0.0).real
+                closed = baths.closed_form_chi0(bath, 1.0)
+                if closed == 0.0:
+                    ok = abs(numeric) <= 1e-12
+                else:
+                    ok = abs(numeric - closed) <= 1e-8 * abs(closed)
+                if not ok:
+                    failures.append((t, eps, numeric, closed))
+        assert not failures
 
     def test_causality_symmetry(self):
         # Re chi even, Im chi odd on a symmetric grid
