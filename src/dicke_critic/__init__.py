@@ -48,11 +48,9 @@ from .lindblad import (  # noqa: F401
 )
 from .qops import LindbladChannel, lindblad_generator, sigma  # noqa: F401
 from .response import (  # noqa: F401
-    Susceptibility,
     cavity_det,
     chi_from_correlator,
     ensemble_chi,
     polariton_roots,
     resolvent_chi,
-    susceptibility_from_correlator,
 )

@@ -7,8 +7,9 @@ Subcommands:
 * ``corr``     -- sampled two-time correlator S_x(t), stepped by one
   propagator, so it also runs at exceptional points of the generator
 * ``spectrum`` -- cavity determinant and susceptibility over frequency;
-  chi(omega) and chi0 come from one batched resolvent solve
-  (``response.resolvent_chi``), not from the sampled correlator
+  chi(omega) on the whole grid, omega = 0 included, comes from one batched
+  resolvent solve (``response.resolvent_chi``), not from the sampled
+  correlator, and the determinant is evaluated row by row
 * ``oracle``   -- closed form vs mean-field threshold comparison table
 
 Exit codes: 0 success, 1 usage or parse error, 2 no transition,
@@ -229,16 +230,14 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     )
     omega_min = cfg.omega_min if cfg.omega_min is not None else -omega_max
     omegas = np.linspace(omega_min, omega_max, cfg.omega_points)
-    values = response.resolvent_chi(model, np.concatenate(([0.0], omegas)))
-    chi = response.Susceptibility(chi0=values[0].real, omegas=omegas, values=values[1:])
+    chis = response.resolvent_chi(model)(omegas)
     unit = 1.0 if cfg.raw_units else cfg.omega_z
     lines = ["omega,re_det,im_det,re_chi,im_chi"]
-    for w in omegas:
-        sample = response.cavity_det(float(w), cfg.cavity, cfg.g, chi)
-        cv = chi.at(float(w))
+    for w, chi in zip(omegas, chis):
+        det = response.cavity_det(float(w), cfg.cavity, cfg.g, complex(chi))
         lines.append(
-            f"{fmt(w / unit)},{fmt(sample.det.real)},{fmt(sample.det.imag)},"
-            f"{fmt(cv.real * unit)},{fmt(cv.imag * unit)}"
+            f"{fmt(w / unit)},{fmt(det.real)},{fmt(det.imag)},"
+            f"{fmt(chi.real * unit)},{fmt(chi.imag * unit)}"
         )
     _write(cfg.output, _csv(lines))
     return EXIT_OK

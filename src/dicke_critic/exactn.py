@@ -32,7 +32,6 @@ from .errors import (
     PreconditionError,
 )
 from .lindblad import CorrelationSeries, SpinModel, correlation_series_from_generator, steady_state
-from .qops import trace_preservation_defect  # noqa: F401  (re-exported)
 
 MAX_HILBERT_DIM = 128
 # the regression correlator steps a dense expm propagator of dimension dim^2
@@ -79,10 +78,10 @@ def _embed(spec: FullSystemSpec, factor, slot: int) -> sp.csr_matrix:
 
 
 def embedded_ops(spec: FullSystemSpec) -> dict[str, sp.csr_matrix]:
-    """Cavity and per-atom operators lifted to the full Hilbert space."""
+    """The cavity a and the per-atom sx, sz lifted to the full Hilbert space."""
     ops = {"a": _embed(spec, annihilation(spec.n_fock), 0)}
     for j in range(spec.n_atoms):
-        for label in ("x", "y", "z", "plus", "minus"):
+        for label in ("x", "z"):
             ops[f"{label}{j}"] = _embed(spec, qops.sigma(label), 1 + j)
     return ops
 

@@ -13,8 +13,8 @@ with the perturbation multiplied from the *right*. With the standard
     S_x(t) = (1/4) e^{-g_eff t} (cos(w_z t) - 2i <sz> sin(w_z t))
 
 for the dephasing bath, which is the closed form every downstream formula
-in this package is written against. The opposite ordering gives the
-complex conjugate and is available via ``ordering="left"``.
+in this package is written against. (The opposite ordering, sx rho, gives
+the complex conjugate.)
 
 The correlator is sampled by stepping one propagator P = expm(L dt)
 across a uniform grid. No eigenvectors are involved, so exceptional
@@ -288,20 +288,9 @@ def two_time_sx(
     rho: np.ndarray,
     tmax: float | None = None,
     dt: float | None = None,
-    ordering: str = "right",
 ) -> CorrelationSeries:
-    """S_x(t) from the steady (or designated) state rho.
-
-    ordering="right" perturbs with rho @ sx (the convention of every closed
-    form in this package); "left" gives the complex-conjugate series.
-    """
+    """S_x(t) from the steady (or designated) state rho, perturbed as rho @ sx."""
     qops.validate_density_matrix(rho, tol=1e-9)
-    if ordering == "right":
-        init = rho @ _SX
-    elif ordering == "left":
-        init = _SX @ rho
-    else:
-        raise PreconditionError(f"unknown ordering {ordering!r}")
     return correlation_series_from_generator(
-        model.generator(), init, _SX, omega_scale=model.omega_z, tmax=tmax, dt=dt
+        model.generator(), rho @ _SX, _SX, omega_scale=model.omega_z, tmax=tmax, dt=dt
     )

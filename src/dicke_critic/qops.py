@@ -51,14 +51,6 @@ def sigma(which: str) -> np.ndarray:
         ) from None
 
 
-# alias matching the operation name used in docs and tests
-pauli = sigma
-
-
-def dag(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"incompatible shapes {a.shape} and {b.shape}")

@@ -10,11 +10,13 @@ Two routes compute it:
 * ``resolvent_chi`` takes the transform in closed form. By the regression
   theorem the integral is a resolvent of the single-spin generator L,
 
-      chi(omega) = -4i Tr[sx (L + i omega)^{-1} (rho sx - sx rho)],
+      chi(omega) = -4i Tr[sx (L + i omega)^{-1} (rho sx - sx rho)].
 
-  one 4x4 linear solve per frequency, batched over the whole grid. It
-  works on complex omega, at exceptional points of L, and at any damping,
-  and it is the route of the ``spectrum`` command.
+  It returns chi as a function of omega, like ``baths.closed_form_chi``:
+  the steady state and L are built once per model, and each call is one
+  4x4 linear solve per frequency, batched over its argument. It works on
+  complex omega, at exceptional points of L, and at any damping, and it
+  is the route of the ``spectrum`` command.
 * ``chi_from_correlator`` integrates a sampled correlator: a composite
   Boole rule over the samples, plus the transform past the window, which
   the same bordered solve (``_resolvent``) gives exactly from the state
@@ -22,7 +24,9 @@ Two routes compute it:
   that term is the Abel limit. The Boole body is the independent
   time-domain check of the resolvent.
 
-The cavity self-energy is Sigma(omega) = g^2 chi(omega).
+chi values travel as plain numbers or arrays: ``ensemble_chi`` averages
+them and ``cavity_det`` takes the value at omega. The cavity self-energy
+is Sigma(omega) = g^2 chi(omega).
 
 Sign convention for the inverse Green function: the 2x2 particle/hole
 matrix is assembled as
@@ -43,7 +47,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -85,46 +88,52 @@ def _integrate_samples(times: np.ndarray, values: np.ndarray) -> complex:
     return complex(np.sum(_boole_weights(n) * values) * dt)
 
 
-def _resolvent(gen: np.ndarray, rhs: np.ndarray, omegas, ref: np.ndarray, omega_scale=0.0):
-    """x = (L + i omega)^{-1} rhs for a traceless rhs, one row per omega.
+def _resolvent(gen: np.ndarray, rhs: np.ndarray, ref: np.ndarray, omega_scale=0.0):
+    """A solver omegas -> x = (L + i omega)^{-1} rhs for a traceless rhs.
 
-    Solves (L + |ref><1| + i omega (1 - |ref><1|)) x = rhs for every omega
-    at once as a stack of systems; ref is any trace-one state. Tr o L = 0,
-    so on traceless operators the bordered matrix is L + i omega and the
-    border changes no solution; it replaces the zero eigenvalue of the
-    steady state by 1, which makes omega = 0 solvable. Where omega meets
-    -i lambda for another undamped mode lambda of L (the extra zero mode of
-    a degenerate null space, as under dephasing, is one), the system is
-    solved by least squares: its residual shows whether rhs excites that
-    mode.
+    The solver solves (L + |ref><1| + i omega (1 - |ref><1|)) x = rhs for
+    every omega at once as a stack of systems and returns one row per
+    omega; ref is any trace-one state. The eigenvalues of L and the border
+    are computed once, here. Tr o L = 0, so on traceless operators the
+    bordered matrix is L + i omega and the border changes no solution; it
+    replaces the zero eigenvalue of the steady state by 1, which makes
+    omega = 0 solvable. Where omega meets -i lambda for another undamped
+    mode lambda of L (the extra zero mode of a degenerate null space, as
+    under dephasing, is one), the system is solved by least squares: its
+    residual shows whether rhs excites that mode.
 
-    Raises NonIntegrableTailError when it does, since the transform then
-    diverges.
+    The solver raises NonIntegrableTailError when it does, since the
+    transform then diverges.
     """
-    flat = np.asarray(omegas, dtype=complex).reshape(-1)
-    x = np.zeros((flat.size, rhs.size), dtype=complex)
-    if not np.any(rhs):
-        return x
     lams = np.linalg.eigvals(gen)
     scale = max(1.0, float(np.max(np.abs(lams))), abs(omega_scale))
     modes = np.delete(lams, np.argmin(np.abs(lams)))  # all but the steady state
-    near = np.abs(modes[None, :] + 1j * flat[:, None]) <= RESONANCE_TOL * scale
-    resonant = np.any(near, axis=1)
-
     border = np.outer(ref, qops.trace_functional(math.isqrt(rhs.size)))
-    mats = gen + border + 1j * flat[:, None, None] * (np.eye(rhs.size) - border)
-    x[~resonant] = np.linalg.solve(mats[~resonant], rhs[:, None])[..., 0]
-    for k in np.flatnonzero(resonant):
-        x[k] = np.linalg.lstsq(mats[k], rhs, rcond=None)[0]
-        residual = float(np.max(np.abs(mats[k] @ x[k] - rhs)))
-        if residual > RESONANCE_TOL * scale * float(np.max(np.abs(rhs))):
-            lam = modes[np.argmax(near[k])]
-            raise NonIntegrableTailError(
-                f"undamped mode (eigenvalue {complex(lam):.6g}) evaluated at its resonance "
-                f"omega = {np.asarray(omegas).reshape(-1)[k]} (least-squares residual "
-                f"{residual:.3g})"
-            )
-    return x
+    bordered = gen + border
+    shift = np.eye(rhs.size) - border
+
+    def solve(omegas) -> np.ndarray:
+        flat = np.asarray(omegas, dtype=complex).reshape(-1)
+        x = np.zeros((flat.size, rhs.size), dtype=complex)
+        if not np.any(rhs):
+            return x
+        near = np.abs(modes[None, :] + 1j * flat[:, None]) <= RESONANCE_TOL * scale
+        resonant = np.any(near, axis=1)
+        mats = bordered + 1j * flat[:, None, None] * shift
+        x[~resonant] = np.linalg.solve(mats[~resonant], rhs[:, None])[..., 0]
+        for k in np.flatnonzero(resonant):
+            x[k] = np.linalg.lstsq(mats[k], rhs, rcond=None)[0]
+            residual = float(np.max(np.abs(mats[k] @ x[k] - rhs)))
+            if residual > RESONANCE_TOL * scale * float(np.max(np.abs(rhs))):
+                lam = modes[np.argmax(near[k])]
+                raise NonIntegrableTailError(
+                    f"undamped mode (eigenvalue {complex(lam):.6g}) evaluated at its resonance "
+                    f"omega = {np.asarray(omegas).reshape(-1)[k]} (least-squares residual "
+                    f"{residual:.3g})"
+                )
+        return x
+
+    return solve
 
 
 def chi_from_correlator(corr: CorrelationSeries, omega: float) -> complex:
@@ -146,7 +155,7 @@ def chi_from_correlator(corr: CorrelationSeries, omega: float) -> complex:
     end = corr.end_state
     rhs = (end - qops.vectorize(qops.devectorize(end).conj().T)) / 2j
     dim = math.isqrt(end.size)
-    x = _resolvent(corr.generator, rhs, omega, qops.trace_functional(dim) / dim)[0]
+    x = _resolvent(corr.generator, rhs, qops.trace_functional(dim) / dim)(omega)[0]
     value = body + 8.0 * cmath.exp(1j * omega * corr.times[-1]) * complex(corr.obs_row @ x)
     if omega == 0.0:
         if abs(value.imag) > CHI0_IMAG_TOL:
@@ -157,77 +166,42 @@ def chi_from_correlator(corr: CorrelationSeries, omega: float) -> complex:
     return value
 
 
-def resolvent_chi(model: SpinModel, omegas):
-    """chi(omega) on a grid of real or complex frequencies, by the resolvent.
+def resolvent_chi(model: SpinModel):
+    """chi(omega) of a model as a callable on real or complex frequencies.
 
-    Solves (L + i omega) x = rho sx - sx rho for every omega at once by
-    ``_resolvent``, bordered with the steady state rho, and returns
-    chi = -4i Tr[sx x] with the shape of ``omegas``. Complex omega
-    continues chi analytically, as ``polariton_roots`` needs; sx does not
-    see the extra zero mode of a degenerate null space.
+    The steady state rho, the generator L, its eigenvalues and the border
+    are built once, here. Each call solves (L + i omega) x = rho sx - sx rho
+    for every omega at once by ``_resolvent``, bordered with rho, and
+    returns chi = -4i Tr[sx x] with the shape of its argument. Complex
+    omega continues chi analytically, as ``polariton_roots`` needs; sx
+    does not see the extra zero mode of a degenerate null space.
 
-    Raises NonIntegrableTailError when omega meets -i lambda for an
+    A call raises NonIntegrableTailError when omega meets -i lambda for an
     undamped mode lambda of L, where the transform diverges, and
     InvalidModelError when Im chi(0) exceeds CHI0_IMAG_TOL.
     """
-    om = np.asarray(omegas, dtype=complex)
-    flat = om.reshape(-1)
     rho = steady_state(model).rho
     rhs = qops.vectorize(rho @ _SX - _SX @ rho)
-    x = _resolvent(model.generator(), rhs, omegas, qops.vectorize(rho), model.omega_z)
-    chi = -4j * (x @ qops.observable_row(_SX))
-    static = flat == 0
-    if np.any(np.abs(chi[static].imag) > CHI0_IMAG_TOL):
-        raise InvalidModelError(
-            f"Im chi(0) = {chi[static][0].imag} should vanish; resolvent is inconsistent"
-        )
-    chi[static] = chi[static].real
-    return chi.reshape(om.shape)[()]
+    solve = _resolvent(model.generator(), rhs, qops.vectorize(rho), model.omega_z)
+    row = qops.observable_row(_SX)
+
+    def chi(omegas):
+        om = np.asarray(omegas, dtype=complex)
+        flat = om.reshape(-1)
+        values = -4j * (solve(omegas) @ row)
+        static = flat == 0
+        if np.any(np.abs(values[static].imag) > CHI0_IMAG_TOL):
+            raise InvalidModelError(
+                f"Im chi(0) = {values[static][0].imag} should vanish; resolvent is inconsistent"
+            )
+        values[static] = values[static].real
+        return values.reshape(om.shape)[()]
+
+    return chi
 
 
-@dataclass(frozen=True)
-class Susceptibility:
-    """Static chi0 plus an optional tabulated chi(omega) grid."""
-
-    chi0: float
-    omegas: np.ndarray | None = field(default=None, repr=False)
-    values: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if (self.omegas is None) != (self.values is None):
-            raise InvalidModelError("omegas and values must be given together")
-        if self.omegas is not None:
-            om = np.asarray(self.omegas, dtype=float)
-            vals = np.asarray(self.values, dtype=complex)
-            if om.shape != vals.shape or om.ndim != 1:
-                raise InvalidModelError("omega grid and values must be matching 1-d arrays")
-            object.__setattr__(self, "omegas", om)
-            object.__setattr__(self, "values", vals)
-
-    def at(self, omega: float) -> complex:
-        if omega == 0.0:
-            return complex(self.chi0)
-        if self.omegas is None:
-            raise PreconditionError("no chi(omega) grid available at omega != 0")
-        idx = np.flatnonzero(np.abs(self.omegas - omega) <= 1e-12 * max(1.0, abs(omega)))
-        if idx.size == 0:
-            raise PreconditionError(f"omega = {omega} not on the tabulated grid")
-        return complex(self.values[idx[0]])
-
-
-def susceptibility_from_correlator(
-    corr: CorrelationSeries, omegas: Sequence[float] | None = None
-) -> Susceptibility:
-    chi0 = chi_from_correlator(corr, 0.0).real
-    if omegas is None:
-        return Susceptibility(chi0=chi0)
-    om = np.asarray(omegas, dtype=float)
-    vals = np.array([chi_from_correlator(corr, w) for w in om], dtype=complex)
-    return Susceptibility(chi0=chi0, omegas=om, values=vals)
-
-
-def ensemble_chi(members: Sequence[tuple[float, Susceptibility]]) -> Susceptibility:
-    """Weighted average susceptibility of an inhomogeneous ensemble."""
+def ensemble_chi(members: Sequence[tuple[float, complex | np.ndarray]]):
+    """Weighted average of the members' chi values (numbers or equal-shape arrays)."""
     if not members:
         raise PreconditionError("ensemble must have at least one member")
     weights = np.array([w for w, _ in members], dtype=float)
@@ -235,50 +209,20 @@ def ensemble_chi(members: Sequence[tuple[float, Susceptibility]]) -> Susceptibil
         raise PreconditionError("ensemble weights must be nonnegative")
     if abs(weights.sum() - 1.0) > 1e-12:
         raise PreconditionError(f"ensemble weights sum to {weights.sum()}, not 1")
-    chi0 = float(np.sum(weights * np.array([s.chi0 for _, s in members])))
-    grids = [s.omegas for _, s in members]
-    if all(g is None for g in grids):
-        return Susceptibility(chi0=chi0)
-    if any(g is None for g in grids):
-        raise PreconditionError("either all or no ensemble members may carry a grid")
-    ref = grids[0]
-    for g in grids[1:]:
-        if g.shape != ref.shape or np.max(np.abs(g - ref)) > 1e-12:
-            raise PreconditionError("ensemble members have mismatched frequency grids")
-    vals = np.zeros_like(members[0][1].values)
-    for w, s in members:
-        vals = vals + w * s.values
-    return Susceptibility(chi0=chi0, omegas=ref.copy(), values=vals)
+    values = [np.asarray(v) for _, v in members]
+    if any(v.shape != values[0].shape for v in values):
+        raise PreconditionError("ensemble members have mismatched shapes")
+    stacked = np.array(values)
+    return np.sum(weights.reshape((-1,) + (1,) * values[0].ndim) * stacked, axis=0)[()]
 
 
-@dataclass(frozen=True)
-class CavityGreenSample:
-    omega: float
-    matrix: np.ndarray = field(repr=False)
-    det: complex
-
-
-def _det_value(omega: complex, cavity: CavityParams, sigma: complex) -> complex:
+def cavity_det(omega: complex, cavity: CavityParams, g: float, chi: complex) -> complex:
+    """Inverse cavity Green function det M(omega), given chi = chi(omega)."""
+    sigma = g**2 * chi
     if omega == 0.0:
         # written so the zero-frequency reduction is exact, not rounded
         return cavity.omega0**2 + cavity.kappa**2 + 2.0 * cavity.omega0 * sigma
     return cavity.omega0**2 + 2.0 * cavity.omega0 * sigma - (omega + 1j * cavity.kappa) ** 2
-
-
-def cavity_det(
-    omega: float, cavity: CavityParams, g: float, chi: Susceptibility
-) -> CavityGreenSample:
-    """Inverse-Green-function sample at real omega."""
-    sigma = g**2 * chi.at(omega)
-    w0, kap = cavity.omega0, cavity.kappa
-    matrix = np.array(
-        [
-            [omega + 1j * kap - w0 - sigma, -sigma],
-            [-sigma, -omega - 1j * kap - w0 - sigma],
-        ],
-        dtype=complex,
-    )
-    return CavityGreenSample(omega=omega, matrix=matrix, det=_det_value(omega, cavity, sigma))
 
 
 def polariton_roots(
@@ -292,7 +236,7 @@ def polariton_roots(
     """Complex roots of det(omega), damped Newton from the bare-cavity poles."""
 
     def f(w: complex) -> complex:
-        return _det_value(w, cavity, g**2 * chi_of_omega(w))
+        return cavity_det(w, cavity, g, chi_of_omega(w))
 
     if seeds is None:
         seeds = [cavity.omega0 - 1j * cavity.kappa, -cavity.omega0 - 1j * cavity.kappa]

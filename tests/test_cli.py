@@ -228,6 +228,23 @@ class TestSpectrum:
         chi = baths.closed_form_chi(baths.Generalized(1.0, 0.5), 1.0)(rows[:, 0])
         assert np.max(np.abs(rows[:, 3] + 1j * rows[:, 4] - chi)) < 1e-12
 
+    def test_zero_frequency_row_is_exact(self, capsys):
+        from dicke_critic import baths
+
+        bath, omega0, kappa, g = "thermal(gamma=0.1,T=0.5)", 1.1, 0.3, 0.4
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--bath", bath, "--g", str(g), "--omega0", str(omega0),
+            "--kappa", str(kappa), "--omega-min", "-1", "--omega-max", "1",
+            "--omega-points", "3",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        assert [float(r[0]) for r in rows] == [-1.0, 0.0, 1.0]
+        chi0 = baths.closed_form_chi0(baths.parse_bath(bath), 1.0)
+        assert float(rows[1][2]) == 0.0
+        want = omega0**2 + kappa**2 + 2 * omega0 * g**2 * chi0
+        assert float(rows[1][1]) == pytest.approx(want, rel=1e-12)
+
     def test_repeated_runs_are_byte_identical(self, capsys, tmp_path):
         args = ["spectrum", "--bath", "thermal(gamma=0.003,T=0.5)", "--g", "0.3",
                 "--kappa", "0.2"]

@@ -17,7 +17,7 @@ from dicke_critic.critical import (
     sweep,
 )
 from dicke_critic.errors import PreconditionError
-from dicke_critic.response import Susceptibility, ensemble_chi
+from dicke_critic.response import ensemble_chi
 
 
 class TestSolveGc:
@@ -65,29 +65,30 @@ class TestKappaScaling:
 
 class TestEnsembles:
     def test_single_member_unchanged(self):
-        chi = Susceptibility(chi0=-1.6)
-        assert ensemble_chi([(1.0, chi)]).chi0 == -1.6
+        assert ensemble_chi([(1.0, -1.6)]) == -1.6
 
     def test_identical_members(self):
-        chi = Susceptibility(chi0=-1.6)
-        assert ensemble_chi([(0.5, chi), (0.5, chi)]).chi0 == -1.6
+        assert ensemble_chi([(0.5, -1.6), (0.5, -1.6)]) == -1.6
 
     def test_mean(self):
-        merged = ensemble_chi([(0.5, Susceptibility(-1.6)), (0.5, Susceptibility(0.0))])
-        assert merged.chi0 == pytest.approx(-0.8, abs=1e-15)
+        merged = ensemble_chi([(0.5, -1.6), (0.5, 0.0)])
+        assert merged == pytest.approx(-0.8, abs=1e-15)
 
     def test_half_unpolarized_raises_gc_by_sqrt2(self):
         cavity = CavityParams(1.0, 0.4)
         full = solve_gc(-1.6, cavity).g_c
-        mixed_chi = ensemble_chi([(0.5, Susceptibility(-1.6)), (0.5, Susceptibility(0.0))])
-        mixed = solve_gc(mixed_chi.chi0, cavity).g_c
+        mixed = solve_gc(ensemble_chi([(0.5, -1.6), (0.5, 0.0)]), cavity).g_c
         assert mixed / full == pytest.approx(math.sqrt(2), rel=1e-12)
 
     def test_bad_weights(self):
         with pytest.raises(PreconditionError):
-            ensemble_chi([(0.4, Susceptibility(-1.0)), (0.4, Susceptibility(-1.0))])
+            ensemble_chi([(0.4, -1.0), (0.4, -1.0)])
         with pytest.raises(PreconditionError):
             ensemble_chi([])
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(PreconditionError):
+            ensemble_chi([(0.5, np.zeros(3, dtype=complex)), (0.5, np.zeros(4, dtype=complex))])
 
 
 class TestSweep:
@@ -167,7 +168,7 @@ class TestSweep:
 
     def test_identical_ensemble_matches_single(self):
         # ensemble of identical members reduces exactly to one member
-        chi = Susceptibility(chi0=-0.9)
-        merged = ensemble_chi([(0.25, chi)] * 4)
+        chi0 = -0.9
+        merged = ensemble_chi([(0.25, chi0)] * 4)
         cavity = CavityParams(1.0, 0.2)
-        assert solve_gc(merged.chi0, cavity) == solve_gc(chi.chi0, cavity)
+        assert solve_gc(merged, cavity) == solve_gc(chi0, cavity)

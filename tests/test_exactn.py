@@ -15,9 +15,9 @@ from dicke_critic.exactn import (
     full_regression_sx,
     full_steady_observables,
     steady_full,
-    trace_preservation_defect,
 )
 from dicke_critic.lindblad import steady_state, two_time_sx
+from dicke_critic.qops import trace_preservation_defect
 from dicke_critic.response import chi_from_correlator
 
 

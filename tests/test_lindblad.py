@@ -124,13 +124,6 @@ class TestTwoTimeCorrelator:
         for lam in (-gamma * (1 + t**2) + 1j * shifted, -gamma * (1 + t**2) - 1j * shifted):
             assert np.min(np.abs(lams - lam)) < 1e-12
 
-    def test_orderings_are_conjugate(self):
-        model = model_for(Generalized(gamma=0.2, t=0.4))
-        rho = steady_state(model).rho
-        right = two_time_sx(model, rho)
-        left = two_time_sx(model, rho, ordering="left", tmax=right.times[-1], dt=right.dt)
-        assert np.max(np.abs(left.values - np.conj(right.values))) < 1e-13
-
     def test_norm_bound_and_peak_envelope(self):
         model = model_for(Dephasing(gamma=0.15, sz=-0.3))
         series = two_time_sx(model, steady_state(model).rho)

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from dicke_critic import baths
+from dicke_critic import baths, lindblad, response
 from dicke_critic import qops
 from dicke_critic.baths import CavityParams, Custom, Dephasing, Generalized, Thermal
 from dicke_critic.critical import solve_gc
-from dicke_critic.errors import NonIntegrableTailError, PreconditionError
+from dicke_critic.errors import NonIntegrableTailError
 from dicke_critic.lindblad import steady_state, two_time_sx
 from dicke_critic.response import (
-    Susceptibility,
     cavity_det,
     chi_from_correlator,
     polariton_roots,
     resolvent_chi,
-    susceptibility_from_correlator,
 )
 
 
@@ -139,7 +137,7 @@ class TestResolventChi:
                     Thermal(gamma=gamma, temperature=0.6 * wz),
                     Generalized(gamma=gamma, t=0.35),
                 ):
-                    got = resolvent_chi(baths.spin_model(bath, wz), omegas)
+                    got = resolvent_chi(baths.spin_model(bath, wz))(omegas)
                     want = baths.closed_form_chi(bath, wz)(omegas)
                     assert max_rel_dev(got, want) < 1e-12, bath
 
@@ -148,7 +146,7 @@ class TestResolventChi:
         omegas = np.linspace(-3.0, 3.0, 61)
         for gamma, t in ((1.0, 0.5), (2.0, 0.25), (0.5, 1.0)):
             bath = Generalized(gamma=gamma, t=t)
-            got = resolvent_chi(baths.spin_model(bath, 1.0), omegas)
+            got = resolvent_chi(baths.spin_model(bath, 1.0))(omegas)
             want = baths.closed_form_chi(bath, 1.0)(omegas)
             assert np.max(np.abs(got - want)) < 1e-12, (gamma, t)
 
@@ -157,7 +155,7 @@ class TestResolventChi:
             bath = Dephasing(gamma=gamma, sz=-0.4)
             model = baths.spin_model(bath, 1.3)
             assert steady_state(model).degenerate
-            chi0 = resolvent_chi(model, 0.0)
+            chi0 = resolvent_chi(model)(0.0)
             assert chi0.imag == 0.0
             assert chi0.real == pytest.approx(baths.closed_form_chi0(bath, 1.3), rel=1e-12)
 
@@ -171,7 +169,7 @@ class TestResolventChi:
         series = two_time_sx(model, steady_state(model).rho)
         omegas = np.array([0.0, 0.3, -0.7, 1.0, 1.9])
         quad = np.array([chi_from_correlator(series, w) for w in omegas])
-        got = resolvent_chi(model, omegas)
+        got = resolvent_chi(model)(omegas)
         assert max_rel_dev(got, quad) < 1e-9
 
     def test_polariton_roots_with_complex_omega(self):
@@ -181,55 +179,86 @@ class TestResolventChi:
         gc = baths.closed_form_gc(bath, 1.0, cavity).g_c
         for g in (0.5 * gc, 0.97 * gc):
             want = polariton_roots(cavity, g, baths.closed_form_chi(bath, 1.0))
-            got = polariton_roots(cavity, g, lambda w: resolvent_chi(model, w))
+            got = polariton_roots(cavity, g, resolvent_chi(model))
             assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-9
+
+    def test_polariton_search_builds_the_model_once(self, monkeypatch):
+        # the steady state and the generator are built with the callable,
+        # not once per chi evaluation of the Newton search
+        counts = {"steady": 0, "generator": 0}
+        steady, generator = lindblad.steady_state, lindblad.SpinModel.generator
+
+        def counted_steady(model):
+            counts["steady"] += 1
+            return steady(model)
+
+        def counted_generator(model):
+            counts["generator"] += 1
+            return generator(model)
+
+        monkeypatch.setattr(response, "steady_state", counted_steady)
+        monkeypatch.setattr(lindblad.SpinModel, "generator", counted_generator)
+        bath = Thermal(gamma=0.2, temperature=0.4)
+        model = baths.spin_model(bath, 1.0)
+        cavity = CavityParams(1.0, 0.2)
+        chi = resolvent_chi(model)
+        built = dict(counts)
+        assert built["steady"] == 1
+        g = 0.97 * baths.closed_form_gc(bath, 1.0, cavity).g_c
+        got = polariton_roots(cavity, g, chi)
+        assert counts == built
+        want = polariton_roots(cavity, g, baths.closed_form_chi(bath, 1.0))
+        assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-9
 
     def test_unpolarized_response_vanishes(self):
         model = baths.spin_model(Dephasing(gamma=0.0, sz=0.0), 1.0)
-        assert np.all(resolvent_chi(model, [0.0, 1.0, 2.0]) == 0)
+        assert np.all(resolvent_chi(model)([0.0, 1.0, 2.0]) == 0)
 
     def test_undamped_resonance_is_typed_error(self):
         model = baths.spin_model(Dephasing(gamma=0.0, sz=-0.5), 1.0)
-        assert resolvent_chi(model, 0.5) == pytest.approx(-2.0 / (1.0 - 0.25), rel=1e-12)
+        chi = resolvent_chi(model)
+        assert chi(0.5) == pytest.approx(-2.0 / (1.0 - 0.25), rel=1e-12)
         with pytest.raises(NonIntegrableTailError, match="omega = 1.0"):
-            resolvent_chi(model, [0.5, 1.0])
+            chi([0.5, 1.0])
 
 
 class TestCavityDet:
     def test_bare_cavity(self):
-        sample = cavity_det(0.0, CavityParams(1.2, 0.7), 0.0, Susceptibility(chi0=-1.0))
-        assert sample.det == 1.2**2 + 0.7**2
+        assert cavity_det(0.0, CavityParams(1.2, 0.7), 0.0, -1.0) == 1.2**2 + 0.7**2
 
     def test_zero_frequency_reduction_is_exact(self):
         cavity = CavityParams(1.0, 0.4)
-        chi = Susceptibility(chi0=-1.3)
+        chi0 = -1.3
         g = 0.55
-        sample = cavity_det(0.0, cavity, g, chi)
-        assert sample.det == cavity.omega0**2 + cavity.kappa**2 + 2 * cavity.omega0 * g**2 * chi.chi0
+        det = cavity_det(0.0, cavity, g, chi0)
+        assert det == cavity.omega0**2 + cavity.kappa**2 + 2 * cavity.omega0 * g**2 * chi0
 
     def test_determinant_vanishes_at_gc(self):
         cavity = CavityParams(1.0, 0.4)
-        chi = Susceptibility(chi0=-1.3)
-        gc = solve_gc(chi.chi0, cavity).g_c
-        sample = cavity_det(0.0, cavity, gc, chi)
-        assert abs(sample.det) < 1e-8 * (cavity.omega0**2 + cavity.kappa**2)
+        chi0 = -1.3
+        gc = solve_gc(chi0, cavity).g_c
+        det = cavity_det(0.0, cavity, gc, chi0)
+        assert abs(det) < 1e-8 * (cavity.omega0**2 + cavity.kappa**2)
 
     def test_unit_product_point(self):
         # omega0 = kappa = 1 and g^2 chi0 = -1 closes the determinant
-        sample = cavity_det(0.0, CavityParams(1.0, 1.0), 1.0, Susceptibility(chi0=-1.0))
-        assert sample.det == 0.0
+        assert cavity_det(0.0, CavityParams(1.0, 1.0), 1.0, -1.0) == 0.0
 
     def test_matrix_determinant_consistency(self):
+        # det of the particle/hole matrix M(omega) of the module docstring
         bath = Dephasing(gamma=0.3, sz=-0.5)
         series = series_for(bath)
-        chi = susceptibility_from_correlator(series, omegas=[0.8])
-        sample = cavity_det(0.8, CavityParams(1.0, 0.2), 0.4, chi)
-        assert np.linalg.det(sample.matrix) == pytest.approx(sample.det, rel=1e-12)
-
-    def test_missing_grid_point_rejected(self):
-        chi = Susceptibility(chi0=-1.0)
-        with pytest.raises(PreconditionError):
-            cavity_det(0.5, CavityParams(1.0, 0.0), 0.1, chi)
+        omega, cavity, g = 0.8, CavityParams(1.0, 0.2), 0.4
+        chi = chi_from_correlator(series, omega)
+        sigma = g**2 * chi
+        w0, kap = cavity.omega0, cavity.kappa
+        matrix = np.array(
+            [
+                [omega + 1j * kap - w0 - sigma, -sigma],
+                [-sigma, -omega - 1j * kap - w0 - sigma],
+            ]
+        )
+        assert np.linalg.det(matrix) == pytest.approx(cavity_det(omega, cavity, g, chi), rel=1e-12)
 
 
 class TestPolaritonRoots:
