@@ -1,22 +1,28 @@
 """Exact Liouvillian of the full model at small atom number.
 
-Builds the complete generator for N atoms (N <= 4) coupled to one cavity
-mode truncated at n_fock photon states, with the cavity decay channel and
-the per-atom channels all in the doubled dissipator convention. The
-operators are lifted to the full space as scipy.sparse matrices and handed
-to the same builder as the single-spin engine, ``qops.lindblad_generator``;
-the steady state is one bordered sparse LU solve. Serves as
-an end-to-end oracle: at g = 0 the embedded single-atom correlator must
-reproduce the single-spin engine, and the steady photon number exhibits
-the finite-size superradiance onset around the infinite-N critical
-coupling.
+N identical atoms with the same local channels (doubled dissipator
+convention) couple collectively to one cavity mode truncated at n_fock
+photon states. The steady state is permutation symmetric and is solved in
+the count basis (Shammah et al., PRA 98, 063815 (2018)): an atomic operator
+is a vector over the C(N+3, 3) count tuples n of the single-atom matrix
+units u = |i><j|, entry n weighting the sum over all arrangements of those
+units. A sum over the atoms of a single-atom superoperator S moves one
+unit u -> v with weight S[v, u] (n_v + 1), and keeps S[u, u] n_u on the
+diagonal. Each generator term is a ``qops`` cavity superoperator (x) such
+a lift; the steady state is one bordered sparse LU solve. As an oracle,
+the single-atom correlator at g = 0 must match the single-spin engine, and
+the photon number shows the finite-size onset near the infinite-N g_c.
 
-Tensor order is cavity (x) atom_1 (x) ... (x) atom_N.
+State vectors are vec(cavity) (x) count vector, in the column-stacking
+order of ``qops``: the units are |0><0|, |1><0|, |0><1|, |1><1|, so at
+N = 1 the count tuples are the four units in that order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,17 +31,15 @@ import scipy.sparse.linalg as spla
 
 from . import qops
 from .baths import CavityParams
-from .errors import (
-    ConvergenceError,
-    DegenerateSteadyStateError,
-    InvalidModelError,
-    PreconditionError,
-)
+from .errors import (ConvergenceError, DegenerateSteadyStateError, InvalidModelError,
+                     PreconditionError)
 from .lindblad import CorrelationSeries, SpinModel, correlation_series_from_generator, steady_state
 
-MAX_HILBERT_DIM = 128
+# 128^2, vec(rho) at Hilbert dimension 128: every N <= 4 system up to that dimension fits
+MAX_UNKNOWNS = 16384
 # the regression correlator steps a dense expm propagator of dimension dim^2
 _DENSE_PROPAGATOR_DIM = 64
+Ops = dict[str, sp.csr_matrix | np.ndarray]  # what embedded_ops returns
 
 
 @dataclass(frozen=True)
@@ -47,102 +51,111 @@ class FullSystemSpec:
     model: SpinModel
 
     def __post_init__(self):
-        if not 1 <= self.n_atoms <= 4:
-            raise InvalidModelError(f"n_atoms = {self.n_atoms} outside 1..4")
+        if self.n_atoms < 1:
+            raise InvalidModelError(f"n_atoms = {self.n_atoms} must be >= 1")
         if self.n_fock < 2:
             raise InvalidModelError(f"n_fock = {self.n_fock} must be >= 2")
-        if self.hilbert_dim > MAX_HILBERT_DIM:
-            raise InvalidModelError(
-                f"Hilbert dimension {self.hilbert_dim} exceeds the desk-scale "
-                f"guard {MAX_HILBERT_DIM}"
-            )
+        if self.unknowns > MAX_UNKNOWNS:
+            raise InvalidModelError(f"{self.unknowns} unknowns (C(N+3, 3) n_fock^2 at N = "
+                                    f"{self.n_atoms}, n_fock = {self.n_fock}) > {MAX_UNKNOWNS}")
 
     @property
     def hilbert_dim(self) -> int:
         return 2**self.n_atoms * self.n_fock
+
+    @property
+    def unknowns(self) -> int:
+        """Length of the count-basis state vector."""
+        return math.comb(self.n_atoms + 3, 3) * self.n_fock**2
 
 
 def annihilation(n_fock: int) -> sp.csr_matrix:
     return sp.diags(np.sqrt(np.arange(1, n_fock)), 1).astype(complex).tocsr()
 
 
-def _embed(spec: FullSystemSpec, factor, slot: int) -> sp.csr_matrix:
-    """factor at tensor slot `slot` (0 = cavity, 1 + j = atom j), identities elsewhere."""
-    chain = [sp.identity(spec.n_fock, dtype=complex, format="csr")]
-    chain += [sp.identity(2, dtype=complex, format="csr")] * spec.n_atoms
-    chain[slot] = sp.csr_matrix(factor)
-    out = chain[0]
-    for m in chain[1:]:
-        out = sp.kron(out, m, format="csr")
-    return out
+def _lift(s: np.ndarray, counts: np.ndarray) -> sp.csr_matrix:
+    """Sum over the atoms of the single-atom 4x4 superoperator s, on the count basis.
 
-
-def embedded_ops(spec: FullSystemSpec) -> dict[str, sp.csr_matrix]:
-    """The cavity a and the per-atom sx, sz lifted to the full Hilbert space."""
-    ops = {"a": _embed(spec, annihilation(spec.n_fock), 0)}
-    for j in range(spec.n_atoms):
-        for label in ("x", "z"):
-            ops[f"{label}{j}"] = _embed(spec, qops.sigma(label), 1 + j)
-    return ops
-
-
-def full_hamiltonian(spec: FullSystemSpec, ops: dict[str, sp.csr_matrix]) -> sp.csr_matrix:
-    a = ops["a"]
-    h = spec.cavity.omega0 * (a.conj().T @ a)
-    drive = a + a.conj().T
-    coupling = 2.0 * spec.g / np.sqrt(spec.n_atoms)
-    for j in range(spec.n_atoms):
-        h = h + spec.model.omega_z * ops[f"z{j}"]
-        h = h + coupling * (ops[f"x{j}"] @ drive)
-    return h.tocsr()
-
-
-def build_full_generator(
-    spec: FullSystemSpec, ops: dict[str, sp.csr_matrix] | None = None
-) -> sp.csr_matrix:
-    """Sparse generator on vec(rho), cavity channel plus per-atom channels.
-
-    ops are the embedded operators of spec, built here when not given.
+    Each atom maps unit u to sum_v s[v, u] unit v, so the sum takes tuple n
+    to m = n - e_u + e_v with weight s[v, u] m_v (m_v = n_v when v = u).
     """
-    if ops is None:
-        ops = embedded_ops(spec)
-    channels = []
-    if spec.cavity.kappa > 0:
-        channels.append(qops.LindbladChannel(ops["a"], spec.cavity.kappa))
-    for ch in spec.model.channels:
-        for j in range(spec.n_atoms):
-            channels.append(qops.LindbladChannel(_embed(spec, ch.op, 1 + j), ch.rate))
-    return qops.lindblad_generator(full_hamiltonian(spec, ops), channels)
+    index = np.zeros((counts[0].sum() + 1,) * 4, dtype=int)
+    index[tuple(counts.T)] = np.arange(len(counts))
+    v, u = np.nonzero(s)
+    dest = counts + (np.eye(4, dtype=int)[v] - np.eye(4, dtype=int)[u])[:, None, :]
+    weight = s[v, u][:, None] * (counts[:, v].T + (v != u)[:, None])
+    moved = counts[:, u].T > 0  # (pair, tuple): the tuple holds a unit u to move
+    entries = (weight[moved], (index[tuple(dest[moved].T)], np.nonzero(moved)[1]))
+    return sp.csr_matrix(entries, shape=(len(counts),) * 2)
 
 
-def steady_full(spec: FullSystemSpec, ops: dict[str, sp.csr_matrix] | None = None) -> np.ndarray:
-    """Steady density matrix of the full system (must be unique).
+def embedded_ops(spec: FullSystemSpec) -> Ops:
+    """The count-basis atomic operators that the generator and the observables share.
 
-    Replaces row 0 of the generator by the trace functional and solves the
-    bordered system L' x = e_0 by sparse LU. Tr o L = 0 makes row 0 of L a
+    Sums over the atoms of the single-atom generator ("atoms"), of left and
+    right multiplication by sx ("left_x", "right_x") and of left
+    multiplication by sz ("left_z"); and the trace row ("trace"): the
+    multinomial C(N, n_00) on tuples of diagonal units, 0 elsewhere.
+    """
+    units = np.array(list(itertools.combinations_with_replacement(range(4), spec.n_atoms)))
+    counts = np.stack([np.count_nonzero(units == u, axis=1) for u in range(4)], axis=1)
+    eye, sx, sz = np.eye(2), qops.sigma("x"), qops.sigma("z")
+    weights = [math.comb(spec.n_atoms, int(n)) for n in counts[:, 0]]
+    return {
+        "atoms": _lift(spec.model.generator(), counts),
+        "left_x": _lift(np.kron(eye, sx), counts),
+        "right_x": _lift(np.kron(sx.T, eye), counts),
+        "left_z": _lift(np.kron(eye, sz), counts),
+        "trace": np.where(counts[:, 1] + counts[:, 2] == 0, weights, 0).astype(float),
+    }
+
+
+def build_full_generator(spec: FullSystemSpec, ops: Ops | None = None) -> sp.csr_matrix:
+    """Sparse generator on the count-basis state vector; ops built here when not given.
+
+    Cavity generator (x) 1 + 1 (x) ops["atoms"] - i (2g/sqrt(N)) [L (x)
+    ops["left_x"] - R (x) ops["right_x"]], L and R the left and right
+    multiplication by a + a+.
+    """
+    ops = embedded_ops(spec) if ops is None else ops
+    a = annihilation(spec.n_fock)
+    channels = [qops.LindbladChannel(a, spec.cavity.kappa)] if spec.cavity.kappa > 0 else []
+    cavity = qops.lindblad_generator(spec.cavity.omega0 * (a.conj().T @ a), channels)
+    eye, drive = sp.identity(spec.n_fock), a + a.conj().T
+    interaction = (sp.kron(sp.kron(eye, drive), ops["left_x"])
+                   - sp.kron(sp.kron(drive.T, eye), ops["right_x"]))
+    return (sp.kron(cavity, sp.identity(ops["atoms"].shape[0]))
+            + sp.kron(sp.identity(cavity.shape[0]), ops["atoms"])
+            - 2j * spec.g / np.sqrt(spec.n_atoms) * interaction).tocsr()
+
+
+def steady_full(spec: FullSystemSpec, ops: Ops | None = None) -> np.ndarray:
+    """Unique steady state as a count-basis vector x, with r @ x = 1 for the trace row r.
+
+    r = kron(qops.trace_functional(n_fock), ops["trace"]) replaces row 0 of
+    L, and sparse LU solves L' x = e_0. Tr o L = 0 makes row 0 of L a
     combination of the others, so L' is singular exactly when the null
-    space of L has dimension > 1: a singular factorization is reported as
-    DegenerateSteadyStateError, a solution that leaves L x != 0 as
-    ConvergenceError. ops are passed on to build_full_generator.
+    space of L has dimension > 1 (DegenerateSteadyStateError); a solution
+    that leaves L x != 0 is a ConvergenceError.
     """
+    ops = embedded_ops(spec) if ops is None else ops
     gen = build_full_generator(spec, ops)
-    dim = spec.hilbert_dim
-    bordered = gen.tolil()
-    bordered[0] = qops.trace_functional(dim)
-    rhs = np.zeros(dim * dim, dtype=complex)
+    trace = np.kron(qops.trace_functional(spec.n_fock), ops["trace"])
+    bordered = sp.vstack([sp.csr_matrix(trace), gen[1:]], format="csc")
+    rhs = np.zeros(gen.shape[0], dtype=complex)
     rhs[0] = 1.0
+    point = (f"n_atoms = {spec.n_atoms}, n_fock = {spec.n_fock}, g = {spec.g}, omega_z = "
+             f"{spec.model.omega_z}, omega0 = {spec.cavity.omega0}, kappa = {spec.cavity.kappa}")
     try:
-        x = spla.splu(bordered.tocsc()).solve(rhs)
+        x = spla.splu(bordered).solve(rhs)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise DegenerateSteadyStateError(
-            f"full steady state is degenerate: bordered generator is singular ({exc})"
+            f"full steady state is degenerate at {point}: bordered generator is singular ({exc})"
         ) from None
     residual = np.max(np.abs(gen @ x))
     if not residual <= 1e-8:  # also catches a non-finite solution
-        raise ConvergenceError(f"direct steady-state solve left residual {residual}")
-    rho = x.reshape(dim, dim, order="F")
-    rho = rho / np.trace(rho)
-    return 0.5 * (rho + rho.conj().T)
+        raise ConvergenceError(f"direct steady-state solve left residual {residual} at {point}")
+    return x / (trace @ x)
 
 
 @dataclass(frozen=True)
@@ -154,18 +167,13 @@ class Observables:
 
 def full_steady_observables(spec: FullSystemSpec) -> Observables:
     ops = embedded_ops(spec)
-    rho = steady_full(spec, ops=ops)
-    number = (ops["a"].conj().T @ ops["a"]).tocsr()
-
-    def expect(op: sp.csr_matrix) -> float:
-        return float(np.real(np.trace(op @ rho)))
-
-    n = spec.n_atoms
-    return Observables(
-        photon_number=expect(number),
-        sz_mean=sum(expect(ops[f"z{j}"]) for j in range(n)) / n,
-        sx_mean=sum(expect(ops[f"x{j}"]) for j in range(n)) / n,
-    )
+    x = steady_full(spec, ops=ops)
+    number = qops.observable_row(np.diag(np.arange(spec.n_fock, dtype=complex)))
+    trace, cavity_trace = ops["trace"], qops.trace_functional(spec.n_fock)
+    rows = (np.kron(number, trace),
+            np.kron(cavity_trace, trace @ ops["left_z"]) / spec.n_atoms,
+            np.kron(cavity_trace, trace @ ops["left_x"]) / spec.n_atoms)
+    return Observables(*(float(np.real(row @ x)) for row in rows))
 
 
 def observables_csv(rows: list[tuple[float, Observables]]) -> str:
@@ -194,35 +202,27 @@ def full_regression_sx(
 ) -> CorrelationSeries:
     """Atomic S_x(t) evaluated inside the full Hilbert space at g = 0.
 
-    Validates the embedding against the single-spin engine: the atoms are
-    decoupled from the cavity, so the full-space correlator of atom 0 must
-    match the single-spin result. The cavity factor of the initial state
-    is the vacuum (the g = 0 steady state for any kappa >= 0). The series
-    is stepped by the dense propagator of the full generator, and its tail
-    is closed without a full-space steady state.
+    Validates the full generator against the single-spin engine, which the
+    decoupled atom must reproduce. The cavity starts in the vacuum (the
+    g = 0 steady state for any kappa >= 0); the series is stepped by the
+    dense propagator of the full generator, its tail closed without a
+    full-space steady state.
     """
     if spec.n_atoms != 1:
         raise PreconditionError("the regression validation runs with exactly one atom")
     if spec.g != 0.0:
         raise PreconditionError("the regression validation requires g = 0")
     if spec.hilbert_dim > _DENSE_PROPAGATOR_DIM:
-        raise PreconditionError(
-            f"regression correlator steps a dense propagator: Hilbert dimension "
-            f"{spec.hilbert_dim} > {_DENSE_PROPAGATOR_DIM}"
-        )
+        raise PreconditionError(f"regression correlator steps a dense propagator: Hilbert "
+                                f"dimension {spec.hilbert_dim} > {_DENSE_PROPAGATOR_DIM}")
     atom = steady_state(spec.model).rho
-    vac = np.zeros((spec.n_fock, spec.n_fock), dtype=complex)
-    vac[0, 0] = 1.0
-    rho_full = np.kron(vac, atom)
-    ops = embedded_ops(spec)
-    sx_full = ops["x0"].toarray()
-    gen = build_full_generator(spec, ops).toarray()
+    rho_full = np.kron(np.diag(np.eye(spec.n_fock, dtype=complex)[0]), atom)  # cavity vacuum
+    sx_full = np.kron(np.eye(spec.n_fock), qops.sigma("x"))
+    # at N = 1 the generator acts on vec(A) (x) vec(B) for rho = A (x) B;
+    # entry f of vec(A (x) B) is entry perm[f] of that product
+    n = spec.n_fock
+    perm = np.arange(4 * n * n).reshape(n, n, 2, 2).transpose(0, 2, 1, 3).ravel()
+    gen = build_full_generator(spec).toarray()[np.ix_(perm, perm)]
     return correlation_series_from_generator(
-        gen,
-        rho_full @ sx_full,
-        sx_full,
-        omega_scale=spec.model.omega_z,
-        tmax=tmax,
-        dt=dt,
-        times=times,
-    )
+        gen, rho_full @ sx_full, sx_full, omega_scale=spec.model.omega_z, tmax=tmax, dt=dt,
+        times=times)

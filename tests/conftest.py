@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 
 @pytest.fixture
@@ -32,3 +34,74 @@ def transverse_sx():
         return np.array([(scipy.linalg.expm(block * t) @ start)[0] for t in np.atleast_1d(ts)])
 
     return sx
+
+
+class TensorReference:
+    """The exact-N model on the full 2^N n_fock Hilbert space.
+
+    Tensor order is cavity (x) atom_1 (x) ... (x) atom_N; the generator acts
+    on the column-stacked vec(rho) and is assembled from per-atom embedded
+    operators, independently of the count basis of ``exactn``.
+    """
+
+    @staticmethod
+    def embed(spec, factor, slot):
+        """factor at tensor slot `slot` (0 = cavity, 1 + j = atom j), identities elsewhere."""
+        chain = [sp.identity(spec.n_fock, dtype=complex, format="csr")]
+        chain += [sp.identity(2, dtype=complex, format="csr")] * spec.n_atoms
+        chain[slot] = sp.csr_matrix(factor)
+        out = chain[0]
+        for m in chain[1:]:
+            out = sp.kron(out, m, format="csr")
+        return out
+
+    def generator(self, spec):
+        from dicke_critic import exactn, qops
+
+        a = self.embed(spec, exactn.annihilation(spec.n_fock), 0)
+        h = spec.cavity.omega0 * (a.conj().T @ a)
+        coupling = 2.0 * spec.g / np.sqrt(spec.n_atoms)
+        channels = [qops.LindbladChannel(a, spec.cavity.kappa)] if spec.cavity.kappa > 0 else []
+        for j in range(spec.n_atoms):
+            sx = self.embed(spec, qops.sigma("x"), 1 + j)
+            h = h + spec.model.omega_z * self.embed(spec, qops.sigma("z"), 1 + j)
+            h = h + coupling * (sx @ (a + a.conj().T))
+            channels += [
+                qops.LindbladChannel(self.embed(spec, ch.op, 1 + j), ch.rate)
+                for ch in spec.model.channels
+            ]
+        return qops.lindblad_generator(h.tocsr(), channels)
+
+    def steady_rho(self, spec):
+        """Steady density matrix by one bordered sparse LU."""
+        from dicke_critic import qops
+
+        dim = spec.hilbert_dim
+        bordered = self.generator(spec).tolil()
+        bordered[0] = qops.trace_functional(dim)
+        rhs = np.zeros(dim * dim, dtype=complex)
+        rhs[0] = 1.0
+        rho = spla.splu(bordered.tocsc()).solve(rhs).reshape(dim, dim, order="F")
+        return rho / np.trace(rho)
+
+    def observables(self, spec):
+        """(photon number, <sz>, <sx>) of the steady state, spins averaged over atoms."""
+        from dicke_critic import exactn, qops
+
+        rho = self.steady_rho(spec)
+
+        def expect(op):
+            return float(np.real(np.trace(op @ rho)))
+
+        a = self.embed(spec, exactn.annihilation(spec.n_fock), 0)
+        n = spec.n_atoms
+        return (
+            expect(a.conj().T @ a),
+            sum(expect(self.embed(spec, qops.sigma("z"), 1 + j)) for j in range(n)) / n,
+            sum(expect(self.embed(spec, qops.sigma("x"), 1 + j)) for j in range(n)) / n,
+        )
+
+
+@pytest.fixture
+def tensor_reference():
+    return TensorReference()

@@ -17,7 +17,7 @@ from dicke_critic.exactn import (
     steady_full,
 )
 from dicke_critic.lindblad import steady_state, two_time_sx
-from dicke_critic.qops import trace_preservation_defect
+from dicke_critic.qops import trace_functional
 from dicke_critic.response import chi_from_correlator
 
 
@@ -33,17 +33,28 @@ def spec_for(bath, n_atoms=1, n_fock=6, g=0.0, kappa=0.4, omega_z=1.0, omega0=1.
 
 class TestConstruction:
     def test_dimension_guard(self):
-        with pytest.raises(InvalidModelError):
-            spec_for(Thermal(gamma=0.1, temperature=0.5), n_atoms=4, n_fock=9)
+        # the guard bounds the count-basis unknowns C(N+3, 3) n_fock^2 by 128^2
+        bath = Thermal(gamma=0.1, temperature=0.5)
+        assert spec_for(bath, n_atoms=1, n_fock=64).unknowns == exactn.MAX_UNKNOWNS == 128**2
+        assert spec_for(bath, n_atoms=4, n_fock=21).unknowns == 35 * 21**2
+        for n_atoms, n_fock in ((1, 65), (4, 22)):
+            with pytest.raises(InvalidModelError):
+                spec_for(bath, n_atoms=n_atoms, n_fock=n_fock)
 
     def test_atom_count_guard(self):
-        with pytest.raises(InvalidModelError):
-            spec_for(Thermal(gamma=0.1, temperature=0.5), n_atoms=5, n_fock=2)
+        bath = Thermal(gamma=0.1, temperature=0.5)
+        assert spec_for(bath, n_atoms=27, n_fock=2).unknowns == 4060 * 4
+        for n_atoms in (0, 28):
+            with pytest.raises(InvalidModelError):
+                spec_for(bath, n_atoms=n_atoms, n_fock=2)
 
     def test_trace_preservation(self):
+        # the count-basis trace row annihilates the generator: Tr o L = 0
         spec = spec_for(Generalized(gamma=0.2, t=0.3), n_atoms=2, n_fock=5, g=0.4)
-        gen = build_full_generator(spec)
-        assert trace_preservation_defect(gen) < 1e-10
+        ops = exactn.embedded_ops(spec)
+        gen = build_full_generator(spec, ops)
+        trace = np.kron(trace_functional(spec.n_fock), ops["trace"])
+        assert np.max(np.abs(trace @ gen)) < 1e-10
 
     def test_unique_zero_eigenvalue(self):
         spec = spec_for(Generalized(gamma=0.2, t=0.0), n_atoms=1, n_fock=4, g=0.3)
@@ -102,16 +113,42 @@ class TestSteadyObservables:
             steady_full(spec)
 
     def test_dense_and_direct_solvers_agree(self):
-        # the sparse LU solve against the normalized null vector of the
-        # dense eigendecomposition of the same generator
+        # the sparse LU solve against the null vector of the dense
+        # eigendecomposition of the same generator, normalized by the trace row
         spec = spec_for(Generalized(gamma=0.2, t=0.0), n_atoms=2, n_fock=8, g=0.45)
-        vals, vecs = np.linalg.eig(build_full_generator(spec).toarray())
+        ops = exactn.embedded_ops(spec)
+        vals, vecs = np.linalg.eig(build_full_generator(spec, ops).toarray())
         null = np.flatnonzero(np.abs(vals) < 1e-9 * np.max(np.abs(vals)))
         assert null.size == 1
-        dim = spec.hilbert_dim
-        rho_dense = vecs[:, null[0]].reshape(dim, dim, order="F")
-        rho_dense = rho_dense / np.trace(rho_dense)
-        assert np.max(np.abs(rho_dense - steady_full(spec))) < 1e-10
+        dense = vecs[:, null[0]]
+        dense = dense / (np.kron(trace_functional(spec.n_fock), ops["trace"]) @ dense)
+        assert np.max(np.abs(dense - steady_full(spec))) < 1e-10
+
+    def test_errors_name_the_point(self):
+        spec = spec_for(Dephasing(gamma=0.3, sz=-0.5), n_atoms=2, n_fock=3, g=0.0, kappa=0.25,
+                        omega_z=1.5, omega0=0.75)
+        point = "n_atoms = 2, n_fock = 3, g = 0.0, omega_z = 1.5, omega0 = 0.75, kappa = 0.25"
+        with pytest.raises(DegenerateSteadyStateError, match=point):
+            steady_full(spec)
+
+
+class TestCountBasisAgreement:
+    @pytest.mark.parametrize("bath", [
+        Thermal(gamma=0.2, temperature=0.4),
+        Generalized(gamma=0.2, t=0.3),
+        Dephasing(gamma=0.3, sz=-0.4),
+    ], ids=["thermal", "generalized", "dephasing"])
+    def test_matches_tensor_reference(self, bath, tensor_reference):
+        cavity = CavityParams(1.0, 0.4)
+        gc = baths.closed_form_gc(bath, 1.0, cavity).g_c
+        for n_atoms in (1, 2, 3):
+            for g in (0.5 * gc, 1.5 * gc):
+                spec = spec_for(bath, n_atoms=n_atoms, n_fock=12, g=float(g), kappa=0.4)
+                obs = full_steady_observables(spec)
+                photons, sz, sx = tensor_reference.observables(spec)
+                assert abs(obs.photon_number - photons) < 1e-10 * photons
+                assert abs(obs.sz_mean - sz) < 1e-10
+                assert abs(obs.sx_mean - sx) < 1e-10
 
 
 class TestRegressionCorrelator:
@@ -176,6 +213,23 @@ class TestFiniteSizeOnset:
             ]
             slopes.append(np.max(np.gradient(photons, gs)))
         assert slopes[0] < slopes[1] < slopes[2]
+
+    def test_onset_sharpens_through_four_atoms(self):
+        # the count basis reaches N = 4; the cutoff holds at c10's n_fock = 12
+        bath = Generalized(gamma=0.2, t=0.0)
+        gc = baths.closed_form_gc(bath, 1.0, CavityParams(1.0, 0.4)).g_c
+        gs = np.linspace(0.4 * gc, 1.6 * gc, 5)
+        slopes = []
+        for n_atoms in (1, 2, 3, 4):
+            photons = [
+                full_steady_observables(
+                    spec_for(bath, n_atoms=n_atoms, n_fock=10, g=float(g))
+                ).photon_number
+                for g in gs
+            ]
+            slopes.append(np.max(np.gradient(photons, gs)))
+        assert np.all(np.diff(slopes) > 0)
+        assert cutoff_stability(spec_for(bath, n_atoms=4, n_fock=12, g=1.5 * gc)) < 0.01
 
     def test_cutoff_stability_metric(self):
         spec = spec_for(Generalized(gamma=0.2, t=0.0), n_atoms=1, n_fock=8, g=0.6)
