@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__, baths, critical, meanfield, response
 from .baths import GcMode, parse_bath
-from .config import RunConfig, merge_config
+from .config import RunConfig, merge_config, parse_float_list
 from .critical import NoTransition, SweepPlan, Transition
 from .errors import DickeCriticError
 
@@ -91,8 +91,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--sweep-start", dest="sweep_start", type=float)
     p_sweep.add_argument("--sweep-stop", dest="sweep_stop", type=float)
     p_sweep.add_argument("--sweep-points", dest="sweep_points", type=int)
-    p_sweep.add_argument("--sweep-values", dest="sweep_values",
-                         type=lambda s: tuple(float(v) for v in s.split(",")),
+    p_sweep.add_argument("--sweep-values", dest="sweep_values", type=parse_float_list,
                          help="comma-separated explicit grid")
     p_sweep.add_argument("--format", dest="format", choices=["csv", "json"])
 

@@ -50,6 +50,14 @@ def parse_config_text(text: str) -> dict[str, tuple[str, int, int]]:
     return out
 
 
+def parse_float_list(raw: str) -> tuple[float, ...]:
+    """Comma-separated floats, as in "0.2, 0.5"; an empty entry is a ValueError."""
+    entries = raw.split(",")
+    if not all(entry.strip() for entry in entries):
+        raise ValueError(f"empty entry in {raw!r}")
+    return tuple(float(entry) for entry in entries)
+
+
 def coerce(key: str, raw: str, line: int | None = None, column: int | None = None):
     """Convert a raw config string to its typed value."""
     try:
@@ -63,9 +71,7 @@ def coerce(key: str, raw: str, line: int | None = None, column: int | None = Non
                 raise ValueError(f"expected a boolean, got {raw!r}")
             value = low in ("true", "1", "yes")
         elif key in _LIST_KEYS:
-            value = tuple(float(v) for v in raw.split(",") if v.strip())
-            if not value:
-                raise ValueError("empty list")
+            value = parse_float_list(raw)
         elif key == "bath":
             value = parse_bath(raw, line=line)
         elif key == "mode":

@@ -136,16 +136,22 @@ def steady_full(spec: FullSystemSpec, ops: Ops | None = None) -> np.ndarray:
     L, and sparse LU solves L' x = e_0. Tr o L = 0 makes row 0 of L a
     combination of the others, so L' is singular exactly when the null
     space of L has dimension > 1 (DegenerateSteadyStateError); a solution
-    that leaves L x != 0 is a ConvergenceError.
+    that leaves L x != 0 is a ConvergenceError. Without an atomic channel
+    of positive rate the collective coupling conserves total spin, so for
+    N >= 2 every total-spin sector holds a steady state; that case is
+    rejected before the solve, since LU pivots need not vanish exactly.
     """
+    point = (f"n_atoms = {spec.n_atoms}, n_fock = {spec.n_fock}, g = {spec.g}, omega_z = "
+             f"{spec.model.omega_z}, omega0 = {spec.cavity.omega0}, kappa = {spec.cavity.kappa}")
+    if spec.n_atoms > 1 and not any(ch.rate > 0 for ch in spec.model.channels):
+        raise DegenerateSteadyStateError(f"total spin is conserved at {point}: no atomic "
+                                         "channel has a positive rate")
     ops = embedded_ops(spec) if ops is None else ops
     gen = build_full_generator(spec, ops)
     trace = np.kron(qops.trace_functional(spec.n_fock), ops["trace"])
     bordered = sp.vstack([sp.csr_matrix(trace), gen[1:]], format="csc")
     rhs = np.zeros(gen.shape[0], dtype=complex)
     rhs[0] = 1.0
-    point = (f"n_atoms = {spec.n_atoms}, n_fock = {spec.n_fock}, g = {spec.g}, omega_z = "
-             f"{spec.model.omega_z}, omega0 = {spec.cavity.omega0}, kappa = {spec.cavity.kappa}")
     try:
         x = spla.splu(bordered).solve(rhs)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"

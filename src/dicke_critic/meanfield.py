@@ -6,14 +6,26 @@ mean-field equations close on (alpha, rho):
     d alpha/dt = -(i omega0 + kappa) alpha - 2 i g Tr[sx rho]
     d rho/dt   = L_atom(rho) - i [2 g (alpha + conj(alpha)) sx, rho]
 
-The normal state (alpha = 0, rho = bath steady state) is a fixed point;
-its linear instability marks the transition. The static self-consistency
-of these equations reproduces the zero-frequency determinant condition,
+``mf_derivative``, ``simulate`` and the stability oracle share one flow on
+the complex state y = (alpha, conj(alpha), vec rho) in C^6, vec rho
+column-stacked as in ``qops``:
+
+    dy/dt = m(g) y + (y_0 + y_1) 2 g D y[2:],   D = -i [sx, .]
+
+m(g) holds -(i omega0 + kappa) and its conjugate on the amplitudes, the
+coupling rows -+2 i g Tr[sx .] and ``model.generator()`` on the rho block.
+
+The normal state (alpha = 0, rho_0 the bath steady state) is a fixed point;
+its linear instability marks the transition. The flow is quadratic and
+alpha = 0 there, so the Jacobian is exactly J(g) = a + g b, with a = m(0)
+and b the coupling rows plus the kick columns b[2:, 0] = b[2:, 1] =
+2 D vec rho_0; no finite difference is taken. ``jacobian`` returns this
+complex matrix (indices 2 and 5 are rho00 and rho11). It is similar to the
+real Jacobian in (Re alpha, Im alpha, rho00, Re rho01, Im rho01, rho11),
+so ``growth_rate`` sees the spectrum of the real flow. The static
+self-consistency reproduces the zero-frequency determinant condition,
 g*^2 = -(omega0^2 + kappa^2) / (2 omega0 chi0), so the bisection threshold
 is an independent check on the closed forms.
-
-The right-hand side is quadratic in the state, so the central-difference
-Jacobian is exact up to roundoff.
 """
 
 from __future__ import annotations
@@ -28,11 +40,10 @@ from .baths import CavityParams
 from .errors import ConvergenceError, NoThresholdError, PreconditionError
 from .lindblad import SpinModel, steady_state
 
-JACOBIAN_STEP = 1e-5
 GROWTH_EPS_FACTOR = 1e-8
 
-_SX = qops.sigma("x")
-_DRIVE = qops.hamiltonian_superop(_SX)  # -i [sx, .] as a superoperator
+_SX_ROW = qops.observable_row(qops.sigma("x"))  # Tr[sx rho] = _SX_ROW @ vec(rho)
+_DRIVE = qops.hamiltonian_superop(qops.sigma("x"))  # -i [sx, .] as a superoperator
 
 
 @dataclass(frozen=True)
@@ -47,87 +58,57 @@ class MeanFieldDerivative:
     drho: np.ndarray = field(repr=False)
 
 
-def pack(state: MeanFieldState) -> np.ndarray:
-    """Real 6-vector [Re a, Im a, rho00, Re rho01, Im rho01, rho11]."""
-    rho = state.rho
-    return np.array(
-        [
-            state.alpha.real,
-            state.alpha.imag,
-            rho[0, 0].real,
-            rho[0, 1].real,
-            rho[0, 1].imag,
-            rho[1, 1].real,
-        ]
-    )
+def _flow_parts(cavity: CavityParams, model: SpinModel) -> tuple[np.ndarray, np.ndarray]:
+    """(m(0), c) with m(g) = m(0) + g c: c holds only the coupling rows."""
+    m0 = np.zeros((6, 6), dtype=complex)
+    m0[0, 0] = -(1j * cavity.omega0 + cavity.kappa)
+    m0[1, 1] = np.conj(m0[0, 0])
+    m0[2:, 2:] = model.generator()
+    c = np.zeros((6, 6), dtype=complex)
+    c[0, 2:], c[1, 2:] = -2j * _SX_ROW, 2j * _SX_ROW
+    return m0, c
 
 
-def unpack(y: np.ndarray) -> MeanFieldState:
-    rho = np.array(
-        [[y[2], y[3] + 1j * y[4]], [y[3] - 1j * y[4], y[5]]], dtype=complex
-    )
-    return MeanFieldState(alpha=complex(y[0], y[1]), rho=rho)
+def _vector(state: MeanFieldState) -> np.ndarray:
+    return np.concatenate([[state.alpha, np.conj(state.alpha)], qops.vectorize(state.rho)])
 
 
-class _System:
-    """Precomputed matrices for fast repeated RHS evaluation.
+def _flow(cavity: CavityParams, model: SpinModel, g: float):
+    """dy/dt as a function of (t, y), for solve_ivp."""
+    m0, c = _flow_parts(cavity, model)
+    m = m0 + g * c
 
-    gen is the atomic generator (``model.generator()``), which does not
-    depend on g.
-    """
+    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
+        dy = m @ y
+        dy[2:] += (y[0] + y[1]) * 2.0 * g * (_DRIVE @ y[2:])
+        return dy
 
-    def __init__(self, cavity: CavityParams, gen: np.ndarray, g: float):
-        self.cavity = cavity
-        self.g = g
-        self.gen = gen
-
-    def rhs(self, y: np.ndarray) -> np.ndarray:
-        alpha = complex(y[0], y[1])
-        v = np.array(
-            [y[2], y[3] - 1j * y[4], y[3] + 1j * y[4], y[5]], dtype=complex
-        )  # column-stacked rho
-        sx_mean = y[3]
-        dalpha = -(1j * self.cavity.omega0 + self.cavity.kappa) * alpha - 2j * self.g * sx_mean
-        dv = self.gen @ v + (2.0 * self.g * 2.0 * y[0]) * (_DRIVE @ v)
-        return np.array(
-            [dalpha.real, dalpha.imag, dv[0].real, dv[2].real, dv[2].imag, dv[3].real]
-        )
+    return rhs
 
 
 def mf_derivative(
     state: MeanFieldState, cavity: CavityParams, model: SpinModel, g: float
 ) -> MeanFieldDerivative:
     """Time derivative of (alpha, rho)."""
-    sys = _System(cavity, model.generator(), g)
-    dy = sys.rhs(pack(state))
-    d = unpack(dy)
-    return MeanFieldDerivative(dalpha=d.alpha, drho=d.rho)
+    dy = _flow(cavity, model, g)(0.0, _vector(state))
+    return MeanFieldDerivative(dalpha=complex(dy[0]), drho=qops.devectorize(dy[2:]))
 
 
 def normal_fixed_point(model: SpinModel) -> MeanFieldState:
     return MeanFieldState(alpha=0.0 + 0.0j, rho=steady_state(model).rho)
 
 
-def jacobian(
-    cavity: CavityParams,
-    model: SpinModel,
-    g: float,
-    state: MeanFieldState | None = None,
-    step: float = JACOBIAN_STEP,
-) -> np.ndarray:
-    """6x6 real Jacobian at the given state (normal fixed point by default)."""
-    if state is None:
-        state = normal_fixed_point(model)
-    return _central_jacobian(_System(cavity, model.generator(), g), pack(state), step)
+def _linearization(cavity: CavityParams, model: SpinModel) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with the Jacobian at the normal fixed point exactly a + g b."""
+    a, b = _flow_parts(cavity, model)
+    b[2:, 0] = b[2:, 1] = 2.0 * _DRIVE @ qops.vectorize(normal_fixed_point(model).rho)
+    return a, b
 
 
-def _central_jacobian(sys: _System, y0: np.ndarray, step: float) -> np.ndarray:
-    jac = np.empty((6, 6))
-    for j in range(6):
-        e = np.zeros(6)
-        e[j] = step
-        jac[:, j] = (sys.rhs(y0 + e) - sys.rhs(y0 - e)) / (2.0 * step)
-    return jac
+def jacobian(cavity: CavityParams, model: SpinModel, g: float) -> np.ndarray:
+    """Complex 6x6 Jacobian on (alpha, conj(alpha), vec rho) at the normal fixed point."""
+    a, b = _linearization(cavity, model)
+    return a + g * b
 
 
 def _max_real_eigenvalue(jac: np.ndarray) -> float:
@@ -150,20 +131,17 @@ def stability_threshold(
 
     The conserved directions (trace, and <sz> for dephasing-only baths) sit
     at eigenvalue zero for every g, so instability is flagged only above a
-    small scale-aware threshold. The normal fixed point and the atomic
-    generator do not depend on g: they are built once and reused at every
-    bisection step, which evaluates the same growth_rate arithmetic.
+    small scale-aware threshold. The Jacobian a + g b is built once; each
+    bisection step is one eigenvalue solve.
     """
     if not 0 <= g_lo < g_hi:
         raise PreconditionError(f"need 0 <= g_lo < g_hi, got ({g_lo}, {g_hi})")
     scale = max(cavity.omega0, abs(model.omega_z), cavity.kappa, 1e-12)
     eps = GROWTH_EPS_FACTOR * scale
-    y0 = pack(normal_fixed_point(model))
-    gen = model.generator()
+    a, b = _linearization(cavity, model)
 
     def unstable(g: float) -> bool:
-        jac = _central_jacobian(_System(cavity, gen, g), y0, JACOBIAN_STEP)
-        return _max_real_eigenvalue(jac) > eps
+        return _max_real_eigenvalue(a + g * b) > eps
 
     if unstable(g_lo) or not unstable(g_hi):
         raise NoThresholdError(
@@ -213,35 +191,16 @@ def trajectory_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def simulate(
-    state0: MeanFieldState,
-    cavity: CavityParams,
-    model: SpinModel,
-    g: float,
-    duration: float,
-    dt: float,
-) -> Trajectory:
+def simulate(state0: MeanFieldState, cavity: CavityParams, model: SpinModel, g: float,
+             duration: float, dt: float) -> Trajectory:
     """Integrate the full nonlinear mean-field equations (adaptive RK45)."""
     if dt <= 0:
         raise PreconditionError(f"dt = {dt} must be positive")
-    sys = _System(cavity, model.generator(), g)
     t_eval = np.arange(0.0, duration + 0.5 * dt, dt)
-    sol = solve_ivp(
-        lambda _t, y: sys.rhs(y),
-        (0.0, float(t_eval[-1])),
-        pack(state0),
-        method="RK45",
-        t_eval=t_eval,
-        rtol=1e-10,
-        atol=1e-10,
-    )
+    sol = solve_ivp(_flow(cavity, model, g), (0.0, float(t_eval[-1])), _vector(state0),
+                    method="RK45", t_eval=t_eval, rtol=1e-10, atol=1e-10)
     if not sol.success:
         raise ConvergenceError(f"mean-field integration failed: {sol.message}")
     ys = sol.y.T
-    alphas = ys[:, 0] + 1j * ys[:, 1]
-    rhos = np.empty((ys.shape[0], 2, 2), dtype=complex)
-    rhos[:, 0, 0] = ys[:, 2]
-    rhos[:, 0, 1] = ys[:, 3] + 1j * ys[:, 4]
-    rhos[:, 1, 0] = ys[:, 3] - 1j * ys[:, 4]
-    rhos[:, 1, 1] = ys[:, 5]
-    return Trajectory(times=sol.t, alphas=alphas, rhos=rhos)
+    rhos = ys[:, 2:].reshape(-1, 2, 2).transpose(0, 2, 1)  # column-stacked vec rho
+    return Trajectory(times=sol.t, alphas=ys[:, 0], rhos=rhos)

@@ -126,6 +126,14 @@ class TestSweep:
         run_cli(capsys, *args, "--output", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_empty_sweep_value_rejected(self, capsys):
+        code, _, err = run_cli(
+            capsys, "sweep", "--bath", "thermal(gamma=0.2,T=0.1)",
+            "--sweep-param", "T", "--sweep-values", "0.2,,0.5",
+        )
+        assert code == 1
+        assert "--sweep-values" in err
+
     def test_missing_grid_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--bath", "thermal(gamma=0.2,T=0.1)")
         assert code == 1
@@ -308,6 +316,16 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "gc", "--config", str(cfg))
         assert code == 1
         assert "line 2" in err
+
+    def test_empty_sweep_value_has_position(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bath = thermal(gamma=0.2, T=0.1)\nsweep_param = T\n"
+                       "sweep_values = 0.2,,0.5\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert "empty entry" in err
+        assert "line 3, column 16" in err
 
     def test_unknown_flag_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "gc", "--frobnicate")

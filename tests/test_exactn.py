@@ -16,7 +16,7 @@ from dicke_critic.exactn import (
     full_steady_observables,
     steady_full,
 )
-from dicke_critic.lindblad import steady_state, two_time_sx
+from dicke_critic.lindblad import SpinModel, steady_state, two_time_sx
 from dicke_critic.qops import trace_functional
 from dicke_critic.response import chi_from_correlator
 
@@ -111,6 +111,30 @@ class TestSteadyObservables:
         assert spec.hilbert_dim == 40
         with pytest.raises(DegenerateSteadyStateError):
             steady_full(spec)
+
+    @pytest.mark.parametrize("model", [
+        baths.spin_model(Dephasing(gamma=0.0, sz=-0.5), 1.0),
+        SpinModel(omega_z=0.0),
+    ], ids=["zero-rate-dephasing", "no-channels"])
+    @pytest.mark.parametrize("n_atoms", [2, 3, 4])
+    @pytest.mark.parametrize("g", [0.1, 0.5])
+    def test_conserved_total_spin_rejected(self, model, n_atoms, g):
+        # no positive-rate atomic channel: every total-spin sector holds a steady state
+        spec = FullSystemSpec(n_atoms, 4, g, CavityParams(1.0, 0.4), model)
+        with pytest.raises(DegenerateSteadyStateError,
+                           match=f"total spin is conserved at n_atoms = {n_atoms}, n_fock = 4"):
+            steady_full(spec)
+
+    def test_weak_dephasing_and_single_atom_still_solve(self):
+        for n_atoms in (2, 3, 4):
+            obs = full_steady_observables(
+                spec_for(Dephasing(gamma=1e-3, sz=-0.5), n_atoms=n_atoms, n_fock=4, g=0.5))
+            assert 0.0 < obs.photon_number < 1.0
+            assert -0.5 <= obs.sz_mean <= 0.5
+        for model in (baths.spin_model(Dephasing(gamma=0.0, sz=-0.5), 1.0),
+                      SpinModel(omega_z=0.0)):
+            x = steady_full(FullSystemSpec(1, 4, 0.5, CavityParams(1.0, 0.4), model))
+            assert np.all(np.isfinite(x))
 
     def test_dense_and_direct_solvers_agree(self):
         # the sparse LU solve against the null vector of the dense

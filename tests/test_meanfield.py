@@ -13,6 +13,7 @@ from dicke_critic.meanfield import (
     simulate,
     stability_threshold,
 )
+from dicke_critic.response import polariton_roots
 
 CAVITY = CavityParams(omega0=1.0, kappa=0.5)
 
@@ -75,6 +76,32 @@ class TestThreshold:
         jac = jacobian(CAVITY, model, g=0.5)
         # d(trace)/dt = 0: the (rho00 + rho11) row combination vanishes
         assert np.max(np.abs(jac[2] + jac[5])) < 1e-9
+
+
+class TestPolaritonRoots:
+    # each root omega of det(omega), taken as lambda = -i omega, is an eigenvalue
+    # of the exact Jacobian at the normal state
+    @pytest.mark.parametrize("bath", [
+        Dephasing(gamma=0.3, sz=-0.5),
+        Dephasing(gamma=0.05, sz=-0.3),
+        Thermal(gamma=0.1, temperature=0.5),
+        Thermal(gamma=0.2, temperature=0.0),
+        Generalized(gamma=0.2, t=0.0),
+        Generalized(gamma=0.2, t=0.4),
+        Generalized(gamma=1.0, t=0.5),  # exceptional point 2 t gamma = omega_z
+    ])
+    def test_roots_are_jacobian_eigenvalues(self, bath):
+        for kappa in (0.0, 0.4, 1.0):
+            cavity = CavityParams(omega0=1.0, kappa=kappa)
+            for omega_z in (1.0, 1.7):
+                gc = baths.closed_form_gc(bath, omega_z, cavity).g_c
+                model = model_for(bath, omega_z)
+                for g in (0.5 * gc, 0.9 * gc):
+                    eigs = np.linalg.eigvals(jacobian(cavity, model, g))
+                    roots = polariton_roots(cavity, g, baths.closed_form_chi(bath, omega_z))
+                    assert len(roots) == 2
+                    for w in roots:
+                        assert np.min(np.abs(eigs + 1j * w)) < 1e-12, (kappa, omega_z, g, w)
 
 
 class TestSimulate:
