@@ -30,7 +30,7 @@ from .critical import (  # noqa: F401
     NoTransition,
     NoTransitionReason,
     SweepPlan,
-    SweepRow,
+    SweepTable,
     Transition,
     fully_polarized_gc,
     kappa_scaling,

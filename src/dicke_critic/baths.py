@@ -34,6 +34,7 @@ Both variants are exposed through ``GcMode``:
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import re
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qops
-from .errors import ConfigParseError, InvalidModelError, NoClosedFormError
+from .errors import ConfigParseError, InvalidModelError, NoClosedFormError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,32 @@ class GcMode(enum.Enum):
     LITERATURE = "literature"
 
 
+def _each(f, *args):
+    """f(*args), element by element through Python floats where an argument is an array.
+
+    numpy's square, tanh and expm1 are not bitwise Python's; + - * / and sqrt are.
+    """
+    if not any(isinstance(a, np.ndarray) for a in args):
+        return f(*args)
+    return np.array(list(map(f, *(a.tolist() for a in np.broadcast_arrays(*args)))), float)
+
+
+def _sq(x):
+    """x**2 as Python computes it (libm pow), not x*x."""
+    return _each(pow, x, 2.0)
+
+
+@contextlib.contextmanager
+def _float_range(quantity: str):
+    """Raise float overflow or division by zero in a closed form as a typed error."""
+    try:
+        yield
+    except OverflowError:
+        raise PreconditionError(f"{quantity} overflows the float range") from None
+    except ZeroDivisionError:
+        raise PreconditionError(f"{quantity} is undefined (division by zero)") from None
+
+
 def bose_occupation(omega_z: float, temperature: float) -> float:
     """Bose-Einstein occupation at energy omega_z; 0 at T = 0."""
     if temperature < 0:
@@ -158,11 +185,11 @@ def transverse_rates(bath: BathSpec, omega_z: float) -> tuple[float, float]:
     if isinstance(bath, Dephasing):
         return bath.gamma, bath.gamma
     if isinstance(bath, Thermal):
-        n = bose_occupation(omega_z, bath.temperature)
+        n = _each(bose_occupation, omega_z, bath.temperature)
         r = (1.0 + 2.0 * n) * bath.gamma
         return r, r
     if isinstance(bath, Generalized):
-        return bath.gamma * (1.0 - bath.t) ** 2, bath.gamma * (1.0 + bath.t) ** 2
+        return bath.gamma * _sq(1.0 - bath.t), bath.gamma * _sq(1.0 + bath.t)
     raise NoClosedFormError(f"no closed-form rates for {type(bath).__name__}")
 
 
@@ -176,30 +203,31 @@ def steady_sz(bath: BathSpec, omega_z: float) -> float:
     if isinstance(bath, Dephasing):
         return bath.sz
     if isinstance(bath, Thermal):
-        if omega_z <= 0:
+        if np.any(omega_z <= 0):
             raise InvalidModelError("thermal baths require omega_z > 0")
-        if bath.temperature == 0.0:
-            return -0.5
-        return -0.5 * math.tanh(omega_z / (2.0 * bath.temperature))
+        return _each(lambda w, T: -0.5 if T == 0.0 else -0.5 * math.tanh(w / (2.0 * T)),
+                     omega_z, bath.temperature)
     if isinstance(bath, Generalized):
-        return -0.5 * (1.0 - bath.t**2) / (1.0 + bath.t**2)
+        t2 = _sq(bath.t)
+        return -0.5 * (1.0 - t2) / (1.0 + t2)
     raise NoClosedFormError(f"no closed-form polarization for {type(bath).__name__}")
 
 
 def closed_form_chi0(
     bath: BathSpec, omega_z: float, mode: GcMode = GcMode.SELF_CONSISTENT
 ) -> float:
-    """Static susceptibility chi(0) = Sigma(0)/g^2 in closed form."""
-    sz = steady_sz(bath, omega_z)
-    if mode is GcMode.SELF_CONSISTENT:
-        gx, gy = transverse_rates(bath, omega_z)
-        return 4.0 * sz * omega_z / (omega_z**2 + gx * gy)
-    if isinstance(bath, Generalized):
-        # quoted form: (1-t)^2 appears unsquared relative to the exact product
-        denom = omega_z**2 + bath.gamma**2 * (1.0 - bath.t) ** 2
+    """Static susceptibility chi(0) = Sigma(0)/g^2 in closed form, on floats or arrays."""
+    with _float_range("chi0"):
+        sz = steady_sz(bath, omega_z)
+        if mode is GcMode.SELF_CONSISTENT:
+            gx, gy = transverse_rates(bath, omega_z)
+            denom = _sq(omega_z) + gx * gy
+        elif isinstance(bath, Generalized):
+            # quoted form: (1-t)^2 appears unsquared relative to the exact product
+            denom = _sq(omega_z) + _sq(bath.gamma) * _sq(1.0 - bath.t)
+        else:
+            denom = _sq(omega_z) + _sq(effective_rate(bath, omega_z))
         return 4.0 * sz * omega_z / denom
-    geff = effective_rate(bath, omega_z)
-    return 4.0 * sz * omega_z / (omega_z**2 + geff**2)
 
 
 def closed_form_chi(bath: BathSpec, omega_z: float):

@@ -3,7 +3,9 @@
 Subcommands:
 
 * ``gc``       -- critical coupling for one parameter point
-* ``sweep``    -- phase-boundary table over a parameter grid
+* ``sweep``    -- phase-boundary table over a parameter grid, written row by
+  row from the columns of one ``critical.sweep`` broadcast; the JSON is the
+  text ``json.dumps(rows, indent=2)`` would give, without its slow encoder
 * ``corr``     -- sampled two-time correlator S_x(t), stepped by one
   propagator, so it also runs at exceptional points of the generator
 * ``spectrum`` -- cavity determinant and susceptibility over frequency;
@@ -25,6 +27,7 @@ byte-identical. Frequencies are reported in units of omega_z unless
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -33,7 +36,7 @@ import numpy as np
 from . import __version__, baths, critical, meanfield, response
 from .baths import GcMode, parse_bath
 from .config import RunConfig, merge_config, parse_float_list
-from .critical import NoTransition, SweepPlan, Transition
+from .critical import NoTransition, SweepPlan
 from .errors import DickeCriticError
 
 HEADER = f"# dicke-critic v{__version__}"
@@ -176,34 +179,30 @@ def cmd_sweep(cfg: RunConfig) -> int:
         values=cfg.sweep_values,
         mode=cfg.mode,
     )
-    rows = critical.sweep(plan)
+    table = critical.sweep(plan)
     unit = 1.0 if cfg.raw_units else cfg.omega_z
+    ok = (table.status == "ok").tolist()
+    cols = [table.params[:, 0], table.chi0 * unit, table.g_c / unit, table.gc_over_g0]
+    x, chi0, g_c, ratio = (c.tolist() for c in cols)
+    status = table.status.tolist()
     if cfg.fmt == "csv":
         lines = [f"{cfg.sweep_param},chi0,g_c,g_c_over_g0,status"]
-        for row in rows:
-            if isinstance(row.result, Transition):
-                gc_txt, ratio_txt = fmt(row.result.g_c / unit), fmt(row.gc_over_g0)
-            else:
-                gc_txt, ratio_txt = "inf", "inf"
-            lines.append(
-                f"{fmt(row.params[0])},{fmt(row.chi0 * unit)},{gc_txt},{ratio_txt},{row.status}"
-            )
+        for x_i, chi0_i, g_c_i, ratio_i, status_i, ok_i in zip(x, chi0, g_c, ratio, status, ok):
+            tail = f"{g_c_i + 0.0:.17g},{ratio_i + 0.0:.17g}" if ok_i else "inf,inf"
+            lines.append(f"{x_i + 0.0:.17g},{chi0_i + 0.0:.17g},{tail},{status_i}")
         _write(cfg.output, _csv(lines))
     else:
-        import json
-
-        payload = []
-        for row in rows:
-            payload.append(
-                {
-                    cfg.sweep_param: row.params[0],
-                    "chi0": row.chi0 * unit,
-                    "g_c": row.result.g_c / unit if isinstance(row.result, Transition) else None,
-                    "g_c_over_g0": row.gc_over_g0 if isinstance(row.result, Transition) else None,
-                    "status": row.status,
-                }
-            )
-        _write(cfg.output, json.dumps(payload, indent=2) + "\n")
+        # the bytes of json.dumps(rows, indent=2): its compact C encoder spells
+        # each number (float repr, -0.0, null, Infinity), the layout is written here
+        key = json.dumps(cfg.sweep_param)
+        masked = ([v if k else None for v, k in zip(c, ok)] for c in (g_c, ratio))
+        x, chi0, g_c, ratio = (json.dumps(c)[1:-1].split(", ") for c in (x, chi0, *masked))
+        rows = [
+            f'  {{\n    {key}: {x_i},\n    "chi0": {chi0_i},\n    "g_c": {g_c_i},\n'
+            f'    "g_c_over_g0": {ratio_i},\n    "status": "{status_i}"\n  }}'
+            for x_i, chi0_i, g_c_i, ratio_i, status_i in zip(x, chi0, g_c, ratio, status)
+        ]
+        _write(cfg.output, "[\n" + ",\n".join(rows) + "\n]\n")
     return EXIT_OK
 
 

@@ -8,19 +8,26 @@ frequency,
 which has a real positive solution g_c exactly when chi0 < 0. chi0 = 0
 (unpolarized atoms) and chi0 > 0 (population-inverted atoms) are reported
 as distinct no-transition outcomes rather than errors.
+
+A sweep evaluates the same expressions once over its grid, with swept
+parameters as arrays: a ``SweepTable`` of columns, bitwise the scalar calls.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import enum
+import itertools
 import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from . import baths
-from .baths import BathSpec, CavityParams, GcMode
-from .errors import PreconditionError
+from .baths import BathSpec, CavityParams, GcMode, _each, _float_range, _sq
+from .errors import DickeCriticError, PreconditionError
+
+ZERO_TOL = 1e-14  # |chi0| <= ZERO_TOL is unpolarized
 
 
 class NoTransitionReason(enum.Enum):
@@ -41,7 +48,7 @@ class NoTransition:
 CriticalResult = Transition | NoTransition
 
 
-def solve_gc(chi0: float, cavity: CavityParams, zero_tol: float = 1e-14) -> CriticalResult:
+def solve_gc(chi0: float, cavity: CavityParams, zero_tol: float = ZERO_TOL) -> CriticalResult:
     """Solve the zero-frequency condition for g_c."""
     if not np.isfinite(chi0):
         raise PreconditionError(f"chi0 = {chi0} is not finite")
@@ -49,14 +56,23 @@ def solve_gc(chi0: float, cavity: CavityParams, zero_tol: float = 1e-14) -> Crit
         return NoTransition(NoTransitionReason.UNPOLARIZED)
     if chi0 > 0:
         return NoTransition(NoTransitionReason.INVERTED)
-    return Transition(g_c=math.sqrt(-(cavity.omega0**2 + cavity.kappa**2) / (2.0 * cavity.omega0 * chi0)))
+    return Transition(g_c=_critical_coupling(chi0, cavity))
+
+
+def _critical_coupling(chi0, cavity: CavityParams):
+    """Root of the zero-frequency condition at chi0 < 0."""
+    with _float_range("g_c"):
+        scale = _sq(cavity.omega0) + _sq(cavity.kappa)
+        return _each(math.sqrt, -scale / (2.0 * cavity.omega0 * chi0))
 
 
 def fully_polarized_gc(omega_z: float, cavity: CavityParams) -> float:
     """Critical coupling of a fully polarized, dissipation-free ensemble."""
-    if omega_z <= 0:
+    if np.any(omega_z <= 0):
         raise PreconditionError("the fully polarized reference needs omega_z > 0")
-    return 0.5 * math.sqrt(omega_z * (cavity.omega0**2 + cavity.kappa**2) / cavity.omega0)
+    with _float_range("g0"):
+        scale = _sq(cavity.omega0) + _sq(cavity.kappa)
+        return 0.5 * _each(math.sqrt, omega_z * scale / cavity.omega0)
 
 
 def kappa_scaling(cavity: CavityParams) -> float:
@@ -72,9 +88,6 @@ def residual(result: CriticalResult, chi0: float, cavity: CavityParams) -> float
 
 
 # --- sweeps -----------------------------------------------------------------
-
-_SWEEPABLE_GLOBALS = ("omega_z", "omega0", "kappa")
-
 
 @dataclass(frozen=True)
 class SweepPlan:
@@ -104,44 +117,68 @@ class SweepPlan:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    params: tuple[float, ...]
-    chi0: float
-    result: CriticalResult
-    gc_over_g0: float
-    status: str
+class SweepTable:
+    """Sweep columns in grid order; params is (rows, axes), row-major for two axes.
+
+    g_c and gc_over_g0 are nan where status is not "ok".
+    """
+
+    params: np.ndarray
+    chi0: np.ndarray
+    g_c: np.ndarray
+    gc_over_g0: np.ndarray
+    status: np.ndarray
 
 
-def _apply_axis(bath: BathSpec, omega_z: float, cavity: CavityParams, axis: str, value: float):
-    if axis in _SWEEPABLE_GLOBALS:
-        if axis == "omega_z":
-            return bath, value, cavity
-        return bath, omega_z, dataclasses.replace(cavity, **{axis: value})
-    field_names = {f.name for f in dataclasses.fields(bath)}
-    name = {"T": "temperature"}.get(axis, axis)
-    if name not in field_names:
-        raise PreconditionError(
-            f"cannot sweep {axis!r}: not a parameter of {type(bath).__name__}"
-        )
-    return dataclasses.replace(bath, **{name: value}), omega_z, cavity
+def _point(plan: SweepPlan, axes: tuple[str, ...], values, checked: bool = True):
+    """(bath, omega_z, cavity) with each axis set to its value (unchecked: to its column)."""
+    fields = {"omega_z": plan.omega_z, **vars(plan.cavity), **vars(plan.bath)}
+    for axis, value in zip(axes, values):
+        name = {"T": "temperature"}.get(axis, axis)
+        if name not in fields:
+            kind = type(plan.bath).__name__
+            raise PreconditionError(f"cannot sweep {axis!r}: not a parameter of {kind}")
+        fields[name] = value
+    omega_z = fields.pop("omega_z")
+    cavity_fields = {name: fields.pop(name) for name in ("omega0", "kappa")}
+    if checked:
+        return type(plan.bath)(**fields), omega_z, CavityParams(**cavity_fields)
+    # columns skip __post_init__: sweep runs its checks at each column's ends
+    bath, cavity = copy.copy(plan.bath), copy.copy(plan.cavity)
+    bath.__dict__.update(fields)
+    cavity.__dict__.update(cavity_fields)
+    return bath, omega_z, cavity
 
 
-def _sweep_point(plan: SweepPlan, params: tuple[float, ...]) -> SweepRow:
-    bath, omega_z, cavity = _apply_axis(plan.bath, plan.omega_z, plan.cavity, plan.axis, params[0])
-    if plan.axis2 is not None:
-        bath, omega_z, cavity = _apply_axis(bath, omega_z, cavity, plan.axis2, params[1])
-    chi0 = baths.closed_form_chi0(bath, omega_z, plan.mode)
-    result = solve_gc(chi0, cavity)
-    g0 = fully_polarized_gc(omega_z, cavity)
-    if isinstance(result, Transition):
-        return SweepRow(params, chi0, result, result.g_c / g0, "ok")
-    return SweepRow(params, chi0, result, math.nan, f"no-transition:{result.reason.value}")
+def sweep(plan: SweepPlan) -> SweepTable:
+    """closed_form_chi0, solve_gc and fully_polarized_gc as one broadcast over the grid.
 
-
-def sweep(plan: SweepPlan) -> list[SweepRow]:
-    """One row per grid point, in grid order (row-major for two axes)."""
-    if plan.axis2 is None:
-        grid = [(v,) for v in plan.values]
-    else:
-        grid = [(v1, v2) for v1 in plan.values for v2 in plan.values2]
-    return [_sweep_point(plan, p) for p in grid]
+    Each element equals the scalar calls at its row bitwise. Where a check
+    fails, the scalar path is replayed row by row to raise its error.
+    """
+    axes = (plan.axis,) if plan.axis2 is None else (plan.axis, plan.axis2)
+    grids = (plan.values,) if plan.axis2 is None else (plan.values, plan.values2)
+    params = np.array(list(itertools.product(*grids)), float)
+    bath, omega_z, cavity = _point(plan, axes, list(params.T), checked=False)
+    try:
+        for ends in (params.min(axis=0), params.max(axis=0)):
+            _point(plan, axes, ends.tolist())
+        with np.errstate(all="ignore"):
+            chi0 = np.broadcast_to(baths.closed_form_chi0(bath, omega_z, plan.mode), len(params))
+            if not np.isfinite(chi0).all():  # the one output the scalar path rejects
+                raise PreconditionError("chi0 is not finite")
+            status = np.select([np.abs(chi0) <= ZERO_TOL, chi0 > 0],
+                               [f"no-transition:{r.value}" for r in NoTransitionReason], "ok")
+            g_c = _critical_coupling(np.where(status == "ok", chi0, np.nan), cavity)
+            ratio = g_c / fully_polarized_gc(omega_z, cavity)
+    except DickeCriticError:  # the scalar path, row by row, raises its error naming the row
+        for i, values in enumerate(params.tolist()):
+            try:
+                bath, omega_z, cavity = _point(plan, axes, values)
+                solve_gc(baths.closed_form_chi0(bath, omega_z, plan.mode), cavity)
+                fully_polarized_gc(omega_z, cavity)
+            except DickeCriticError as exc:
+                where = ", ".join(f"{axis} = {value!r}" for axis, value in zip(axes, values))
+                raise type(exc)(f"row {i}, {where}: {exc}") from None
+        raise
+    return SweepTable(params, chi0, g_c, ratio, status)

@@ -236,7 +236,12 @@ def polariton_roots(
     """Complex roots of det(omega), damped Newton from the bare-cavity poles."""
 
     def f(w: complex) -> complex:
-        return cavity_det(w, cavity, g, chi_of_omega(w))
+        try:
+            return cavity_det(w, cavity, g, chi_of_omega(w))
+        except ZeroDivisionError:
+            raise ConvergenceError(
+                f"polariton root search from seed {seed} reached a pole of chi at omega = {w}"
+            ) from None
 
     if seeds is None:
         seeds = [cavity.omega0 - 1j * cavity.kappa, -cavity.omega0 - 1j * cavity.kappa]

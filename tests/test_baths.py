@@ -23,8 +23,13 @@ from dicke_critic.baths import (
     steady_sz,
     transverse_rates,
 )
-from dicke_critic.critical import NoTransition, NoTransitionReason, Transition
-from dicke_critic.errors import ConfigParseError, InvalidModelError, NoClosedFormError
+from dicke_critic.critical import NoTransition, NoTransitionReason, Transition, fully_polarized_gc
+from dicke_critic.errors import (
+    ConfigParseError,
+    InvalidModelError,
+    NoClosedFormError,
+    PreconditionError,
+)
 
 
 class TestChannels:
@@ -194,6 +199,17 @@ class TestClosedFormGc:
         assert quoted[-1] > 5 * quoted[0]                # divergence toward t = 1
         assert all(a <= b + 1e-12 for a, b in zip(exact, exact[1:]))  # monotone
         assert exact[-1] > 5 * exact[0]
+
+
+    def test_singular_points_are_typed_errors(self):
+        # chi0 = 0/0 at omega_z = 0 without transverse decay; omega0**2 beyond float range
+        for bath in (Dephasing(gamma=0.0, sz=-0.5), Generalized(gamma=0.1, t=1.0)):
+            with pytest.raises(PreconditionError, match="chi0"):
+                closed_form_chi0(bath, 0.0)
+        with pytest.raises(PreconditionError, match="g_c"):
+            closed_form_gc(Thermal(gamma=0.1, temperature=0.5), 1.0, CavityParams(1e200, 0.0))
+        with pytest.raises(PreconditionError, match="g0"):
+            fully_polarized_gc(1.0, CavityParams(1e200, 0.0))
 
 
 class TestTextualForm:

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from dicke_critic import __version__
+from dicke_critic.baths import CavityParams, parse_bath
 from dicke_critic.cli import main
+from dicke_critic.config import parse_float_list
+from dicke_critic.critical import SweepPlan, sweep
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +76,20 @@ class TestGc:
         assert float(parse_record(out_raw)["g_c"]) == pytest.approx(1.0, rel=1e-14)
 
 
+    def test_singular_points_exit_1(self, capsys):
+        for args, quantity in (
+            (["--bath", "dephasing(gamma=0, sz=-0.5)", "--omega-z", "0"], "chi0 is undefined"),
+            (["--bath", "thermal(gamma=0.1, T=0.5)", "--omega0", "1e200"], "g_c overflows"),
+        ):
+            code, out, err = run_cli(capsys, "gc", *args)
+            assert (code, out) == (1, "")
+            assert err.startswith("dicke-critic: error: at bath = ") and quantity in err
+        code, out, err = run_cli(capsys, "sweep", "--bath", "dephasing(gamma=0, sz=-0.5)",
+                                 "--sweep-param", "omega_z", "--sweep-values", "1,0")
+        assert (code, out) == (1, "")
+        assert "row 1, omega_z = 0.0: chi0 is undefined" in err
+
+
 class TestSweep:
     def test_csv_structure_and_order(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
@@ -137,6 +154,44 @@ class TestSweep:
     def test_missing_grid_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--bath", "thermal(gamma=0.2,T=0.1)")
         assert code == 1
+
+
+    def test_json_writer_matches_json_dumps(self, capsys):
+        # null rows, inverted rows and chi0 = -0.0 (t = 1), in omega_z units
+        for bath, axis, values in (
+            ("generalized(gamma=0.5, t=0)", "t", "0,0.5,1"),
+            ("dephasing(gamma=0.2, sz=-0.5)", "sz", "-0.5,0,0.5"),
+        ):
+            code, out, _ = run_cli(capsys, "sweep", "--bath", bath, "--sweep-param", axis,
+                                   f"--sweep-values={values}", "--omega-z", "1.3",
+                                   "--kappa", "0.2", "--format", "json")
+            assert code == 0
+            table = sweep(SweepPlan(parse_bath(bath), 1.3, CavityParams(1.0, 0.2), axis,
+                                    parse_float_list(values)))
+            rows = [
+                {axis: x, "chi0": chi0 * 1.3,
+                 "g_c": g_c / 1.3 if status == "ok" else None,
+                 "g_c_over_g0": ratio if status == "ok" else None, "status": status}
+                for (x,), chi0, g_c, ratio, status in zip(
+                    table.params.tolist(), table.chi0.tolist(), table.g_c.tolist(),
+                    table.gc_over_g0.tolist(), table.status.tolist())
+            ]
+            assert out == json.dumps(rows, indent=2) + "\n"
+        assert '"chi0": -0.0,' in run_cli(capsys, "sweep", "--bath", "generalized(gamma=0.5, t=0)",
+                                           "--sweep-param", "t", "--sweep-values", "1",
+                                           "--format", "json")[1]
+        csv = run_cli(capsys, "sweep", "--bath", "generalized(gamma=0.5, t=0)",
+                      "--sweep-param", "t", "--sweep-values", "1")[1]
+        assert csv.splitlines()[2] == "1,0,inf,inf,no-transition:unpolarized"
+
+    def test_invalid_row_is_named(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--bath", "thermal(gamma=0.1, T=0.5)",
+                                 "--sweep-param", "gamma", "--sweep-values", "0.1,0")
+        assert (code, out) == (1, "")
+        assert err == (
+            "dicke-critic: error: at bath = thermal(gamma=0.1, T=0.5), omega_z = 1, omega0 = 1, "
+            "kappa = 0: row 1, gamma = 0.0: thermal rate 0.0 must be > 0\n"
+        )
 
 
 class TestCorr:

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -5,18 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicke_critic.baths import CavityParams, Generalized, Thermal
+from dicke_critic.baths import (
+    CavityParams,
+    Dephasing,
+    GcMode,
+    Generalized,
+    Thermal,
+    closed_form_chi0,
+)
 from dicke_critic.critical import (
     NoTransition,
     NoTransitionReason,
     SweepPlan,
     Transition,
+    fully_polarized_gc,
     kappa_scaling,
     residual,
     solve_gc,
     sweep,
 )
-from dicke_critic.errors import PreconditionError
+from dicke_critic.errors import DickeCriticError, InvalidModelError, PreconditionError
 from dicke_critic.response import ensemble_chi
 
 
@@ -100,9 +110,9 @@ class TestSweep:
             axis="T",
             values=tuple(np.linspace(0.05, 2.0, 12)),
         )
-        rows = sweep(plan)
-        assert [r.params[0] for r in rows] == list(plan.values)
-        gcs = [r.result.g_c for r in rows]
+        table = sweep(plan)
+        assert table.params[:, 0].tolist() == list(plan.values)
+        gcs = table.g_c.tolist()
         assert all(a < b for a, b in zip(gcs, gcs[1:]))
 
     def test_single_point_normalization(self):
@@ -113,9 +123,10 @@ class TestSweep:
             axis="t",
             values=(0.0,),
         )
-        (row,) = sweep(plan)
-        assert row.gc_over_g0 == pytest.approx(1.0, abs=1e-12)
-        assert row.status == "ok"
+        table = sweep(plan)
+        (ratio,), (status,) = table.gc_over_g0, table.status
+        assert ratio == pytest.approx(1.0, abs=1e-12)
+        assert status == "ok"
 
     def test_no_transition_row(self):
         plan = SweepPlan(
@@ -125,10 +136,10 @@ class TestSweep:
             axis="t",
             values=(0.5, 1.0),
         )
-        rows = sweep(plan)
-        assert rows[0].status == "ok"
-        assert rows[1].status == "no-transition:unpolarized"
-        assert math.isnan(rows[1].gc_over_g0)
+        table = sweep(plan)
+        assert table.status[0] == "ok"
+        assert table.status[1] == "no-transition:unpolarized"
+        assert math.isnan(table.gc_over_g0[1])
 
     def test_two_axis_row_major(self):
         plan = SweepPlan(
@@ -140,8 +151,8 @@ class TestSweep:
             axis2="kappa",
             values2=(0.0, 0.5, 1.0),
         )
-        rows = sweep(plan)
-        assert [r.params for r in rows] == [
+        table = sweep(plan)
+        assert [tuple(p) for p in table.params.tolist()] == [
             (0.1, 0.0), (0.1, 0.5), (0.1, 1.0), (0.2, 0.0), (0.2, 0.5), (0.2, 1.0)
         ]
 
@@ -172,3 +183,142 @@ class TestSweep:
         merged = ensemble_chi([(0.25, chi0)] * 4)
         cavity = CavityParams(1.0, 0.2)
         assert solve_gc(merged, cavity) == solve_gc(chi0, cavity)
+
+
+def _axes_and_grid(plan):
+    if plan.axis2 is None:
+        return (plan.axis,), [(v,) for v in plan.values]
+    return (plan.axis, plan.axis2), list(itertools.product(plan.values, plan.values2))
+
+
+def _scalar_point(plan, axes, values):
+    bath, omega_z, cavity = plan.bath, plan.omega_z, plan.cavity
+    for axis, value in zip(axes, values):
+        if axis == "omega_z":
+            omega_z = value
+        elif axis in ("omega0", "kappa"):
+            cavity = dataclasses.replace(cavity, **{axis: value})
+        else:
+            bath = dataclasses.replace(bath, **{{"T": "temperature"}.get(axis, axis): value})
+    chi0 = closed_form_chi0(bath, omega_z, plan.mode)
+    return chi0, solve_gc(chi0, cavity), fully_polarized_gc(omega_z, cavity)
+
+
+def scalar_sweep(plan):
+    """The grid row by row through the scalar calls: the reference for sweep."""
+    axes, grid = _axes_and_grid(plan)
+    rows = []
+    for values in grid:
+        chi0, result, g0 = _scalar_point(plan, axes, values)
+        if isinstance(result, Transition):
+            rows.append((chi0, result.g_c, result.g_c / g0, "ok"))
+        else:
+            rows.append((chi0, math.nan, math.nan, f"no-transition:{result.reason.value}"))
+    return grid, rows
+
+
+def assert_bitwise_equal(plan):
+    table = sweep(plan)
+    grid, rows = scalar_sweep(plan)
+    assert table.params.tolist() == [list(v) for v in grid]
+    for col, i in ((table.chi0, 0), (table.g_c, 1), (table.gc_over_g0, 2)):
+        assert col.tobytes() == np.array([r[i] for r in rows]).tobytes()
+    assert table.status.tolist() == [r[3] for r in rows]
+    return table
+
+
+_RNG = np.random.default_rng(20261018)
+
+
+def _grid(edges, lo, hi, log=False, n=600):
+    draws = np.exp(_RNG.uniform(np.log(lo), np.log(hi), n)) if log else _RNG.uniform(lo, hi, n)
+    return tuple(edges) + tuple(draws.tolist())
+
+
+# every sweepable axis, edges first: sz through 0 (inverted rows), t = 1
+# (chi0 = -0.0), T = 0 and T < omega_z / 700 (the x > 700 branch of
+# bose_occupation at omega_z = 1.1); the random draws hit the points where
+# numpy's square, tanh and expm1 differ from Python's in the last bit
+DOMAIN = {
+    "gamma": _grid((0.0, 1e-3, 0.3, 2.0, 50.0), 1e-3, 10.0, log=True),
+    "sz": _grid((-0.5, -0.25, 0.0, 0.25, 0.5), -0.5, 0.5),
+    "T": _grid((0.0, 1e-3, 1.1 / 650, 0.5, 100.0), 1e-3, 10.0, log=True),
+    "t": _grid((0.0, 0.5, 0.99, 1.0), 0.0, 1.0),
+    "omega_z": _grid((0.05, 1.0, 20.0), 0.05, 20.0, log=True),
+    "omega0": _grid((0.05, 1.0, 20.0), 0.05, 20.0, log=True),
+    "kappa": _grid((0.0, 1.0, 20.0), 0.0, 5.0),
+}
+BATHS = {
+    Dephasing(gamma=0.3, sz=-0.4): ("gamma", "sz"),
+    Thermal(gamma=0.2, temperature=0.4): ("gamma", "T"),
+    Generalized(gamma=0.4, t=0.3): ("gamma", "t"),
+}
+
+
+class TestSweepKernel:
+    @pytest.mark.parametrize("mode", list(GcMode))
+    @pytest.mark.parametrize("bath", list(BATHS), ids=lambda b: type(b).__name__)
+    def test_columns_equal_scalar_calls_bitwise(self, bath, mode):
+        statuses = set()
+        for axis in BATHS[bath] + ("omega_z", "omega0", "kappa"):
+            values = DOMAIN[axis]
+            if axis == "gamma" and not isinstance(bath, Dephasing):
+                values = values[1:]  # gamma = 0 is invalid for these baths
+            plan = SweepPlan(bath, 1.1, CavityParams(0.9, 0.3), axis, values, mode=mode)
+            statuses.update(assert_bitwise_equal(plan).status.tolist())
+        assert "ok" in statuses
+        if not isinstance(bath, Thermal):
+            assert "no-transition:unpolarized" in statuses
+
+    @pytest.mark.parametrize("mode", list(GcMode))
+    def test_two_axis_grids_equal_scalar_calls_bitwise(self, mode):
+        cavity = CavityParams(0.9, 0.3)
+        for bath, axis, axis2 in (
+            (Thermal(gamma=0.2, temperature=0.4), "T", "omega_z"),
+            (Generalized(gamma=0.4, t=0.3), "t", "kappa"),
+            (Dephasing(gamma=0.3, sz=-0.4), "sz", "gamma"),
+        ):
+            plan = SweepPlan(bath, 1.1, cavity, axis, DOMAIN[axis][:40],
+                             axis2=axis2, values2=DOMAIN[axis2][1:30], mode=mode)
+            assert_bitwise_equal(plan)
+
+    def test_inverted_and_negative_zero_rows(self):
+        plan = SweepPlan(Dephasing(0.3, -0.4), 1.1, CavityParams(0.9, 0.3), "sz", (-0.5, 0.0, 0.5))
+        assert assert_bitwise_equal(plan).status.tolist() == [
+            "ok", "no-transition:unpolarized", "no-transition:inverted"]
+        plan = SweepPlan(Generalized(0.4, 0.3), 1.1, CavityParams(0.9, 0.3), "t", (1.0,))
+        assert math.copysign(1.0, assert_bitwise_equal(plan).chi0[0]) == -1.0
+
+    INVALID = (
+        (Thermal(gamma=0.2, temperature=0.4), "gamma", 0.0),
+        (Thermal(gamma=0.2, temperature=0.4), "T", -1.0),
+        (Thermal(gamma=0.2, temperature=0.4), "omega_z", -1.0),
+        (Dephasing(gamma=0.3, sz=-0.4), "sz", 0.7),
+        (Dephasing(gamma=0.0, sz=-0.4), "omega_z", 0.0),
+        (Dephasing(gamma=0.3, sz=-0.4), "omega_z", math.nan),
+        (Generalized(gamma=0.4, t=0.3), "t", 1.5),
+        (Generalized(gamma=0.4, t=0.3), "omega0", 0.0),
+        (Generalized(gamma=0.4, t=0.3), "kappa", math.nan),
+        (Generalized(gamma=0.4, t=0.3), "omega0", 1e200),
+    )
+
+    @pytest.mark.parametrize("bath,axis,bad", INVALID)
+    def test_invalid_row_raises_the_scalar_error(self, bath, axis, bad):
+        valid = tuple(np.linspace(0.1, 0.4, 6).tolist())
+        for row in (0, 3, 6):
+            values = valid[:row] + (bad,) + valid[row:]
+            plan = SweepPlan(bath, 1.1, CavityParams(0.9, 0.3), axis, values)
+            with pytest.raises(DickeCriticError) as scalar:
+                _scalar_point(plan, (axis,), (bad,))
+            with pytest.raises(type(scalar.value)) as swept:
+                sweep(plan)
+            assert type(swept.value) is type(scalar.value)
+            assert str(swept.value) == f"row {row}, {axis} = {bad!r}: {scalar.value}"
+
+    def test_invalid_row_of_a_two_axis_grid_is_named(self):
+        plan = SweepPlan(Thermal(gamma=0.2, temperature=0.4), 1.1, CavityParams(0.9, 0.3),
+                         "T", (0.1, 0.2), axis2="omega_z", values2=(1.0, -1.0))
+        with pytest.raises(InvalidModelError) as swept:
+            sweep(plan)
+        assert str(swept.value) == (
+            "row 1, T = 0.1, omega_z = -1.0: thermal baths require omega_z > 0")

@@ -5,7 +5,7 @@ from dicke_critic import baths, lindblad, response
 from dicke_critic import qops
 from dicke_critic.baths import CavityParams, Custom, Dephasing, Generalized, Thermal
 from dicke_critic.critical import solve_gc
-from dicke_critic.errors import NonIntegrableTailError
+from dicke_critic.errors import ConvergenceError, NonIntegrableTailError
 from dicke_critic.lindblad import steady_state, two_time_sx
 from dicke_critic.response import (
     cavity_det,
@@ -287,3 +287,10 @@ class TestPolaritonRoots:
         soft = min(roots, key=abs)
         assert abs(soft) < 0.3
         assert soft.imag < 0
+
+    def test_seed_on_a_pole_of_chi_is_typed_error(self):
+        # undamped spin at omega_z = omega0 = 1, kappa = 0: the default seed
+        # omega0 - i kappa is the spin pole of chi
+        chi = baths.closed_form_chi(Dephasing(0.0, -0.5), 1.0)
+        with pytest.raises(ConvergenceError, match=r"seed \(1\+0j\)"):
+            polariton_roots(CavityParams(1.0, 0.0), 0.3, chi)
