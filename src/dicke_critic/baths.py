@@ -159,7 +159,8 @@ def channels_of(bath: BathSpec, omega_z: float) -> tuple[qops.LindbladChannel, .
     if isinstance(bath, Dephasing):
         return (qops.LindbladChannel(qops.sigma("z"), bath.gamma),)
     if isinstance(bath, Thermal):
-        n = bose_occupation(omega_z, bath.temperature)
+        with _float_range("thermal occupation"):
+            n = bose_occupation(omega_z, bath.temperature)
         return (
             qops.LindbladChannel(qops.sigma("minus"), (1.0 + n) * bath.gamma),
             qops.LindbladChannel(qops.sigma("plus"), n * bath.gamma),

@@ -13,6 +13,13 @@ a lift; the steady state is one bordered sparse LU solve. As an oracle,
 the single-atom correlator at g = 0 must match the single-spin engine, and
 the photon number shows the finite-size onset near the infinite-N g_c.
 
+Parity: Pi = exp(i pi (a+a + sum (sz + 1/2))) commutes with omega0 a+a, the
+kappa a channel, the coupling (a + a+) sx and every catalog channel (sz;
+s- and s+; s- + t s+), so the generator never couples unknowns of even
+parity (k - m) + n_10 + n_01 (cavity element |k><m|) to odd ones, and a
+unique steady state is even; it is solved on the even block whenever the
+single-atom generator has no entry between diagonal and coherence units.
+
 State vectors are vec(cavity) (x) count vector, in the column-stacking
 order of ``qops``: the units are |0><0|, |1><0|, |0><1|, |1><1|, so at
 N = 1 the count tuples are the four units in that order.
@@ -94,8 +101,9 @@ def embedded_ops(spec: FullSystemSpec) -> Ops:
 
     Sums over the atoms of the single-atom generator ("atoms"), of left and
     right multiplication by sx ("left_x", "right_x") and of left
-    multiplication by sz ("left_z"); and the trace row ("trace"): the
-    multinomial C(N, n_00) on tuples of diagonal units, 0 elsewhere.
+    multiplication by sz ("left_z"); the trace row ("trace"): the
+    multinomial C(N, n_00) on tuples of diagonal units, 0 elsewhere; and the
+    coherence units n_10 + n_01 of each tuple ("coherences").
     """
     units = np.array(list(itertools.combinations_with_replacement(range(4), spec.n_atoms)))
     counts = np.stack([np.count_nonzero(units == u, axis=1) for u in range(4)], axis=1)
@@ -107,6 +115,7 @@ def embedded_ops(spec: FullSystemSpec) -> Ops:
         "right_x": _lift(np.kron(sx.T, eye), counts),
         "left_z": _lift(np.kron(eye, sz), counts),
         "trace": np.where(counts[:, 1] + counts[:, 2] == 0, weights, 0).astype(float),
+        "coherences": counts[:, 1] + counts[:, 2],
     }
 
 
@@ -132,14 +141,21 @@ def build_full_generator(spec: FullSystemSpec, ops: Ops | None = None) -> sp.csr
 def steady_full(spec: FullSystemSpec, ops: Ops | None = None) -> np.ndarray:
     """Unique steady state as a count-basis vector x, with r @ x = 1 for the trace row r.
 
-    r = kron(qops.trace_functional(n_fock), ops["trace"]) replaces row 0 of
-    L, and sparse LU solves L' x = e_0. Tr o L = 0 makes row 0 of L a
-    combination of the others, so L' is singular exactly when the null
-    space of L has dimension > 1 (DegenerateSteadyStateError); a solution
-    that leaves L x != 0 is a ConvergenceError. Without an atomic channel
-    of positive rate the collective coupling conserves total spin, so for
-    N >= 2 every total-spin sector holds a steady state; that case is
-    rejected before the solve, since LU pivots need not vanish exactly.
+    The even-parity unknowns are solved for when ops["atoms"] never moves
+    n_10 + n_01 by an odd number (module docstring), all of them otherwise;
+    unknown 0 is even. r = kron(qops.trace_functional(n_fock), ops["trace"])
+    replaces row 0 of that block L, and sparse LU solves L' x = e_0. Tr o L
+    = 0 makes row 0 of L a combination of the others, so L' is singular
+    exactly when the null space of L has dimension > 1
+    (DegenerateSteadyStateError); a solution that leaves the full generator
+    times x != 0 is a ConvergenceError. The block solve cannot see a null
+    vector that lives only in the odd block; the kernel of a Lindbladian is
+    spanned by steady density matrices, so that would be a second steady
+    state, which only the zero pivot and the checks here guard against.
+    Without an atomic channel of positive rate the collective coupling
+    conserves total spin, so for N >= 2 every total-spin sector holds a
+    steady state; that case is rejected before the solve, since LU pivots
+    need not vanish exactly.
     """
     point = (f"n_atoms = {spec.n_atoms}, n_fock = {spec.n_fock}, g = {spec.g}, omega_z = "
              f"{spec.model.omega_z}, omega0 = {spec.cavity.omega0}, kappa = {spec.cavity.kappa}")
@@ -149,11 +165,17 @@ def steady_full(spec: FullSystemSpec, ops: Ops | None = None) -> np.ndarray:
     ops = embedded_ops(spec) if ops is None else ops
     gen = build_full_generator(spec, ops)
     trace = np.kron(qops.trace_functional(spec.n_fock), ops["trace"])
-    bordered = sp.vstack([sp.csr_matrix(trace), gen[1:]], format="csc")
-    rhs = np.zeros(gen.shape[0], dtype=complex)
+    coherences, atoms = ops["coherences"], ops["atoms"].tocoo()
+    keep = np.arange(gen.shape[0])
+    if not np.any((coherences[atoms.row] - coherences[atoms.col]) % 2):
+        cavity = np.add.outer(np.arange(spec.n_fock), np.arange(spec.n_fock)).ravel()
+        keep = np.flatnonzero(np.add.outer(cavity, coherences).ravel() % 2 == 0)
+    bordered = sp.vstack([sp.csr_matrix(trace[keep]), gen[keep[1:]][:, keep]], format="csc")
+    rhs = np.zeros(len(keep), dtype=complex)
     rhs[0] = 1.0
+    x = np.zeros(gen.shape[0], dtype=complex)
     try:
-        x = spla.splu(bordered).solve(rhs)
+        x[keep] = spla.splu(bordered).solve(rhs)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise DegenerateSteadyStateError(
             f"full steady state is degenerate at {point}: bordered generator is singular ({exc})"

@@ -54,6 +54,11 @@ class TestChannels:
         assert np.array_equal(chan.op, np.diag([0.5, -0.5]).astype(complex))
         assert chan.rate == 0.2
 
+    def test_thermal_occupation_underflow_is_typed_error(self):
+        # omega_z / T underflows to 0, so 1 / expm1(0) has no value
+        with pytest.raises(PreconditionError, match="thermal occupation is undefined"):
+            channels_of(Thermal(gamma=0.1, temperature=1e300), 1e-300)
+
     def test_negative_temperature_rejected(self):
         with pytest.raises(InvalidModelError):
             Thermal(gamma=0.1, temperature=-0.5)

@@ -231,6 +231,15 @@ class TestCorr:
         expected = np.exp(-gamma * (1 + t**2) * ts) * (0.25 + ts * (0.25 - 0.5j * sz))
         assert np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - expected)) < 1e-10
 
+    def test_thermal_occupation_underflow_exits_1(self, capsys):
+        # omega_z / T underflows to 0: the occupation is a typed error naming the point
+        code, out, err = run_cli(capsys, "corr", "--bath", "thermal(gamma=0.1, T=1e300)",
+                                 "--omega-z", "1e-300")
+        assert (code, out) == (1, "")
+        assert err == ("dicke-critic: error: at bath = thermal(gamma=0.1, T=1e+300), "
+                       "omega_z = 1e-300, omega0 = 1, kappa = 0: "
+                       "thermal occupation is undefined (division by zero)\n")
+
 
 class TestSpectrum:
     def test_bare_cavity_minima_at_poles(self, capsys, tmp_path):

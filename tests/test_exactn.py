@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from dicke_critic import baths, exactn
-from dicke_critic.baths import CavityParams, Dephasing, Generalized, Thermal
+from dicke_critic import baths, exactn, qops
+from dicke_critic.baths import CavityParams, Custom, Dephasing, Generalized, Thermal
 from dicke_critic.errors import (
     DegenerateSteadyStateError,
     InvalidModelError,
@@ -136,17 +138,29 @@ class TestSteadyObservables:
             x = steady_full(FullSystemSpec(1, 4, 0.5, CavityParams(1.0, 0.4), model))
             assert np.all(np.isfinite(x))
 
-    def test_dense_and_direct_solvers_agree(self):
-        # the sparse LU solve against the null vector of the dense
-        # eigendecomposition of the same generator, normalized by the trace row
-        spec = spec_for(Generalized(gamma=0.2, t=0.0), n_atoms=2, n_fock=8, g=0.45)
+    @pytest.mark.parametrize("bath", [
+        Generalized(gamma=0.2, t=0.0),
+        Thermal(gamma=0.2, temperature=0.4),
+        Dephasing(gamma=0.3, sz=-0.4),
+    ], ids=["generalized", "thermal", "dephasing"])
+    def test_dense_and_direct_solvers_agree(self, bath):
+        # the sparse LU solve on the even block against the null vector of the
+        # dense eigendecomposition of the full generator, normalized by the
+        # trace row; the odd entries (k + m + n_10 + n_01 odd) are never solved for
+        spec = spec_for(bath, n_atoms=2, n_fock=8, g=0.45)
         ops = exactn.embedded_ops(spec)
         vals, vecs = np.linalg.eig(build_full_generator(spec, ops).toarray())
         null = np.flatnonzero(np.abs(vals) < 1e-9 * np.max(np.abs(vals)))
         assert null.size == 1
         dense = vecs[:, null[0]]
         dense = dense / (np.kron(trace_functional(spec.n_fock), ops["trace"]) @ dense)
-        assert np.max(np.abs(dense - steady_full(spec))) < 1e-10
+        x = steady_full(spec)
+        assert np.max(np.abs(dense - x)) < 1e-10
+        coherences = [sum(u in (1, 2) for u in units) for units in
+                      itertools.combinations_with_replacement(range(4), spec.n_atoms)]
+        cavity = [k + m for m in range(spec.n_fock) for k in range(spec.n_fock)]
+        odd = np.add.outer(cavity, coherences).ravel() % 2 == 1
+        assert np.all(x[odd] == 0)
 
     def test_errors_name_the_point(self):
         spec = spec_for(Dephasing(gamma=0.3, sz=-0.5), n_atoms=2, n_fock=3, g=0.0, kappa=0.25,
@@ -173,6 +187,37 @@ class TestCountBasisAgreement:
                 assert abs(obs.photon_number - photons) < 1e-10 * photons
                 assert abs(obs.sz_mean - sz) < 1e-10
                 assert abs(obs.sx_mean - sx) < 1e-10
+
+    @pytest.mark.parametrize("bath", [
+        Thermal(gamma=0.2, temperature=0.4),
+        Generalized(gamma=0.2, t=0.3),
+        Dephasing(gamma=0.3, sz=-0.4),
+    ], ids=["thermal", "generalized", "dephasing"])
+    def test_tensor_steady_state_is_even(self, bath, tensor_reference):
+        # the parity assumption, pinned without exactn: the steady state of the
+        # whole tensor space carries nothing on the odd entries of vec(rho)
+        gc = baths.closed_form_gc(bath, 1.0, CavityParams(1.0, 0.4)).g_c
+        for n_atoms in (1, 2):
+            for g in (0.5 * gc, 1.5 * gc):
+                spec = spec_for(bath, n_atoms=n_atoms, n_fock=12, g=float(g), kappa=0.4)
+                rho = tensor_reference.steady_rho(spec, block=False)
+                odd = tensor_reference.parity(spec).reshape(rho.shape, order="F") == 1
+                assert np.all(rho[odd] == 0)
+                assert np.max(np.abs(tensor_reference.steady_rho(spec) - rho)) < 1e-12
+
+    def test_parity_breaking_jump_solves_every_unknown(self, tensor_reference):
+        # s- + 0.3 sz couples diagonal and coherence units: the steady state is
+        # not even, and <sx> = 0 would be the signature of a blind block solve
+        jump = qops.sigma("minus") + 0.3 * qops.sigma("z")
+        model = baths.spin_model(Custom((qops.LindbladChannel(jump, 0.2),)), 1.0)
+        for n_atoms in (1, 2, 3):
+            spec = FullSystemSpec(n_atoms, 8, 0.5, CavityParams(1.0, 0.4), model)
+            obs = full_steady_observables(spec)
+            photons, sz, sx = tensor_reference.observables(spec)
+            assert abs(obs.photon_number - photons) < 1e-10 * photons
+            assert abs(obs.sz_mean - sz) < 1e-10
+            assert abs(obs.sx_mean - sx) < 1e-10
+            assert abs(obs.sx_mean) > 1e-3
 
 
 class TestRegressionCorrelator:
