@@ -8,6 +8,7 @@ Bath values use the mini-grammar ``name(arg=val, ...)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +20,7 @@ _FLOAT_KEYS = {
     "tmax", "dt", "g", "omega_min", "omega_max", "tol",
 }
 _INT_KEYS = {"sweep_points", "omega_points"}
+_FINITE_KEYS = ("tol", "g", "tmax", "dt", "omega_min", "omega_max")
 _BOOL_KEYS = {"raw_units", "verify"}
 _STR_KEYS = {"bath", "mode", "sweep_param", "output", "format"}
 _LIST_KEYS = {"sweep_values"}
@@ -151,6 +153,13 @@ def merge_config(cli_values: dict[str, object], config_path: str | None) -> RunC
             merged[key] = _DEFAULTS[key]
         else:
             merged[key] = None
+    for key in _FINITE_KEYS:
+        if merged[key] is not None and not math.isfinite(merged[key]):
+            raise ConfigParseError(f"{key} = {merged[key]} must be finite")
+    if merged["tol"] < 0:
+        raise ConfigParseError(f"tol = {merged['tol']} must be >= 0")
+    if merged["omega_points"] < 1:
+        raise ConfigParseError(f"omega_points = {merged['omega_points']} must be >= 1")
     sweep_values = merged["sweep_values"]
     if sweep_values is None and merged["sweep_points"] is not None:
         if merged["sweep_start"] is None or merged["sweep_stop"] is None:

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import qops
 from .errors import (
@@ -128,6 +127,8 @@ def propagate(model: SpinModel, rho0: np.ndarray, t: float) -> np.ndarray:
     """exp(L t) applied to rho0."""
     if t < 0:
         raise PreconditionError(f"propagation time t = {t} < 0")
+    import scipy.linalg
+
     prop = scipy.linalg.expm(model.generator() * t)
     return qops.devectorize(prop @ qops.vectorize(rho0))
 
@@ -219,6 +220,8 @@ def _step(
     keep the Python loop at O(sqrt n): the rows row P^j for j < b, the
     states (P^b)^i starts, and one product of the two.
     """
+    import scipy.linalg
+
     prop = scipy.linalg.expm(gen * dt)
     b = math.isqrt(n - 1) + 1
     rows = np.empty((b, row.size), dtype=complex)

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import qops
 from .baths import CavityParams
@@ -194,6 +193,8 @@ def trajectory_csv(traj: Trajectory) -> str:
 def simulate(state0: MeanFieldState, cavity: CavityParams, model: SpinModel, g: float,
              duration: float, dt: float) -> Trajectory:
     """Integrate the full nonlinear mean-field equations (adaptive RK45)."""
+    from scipy.integrate import solve_ivp
+
     if dt <= 0:
         raise PreconditionError(f"dt = {dt} must be positive")
     t_eval = np.arange(0.0, duration + 0.5 * dt, dt)

@@ -22,11 +22,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, InvalidModelError, UnknownOperatorError
 
@@ -119,15 +119,23 @@ class LindbladChannel:
             raise InvalidModelError(f"channel rate {self.rate} is not finite")
         if self.rate < 0:
             raise InvalidModelError(f"channel rate {self.rate} < 0")
-        entries = self.op.data if sp.issparse(self.op) else self.op
+        entries = self.op.data if _issparse(self.op) else self.op
         if not np.all(np.isfinite(entries)):
             raise InvalidModelError("jump operator has non-finite entries")
+
+
+def _issparse(a) -> bool:
+    """sp.issparse(a), without importing scipy.sparse: no sparse a exists before it is loaded."""
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(a)
 
 
 def _kron_and_eye(a):
     """Kronecker product and identity in the representation of a."""
     d = a.shape[0]
-    if sp.issparse(a):
+    if _issparse(a):
+        import scipy.sparse as sp
+
         return partial(sp.kron, format="csr"), sp.identity(d, dtype=complex, format="csr")
     return np.kron, np.eye(d, dtype=complex)
 

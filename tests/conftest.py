@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import os
+
+# One BLAS thread, set before numpy loads BLAS: the exact-N outputs differ in
+# their last digits between thread counts, and the dense eigendecompositions
+# slow down sharply when the threads share busy cores.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+import scipy.sparse as sp  # noqa: E402
+import scipy.sparse.linalg as spla  # noqa: E402
 
 
 @pytest.fixture

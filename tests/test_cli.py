@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,3 +399,72 @@ class TestConfigFile:
     def test_unknown_flag_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "gc", "--frobnicate")
         assert code == 1
+
+
+class TestNumericFlags:
+    BATH = ("--bath", "thermal(gamma=0.1, T=0.5)")
+    CASES = [
+        (("gc", "--verify", *BATH), "tol", "nan", "must be finite"),
+        (("gc", "--verify", *BATH), "tol", "-1", "must be >= 0"),
+        (("oracle",), "tol", "inf", "must be finite"),
+        (("spectrum", *BATH), "omega_points", "0", "must be >= 1"),
+        (("spectrum", *BATH), "omega_points", "-3", "must be >= 1"),
+        (("spectrum", *BATH), "omega_min", "nan", "must be finite"),
+        (("spectrum", *BATH), "omega_max", "-inf", "must be finite"),
+        (("spectrum", *BATH), "g", "inf", "must be finite"),
+        (("corr", *BATH), "tmax", "nan", "must be finite"),
+        (("corr", *BATH), "dt", "inf", "must be finite"),
+    ]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, key, raw, rule", CASES,
+                             ids=[f"{c[0]}-{k}={r}" for c, k, r, _ in CASES])
+    def test_bad_value_is_typed_error(self, capsys, tmp_path, source, command, key, raw, rule):
+        if source == "flag":
+            argv = [*command, f"--{key.replace('_', '-')}={raw}"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {raw}\n")
+            argv = [*command, "--config", str(cfg)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"dicke-critic: error: {key} = ")
+        assert rule in err
+
+
+def test_closed_form_routes_load_no_scipy():
+    """gc, sweep, spectrum and oracle run on numpy alone; corr, the control, loads scipy.linalg.
+
+    A fresh interpreter, since this process already holds scipy.
+    """
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+
+        import dicke_critic
+        from dicke_critic import cli
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        bath = ["--bath", "generalized(gamma=0.5, t=0.2)"]
+        sweep = ["sweep", *bath, "--sweep-param", "t", "--sweep-values", "0,0.5"]
+        codes = []
+        for argv in (["gc", "--verify", *bath], sweep, [*sweep, "--format", "json"],
+                     ["spectrum", *bath, "--omega-points", "5"], ["oracle"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(cli.main(argv))
+        before = scipy_modules()
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(cli.main(["corr", *bath]))
+        print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * 6
+    assert result["before"] == []
+    assert "scipy.linalg" in result["after"]
