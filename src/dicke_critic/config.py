@@ -20,12 +20,15 @@ _FLOAT_KEYS = {
     "tmax", "dt", "g", "omega_min", "omega_max", "tol",
 }
 _INT_KEYS = {"sweep_points", "omega_points"}
-_FINITE_KEYS = ("tol", "g", "tmax", "dt", "omega_min", "omega_max")
+_FINITE_KEYS = ("tol", "g", "tmax", "dt", "omega_min", "omega_max", "sweep_start", "sweep_stop")
 _BOOL_KEYS = {"raw_units", "verify"}
 _STR_KEYS = {"bath", "mode", "sweep_param", "output", "format"}
 _LIST_KEYS = {"sweep_values"}
 
 KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS | _LIST_KEYS
+# spectrum solves its whole grid at once: 1e6 frequencies took 0.64 GB and 8.4 s on
+# 2 cores, and 1e8 had the process killed for memory
+MAX_OMEGA_POINTS = 1_000_000
 
 
 def parse_config_text(text: str) -> dict[str, tuple[str, int, int]]:
@@ -156,10 +159,16 @@ def merge_config(cli_values: dict[str, object], config_path: str | None) -> RunC
     for key in _FINITE_KEYS:
         if merged[key] is not None and not math.isfinite(merged[key]):
             raise ConfigParseError(f"{key} = {merged[key]} must be finite")
+    if merged["sweep_values"] is not None and not all(map(math.isfinite, merged["sweep_values"])):
+        listed = ", ".join(map(str, merged["sweep_values"]))
+        raise ConfigParseError(f"sweep_values = {listed}: every entry must be finite")
     if merged["tol"] < 0:
         raise ConfigParseError(f"tol = {merged['tol']} must be >= 0")
     if merged["omega_points"] < 1:
         raise ConfigParseError(f"omega_points = {merged['omega_points']} must be >= 1")
+    if merged["omega_points"] > MAX_OMEGA_POINTS:
+        raise ConfigParseError(
+            f"omega_points = {merged['omega_points']} must be <= {MAX_OMEGA_POINTS}")
     sweep_values = merged["sweep_values"]
     if sweep_values is None and merged["sweep_points"] is not None:
         if merged["sweep_start"] is None or merged["sweep_stop"] is None:

@@ -175,7 +175,9 @@ def steady_full(spec: FullSystemSpec, ops: Ops | None = None) -> np.ndarray:
     rhs[0] = 1.0
     x = np.zeros(gen.shape[0], dtype=complex)
     try:
-        x[keep] = spla.splu(bordered).solve(rhs)
+        # minimum degree on A + A^T: LU fill 0.74M against COLAMD's 1.27M at N = 4, n_fock = 12
+        lu = spla.splu(bordered, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        x[keep] = lu.solve(rhs)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise DegenerateSteadyStateError(
             f"full steady state is degenerate at {point}: bordered generator is singular ({exc})"

@@ -29,6 +29,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +76,14 @@ class SpinModel:
         return self.omega_z * qops.sigma("z")
 
     def generator(self) -> np.ndarray:
-        return qops.lindblad_generator(self.hamiltonian(), self.channels)
+        """The Lindblad generator, built once per model; read-only, since every call shares it."""
+        return self._generator
+
+    @cached_property
+    def _generator(self) -> np.ndarray:
+        gen = qops.lindblad_generator(self.hamiltonian(), self.channels)
+        gen.flags.writeable = False
+        return gen
 
 
 @dataclass(frozen=True)

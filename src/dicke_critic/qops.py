@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -130,14 +129,32 @@ def _issparse(a) -> bool:
     return sp is not None and sp.issparse(a)
 
 
+def _dense_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of 2-d arrays: the same products, without its any-rank set-up."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
+def _sparse_kron(a, b):
+    """sp.kron(a, b, format="csr"): the same entries and CSR structure, from COO indices."""
+    import scipy.sparse as sp
+
+    a, b = a.tocoo(), b.tocoo()
+    (m, n), (p, q) = a.shape, b.shape
+    row = a.row.astype(np.int64)[:, None] * p + b.row
+    col = a.col.astype(np.int64)[:, None] * q + b.col
+    data = a.data[:, None] * b.data
+    return sp.csr_matrix((data.ravel(), (row.ravel(), col.ravel())), shape=(m * p, n * q))
+
+
 def _kron_and_eye(a):
     """Kronecker product and identity in the representation of a."""
     d = a.shape[0]
     if _issparse(a):
         import scipy.sparse as sp
 
-        return partial(sp.kron, format="csr"), sp.identity(d, dtype=complex, format="csr")
-    return np.kron, np.eye(d, dtype=complex)
+        return _sparse_kron, sp.identity(d, dtype=complex, format="csr")
+    return _dense_kron, np.eye(d, dtype=complex)
 
 
 def dissipator(op, rate: float):

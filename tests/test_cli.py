@@ -409,11 +409,17 @@ class TestNumericFlags:
         (("oracle",), "tol", "inf", "must be finite"),
         (("spectrum", *BATH), "omega_points", "0", "must be >= 1"),
         (("spectrum", *BATH), "omega_points", "-3", "must be >= 1"),
+        (("spectrum", *BATH), "omega_points", "1000001", "must be <= 1000000"),
         (("spectrum", *BATH), "omega_min", "nan", "must be finite"),
         (("spectrum", *BATH), "omega_max", "-inf", "must be finite"),
         (("spectrum", *BATH), "g", "inf", "must be finite"),
         (("corr", *BATH), "tmax", "nan", "must be finite"),
         (("corr", *BATH), "dt", "inf", "must be finite"),
+        (("sweep", *BATH, "--sweep-param", "gamma"), "sweep_start", "nan", "must be finite"),
+        (("sweep", *BATH, "--sweep-param", "gamma", "--sweep-start", "0.1", "--sweep-points", "3"),
+         "sweep_stop", "nan", "must be finite"),
+        (("sweep", *BATH, "--sweep-param", "gamma"), "sweep_values", "0.1,inf",
+         "every entry must be finite"),
     ]
 
     @pytest.mark.parametrize("source", ["flag", "config"])

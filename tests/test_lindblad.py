@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dicke_critic import baths
+from dicke_critic import baths, qops
 from dicke_critic.baths import Dephasing, Generalized, Thermal
 from dicke_critic import lindblad
 from dicke_critic.errors import DegenerateSteadyStateError, PreconditionError
@@ -14,6 +14,26 @@ def model_for(bath, omega_z=1.0):
 
 def closed_form_sx(ts, gamma, omega_z, sz):
     return 0.25 * np.exp(-gamma * ts) * (np.cos(omega_z * ts) - 2j * sz * np.sin(omega_z * ts))
+
+
+class TestGenerator:
+    def test_built_once_and_read_only(self):
+        model = model_for(Thermal(gamma=0.1, temperature=0.5))
+        gen = model.generator()
+        assert model.generator() is gen
+        with pytest.raises(ValueError):
+            gen[0, 0] = 1.0
+
+    @pytest.mark.parametrize("bath", [
+        Dephasing(gamma=0.3, sz=-0.4),
+        Thermal(gamma=0.1, temperature=0.5),
+        Generalized(gamma=0.2, t=0.4),
+    ], ids=["dephasing", "thermal", "generalized"])
+    def test_cached_generator_is_a_fresh_build(self, bath):
+        model = model_for(bath, 1.3)
+        fresh = qops.lindblad_generator(model.hamiltonian(), model.channels)
+        assert model.generator().dtype == fresh.dtype
+        assert model.generator().tobytes() == fresh.tobytes()
 
 
 class TestSteadyState:

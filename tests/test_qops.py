@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -102,6 +104,48 @@ def test_sparse_generator_equals_dense(bath):
     )
     assert sp.issparse(sparse)
     assert np.array_equal(sparse.toarray(), dense)
+
+
+def _operand(rng, shape, dtype):
+    """Random entries of dtype, with exact zeros of both signs and one entry kept nonzero."""
+    a = rng.normal(size=shape).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.normal(size=shape)
+    a[rng.random(shape) < 0.3] = 0.0
+    a[rng.random(shape) < 0.2] = -0.0
+    a[0, 0] = 1.5
+    return a
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shapes", [((2, 2), (2, 2)), ((4, 4), (2, 2)), ((3, 2), (1, 4)),
+                                    ((1, 3), (4, 2))])
+def test_dense_kron_is_np_kron(rng, dtype, shapes):
+    # the generator's Kronecker product forms np.kron's products, bit for bit
+    a, b = (_operand(rng, shape, dtype) for shape in shapes)
+    kron, _ = qops._kron_and_eye(a)
+    out, ref = kron(a, b), np.kron(a, b)
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("fmt", ["csr", "coo"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_sparse_kron_is_sp_kron(rng, fmt, dtype):
+    # same entries and the same CSR structure as sp.kron, since SuperLU orders
+    # by the structure; every operand has an entry (sp.kron gives float64 when one has none)
+    ops = [sp.csr_matrix(_operand(rng, shape, dtype)).asformat(fmt)
+           for shape in ((2, 2), (3, 2), (2, 4), (6, 6))]
+    a = sp.diags(np.sqrt(np.arange(1, 6)), 1).astype(complex).asformat(fmt)
+    ops += [a, a.T, 0.0 * a, sp.identity(6, dtype=complex, format=fmt)]  # 0.0 * a stores zeros
+    for x, y in itertools.product(ops, repeat=2):
+        kron, _ = qops._kron_and_eye(x)
+        out, ref = kron(x, y), sp.kron(x, y, format="csr")
+        assert type(out) is type(ref) and out.shape == ref.shape and out.dtype == ref.dtype
+        assert np.array_equal(out.indptr, ref.indptr) and out.indptr.dtype == ref.indptr.dtype
+        assert np.array_equal(out.indices, ref.indices) and out.indices.dtype == ref.indices.dtype
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert out.has_sorted_indices == ref.has_sorted_indices
 
 
 def test_bare_precession_spectrum():
