@@ -13,6 +13,15 @@ a lift; the steady state is one bordered sparse LU solve. As an oracle,
 the single-atom correlator at g = 0 must match the single-spin engine, and
 the photon number shows the finite-size onset near the infinite-N g_c.
 
+The generator is linear in the coupling, L(g) = A - (2i g/sqrt(N)) B: A is
+the cavity generator (x) 1 + 1 (x) the lifted atomic generator, B the
+coupling commutator. A, B, the solved block of both, the trace row and the
+observable rows depend only on the family (N, n_fock, omega0, kappa, the
+bytes of the single-atom generator), so ``generator_family`` builds them
+once per family and keeps the last MAX_FAMILIES families by value, their
+arrays read-only; each coupling then costs one sparse A - s B per matrix
+and the LU.
+
 Parity: Pi = exp(i pi (a+a + sum (sz + 1/2))) commutes with omega0 a+a, the
 kappa a channel, the coupling (a + a+) sx and every catalog channel (sz;
 s- and s+; s- + t s+), so the generator never couples unknowns of even
@@ -30,7 +39,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,7 +57,9 @@ from .lindblad import CorrelationSeries, SpinModel, correlation_series_from_gene
 MAX_UNKNOWNS = 16384
 # the regression correlator steps a dense expm propagator of dimension dim^2
 _DENSE_PROPAGATOR_DIM = 64
-Ops = dict[str, sp.csr_matrix | np.ndarray]  # what embedded_ops returns
+# families kept by generator_family: N = 1..6 interleaved at each coupling never evict each other
+MAX_FAMILIES = 8
+Ops = Mapping[str, sp.csr_matrix | np.ndarray]  # what embedded_ops returns
 
 
 @dataclass(frozen=True)
@@ -119,26 +132,104 @@ def embedded_ops(spec: FullSystemSpec) -> Ops:
     }
 
 
-def build_full_generator(spec: FullSystemSpec, ops: Ops | None = None) -> sp.csr_matrix:
-    """Sparse generator on the count-basis state vector; ops built here when not given.
+@dataclass(frozen=True)
+class GeneratorFamily:
+    """The parts of the generator and of its solve that do not depend on g (read-only).
 
-    Cavity generator (x) 1 + 1 (x) ops["atoms"] - i (2g/sqrt(N)) [L (x)
-    ops["left_x"] - R (x) ops["right_x"]], L and R the left and right
-    multiplication by a + a+.
+    base = cavity generator (x) 1 + 1 (x) ops["atoms"]; interaction = L (x)
+    ops["left_x"] - R (x) ops["right_x"], L and R the left and right
+    multiplication by a + a+. keep lists the unknowns solved for, trace is
+    the trace row r of steady_full, and the bordered matrices are r over
+    rows keep[1:] of base and a zero row over those of interaction, on
+    columns keep. rows are the photon-number, <sz> and <sx> rows of
+    Observables.
     """
-    ops = embedded_ops(spec) if ops is None else ops
+
+    ops: Ops
+    base: sp.csr_matrix
+    interaction: sp.csr_matrix
+    keep: np.ndarray
+    trace: np.ndarray
+    bordered_base: sp.csc_matrix
+    bordered_interaction: sp.csc_matrix
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _read_only(a):
+    for array in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
+        array.flags.writeable = False
+    return a
+
+
+def _build_family(spec: FullSystemSpec) -> GeneratorFamily:
+    ops = embedded_ops(spec)
     a = annihilation(spec.n_fock)
     channels = [qops.LindbladChannel(a, spec.cavity.kappa)] if spec.cavity.kappa > 0 else []
     cavity = qops.lindblad_generator(spec.cavity.omega0 * (a.conj().T @ a), channels)
     eye, drive = sp.identity(spec.n_fock), a + a.conj().T
     interaction = (sp.kron(sp.kron(eye, drive), ops["left_x"])
-                   - sp.kron(sp.kron(drive.T, eye), ops["right_x"]))
-    return (sp.kron(cavity, sp.identity(ops["atoms"].shape[0]))
-            + sp.kron(sp.identity(cavity.shape[0]), ops["atoms"])
-            - 2j * spec.g / np.sqrt(spec.n_atoms) * interaction).tocsr()
+                   - sp.kron(sp.kron(drive.T, eye), ops["right_x"])).tocsr()
+    base = (sp.kron(cavity, sp.identity(ops["atoms"].shape[0]))
+            + sp.kron(sp.identity(cavity.shape[0]), ops["atoms"])).tocsr()
+    cavity_trace = qops.trace_functional(spec.n_fock)
+    trace = np.kron(cavity_trace, ops["trace"])
+    coherences, atoms = ops["coherences"], ops["atoms"].tocoo()
+    keep = np.arange(base.shape[0])
+    if not np.any((coherences[atoms.row] - coherences[atoms.col]) % 2):
+        photons = np.add.outer(np.arange(spec.n_fock), np.arange(spec.n_fock)).ravel()
+        keep = np.flatnonzero(np.add.outer(photons, coherences).ravel() % 2 == 0)
+
+    def bordered(top, m):
+        return _read_only(sp.vstack([top, m[keep[1:]][:, keep]], format="csc"))
+
+    number = qops.observable_row(np.diag(np.arange(spec.n_fock, dtype=complex)))
+    rows = (np.kron(number, ops["trace"]),
+            np.kron(cavity_trace, ops["trace"] @ ops["left_z"]) / spec.n_atoms,
+            np.kron(cavity_trace, ops["trace"] @ ops["left_x"]) / spec.n_atoms)
+    return GeneratorFamily(
+        ops=MappingProxyType({k: _read_only(v) for k, v in ops.items()}),
+        base=_read_only(base),
+        interaction=_read_only(interaction),
+        keep=_read_only(keep),
+        trace=_read_only(trace),
+        bordered_base=bordered(sp.csr_matrix(trace[keep]), base),
+        bordered_interaction=bordered(sp.csr_matrix((1, len(keep)), dtype=complex), interaction),
+        rows=tuple(_read_only(row) for row in rows),
+    )
 
 
-def steady_full(spec: FullSystemSpec, ops: Ops | None = None) -> np.ndarray:
+_FAMILIES: dict[tuple, GeneratorFamily] = {}  # least recently used first
+
+
+def generator_family(spec: FullSystemSpec) -> GeneratorFamily:
+    """The g-independent parts for spec, built on the first call for its family.
+
+    Keyed by value, since callers build a fresh SpinModel per point; the
+    last MAX_FAMILIES families used are kept.
+    """
+    key = (spec.n_atoms, spec.n_fock, spec.cavity.omega0, spec.cavity.kappa,
+           spec.model.generator().tobytes())
+    family = _FAMILIES.pop(key, None)
+    if family is None:
+        family = _build_family(spec)
+        if len(_FAMILIES) >= MAX_FAMILIES:
+            del _FAMILIES[next(iter(_FAMILIES))]
+    _FAMILIES[key] = family
+    return family
+
+
+def _coupling(spec: FullSystemSpec) -> complex:
+    """s in L(g) = A - s B."""
+    return 2j * spec.g / np.sqrt(spec.n_atoms)
+
+
+def build_full_generator(spec: FullSystemSpec) -> sp.csr_matrix:
+    """Sparse generator on the count-basis state vector: base - (2i g/sqrt(N)) interaction."""
+    family = generator_family(spec)
+    return family.base - _coupling(spec) * family.interaction
+
+
+def steady_full(spec: FullSystemSpec) -> np.ndarray:
     """Unique steady state as a count-basis vector x, with r @ x = 1 for the trace row r.
 
     The even-parity unknowns are solved for when ops["atoms"] never moves
@@ -162,22 +253,16 @@ def steady_full(spec: FullSystemSpec, ops: Ops | None = None) -> np.ndarray:
     if spec.n_atoms > 1 and not any(ch.rate > 0 for ch in spec.model.channels):
         raise DegenerateSteadyStateError(f"total spin is conserved at {point}: no atomic "
                                          "channel has a positive rate")
-    ops = embedded_ops(spec) if ops is None else ops
-    gen = build_full_generator(spec, ops)
-    trace = np.kron(qops.trace_functional(spec.n_fock), ops["trace"])
-    coherences, atoms = ops["coherences"], ops["atoms"].tocoo()
-    keep = np.arange(gen.shape[0])
-    if not np.any((coherences[atoms.row] - coherences[atoms.col]) % 2):
-        cavity = np.add.outer(np.arange(spec.n_fock), np.arange(spec.n_fock)).ravel()
-        keep = np.flatnonzero(np.add.outer(cavity, coherences).ravel() % 2 == 0)
-    bordered = sp.vstack([sp.csr_matrix(trace[keep]), gen[keep[1:]][:, keep]], format="csc")
-    rhs = np.zeros(len(keep), dtype=complex)
+    family = generator_family(spec)
+    gen = build_full_generator(spec)
+    bordered = family.bordered_base - _coupling(spec) * family.bordered_interaction
+    rhs = np.zeros(len(family.keep), dtype=complex)
     rhs[0] = 1.0
     x = np.zeros(gen.shape[0], dtype=complex)
     try:
         # minimum degree on A + A^T: LU fill 0.74M against COLAMD's 1.27M at N = 4, n_fock = 12
         lu = spla.splu(bordered, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-        x[keep] = lu.solve(rhs)
+        x[family.keep] = lu.solve(rhs)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise DegenerateSteadyStateError(
             f"full steady state is degenerate at {point}: bordered generator is singular ({exc})"
@@ -185,7 +270,7 @@ def steady_full(spec: FullSystemSpec, ops: Ops | None = None) -> np.ndarray:
     residual = np.max(np.abs(gen @ x))
     if not residual <= 1e-8:  # also catches a non-finite solution
         raise ConvergenceError(f"direct steady-state solve left residual {residual} at {point}")
-    return x / (trace @ x)
+    return x / (family.trace @ x)
 
 
 @dataclass(frozen=True)
@@ -196,14 +281,8 @@ class Observables:
 
 
 def full_steady_observables(spec: FullSystemSpec) -> Observables:
-    ops = embedded_ops(spec)
-    x = steady_full(spec, ops=ops)
-    number = qops.observable_row(np.diag(np.arange(spec.n_fock, dtype=complex)))
-    trace, cavity_trace = ops["trace"], qops.trace_functional(spec.n_fock)
-    rows = (np.kron(number, trace),
-            np.kron(cavity_trace, trace @ ops["left_z"]) / spec.n_atoms,
-            np.kron(cavity_trace, trace @ ops["left_x"]) / spec.n_atoms)
-    return Observables(*(float(np.real(row @ x)) for row in rows))
+    x = steady_full(spec)
+    return Observables(*(float(np.real(row @ x)) for row in generator_family(spec).rows))
 
 
 def observables_csv(rows: list[tuple[float, Observables]]) -> str:
@@ -216,11 +295,16 @@ def observables_csv(rows: list[tuple[float, Observables]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cutoff_stability(spec: FullSystemSpec, extra: int = 4) -> float:
-    """Relative photon-number change when the Fock cutoff grows by `extra`."""
+def cutoff_stability(spec: FullSystemSpec, extra: int = 4,
+                     observables: Observables | None = None) -> float:
+    """Relative photon-number change when the Fock cutoff grows by `extra`.
+
+    observables, when given, are those of spec, which is then not solved again.
+    """
+    if observables is None:
+        observables = full_steady_observables(spec)
     wider = dataclasses.replace(spec, n_fock=spec.n_fock + extra)
-    n0 = full_steady_observables(spec).photon_number
-    n1 = full_steady_observables(wider).photon_number
+    n0, n1 = observables.photon_number, full_steady_observables(wider).photon_number
     return abs(n1 - n0) / max(abs(n0), 1e-300)
 
 

@@ -260,11 +260,11 @@ def test_c10_exact_small_n_oracle():
     def spec_at(g: float, n_fock: int = 12) -> FullSystemSpec:
         return FullSystemSpec(n_atoms=3, n_fock=n_fock, g=g, cavity=cavity, model=model)
 
-    n_lo = full_steady_observables(spec_at(0.5 * gc)).photon_number
-    n_hi = full_steady_observables(spec_at(1.5 * gc)).photon_number
-    ratio = n_hi / n_lo
-    drift_lo = cutoff_stability(spec_at(0.5 * gc))
-    drift_hi = cutoff_stability(spec_at(1.5 * gc))
+    obs_lo = full_steady_observables(spec_at(0.5 * gc))
+    obs_hi = full_steady_observables(spec_at(1.5 * gc))
+    ratio = obs_hi.photon_number / obs_lo.photon_number
+    drift_lo = cutoff_stability(spec_at(0.5 * gc), observables=obs_lo)
+    drift_hi = cutoff_stability(spec_at(1.5 * gc), observables=obs_hi)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and ratio > 5.0 and max(drift_lo, drift_hi) < 0.01 and elapsed < 120.0
     report(10, "exact-N oracle: correlator match and superradiance onset", ok,

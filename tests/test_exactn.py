@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from dicke_critic import baths, exactn, qops
 from dicke_critic.baths import CavityParams, Custom, Dephasing, Generalized, Thermal
@@ -16,6 +18,7 @@ from dicke_critic.exactn import (
     cutoff_stability,
     full_regression_sx,
     full_steady_observables,
+    generator_family,
     steady_full,
 )
 from dicke_critic.lindblad import SpinModel, steady_state, two_time_sx
@@ -31,6 +34,19 @@ def spec_for(bath, n_atoms=1, n_fock=6, g=0.0, kappa=0.4, omega_z=1.0, omega0=1.
         cavity=CavityParams(omega0, kappa),
         model=baths.spin_model(bath, omega_z),
     )
+
+
+@pytest.fixture
+def fresh_families():
+    exactn._FAMILIES.clear()
+
+
+CATALOG = [
+    Generalized(gamma=0.2, t=0.3),
+    Thermal(gamma=0.2, temperature=0.4),
+    Dephasing(gamma=0.3, sz=-0.4),
+]
+CATALOG_IDS = ["generalized", "thermal", "dephasing"]
 
 
 class TestConstruction:
@@ -53,8 +69,8 @@ class TestConstruction:
     def test_trace_preservation(self):
         # the count-basis trace row annihilates the generator: Tr o L = 0
         spec = spec_for(Generalized(gamma=0.2, t=0.3), n_atoms=2, n_fock=5, g=0.4)
-        ops = exactn.embedded_ops(spec)
-        gen = build_full_generator(spec, ops)
+        ops = generator_family(spec).ops
+        gen = build_full_generator(spec)
         trace = np.kron(trace_functional(spec.n_fock), ops["trace"])
         assert np.max(np.abs(trace @ gen)) < 1e-10
 
@@ -66,11 +82,11 @@ class TestConstruction:
 
 
 class TestSteadyObservables:
-    @pytest.mark.parametrize("entry, g", [
-        (full_steady_observables, 0.3),
-        (full_regression_sx, 0.0),
-    ], ids=["full_steady_observables", "full_regression_sx"])
-    def test_embedded_ops_built_once_per_solve(self, monkeypatch, entry, g):
+    @pytest.mark.parametrize("entry", [full_steady_observables, full_regression_sx],
+                             ids=["full_steady_observables", "full_regression_sx"])
+    def test_embedded_ops_built_once_per_family(self, monkeypatch, fresh_families, entry):
+        # the entry at g = 0, then a 3-coupling scan of the same family, each
+        # with a fresh SpinModel: one build of the count-basis operators
         calls = []
         build = exactn.embedded_ops
 
@@ -79,7 +95,9 @@ class TestSteadyObservables:
             return build(spec)
 
         monkeypatch.setattr(exactn, "embedded_ops", counted)
-        entry(spec_for(Thermal(gamma=0.2, temperature=0.4), n_fock=4, g=g))
+        entry(spec_for(Thermal(gamma=0.2, temperature=0.4), n_fock=4, g=0.0))
+        for g in (0.15, 0.3, 0.45):
+            full_steady_observables(spec_for(Thermal(gamma=0.2, temperature=0.4), n_fock=4, g=g))
         assert len(calls) == 1
 
     def test_decoupled_cavity_is_empty(self):
@@ -148,8 +166,8 @@ class TestSteadyObservables:
         # dense eigendecomposition of the full generator, normalized by the
         # trace row; the odd entries (k + m + n_10 + n_01 odd) are never solved for
         spec = spec_for(bath, n_atoms=2, n_fock=8, g=0.45)
-        ops = exactn.embedded_ops(spec)
-        vals, vecs = np.linalg.eig(build_full_generator(spec, ops).toarray())
+        ops = generator_family(spec).ops
+        vals, vecs = np.linalg.eig(build_full_generator(spec).toarray())
         null = np.flatnonzero(np.abs(vals) < 1e-9 * np.max(np.abs(vals)))
         assert null.size == 1
         dense = vecs[:, null[0]]
@@ -173,8 +191,8 @@ class TestSteadyObservables:
         gc = baths.closed_form_gc(bath, 1.0, CavityParams(1.0, 0.4)).g_c
         for g in (0.5 * gc, 1.5 * gc):
             spec = spec_for(bath, n_atoms=3, n_fock=10, g=float(g))
-            ops = exactn.embedded_ops(spec)
-            gen = build_full_generator(spec, ops)
+            ops = generator_family(spec).ops
+            gen = build_full_generator(spec)
             trace = np.kron(trace_functional(spec.n_fock), ops["trace"])
             cavity = np.add.outer(np.arange(spec.n_fock), np.arange(spec.n_fock)).ravel()
             even = np.flatnonzero(np.add.outer(cavity, ops["coherences"]).ravel() % 2 == 0)
@@ -183,7 +201,7 @@ class TestSteadyObservables:
             rhs[0] = 1.0
             dense = np.zeros(gen.shape[0], dtype=complex)
             dense[even] = np.linalg.solve(block, rhs)
-            x = steady_full(spec, ops=ops)
+            x = steady_full(spec)
             assert np.max(np.abs(x - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     def test_errors_name_the_point(self):
@@ -192,6 +210,119 @@ class TestSteadyObservables:
         point = "n_atoms = 2, n_fock = 3, g = 0.0, omega_z = 1.5, omega0 = 0.75, kappa = 0.25"
         with pytest.raises(DegenerateSteadyStateError, match=point):
             steady_full(spec)
+
+
+def per_coupling_generator(spec):
+    """The generator assembled with sp.kron at this g alone."""
+    ops = exactn.embedded_ops(spec)
+    a = exactn.annihilation(spec.n_fock)
+    channels = [qops.LindbladChannel(a, spec.cavity.kappa)] if spec.cavity.kappa > 0 else []
+    cavity = qops.lindblad_generator(spec.cavity.omega0 * (a.conj().T @ a), channels)
+    eye, drive = sp.identity(spec.n_fock), a + a.conj().T
+    interaction = (sp.kron(sp.kron(eye, drive), ops["left_x"])
+                   - sp.kron(sp.kron(drive.T, eye), ops["right_x"]))
+    gen = (sp.kron(cavity, sp.identity(ops["atoms"].shape[0]))
+           + sp.kron(sp.identity(cavity.shape[0]), ops["atoms"])
+           - 2j * spec.g / np.sqrt(spec.n_atoms) * interaction).tocsr()
+    return gen, ops
+
+
+def per_coupling_steady_state(spec):
+    """The LU of the bordered even block of per_coupling_generator."""
+    gen, ops = per_coupling_generator(spec)
+    trace = np.kron(trace_functional(spec.n_fock), ops["trace"])
+    photons = np.add.outer(np.arange(spec.n_fock), np.arange(spec.n_fock)).ravel()
+    keep = np.flatnonzero(np.add.outer(photons, ops["coherences"]).ravel() % 2 == 0)
+    bordered = sp.vstack([sp.csr_matrix(trace[keep]), gen[keep[1:]][:, keep]], format="csc")
+    lu = spla.splu(bordered, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    rhs = np.zeros(keep.size, dtype=complex)
+    rhs[0] = 1.0
+    x = np.zeros(gen.shape[0], dtype=complex)
+    x[keep] = lu.solve(rhs)
+    return x / (trace @ x)
+
+
+def same_bytes(a, b) -> bool:
+    if sp.issparse(a):
+        return all(same_bytes(*pair) for pair in
+                   ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)))
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestGeneratorFamily:
+    @pytest.mark.parametrize("bath", CATALOG, ids=CATALOG_IDS)
+    def test_cached_solve_is_bitwise_per_coupling_solve(self, bath):
+        # warm cache, cleared cache and the per-coupling sp.kron assembly give
+        # the same bytes, g = 0 included
+        gc = baths.closed_form_gc(bath, 1.0, CavityParams(1.0, 0.4)).g_c
+        for n_atoms in (1, 2, 3):
+            for g in (0.0, 0.5 * gc, 1.5 * gc):
+                spec = spec_for(bath, n_atoms=n_atoms, n_fock=6, g=float(g))
+                build_full_generator(spec)
+                assert same_bytes(build_full_generator(spec), per_coupling_generator(spec)[0])
+                if isinstance(bath, Dephasing) and g == 0.0:
+                    # sz is conserved: every route meets the exact zero pivot
+                    with pytest.raises(DegenerateSteadyStateError, match="singular"):
+                        steady_full(spec)
+                    with pytest.raises(RuntimeError, match="singular"):
+                        per_coupling_steady_state(spec)
+                    continue
+                cached = steady_full(spec)
+                exactn._FAMILIES.clear()
+                assert same_bytes(cached, steady_full(spec))
+                assert same_bytes(cached, per_coupling_steady_state(spec))
+
+    def test_families_are_kept_apart(self, fresh_families):
+        # specs that differ only in kappa, omega0, n_fock, N or the bath,
+        # interleaved, each against its own fresh-cache solve
+        specs = [
+            spec_for(Generalized(gamma=0.2, t=0.3), n_atoms=2, n_fock=6, g=0.3),
+            spec_for(Generalized(gamma=0.2, t=0.3), n_atoms=2, n_fock=6, g=0.3, kappa=0.3),
+            spec_for(Generalized(gamma=0.2, t=0.3), n_atoms=2, n_fock=6, g=0.3, omega0=1.2),
+            spec_for(Generalized(gamma=0.2, t=0.3), n_atoms=2, n_fock=7, g=0.3),
+            spec_for(Generalized(gamma=0.2, t=0.3), n_atoms=3, n_fock=6, g=0.3),
+            spec_for(Thermal(gamma=0.2, temperature=0.4), n_atoms=2, n_fock=6, g=0.3),
+        ]
+        fresh = []
+        for spec in specs:
+            exactn._FAMILIES.clear()
+            fresh.append((steady_full(spec), full_steady_observables(spec)))
+        exactn._FAMILIES.clear()
+        for i in [*range(len(specs)), *reversed(range(len(specs)))]:
+            x, obs = steady_full(specs[i]), full_steady_observables(specs[i])
+            assert same_bytes(x, fresh[i][0])
+            assert obs == fresh[i][1]
+        assert len(exactn._FAMILIES) == len(specs)
+
+    def test_cache_is_bounded_and_holds_six_atom_counts(self, monkeypatch, fresh_families):
+        # N = 1..6 interleaved at each coupling: each family is built once;
+        # more families than MAX_FAMILIES evict the least recently used
+        calls = []
+        build = exactn.embedded_ops
+        monkeypatch.setattr(exactn, "embedded_ops", lambda spec: calls.append(spec) or build(spec))
+        bath = Generalized(gamma=0.2, t=0.0)
+        for g in (0.2, 0.4, 0.6):
+            for n_atoms in range(1, 7):
+                full_steady_observables(spec_for(bath, n_atoms=n_atoms, n_fock=2, g=g))
+        assert exactn.MAX_FAMILIES >= 6
+        assert len(calls) == 6
+        for kappa in np.linspace(0.1, 0.5, exactn.MAX_FAMILIES):
+            full_steady_observables(spec_for(bath, n_fock=2, g=0.2, kappa=float(kappa)))
+        assert len(exactn._FAMILIES) == exactn.MAX_FAMILIES
+        assert len(calls) == 6 + exactn.MAX_FAMILIES
+
+    def test_cached_arrays_are_read_only(self):
+        family = generator_family(spec_for(Thermal(gamma=0.2, temperature=0.4), n_atoms=2,
+                                           n_fock=4, g=0.3))
+        arrays = [family.keep, family.trace, *family.rows]
+        for m in (family.base, family.interaction, family.bordered_base,
+                  family.bordered_interaction, *family.ops.values()):
+            arrays += [m.data, m.indices, m.indptr] if sp.issparse(m) else [m]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+        with pytest.raises(TypeError):
+            family.ops["atoms"] = None
 
 
 class TestCountBasisAgreement:
@@ -327,6 +458,9 @@ class TestFiniteSizeOnset:
     def test_cutoff_stability_metric(self):
         spec = spec_for(Generalized(gamma=0.2, t=0.0), n_atoms=1, n_fock=8, g=0.6)
         assert cutoff_stability(spec) < 0.01
+        # the caller's observables of spec stand in for a second solve of it
+        drift = cutoff_stability(spec, observables=full_steady_observables(spec))
+        assert drift == cutoff_stability(spec)
 
     def test_observables_csv(self):
         from dicke_critic.exactn import observables_csv
