@@ -11,7 +11,8 @@ Subcommands:
 * ``spectrum`` -- cavity determinant and susceptibility over frequency;
   chi(omega) on the whole grid, omega = 0 included, comes from one batched
   resolvent solve (``response.resolvent_chi``), not from the sampled
-  correlator, and the determinant is evaluated row by row
+  correlator; the rows are written from its columns, and the determinant
+  is evaluated row by row, so omega = 0 takes its exact branch
 * ``oracle``   -- closed form vs mean-field threshold comparison table
 
 Exit codes: 0 success, 1 usage or parse error, 2 no transition,
@@ -22,11 +23,21 @@ has been read.
 All floats are printed with 17 significant digits so repeated runs are
 byte-identical. Frequencies are reported in units of omega_z unless
 --raw-units is given.
+
+``build_parser`` is cached: the argparse tree is built on the first
+``main`` call of a process and reused by every later one, in-process
+callers included. Reuse leaks nothing between calls: ``parse_args``
+returns a fresh ``Namespace`` each time and does not mutate the parser;
+every option defaults to ``None``, so an option left out reads ``None``
+whatever an earlier call gave; and usage, ``--help`` and ``--version``
+look up ``sys.stdout``/``sys.stderr`` and the terminal width when they
+print, not when the parser is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -77,7 +88,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="output path ('-' = stdout)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of this process, shared by every ``main`` call: do not mutate it."""
     parser = _Parser(prog="dicke-critic")
     parser.add_argument("--version", action="version", version=HEADER.lstrip("# "))
     sub = parser.add_subparsers(dest="command", required=True)
@@ -230,13 +243,13 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     omegas = np.linspace(omega_min, omega_max, cfg.omega_points)
     chis = response.resolvent_chi(model)(omegas)
     unit = 1.0 if cfg.raw_units else cfg.omega_z
+    cols = [omegas / unit, omegas, chis, chis.real * unit, chis.imag * unit]
     lines = ["omega,re_det,im_det,re_chi,im_chi"]
-    for w, chi in zip(omegas, chis):
-        det = response.cavity_det(float(w), cfg.cavity, cfg.g, complex(chi))
-        lines.append(
-            f"{fmt(w / unit)},{fmt(det.real)},{fmt(det.imag)},"
-            f"{fmt(chi.real * unit)},{fmt(chi.imag * unit)}"
-        )
+    for w_u, w, chi, re_chi, im_chi in zip(*(c.tolist() for c in cols)):
+        # scalar, not broadcast: cavity_det has an exact branch at omega = 0
+        det = response.cavity_det(w, cfg.cavity, cfg.g, chi)
+        lines.append(f"{w_u + 0.0:.17g},{det.real + 0.0:.17g},{det.imag + 0.0:.17g},"
+                     f"{re_chi + 0.0:.17g},{im_chi + 0.0:.17g}")
     _write(cfg.output, _csv(lines))
     return EXIT_OK
 

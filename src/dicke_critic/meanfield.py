@@ -131,7 +131,9 @@ def stability_threshold(
     The conserved directions (trace, and <sz> for dephasing-only baths) sit
     at eigenvalue zero for every g, so instability is flagged only above a
     small scale-aware threshold. The Jacobian a + g b is built once; each
-    bisection step is one eigenvalue solve.
+    bisection step is one eigenvalue solve. A bracket that does not change
+    stability raises ``NoThresholdError`` with the largest real eigenvalue
+    at both ends and that threshold, computed on the error path only.
     """
     if not 0 <= g_lo < g_hi:
         raise PreconditionError(f"need 0 <= g_lo < g_hi, got ({g_lo}, {g_hi})")
@@ -143,8 +145,10 @@ def stability_threshold(
         return _max_real_eigenvalue(a + g * b) > eps
 
     if unstable(g_lo) or not unstable(g_hi):
+        rate_lo, rate_hi = (_max_real_eigenvalue(a + g * b) for g in (g_lo, g_hi))
         raise NoThresholdError(
-            f"no stability change in bracket ({g_lo}, {g_hi}); "
+            f"no stability change in bracket ({g_lo}, {g_hi}): largest real eigenvalue "
+            f"{rate_lo!r} at g_lo and {rate_hi!r} at g_hi, unstable above eps = {eps!r}; "
             "the normal state may be stable (or unstable) throughout"
         )
     lo, hi = g_lo, g_hi

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dicke_critic import __version__
+from dicke_critic import __version__, baths, cli, response
 from dicke_critic.baths import CavityParams, parse_bath
 from dicke_critic.cli import main
 from dicke_critic.config import parse_float_list
@@ -331,6 +331,36 @@ class TestSpectrum:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+    @pytest.mark.parametrize("points", [41, 40], ids=["odd", "even"])
+    @pytest.mark.parametrize("raw", [False, True], ids=["omega_z", "raw"])
+    @pytest.mark.parametrize("bath", ["dephasing(gamma=0.3, sz=-0.4)",
+                                      "thermal(gamma=0.05, T=0.7)",
+                                      "generalized(gamma=0.2, t=0.4)"])
+    def test_rows_match_per_value_reference(self, capsys, tmp_path, bath, raw, points):
+        # the per-row loop the column writer replaced: fmt() on each value.
+        # An odd grid holds omega = 0 exactly and reaches cavity_det's zero
+        # branch; at this point a broadcast (omega + i kappa)^2 differs from
+        # that branch in the last bit for all three baths
+        omega_z, omega0, kappa, g = 1.3, 0.9, 0.15, 0.45
+        cavity = CavityParams(omega0=omega0, kappa=kappa)
+        omega_max = 2.5 * max(omega0, omega_z)
+        omegas = np.linspace(-omega_max, omega_max, points)
+        assert (0.0 in omegas.tolist()) == (points % 2 == 1)
+        chis = response.resolvent_chi(baths.spin_model(parse_bath(bath), omega_z))(omegas)
+        unit = 1.0 if raw else omega_z
+        lines = [cli.HEADER, "omega,re_det,im_det,re_chi,im_chi"]
+        for w, chi in zip(omegas, chis):
+            det = response.cavity_det(float(w), cavity, g, complex(chi))
+            lines.append(f"{cli.fmt(w / unit)},{cli.fmt(det.real)},{cli.fmt(det.imag)},"
+                         f"{cli.fmt(chi.real * unit)},{cli.fmt(chi.imag * unit)}")
+        out_file = tmp_path / "spec.csv"
+        argv = ["spectrum", "--bath", bath, "--omega-z", str(omega_z), "--omega0", str(omega0),
+                "--kappa", str(kappa), "--g", str(g), "--omega-points", str(points),
+                "--output", str(out_file), *(["--raw-units"] if raw else [])]
+        assert run_cli(capsys, *argv)[0] == 0
+        assert out_file.read_bytes() == "".join(f"{line}\n" for line in lines).encode()
+
+
 class TestOracleCommand:
     def test_oracle_suite_passes(self, capsys, tmp_path):
         out_file = tmp_path / "oracle.csv"
@@ -437,6 +467,52 @@ class TestNumericFlags:
         assert out == ""
         assert err.startswith(f"dicke-critic: error: {key} = ")
         assert rule in err
+
+
+class TestParserCache:
+    """One parser serves every main() call of a process; no call sees another's options."""
+
+    BATH = ("--bath", "thermal(gamma=0.1, T=0.5)")
+
+    def sequences(self, cfg_path):
+        sweep = ("sweep", "--bath", "generalized(gamma=0.5, t=0)", "--sweep-param", "t",
+                 "--sweep-values", "0,0.5")
+        gc = ("gc", *self.BATH)
+        spectrum = ("spectrum", *self.BATH)
+        return {
+            "sweep": [(*sweep, "--raw-units", "--format", "json", "--omega-z", "2"), sweep],
+            "gc": [(*gc, "--verify", "--tol", "1e-3"), gc],
+            "spectrum": [(*spectrum, "--omega-min", "-1", "--omega-max", "1",
+                          "--omega-points", "5"), spectrum],
+            "config": [(*gc, "--config", str(cfg_path)), gc],
+            "usage_error": [("gc", "--bogus"), gc],
+            "version": [("--version",), gc],
+        }
+
+    @pytest.mark.parametrize("name", ["sweep", "gc", "spectrum", "config", "usage_error",
+                                      "version"])
+    def test_sequence_matches_fresh_parsers(self, capsys, tmp_path, name):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("kappa = 0.7\nomega0 = 1.5\nmode = literature\n")
+        steps = self.sequences(cfg_path)[name]
+        fresh = []
+        for argv in steps:
+            cli.build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        cli.build_parser.cache_clear()
+        assert [run_cli(capsys, *argv) for argv in steps] == fresh
+        assert cli.build_parser.cache_info().misses == 1
+        assert fresh[0] != fresh[1]
+        if name == "usage_error":
+            assert fresh[0][0] == 1
+        if name == "version":
+            assert fresh[0] == (0, f"dicke-critic v{__version__}\n", "")
+
+    def test_parser_built_once_per_process(self, capsys):
+        cli.build_parser.cache_clear()
+        for _ in range(5):
+            assert run_cli(capsys, "gc", *self.BATH)[0] == 0
+        assert cli.build_parser.cache_info().misses == 1
 
 
 def test_closed_form_routes_load_no_scipy():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from dicke_critic import baths
+from dicke_critic import baths, meanfield
 from dicke_critic.baths import CavityParams, Dephasing, Generalized, Thermal
 from dicke_critic.errors import NoThresholdError, PreconditionError
 from dicke_critic.lindblad import steady_state
 from dicke_critic.meanfield import (
     MeanFieldState,
+    growth_rate,
     jacobian,
     mf_derivative,
     normal_fixed_point,
@@ -65,6 +66,33 @@ class TestThreshold:
         model = model_for(Generalized(gamma=0.2, t=1.0))
         with pytest.raises(NoThresholdError):
             stability_threshold(CAVITY, model, 0.1, 3.0)
+
+    def test_bracket_error_names_end_rates(self):
+        cavity, model = CavityParams(1e-6, 0.0), model_for(Dephasing(gamma=0.0, sz=-0.5), 1e6)
+        with pytest.raises(NoThresholdError) as info:
+            stability_threshold(cavity, model, 0.2, 1.25)
+        rates = [growth_rate(cavity, model, g) for g in (0.2, 1.25)]
+        assert 0 < rates[1] < 1e-2  # unstable, but below eps = 1e-8 * omega_z
+        assert (f"largest real eigenvalue {rates[0]!r} at g_lo and {rates[1]!r} at g_hi, "
+                f"unstable above eps = 0.01;") in str(info.value)
+
+    def test_bisection_eigvals_count_unchanged(self, monkeypatch):
+        # the end rates of the error message cost no eigenvalue solve on success:
+        # one per bracket end, then one per bisection step
+        bath, tol = Thermal(gamma=0.1, temperature=0.5), 1e-8
+        model = model_for(bath)
+        gc = baths.closed_form_gc(bath, 1.0, CAVITY).g_c
+        g_lo, g_hi = 0.4 * gc, 2.5 * gc
+        eps = meanfield.GROWTH_EPS_FACTOR * 1.0
+        lo, hi, want = g_lo, g_hi, 2
+        while hi - lo > tol * hi:
+            mid, want = 0.5 * (lo + hi), want + 1
+            lo, hi = (lo, mid) if growth_rate(CAVITY, model, mid) > eps else (mid, hi)
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(1) or eigvals(m))
+        assert stability_threshold(CAVITY, model, g_lo, g_hi, tol) == 0.5 * (lo + hi)
+        assert len(calls) == want
 
     def test_bad_bracket_rejected(self):
         model = model_for(Generalized(gamma=0.2, t=0.4))
