@@ -330,7 +330,6 @@ class TestSpectrum:
             assert run_cli(capsys, *args, "--output", str(path))[0] == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-
     @pytest.mark.parametrize("points", [41, 40], ids=["odd", "even"])
     @pytest.mark.parametrize("raw", [False, True], ids=["omega_z", "raw"])
     @pytest.mark.parametrize("bath", ["dephasing(gamma=0.3, sz=-0.4)",
