@@ -33,7 +33,6 @@ from .critical import (  # noqa: F401
     SweepTable,
     Transition,
     fully_polarized_gc,
-    kappa_scaling,
     solve_gc,
     sweep,
 )
@@ -42,7 +41,6 @@ from .lindblad import (  # noqa: F401
     CorrelationSeries,
     SpinModel,
     SteadyState,
-    propagate,
     steady_state,
     two_time_sx,
 )
@@ -50,7 +48,6 @@ from .qops import LindbladChannel, lindblad_generator, sigma  # noqa: F401
 from .response import (  # noqa: F401
     cavity_det,
     chi_from_correlator,
-    ensemble_chi,
     polariton_roots,
     resolvent_chi,
 )

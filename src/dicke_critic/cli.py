@@ -161,7 +161,7 @@ def cmd_gc(cfg: RunConfig) -> int:
     if isinstance(result, NoTransition):
         lines.append(f"g_c = no transition: {result.reason.value}")
         lines.append("g_c_over_g0 = inf")
-        print("\n".join(lines))
+        _write(cfg.output, "\n".join(lines) + "\n")
         return EXIT_NO_TRANSITION
     lines.append(f"g_c = {fmt(result.g_c / unit)}")
     lines.append(f"g_c_over_g0 = {fmt(result.g_c / g0)}")
@@ -176,7 +176,7 @@ def cmd_gc(cfg: RunConfig) -> int:
         lines.append(f"oracle_rel_dev = {fmt(dev)}")
         if dev > cfg.tol:
             status = EXIT_ORACLE_DISAGREEMENT
-    print("\n".join(lines))
+    _write(cfg.output, "\n".join(lines) + "\n")
     return status
 
 

@@ -48,11 +48,11 @@ class NoTransition:
 CriticalResult = Transition | NoTransition
 
 
-def solve_gc(chi0: float, cavity: CavityParams, zero_tol: float = ZERO_TOL) -> CriticalResult:
+def solve_gc(chi0: float, cavity: CavityParams) -> CriticalResult:
     """Solve the zero-frequency condition for g_c."""
     if not np.isfinite(chi0):
         raise PreconditionError(f"chi0 = {chi0} is not finite")
-    if abs(chi0) <= zero_tol:
+    if abs(chi0) <= ZERO_TOL:
         return NoTransition(NoTransitionReason.UNPOLARIZED)
     if chi0 > 0:
         return NoTransition(NoTransitionReason.INVERTED)
@@ -73,18 +73,6 @@ def fully_polarized_gc(omega_z: float, cavity: CavityParams) -> float:
     with _float_range("g0"):
         scale = _sq(cavity.omega0) + _sq(cavity.kappa)
         return 0.5 * _each(math.sqrt, omega_z * scale / cavity.omega0)
-
-
-def kappa_scaling(cavity: CavityParams) -> float:
-    """g_c(kappa)/g_c(0) at fixed chi0."""
-    return math.sqrt(1.0 + (cavity.kappa / cavity.omega0) ** 2)
-
-
-def residual(result: CriticalResult, chi0: float, cavity: CavityParams) -> float:
-    """Zero-frequency condition evaluated at the solution (0 for transitions)."""
-    if isinstance(result, NoTransition):
-        raise PreconditionError("residual is only defined for Transition results")
-    return cavity.omega0**2 + cavity.kappa**2 + 2.0 * cavity.omega0 * result.g_c**2 * chi0
 
 
 # --- sweeps -----------------------------------------------------------------

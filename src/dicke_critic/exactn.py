@@ -285,16 +285,6 @@ def full_steady_observables(spec: FullSystemSpec) -> Observables:
     return Observables(*(float(np.real(row @ x)) for row in generator_family(spec).rows))
 
 
-def observables_csv(rows: list[tuple[float, Observables]]) -> str:
-    """CSV text with columns g, photon_number, sz_mean."""
-    lines = ["g,photon_number,sz_mean"]
-    for g, obs in rows:
-        lines.append(
-            ",".join(format(v + 0.0, ".17g") for v in (g, obs.photon_number, obs.sz_mean))
-        )
-    return "\n".join(lines) + "\n"
-
-
 def cutoff_stability(spec: FullSystemSpec, extra: int = 4,
                      observables: Observables | None = None) -> float:
     """Relative photon-number change when the Fock cutoff grows by `extra`.

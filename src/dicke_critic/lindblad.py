@@ -131,16 +131,6 @@ def steady_state(model: SpinModel) -> SteadyState:
     return SteadyState(rho=rho, null_dim=null_dim)
 
 
-def propagate(model: SpinModel, rho0: np.ndarray, t: float) -> np.ndarray:
-    """exp(L t) applied to rho0."""
-    if t < 0:
-        raise PreconditionError(f"propagation time t = {t} < 0")
-    import scipy.linalg
-
-    prop = scipy.linalg.expm(model.generator() * t)
-    return qops.devectorize(prop @ qops.vectorize(rho0))
-
-
 @dataclass(frozen=True)
 class CorrelationSeries:
     """Uniform samples f(t_k) = obs_row . exp(L t_k) x0 of S_x(t).

@@ -6,9 +6,9 @@ mean-field equations close on (alpha, rho):
     d alpha/dt = -(i omega0 + kappa) alpha - 2 i g Tr[sx rho]
     d rho/dt   = L_atom(rho) - i [2 g (alpha + conj(alpha)) sx, rho]
 
-``mf_derivative``, ``simulate`` and the stability oracle share one flow on
-the complex state y = (alpha, conj(alpha), vec rho) in C^6, vec rho
-column-stacked as in ``qops``:
+``simulate`` and the stability oracle share one flow on the complex state
+y = (alpha, conj(alpha), vec rho) in C^6, vec rho column-stacked as in
+``qops``:
 
     dy/dt = m(g) y + (y_0 + y_1) 2 g D y[2:],   D = -i [sx, .]
 
@@ -51,12 +51,6 @@ class MeanFieldState:
     rho: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
-class MeanFieldDerivative:
-    dalpha: complex
-    drho: np.ndarray = field(repr=False)
-
-
 def _flow_parts(cavity: CavityParams, model: SpinModel) -> tuple[np.ndarray, np.ndarray]:
     """(m(0), c) with m(g) = m(0) + g c: c holds only the coupling rows."""
     m0 = np.zeros((6, 6), dtype=complex)
@@ -83,14 +77,6 @@ def _flow(cavity: CavityParams, model: SpinModel, g: float):
         return dy
 
     return rhs
-
-
-def mf_derivative(
-    state: MeanFieldState, cavity: CavityParams, model: SpinModel, g: float
-) -> MeanFieldDerivative:
-    """Time derivative of (alpha, rho)."""
-    dy = _flow(cavity, model, g)(0.0, _vector(state))
-    return MeanFieldDerivative(dalpha=complex(dy[0]), drho=qops.devectorize(dy[2:]))
 
 
 def normal_fixed_point(model: SpinModel) -> MeanFieldState:
@@ -172,26 +158,12 @@ class Trajectory:
         return np.real(self.rhos[:, 0, 1])
 
     @property
-    def sy(self) -> np.ndarray:
-        return -np.imag(self.rhos[:, 0, 1])
-
-    @property
     def sz(self) -> np.ndarray:
         return 0.5 * np.real(self.rhos[:, 0, 0] - self.rhos[:, 1, 1])
 
     @property
     def traces(self) -> np.ndarray:
         return np.real(self.rhos[:, 0, 0] + self.rhos[:, 1, 1])
-
-
-def trajectory_csv(traj: Trajectory) -> str:
-    """CSV text with columns t, re_alpha, im_alpha, sx, sy, sz."""
-    lines = ["t,re_alpha,im_alpha,sx,sy,sz"]
-    for i, t in enumerate(traj.times):
-        vals = (t, traj.alphas[i].real, traj.alphas[i].imag,
-                traj.sx[i], traj.sy[i], traj.sz[i])
-        lines.append(",".join(format(v + 0.0, ".17g") for v in vals))
-    return "\n".join(lines) + "\n"
 
 
 def simulate(state0: MeanFieldState, cavity: CavityParams, model: SpinModel, g: float,

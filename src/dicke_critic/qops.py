@@ -50,25 +50,9 @@ def sigma(which: str) -> np.ndarray:
         ) from None
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"incompatible shapes {a.shape} and {b.shape}")
-    return a @ b - b @ a
-
-
 def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
     """Hermiticity test for numpy or scipy.sparse operators."""
     return bool(abs(a - a.conj().T).max() <= tol)
-
-
-def is_unitary(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return bool(np.max(np.abs(a @ a.conj().T - np.eye(a.shape[0]))) <= tol)
-
-
-def is_positive_semidefinite(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    if not is_hermitian(a, tol):
-        return False
-    return bool(np.min(np.linalg.eigvalsh(0.5 * (a + a.conj().T))) >= -tol)
 
 
 def validate_density_matrix(rho: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
@@ -184,12 +168,6 @@ def lindblad_generator(h, channels: list[LindbladChannel] | tuple):
             raise InvalidModelError(f"channel rate {ch.rate} < 0")
         gen += dissipator(ch.op, ch.rate)
     return gen
-
-
-def trace_preservation_defect(gen) -> float:
-    """Sup-norm of the trace functional composed with the generator."""
-    d = int(round(np.sqrt(gen.shape[0])))
-    return float(np.max(np.abs(trace_functional(d) @ gen)))
 
 
 def null_space(gen: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:

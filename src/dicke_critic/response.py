@@ -24,9 +24,9 @@ Two routes compute it:
   that term is the Abel limit. The Boole body is the independent
   time-domain check of the resolvent.
 
-chi values travel as plain numbers or arrays: ``ensemble_chi`` averages
-them and ``cavity_det`` takes the value at omega. The cavity self-energy
-is Sigma(omega) = g^2 chi(omega).
+chi values travel as plain numbers or arrays, so a weighted average over
+an ensemble is ``np.average``; ``cavity_det`` takes the value at omega. The
+cavity self-energy is Sigma(omega) = g^2 chi(omega).
 
 Sign convention for the inverse Green function: the 2x2 particle/hole
 matrix is assembled as
@@ -198,22 +198,6 @@ def resolvent_chi(model: SpinModel):
         return values.reshape(om.shape)[()]
 
     return chi
-
-
-def ensemble_chi(members: Sequence[tuple[float, complex | np.ndarray]]):
-    """Weighted average of the members' chi values (numbers or equal-shape arrays)."""
-    if not members:
-        raise PreconditionError("ensemble must have at least one member")
-    weights = np.array([w for w, _ in members], dtype=float)
-    if np.any(weights < 0):
-        raise PreconditionError("ensemble weights must be nonnegative")
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise PreconditionError(f"ensemble weights sum to {weights.sum()}, not 1")
-    values = [np.asarray(v) for _, v in members]
-    if any(v.shape != values[0].shape for v in values):
-        raise PreconditionError("ensemble members have mismatched shapes")
-    stacked = np.array(values)
-    return np.sum(weights.reshape((-1,) + (1,) * values[0].ndim) * stacked, axis=0)[()]
 
 
 def cavity_det(omega: complex, cavity: CavityParams, g: float, chi: complex) -> complex:

@@ -68,6 +68,20 @@ class TestGc:
         assert code == 0
         assert float(rec["oracle_rel_dev"]) < 1e-6
 
+    @pytest.mark.parametrize("argv, expected", [
+        (("--bath", "generalized(gamma=0.2, t=0.4)"), 0),
+        (("--bath", "generalized(gamma=0.2, t=1)"), 2),
+        (("--bath", "generalized(gamma=0.2, t=0.4)", "--kappa", "0.5", "--verify"), 0),
+        (("--bath", "generalized(gamma=0.2, t=0.4)", "--kappa", "0.5", "--verify",
+          "--tol", "1e-16"), 3),
+    ], ids=["ok", "no_transition", "verify", "verify_disagrees"])
+    def test_output_file_holds_the_stdout_record(self, capsys, tmp_path, argv, expected):
+        out_file = tmp_path / "gc.txt"
+        code, out, err = run_cli(capsys, "gc", *argv)
+        assert (code, err) == (expected, "")
+        assert run_cli(capsys, "gc", *argv, "--output", str(out_file)) == (expected, "", "")
+        assert out_file.read_bytes() == out.encode()
+
     def test_bad_bath_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "gc", "--bath", "squeezed(r=1)")
         assert code == 1

