@@ -256,10 +256,11 @@ def closed_form_gc(
 
 # --- canonical textual form ------------------------------------------------
 
+# name -> (class, text key -> dataclass field), in the order format_bath writes the keys
 _BATH_FIELDS = {
-    "dephasing": ("gamma", "sz"),
-    "thermal": ("gamma", "T"),
-    "generalized": ("gamma", "t"),
+    "dephasing": (Dephasing, {"gamma": "gamma", "sz": "sz"}),
+    "thermal": (Thermal, {"gamma": "gamma", "T": "temperature"}),
+    "generalized": (Generalized, {"gamma": "gamma", "t": "t"}),
 }
 
 _NAME_RE = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)\s*")
@@ -267,12 +268,10 @@ _NAME_RE = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)\s*")
 
 def format_bath(bath: BathSpec) -> str:
     """Canonical text form, inverse of parse_bath."""
-    if isinstance(bath, Dephasing):
-        return f"dephasing(gamma={bath.gamma!r}, sz={bath.sz!r})"
-    if isinstance(bath, Thermal):
-        return f"thermal(gamma={bath.gamma!r}, T={bath.temperature!r})"
-    if isinstance(bath, Generalized):
-        return f"generalized(gamma={bath.gamma!r}, t={bath.t!r})"
+    for name, (cls, keys) in _BATH_FIELDS.items():
+        if isinstance(bath, cls):
+            args = ", ".join(f"{key}={getattr(bath, field)!r}" for key, field in keys.items())
+            return f"{name}({args})"
     raise NoClosedFormError("custom baths have no textual form")
 
 
@@ -316,7 +315,7 @@ def parse_bath(text: str, line: int | None = None, col_offset: int = 0) -> BathS
             fail(f"could not parse {raw!r} as a number", m2.start(1))
         if key in args:
             fail(f"duplicate argument {key!r}", m.start(1))
-        if key not in _BATH_FIELDS[name]:
+        if key not in _BATH_FIELDS[name][1]:
             fail(f"unknown argument {key!r} for bath {name!r}", m.start(1))
         args[key] = value
         pos = m2.end()
@@ -329,14 +328,11 @@ def parse_bath(text: str, line: int | None = None, col_offset: int = 0) -> BathS
         fail("expected ',' or ')'", pos)
     if text[pos:].strip():
         fail("trailing characters after bath spec", pos)
-    missing = [k for k in _BATH_FIELDS[name] if k not in args]
+    cls, keys = _BATH_FIELDS[name]
+    missing = [k for k in keys if k not in args]
     if missing:
         fail(f"missing argument(s) {missing} for bath {name!r}", len(text) - 1)
     try:
-        if name == "dephasing":
-            return Dephasing(gamma=args["gamma"], sz=args["sz"])
-        if name == "thermal":
-            return Thermal(gamma=args["gamma"], temperature=args["T"])
-        return Generalized(gamma=args["gamma"], t=args["t"])
+        return cls(**{keys[k]: v for k, v in args.items()})
     except InvalidModelError as exc:
         raise ConfigParseError(str(exc), line=line, column=col_offset + 1) from None

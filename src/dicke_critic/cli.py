@@ -15,6 +15,11 @@ Subcommands:
   is evaluated row by row, so omega = 0 takes its exact branch
 * ``oracle``   -- closed form vs mean-field threshold comparison table
 
+Flags are declared here with their help text only: each flag's text goes
+to ``config.merge_config``, which reads it with the parser of its key in
+``config.SETTINGS``, as it reads a config line of that key, and runs the
+same checks on both. A bad value is one ``bad value for --flag: ...`` line.
+
 Exit codes: 0 success, 1 usage or parse error, 2 no transition,
 3 oracle disagreement. An error message on stderr names the parameter
 point of the run (bath, omega_z, omega0, kappa) once the configuration
@@ -46,7 +51,7 @@ import numpy as np
 
 from . import __version__, baths, critical, meanfield, response
 from .baths import GcMode, parse_bath
-from .config import RunConfig, merge_config, parse_float_list
+from .config import RunConfig, merge_config
 from .critical import NoTransition, SweepPlan
 from .errors import DickeCriticError
 
@@ -71,18 +76,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bath", type=parse_bath, help='e.g. "dephasing(gamma=0.3, sz=-0.5)"')
-    p.add_argument("--omega-z", dest="omega_z", type=float, help="atomic detuning (default 1)")
-    p.add_argument("--omega0", type=float, help="cavity detuning (default 1)")
-    p.add_argument("--kappa", type=float, help="cavity decay (default 0)")
+    p.add_argument("--bath", help='e.g. "dephasing(gamma=0.3, sz=-0.5)"')
+    p.add_argument("--omega-z", dest="omega_z", help="atomic detuning (default 1)")
+    p.add_argument("--omega0", help="cavity detuning (default 1)")
+    p.add_argument("--kappa", help="cavity decay (default 0)")
     p.add_argument(
         "--mode",
-        type=GcMode,
-        choices=list(GcMode),
         metavar="{self-consistent,literature}",
         help="closed-form variant (default self-consistent)",
     )
-    p.add_argument("--raw-units", dest="raw_units", action="store_const", const=True,
+    p.add_argument("--raw-units", dest="raw_units", action="store_const", const="true",
                    help="report raw frequencies instead of units of omega_z")
     p.add_argument("--config", help="key = value config file; flags override it")
     p.add_argument("--output", help="output path ('-' = stdout)")
@@ -97,35 +100,35 @@ def build_parser() -> _Parser:
 
     p_gc = sub.add_parser("gc", parents=[], help="critical coupling at one point")
     _add_common(p_gc)
-    p_gc.add_argument("--verify", action="store_const", const=True,
+    p_gc.add_argument("--verify", action="store_const", const="true",
                       help="cross-check against the mean-field threshold")
-    p_gc.add_argument("--tol", type=float, help="oracle tolerance for --verify (default 1e-5)")
+    p_gc.add_argument("--tol", help="oracle tolerance for --verify (default 1e-5)")
 
     p_sweep = sub.add_parser("sweep", help="phase boundary over a grid")
     _add_common(p_sweep)
     p_sweep.add_argument("--sweep-param", dest="sweep_param", help="parameter to sweep")
-    p_sweep.add_argument("--sweep-start", dest="sweep_start", type=float)
-    p_sweep.add_argument("--sweep-stop", dest="sweep_stop", type=float)
-    p_sweep.add_argument("--sweep-points", dest="sweep_points", type=int)
-    p_sweep.add_argument("--sweep-values", dest="sweep_values", type=parse_float_list,
+    p_sweep.add_argument("--sweep-start", dest="sweep_start")
+    p_sweep.add_argument("--sweep-stop", dest="sweep_stop")
+    p_sweep.add_argument("--sweep-points", dest="sweep_points")
+    p_sweep.add_argument("--sweep-values", dest="sweep_values",
                          help="comma-separated explicit grid")
-    p_sweep.add_argument("--format", dest="format", choices=["csv", "json"])
+    p_sweep.add_argument("--format", dest="format", metavar="{csv,json}")
 
     p_corr = sub.add_parser("corr", help="two-time correlator samples")
     _add_common(p_corr)
-    p_corr.add_argument("--tmax", type=float)
-    p_corr.add_argument("--dt", type=float)
+    p_corr.add_argument("--tmax")
+    p_corr.add_argument("--dt")
 
     p_spec = sub.add_parser("spectrum", help="cavity determinant vs frequency")
     _add_common(p_spec)
-    p_spec.add_argument("--g", type=float, help="coupling (default 0)")
-    p_spec.add_argument("--omega-min", dest="omega_min", type=float)
-    p_spec.add_argument("--omega-max", dest="omega_max", type=float)
-    p_spec.add_argument("--omega-points", dest="omega_points", type=int)
+    p_spec.add_argument("--g", help="coupling (default 0)")
+    p_spec.add_argument("--omega-min", dest="omega_min")
+    p_spec.add_argument("--omega-max", dest="omega_max")
+    p_spec.add_argument("--omega-points", dest="omega_points")
 
     p_oracle = sub.add_parser("oracle", help="closed form vs mean-field table")
     _add_common(p_oracle)
-    p_oracle.add_argument("--tol", type=float, help="max relative deviation (default 1e-5)")
+    p_oracle.add_argument("--tol", help="max relative deviation (default 1e-5)")
     return parser
 
 
@@ -198,7 +201,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     cols = [table.params[:, 0], table.chi0 * unit, table.g_c / unit, table.gc_over_g0]
     x, chi0, g_c, ratio = (c.tolist() for c in cols)
     status = table.status.tolist()
-    if cfg.fmt == "csv":
+    if cfg.format == "csv":
         lines = [f"{cfg.sweep_param},chi0,g_c,g_c_over_g0,status"]
         for x_i, chi0_i, g_c_i, ratio_i, status_i, ok_i in zip(x, chi0, g_c, ratio, status, ok):
             tail = f"{g_c_i + 0.0:.17g},{ratio_i + 0.0:.17g}" if ok_i else "inf,inf"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baths
-from .baths import BathSpec, CavityParams, GcMode, _each, _float_range, _sq
+from .baths import _BATH_FIELDS, BathSpec, CavityParams, GcMode, _each, _float_range, _sq
 from .errors import DickeCriticError, PreconditionError
 
 ZERO_TOL = 1e-14  # |chi0| <= ZERO_TOL is unpolarized
@@ -121,8 +121,9 @@ class SweepTable:
 def _point(plan: SweepPlan, axes: tuple[str, ...], values, checked: bool = True):
     """(bath, omega_z, cavity) with each axis set to its value (unchecked: to its column)."""
     fields = {"omega_z": plan.omega_z, **vars(plan.cavity), **vars(plan.bath)}
+    keys = next((k for cls, k in _BATH_FIELDS.values() if isinstance(plan.bath, cls)), {})
     for axis, value in zip(axes, values):
-        name = {"T": "temperature"}.get(axis, axis)
+        name = keys.get(axis, axis)
         if name not in fields:
             kind = type(plan.bath).__name__
             raise PreconditionError(f"cannot sweep {axis!r}: not a parameter of {kind}")

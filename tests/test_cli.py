@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from dicke_critic.baths import CavityParams, parse_bath
 from dicke_critic.cli import main
 from dicke_critic.config import parse_float_list
 from dicke_critic.critical import SweepPlan, sweep
+from dicke_critic.errors import ConfigParseError
 
 
 def run_cli(capsys, *argv):
@@ -83,9 +85,16 @@ class TestGc:
         assert out_file.read_bytes() == out.encode()
 
     def test_bad_bath_exits_1(self, capsys):
-        code, _, err = run_cli(capsys, "gc", "--bath", "squeezed(r=1)")
-        assert code == 1
-        assert "error" in err.lower()
+        # parse_bath's own diagnostic, naming the flag, and no usage block
+        for bath, diagnostic in (
+            ("squeezed(r=1)", "unknown bath 'squeezed'"),
+            ("thermal(gamma=abc, T=0.5)", "could not parse 'abc' as a number"),
+        ):
+            code, out, err = run_cli(capsys, "gc", "--bath", bath)
+            assert (code, out) == (1, "")
+            assert err.startswith("dicke-critic: error: bad value for --bath: ")
+            assert diagnostic in err
+            assert "usage" not in err
 
     def test_raw_units(self, capsys):
         args = ["gc", "--bath", "dephasing(gamma=0,sz=-0.5)", "--omega-z", "2", "--omega0", "2"]
@@ -423,11 +432,13 @@ class TestConfigFile:
         assert "line 2" in err
 
     def test_bad_bath_value_has_line_number(self, capsys, tmp_path):
+        # the column of the offending token in the file, not in the value
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("omega0 = 1.0\nbath = thermal(gamma=0.1, q=2)\n")
-        code, _, err = run_cli(capsys, "gc", "--config", str(cfg))
-        assert code == 1
-        assert "line 2" in err
+        for bath, column in (("thermal(gamma=0.1, q=2)", 27), ("thermal(gamma=abc, T=0.5)", 22)):
+            cfg.write_text(f"omega0 = 1.0\nbath = {bath}\n")
+            code, _, err = run_cli(capsys, "gc", "--config", str(cfg))
+            assert code == 1
+            assert f"(line 2, column {column})" in err
 
     def test_empty_sweep_value_has_position(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -480,6 +491,93 @@ class TestNumericFlags:
         assert out == ""
         assert err.startswith(f"dicke-critic: error: {key} = ")
         assert rule in err
+
+
+def _declared_settings():
+    """(command, key) for every run setting that a subcommand declares as a flag."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.dest) for name, parser in sub.choices.items()
+            for action in parser._actions if action.dest not in ("help", "config")]
+
+
+def _run_config(argv):
+    return cli._run_config(cli.build_parser().parse_args(argv))
+
+
+# text each run setting accepts, the same by flag and by config line
+GOOD_TEXT = {
+    "bath": "thermal(gamma=0.2, T=0.4)", "omega_z": "1.25", "omega0": "0.75",
+    "kappa": "0.5", "mode": "Literature", "raw_units": "true", "verify": "true",
+    "output": "out.csv", "format": "JSON", "tol": "0.001", "g": "0.3",
+    "sweep_param": "T", "sweep_start": "0.1", "sweep_stop": "0.9", "sweep_points": "3",
+    "sweep_values": "0.1, 0.2", "tmax": "5", "dt": "0.25", "omega_min": "-2",
+    "omega_max": "3", "omega_points": "17",
+}
+BOOL_KEYS = ("raw_units", "verify")
+# text each setting rejects, and the rule it gives; bool flags take no text, and
+# any text is an output path or a sweep axis
+BAD_TEXT = {
+    **{key: ("abc", "could not convert string to float: 'abc'")
+       for key in ("omega_z", "omega0", "kappa", "tol", "g", "sweep_start", "sweep_stop",
+                   "tmax", "dt", "omega_min", "omega_max")},
+    **{key: ("abc", "invalid literal for int() with base 10: 'abc'")
+       for key in ("sweep_points", "omega_points")},
+    "bath": ("thermal(gamma=abc, T=0.5)", "could not parse 'abc' as a number"),
+    "mode": ("abc", "mode must be one of ['self-consistent', 'literature'], got 'abc'"),
+    "format": ("XML", "format must be csv or json, got 'XML'"),
+    "sweep_values": ("0.1,abc", "could not convert string to float: 'abc'"),
+}
+DECLARED = _declared_settings()
+DECLARED_BAD = [(command, key) for command, key in DECLARED if key in BAD_TEXT]
+
+
+class TestSettingSources:
+    """A flag and the config line of the same key read the same text the same way."""
+
+    # a grid bound or size reaches the RunConfig only together with the other two
+    WITH = {
+        "sweep_start": ("--sweep-stop", "1", "--sweep-points", "3"),
+        "sweep_stop": ("--sweep-start", "0", "--sweep-points", "3"),
+        "sweep_points": ("--sweep-start", "0", "--sweep-stop", "1"),
+    }
+
+    @staticmethod
+    def sources(tmp_path, command, key, raw, extra=()):
+        """argv giving key the text raw by its flag, and by a config line."""
+        flag = f"--{key.replace('_', '-')}"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {raw}\n")
+        flag_args = [flag] if key in BOOL_KEYS else [f"{flag}={raw}"]
+        return [command, *extra, *flag_args], [command, *extra, "--config", str(cfg)]
+
+    def test_every_setting_is_covered(self):
+        assert {key for _, key in DECLARED} == set(GOOD_TEXT)
+        assert set(BAD_TEXT) == set(GOOD_TEXT) - {*BOOL_KEYS, "output", "sweep_param"}
+
+    @pytest.mark.parametrize("command, key", DECLARED, ids=[f"{c}-{k}" for c, k in DECLARED])
+    def test_flag_and_config_line_give_equal_configs(self, tmp_path, command, key):
+        extra = self.WITH.get(key, ())
+        by_flag, by_line = self.sources(tmp_path, command, key, GOOD_TEXT[key], extra)
+        cfg = _run_config(by_flag)
+        assert cfg == _run_config(by_line)
+        try:  # the setting reached the RunConfig: without it, it differs or is incomplete
+            assert cfg != _run_config([command, *extra])
+        except ConfigParseError as exc:
+            assert str(exc) == "sweep_points needs sweep_start and sweep_stop"
+
+    @pytest.mark.parametrize("command, key", DECLARED_BAD,
+                             ids=[f"{c}-{k}" for c, k in DECLARED_BAD])
+    def test_bad_text_gives_one_rule(self, capsys, tmp_path, command, key):
+        raw, rule = BAD_TEXT[key]
+        by_flag, by_line = self.sources(tmp_path, command, key, raw)
+        flag = f"--{key.replace('_', '-')}"
+        assert run_cli(capsys, *by_flag) == (
+            1, "", f"dicke-critic: error: bad value for {flag}: {rule}\n")
+        # a bath diagnostic points at the token in the value, any other at the value
+        column = len(f"{key} = ") + 1 + (raw.index("abc") if key == "bath" else 0)
+        assert run_cli(capsys, *by_line) == (
+            1, "", f"dicke-critic: error: bad value for {key!r}: {rule} (line 1, column {column})\n")
 
 
 class TestParserCache:
