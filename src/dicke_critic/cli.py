@@ -51,7 +51,7 @@ import numpy as np
 
 from . import __version__, baths, critical, meanfield, response
 from .baths import GcMode, parse_bath
-from .config import RunConfig, merge_config
+from .config import SETTINGS, RunConfig, merge_config
 from .critical import NoTransition, SweepPlan
 from .errors import DickeCriticError
 
@@ -75,15 +75,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _default(key: str) -> str:
+    """The help text "(default X)", X the default that config.SETTINGS holds for key."""
+    value = SETTINGS[key][1]
+    # a float as "%g" writes it, less the exponent's padding: 1e-5, not 1e-05
+    text = value.value if isinstance(value, GcMode) else format(value, "g").replace("e-0", "e-")
+    return f"(default {text})"
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bath", help='e.g. "dephasing(gamma=0.3, sz=-0.5)"')
-    p.add_argument("--omega-z", dest="omega_z", help="atomic detuning (default 1)")
-    p.add_argument("--omega0", help="cavity detuning (default 1)")
-    p.add_argument("--kappa", help="cavity decay (default 0)")
+    p.add_argument("--omega-z", dest="omega_z", help=f"atomic detuning {_default('omega_z')}")
+    p.add_argument("--omega0", help=f"cavity detuning {_default('omega0')}")
+    p.add_argument("--kappa", help=f"cavity decay {_default('kappa')}")
     p.add_argument(
         "--mode",
         metavar="{self-consistent,literature}",
-        help="closed-form variant (default self-consistent)",
+        help=f"closed-form variant {_default('mode')}",
     )
     p.add_argument("--raw-units", dest="raw_units", action="store_const", const="true",
                    help="report raw frequencies instead of units of omega_z")
@@ -102,7 +110,7 @@ def build_parser() -> _Parser:
     _add_common(p_gc)
     p_gc.add_argument("--verify", action="store_const", const="true",
                       help="cross-check against the mean-field threshold")
-    p_gc.add_argument("--tol", help="oracle tolerance for --verify (default 1e-5)")
+    p_gc.add_argument("--tol", help=f"oracle tolerance for --verify {_default('tol')}")
 
     p_sweep = sub.add_parser("sweep", help="phase boundary over a grid")
     _add_common(p_sweep)
@@ -121,14 +129,14 @@ def build_parser() -> _Parser:
 
     p_spec = sub.add_parser("spectrum", help="cavity determinant vs frequency")
     _add_common(p_spec)
-    p_spec.add_argument("--g", help="coupling (default 0)")
+    p_spec.add_argument("--g", help=f"coupling {_default('g')}")
     p_spec.add_argument("--omega-min", dest="omega_min")
     p_spec.add_argument("--omega-max", dest="omega_max")
     p_spec.add_argument("--omega-points", dest="omega_points")
 
     p_oracle = sub.add_parser("oracle", help="closed form vs mean-field table")
     _add_common(p_oracle)
-    p_oracle.add_argument("--tol", help="max relative deviation (default 1e-5)")
+    p_oracle.add_argument("--tol", help=f"max relative deviation {_default('tol')}")
     return parser
 
 

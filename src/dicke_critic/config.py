@@ -159,7 +159,8 @@ def merge_config(cli_values: dict[str, str | None], config_path: str | None) -> 
     merged = {key: default for key, (_, default) in SETTINGS.items()}
     merged.update(file_values)
     merged.update(flag_values)
-    for key in ("tol", "g", "tmax", "dt", "omega_min", "omega_max", "sweep_start", "sweep_stop"):
+    for key in ("omega_z", "omega0", "kappa", "tol", "g", "tmax", "dt", "omega_min", "omega_max",
+                "sweep_start", "sweep_stop"):
         if merged[key] is not None and not math.isfinite(merged[key]):
             raise ConfigParseError(f"{key} = {merged[key]} must be finite")
     if merged["sweep_values"] is not None and not all(map(math.isfinite, merged["sweep_values"])):

@@ -22,6 +22,13 @@ once per family and keeps the last MAX_FAMILIES families by value, their
 arrays read-only; each coupling then costs one sparse A - s B per matrix
 and the LU.
 
+The unknowns form an n_fock x n_fock grid of cavity elements |k><m|, each
+node holding a count vector, and every generator term moves k and m by at
+most one. The family orders the solved unknowns by nested dissection of
+that grid (George, SIAM J. Numer. Anal. 10, 345 (1973)), counts in order
+within a node, and the LU factors in that order: at N = 5, n_fock = 12 its
+fill is 1.84M against 2.4-3.3M with minimum degree on A + A^T.
+
 Parity: Pi = exp(i pi (a+a + sum (sz + 1/2))) commutes with omega0 a+a, the
 kappa a channel, the coupling (a + a+) sx and every catalog channel (sz;
 s- and s+; s- + t s+), so the generator never couples unknowns of even
@@ -138,11 +145,11 @@ class GeneratorFamily:
 
     base = cavity generator (x) 1 + 1 (x) ops["atoms"]; interaction = L (x)
     ops["left_x"] - R (x) ops["right_x"], L and R the left and right
-    multiplication by a + a+. keep lists the unknowns solved for, trace is
-    the trace row r of steady_full, and the bordered matrices are r over
-    rows keep[1:] of base and a zero row over those of interaction, on
-    columns keep. rows are the photon-number, <sz> and <sx> rows of
-    Observables.
+    multiplication by a + a+. keep lists the unknowns solved for in the
+    order of the LU, unknown 0 last; trace is the trace row r of
+    steady_full, and the bordered matrices are rows keep[:-1] of base over
+    r and those of interaction over a zero row, on columns keep. rows are
+    the photon-number, <sz> and <sx> rows of Observables.
     """
 
     ops: Ops
@@ -161,6 +168,21 @@ def _read_only(a):
     return a
 
 
+def _dissection(k: range, m: range) -> list[tuple[int, int]]:
+    """The photon pairs (k, m) of a box of the grid in nested-dissection order.
+
+    The wider span splits at its middle row or column, which follows both
+    halves; a box of at most 4 nodes keeps vec order.
+    """
+    if len(k) * len(m) <= 4:
+        return [(i, j) for j in m for i in k]
+    if len(k) >= len(m):
+        h = len(k) // 2
+        return _dissection(k[:h], m) + _dissection(k[h + 1:], m) + [(k[h], j) for j in m]
+    h = len(m) // 2
+    return _dissection(k, m[:h]) + _dissection(k, m[h + 1:]) + [(i, m[h]) for i in k]
+
+
 def _build_family(spec: FullSystemSpec) -> GeneratorFamily:
     ops = embedded_ops(spec)
     a = annihilation(spec.n_fock)
@@ -174,13 +196,14 @@ def _build_family(spec: FullSystemSpec) -> GeneratorFamily:
     cavity_trace = qops.trace_functional(spec.n_fock)
     trace = np.kron(cavity_trace, ops["trace"])
     coherences, atoms = ops["coherences"], ops["atoms"].tocoo()
-    keep = np.arange(base.shape[0])
+    k, m = np.array(_dissection(range(spec.n_fock), range(spec.n_fock))).T
+    keep = ((k + spec.n_fock * m)[:, None] * len(coherences) + np.arange(len(coherences))).ravel()
     if not np.any((coherences[atoms.row] - coherences[atoms.col]) % 2):
-        photons = np.add.outer(np.arange(spec.n_fock), np.arange(spec.n_fock)).ravel()
-        keep = np.flatnonzero(np.add.outer(photons, coherences).ravel() % 2 == 0)
+        keep = keep[np.add.outer(k + m, coherences).ravel() % 2 == 0]
+    keep = np.append(keep[keep != 0], 0)  # the trace row stands in for the row of unknown 0
 
-    def bordered(top, m):
-        return _read_only(sp.vstack([top, m[keep[1:]][:, keep]], format="csc"))
+    def bordered(op, bottom):
+        return _read_only(sp.vstack([op[keep[:-1]][:, keep], bottom], format="csc"))
 
     number = qops.observable_row(np.diag(np.arange(spec.n_fock, dtype=complex)))
     rows = (np.kron(number, ops["trace"]),
@@ -192,8 +215,8 @@ def _build_family(spec: FullSystemSpec) -> GeneratorFamily:
         interaction=_read_only(interaction),
         keep=_read_only(keep),
         trace=_read_only(trace),
-        bordered_base=bordered(sp.csr_matrix(trace[keep]), base),
-        bordered_interaction=bordered(sp.csr_matrix((1, len(keep)), dtype=complex), interaction),
+        bordered_base=bordered(base, sp.csr_matrix(trace[keep])),
+        bordered_interaction=bordered(interaction, sp.csr_matrix((1, len(keep)), dtype=complex)),
         rows=tuple(_read_only(row) for row in rows),
     )
 
@@ -235,9 +258,10 @@ def steady_full(spec: FullSystemSpec) -> np.ndarray:
     The even-parity unknowns are solved for when ops["atoms"] never moves
     n_10 + n_01 by an odd number (module docstring), all of them otherwise;
     unknown 0 is even. r = kron(qops.trace_functional(n_fock), ops["trace"])
-    replaces row 0 of that block L, and sparse LU solves L' x = e_0. Tr o L
-    = 0 makes row 0 of L a combination of the others, so L' is singular
-    exactly when the null space of L has dimension > 1
+    replaces the row of unknown 0 in that block L, and sparse LU solves
+    L' x = e for e the unit vector of that row, last in the order of
+    family.keep. Tr o L = 0 makes that row of L a combination of the
+    others, so L' is singular exactly when the null space of L has dimension > 1
     (DegenerateSteadyStateError); a solution that leaves the full generator
     times x != 0 is a ConvergenceError. The block solve cannot see a null
     vector that lives only in the odd block; the kernel of a Lindbladian is
@@ -257,11 +281,13 @@ def steady_full(spec: FullSystemSpec) -> np.ndarray:
     gen = build_full_generator(spec)
     bordered = family.bordered_base - _coupling(spec) * family.bordered_interaction
     rhs = np.zeros(len(family.keep), dtype=complex)
-    rhs[0] = 1.0
+    rhs[-1] = 1.0
     x = np.zeros(gen.shape[0], dtype=complex)
     try:
-        # minimum degree on A + A^T: LU fill 0.74M against COLAMD's 1.27M at N = 4, n_fock = 12
-        lu = spla.splu(bordered, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        # factored in the nested-dissection order of keep; the diagonal pivot stands unless it
+        # is below 0.1 of its column (with 1.0, N = 3 fill drifts from 245k to 352k with g)
+        lu = spla.splu(bordered, permc_spec="NATURAL", diag_pivot_thresh=0.1,
+                       options={"SymmetricMode": True})
         x[family.keep] = lu.solve(rhs)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise DegenerateSteadyStateError(

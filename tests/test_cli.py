@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,7 +14,7 @@ import pytest
 from dicke_critic import __version__, baths, cli, response
 from dicke_critic.baths import CavityParams, parse_bath
 from dicke_critic.cli import main
-from dicke_critic.config import parse_float_list
+from dicke_critic.config import SETTINGS, coerce, parse_float_list
 from dicke_critic.critical import SweepPlan, sweep
 from dicke_critic.errors import ConfigParseError
 
@@ -458,6 +459,10 @@ class TestConfigFile:
 class TestNumericFlags:
     BATH = ("--bath", "thermal(gamma=0.1, T=0.5)")
     CASES = [
+        (("gc", *BATH), "omega_z", "nan", "must be finite"),
+        (("gc", *BATH), "omega0", "nan", "must be finite"),
+        (("gc", *BATH), "kappa", "inf", "must be finite"),
+        (("spectrum", *BATH), "omega_z", "-inf", "must be finite"),
         (("gc", "--verify", *BATH), "tol", "nan", "must be finite"),
         (("gc", "--verify", *BATH), "tol", "-1", "must be >= 0"),
         (("oracle",), "tol", "inf", "must be finite"),
@@ -491,6 +496,24 @@ class TestNumericFlags:
         assert out == ""
         assert err.startswith(f"dicke-critic: error: {key} = ")
         assert rule in err
+
+
+def test_help_defaults_are_the_settings_defaults():
+    # every "(default X)" that a subcommand's --help prints is its key's
+    # SETTINGS default, read back through the key's parser
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    keys = set()
+    for parser in sub.choices.values():
+        printed = " ".join(parser.format_help().split())
+        stated = [(action.dest, text) for action in parser._actions
+                  for text in re.findall(r"\(default ([^)]*)\)", action.help or "")]
+        assert printed.count("(default ") == len(stated)
+        for key, text in stated:
+            assert f"(default {text})" in printed
+            assert coerce(key, text) == SETTINGS[key][1]
+            keys.add(key)
+    assert keys == {"omega_z", "omega0", "kappa", "mode", "tol", "g"}
 
 
 def _declared_settings():

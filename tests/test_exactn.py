@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from dicke_critic import baths, exactn, qops
+from dicke_critic import baths, critical, exactn, qops, response
 from dicke_critic.baths import CavityParams, Custom, Dephasing, Generalized, Thermal
 from dicke_critic.errors import (
     DegenerateSteadyStateError,
@@ -47,6 +47,8 @@ CATALOG = [
     Dephasing(gamma=0.3, sz=-0.4),
 ]
 CATALOG_IDS = ["generalized", "thermal", "dephasing"]
+# s- + 0.3 sz couples diagonal and coherence units: no parity block, every unknown is solved for
+PARITY_BREAKING = Custom((qops.LindbladChannel(qops.sigma("minus") + 0.3 * qops.sigma("z"), 0.2),))
 
 
 class TestConstruction:
@@ -184,23 +186,31 @@ class TestSteadyObservables:
         Generalized(gamma=0.2, t=0.3),
         Thermal(gamma=0.2, temperature=0.4),
         Dephasing(gamma=0.3, sz=-0.4),
-    ], ids=["generalized", "thermal", "dephasing"])
+        PARITY_BREAKING,
+    ], ids=["generalized", "thermal", "dephasing", "parity-breaking"])
     def test_block_lu_matches_dense_solve(self, bath):
-        # the sparse LU of the bordered even block against np.linalg.solve of
-        # the same block, to 1e-13 of max|x|, below and above g_c at N = 3 (1000 unknowns)
-        gc = baths.closed_form_gc(bath, 1.0, CavityParams(1.0, 0.4)).g_c
+        # the sparse LU of the bordered block against np.linalg.solve of the same
+        # block in vec order, to 1e-13 of max|x|, below and above g_c at N = 3: the
+        # even block (1000 unknowns) for catalog baths, all 2000 for the parity-breaking jump
+        if bath is PARITY_BREAKING:  # no closed form: chi0 from the single-spin resolvent
+            chi0 = response.resolvent_chi(baths.spin_model(bath, 1.0))(0.0).real
+            gc = critical.solve_gc(float(chi0), CavityParams(1.0, 0.4)).g_c
+        else:
+            gc = baths.closed_form_gc(bath, 1.0, CavityParams(1.0, 0.4)).g_c
         for g in (0.5 * gc, 1.5 * gc):
             spec = spec_for(bath, n_atoms=3, n_fock=10, g=float(g))
             ops = generator_family(spec).ops
             gen = build_full_generator(spec)
             trace = np.kron(trace_functional(spec.n_fock), ops["trace"])
             cavity = np.add.outer(np.arange(spec.n_fock), np.arange(spec.n_fock)).ravel()
-            even = np.flatnonzero(np.add.outer(cavity, ops["coherences"]).ravel() % 2 == 0)
-            block = np.vstack([trace[even], gen[even[1:]][:, even].toarray()])
-            rhs = np.zeros(even.size, dtype=complex)
+            solved = np.flatnonzero(np.add.outer(cavity, ops["coherences"]).ravel() % 2 == 0)
+            if bath is PARITY_BREAKING:
+                solved = np.arange(gen.shape[0])
+            block = np.vstack([trace[solved], gen[solved[1:]][:, solved].toarray()])
+            rhs = np.zeros(solved.size, dtype=complex)
             rhs[0] = 1.0
             dense = np.zeros(gen.shape[0], dtype=complex)
-            dense[even] = np.linalg.solve(block, rhs)
+            dense[solved] = np.linalg.solve(block, rhs)
             x = steady_full(spec)
             assert np.max(np.abs(x - dense)) <= 1e-13 * np.max(np.abs(dense))
 
@@ -228,15 +238,19 @@ def per_coupling_generator(spec):
 
 
 def per_coupling_steady_state(spec):
-    """The LU of the bordered even block of per_coupling_generator."""
+    """The LU of the bordered block of per_coupling_generator, in the order generator_family gives.
+
+    Rows keep[:-1] of the generator over the trace row, on columns keep, factored
+    with steady_full's splu arguments.
+    """
     gen, ops = per_coupling_generator(spec)
+    keep = generator_family(spec).keep
     trace = np.kron(trace_functional(spec.n_fock), ops["trace"])
-    photons = np.add.outer(np.arange(spec.n_fock), np.arange(spec.n_fock)).ravel()
-    keep = np.flatnonzero(np.add.outer(photons, ops["coherences"]).ravel() % 2 == 0)
-    bordered = sp.vstack([sp.csr_matrix(trace[keep]), gen[keep[1:]][:, keep]], format="csc")
-    lu = spla.splu(bordered, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    bordered = sp.vstack([gen[keep[:-1]][:, keep], sp.csr_matrix(trace[keep])], format="csc")
+    lu = spla.splu(bordered, permc_spec="NATURAL", diag_pivot_thresh=0.1,
+                   options={"SymmetricMode": True})
     rhs = np.zeros(keep.size, dtype=complex)
-    rhs[0] = 1.0
+    rhs[-1] = 1.0
     x = np.zeros(gen.shape[0], dtype=complex)
     x[keep] = lu.solve(rhs)
     return x / (trace @ x)
@@ -271,6 +285,27 @@ class TestGeneratorFamily:
                 exactn._FAMILIES.clear()
                 assert same_bytes(cached, steady_full(spec))
                 assert same_bytes(cached, per_coupling_steady_state(spec))
+
+    @pytest.mark.parametrize("bath", [*CATALOG, PARITY_BREAKING],
+                             ids=[*CATALOG_IDS, "parity-breaking"])
+    @pytest.mark.parametrize("n_atoms, n_fock", [(1, 2), (1, 5), (2, 6), (3, 12)])
+    def test_keep_orders_the_solved_block(self, bath, n_atoms, n_fock):
+        # keep is a permutation of the even unknowns (of all of them for the
+        # parity-breaking jump), unknown 0 last; each photon pair's unknowns are
+        # consecutive and in count order
+        spec = spec_for(bath, n_atoms=n_atoms, n_fock=n_fock, g=0.3)
+        family = generator_family(spec)
+        counts = family.ops["atoms"].shape[0]
+        cavity = np.add.outer(np.arange(n_fock), np.arange(n_fock)).ravel()
+        even = np.flatnonzero(np.add.outer(cavity, family.ops["coherences"]).ravel() % 2 == 0)
+        solved = np.arange(n_fock**2 * counts) if bath is PARITY_BREAKING else even
+        assert family.keep[-1] == 0
+        assert np.array_equal(np.sort(family.keep), solved)
+        rest = family.keep[:-1]
+        nodes = rest // counts
+        changes = np.flatnonzero(np.diff(nodes)) + 1
+        assert len(np.unique(nodes)) == len(changes) + 1
+        assert all(np.all(np.diff(run) > 0) for run in np.split(rest, changes))
 
     def test_families_are_kept_apart(self, fresh_families):
         # specs that differ only in kappa, omega0, n_fock, N or the bath,
@@ -361,10 +396,9 @@ class TestCountBasisAgreement:
                 assert np.max(np.abs(tensor_reference.steady_rho(spec) - rho)) < 1e-12
 
     def test_parity_breaking_jump_solves_every_unknown(self, tensor_reference):
-        # s- + 0.3 sz couples diagonal and coherence units: the steady state is
-        # not even, and <sx> = 0 would be the signature of a blind block solve
-        jump = qops.sigma("minus") + 0.3 * qops.sigma("z")
-        model = baths.spin_model(Custom((qops.LindbladChannel(jump, 0.2),)), 1.0)
+        # the steady state is not even, and <sx> = 0 would be the signature of
+        # a blind block solve
+        model = baths.spin_model(PARITY_BREAKING, 1.0)
         for n_atoms in (1, 2, 3):
             spec = FullSystemSpec(n_atoms, 8, 0.5, CavityParams(1.0, 0.4), model)
             obs = full_steady_observables(spec)
