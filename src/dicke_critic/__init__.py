@@ -45,9 +45,4 @@ from .lindblad import (  # noqa: F401
     two_time_sx,
 )
 from .qops import LindbladChannel, lindblad_generator, sigma  # noqa: F401
-from .response import (  # noqa: F401
-    cavity_det,
-    chi_from_correlator,
-    polariton_roots,
-    resolvent_chi,
-)
+from .response import cavity_det, chi_from_correlator, resolvent_chi  # noqa: F401

@@ -275,15 +275,15 @@ def format_bath(bath: BathSpec) -> str:
     raise NoClosedFormError("custom baths have no textual form")
 
 
-def parse_bath(text: str, line: int | None = None, col_offset: int = 0) -> BathSpec:
+def parse_bath(text: str, col_offset: int = 0) -> BathSpec:
     """Parse ``name(key=value, ...)`` into a BathSpec.
 
-    line/col_offset shift the reported position when the text is embedded
-    in a larger config file.
+    col_offset shifts the reported column when the text is embedded in a
+    larger config file; ``config.coerce`` adds the line.
     """
 
     def fail(msg: str, pos: int):
-        raise ConfigParseError(msg, line=line, column=col_offset + pos + 1)
+        raise ConfigParseError(msg, column=col_offset + pos + 1)
 
     m = _NAME_RE.match(text)
     if not m:
@@ -335,4 +335,4 @@ def parse_bath(text: str, line: int | None = None, col_offset: int = 0) -> BathS
     try:
         return cls(**{keys[k]: v for k, v in args.items()})
     except InvalidModelError as exc:
-        raise ConfigParseError(str(exc), line=line, column=col_offset + 1) from None
+        raise ConfigParseError(str(exc), column=col_offset + 1) from None

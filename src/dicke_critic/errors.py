@@ -34,7 +34,11 @@ class NonIntegrableTailError(DickeCriticError):
 
 
 class NoThresholdError(DickeCriticError):
-    """Stability bisection found no sign change inside the bracket."""
+    """The mean-field oracle found no static instability inside the bracket.
+
+    Either the deflated Jacobian determinant keeps its sign, or a mode (an
+    oscillating one, as in lasing) already grows below its root.
+    """
 
 
 class ConvergenceError(DickeCriticError):

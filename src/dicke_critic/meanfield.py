@@ -22,10 +22,12 @@ and b the coupling rows plus the kick columns b[2:, 0] = b[2:, 1] =
 2 D vec rho_0; no finite difference is taken. ``jacobian`` returns this
 complex matrix (indices 2 and 5 are rho00 and rho11). It is similar to the
 real Jacobian in (Re alpha, Im alpha, rho00, Re rho01, Im rho01, rho11),
-so ``growth_rate`` sees the spectrum of the real flow. The static
-self-consistency reproduces the zero-frequency determinant condition,
-g*^2 = -(omega0^2 + kappa^2) / (2 omega0 chi0), so the bisection threshold
-is an independent check on the closed forms.
+so ``growth_rate`` sees the spectrum of the real flow, and its
+eigenvalues lambda are the polariton roots omega = i lambda of
+``response.cavity_det``. The static self-consistency reproduces the
+zero-frequency determinant condition, g*^2 = -(omega0^2 + kappa^2) /
+(2 omega0 chi0), so ``stability_threshold``, the exact root of the
+deflated det J(g), is an independent check on the closed forms.
 """
 
 from __future__ import annotations
@@ -39,7 +41,12 @@ from .baths import CavityParams
 from .errors import ConvergenceError, NoThresholdError, PreconditionError
 from .lindblad import SpinModel, steady_state
 
-GROWTH_EPS_FACTOR = 1e-8
+# a mode grows when its real part exceeds ROUNDOFF times the norm of the Jacobian
+ROUNDOFF = 1e-13
+# stability is confirmed this far below the static root, relatively: at the
+# adjacent float an undamped soft mode (a Jordan pair at kappa = gamma = 0)
+# splits by about sqrt(eps) and reads as growing
+BELOW = 1e-6
 
 _SX_ROW = qops.observable_row(qops.sigma("x"))  # Tr[sx rho] = _SX_ROW @ vec(rho)
 _DRIVE = qops.hamiltonian_superop(qops.sigma("x"))  # -i [sx, .] as a superoperator
@@ -96,55 +103,93 @@ def jacobian(cavity: CavityParams, model: SpinModel, g: float) -> np.ndarray:
     return a + g * b
 
 
-def _max_real_eigenvalue(jac: np.ndarray) -> float:
-    return float(np.max(np.real(np.linalg.eigvals(jac))))
-
-
 def growth_rate(cavity: CavityParams, model: SpinModel, g: float) -> float:
     """Largest real part of the linearization spectrum at the normal state."""
-    return _max_real_eigenvalue(jacobian(cavity, model, g))
+    return float(np.max(np.real(np.linalg.eigvals(jacobian(cavity, model, g)))))
 
 
-def stability_threshold(
-    cavity: CavityParams,
-    model: SpinModel,
-    g_lo: float,
-    g_hi: float,
-    tol: float = 1e-8,
-) -> float:
-    """Bisect the coupling at which the normal state loses stability.
+def _deflate(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) restricted to their common range, as r x r matrices.
 
-    The conserved directions (trace, and <sz> for dephasing-only baths) sit
-    at eigenvalue zero for every g, so instability is flagged only above a
-    small scale-aware threshold. The Jacobian a + g b is built once; each
-    bisection step is one eigenvalue solve. A bracket that does not change
-    stability raises ``NoThresholdError`` with the largest real eigenvalue
-    at both ends and that threshold, computed on the error path only.
+    Every J(g) = a + g b maps into the range of [a b], so on an orthonormal
+    basis q of it J(g) has the eigenvalues of J(g) less 6 - r zeros: the
+    directions conserved for every g (the trace, and <sz> for dephasing-only
+    baths). The rank is counted as numpy's matrix_rank counts it for the
+    6 x 12 [a b].
+    """
+    u, s, _ = np.linalg.svd(np.hstack([a, b]))
+    q = u[:, s > s[0] * 12 * np.finfo(float).eps]
+    return q.conj().T @ a @ q, q.conj().T @ b @ q
+
+
+def _top_mode(jac: np.ndarray) -> tuple[complex, bool, bool]:
+    """The eigenvalue of jac with the largest real part; whether it grows and oscillates.
+
+    Both are judged against roundoff, ROUNDOFF times the norm of jac.
+    """
+    lams = np.linalg.eigvals(jac)
+    top = complex(lams[np.argmax(lams.real)])
+    noise = ROUNDOFF * float(np.linalg.norm(jac))
+    return top, top.real > noise, abs(top.imag) > noise
+
+
+def stability_threshold(cavity: CavityParams, model: SpinModel, g_lo: float, g_hi: float) -> float:
+    """The coupling in (g_lo, g_hi) at which the normal state goes statically unstable.
+
+    On the deflated Jacobian (``_deflate``) det J(g) is real, since the
+    spectrum is closed under conjugation, and it changes sign exactly where
+    a real eigenvalue crosses 0. Illinois false position finds that root g*,
+    one determinant per step, with a midpoint step whenever the secant
+    leaves the bracket, until the bracket is a few ulps wide. Two
+    eigenvalue solves confirm it: no mode grows at (1 - BELOW) g*, and one
+    does at g_hi.
+
+    ``NoThresholdError`` is raised for a bracket without a sign change, with
+    the largest real eigenvalue at both ends, and for a mode that grows
+    below the root. The determinant's sign does not see a complex pair
+    crossing the imaginary axis, so either message names such an
+    oscillating mode when it grows.
     """
     if not 0 <= g_lo < g_hi:
         raise PreconditionError(f"need 0 <= g_lo < g_hi, got ({g_lo}, {g_hi})")
-    scale = max(cavity.omega0, abs(model.omega_z), cavity.kappa, 1e-12)
-    eps = GROWTH_EPS_FACTOR * scale
-    a, b = _linearization(cavity, model)
+    a, b = _deflate(*_linearization(cavity, model))
 
-    def unstable(g: float) -> bool:
-        return _max_real_eigenvalue(a + g * b) > eps
+    def det(g: float) -> float:
+        return float(np.linalg.det(a + g * b).real)
 
-    if unstable(g_lo) or not unstable(g_hi):
-        rate_lo, rate_hi = (_max_real_eigenvalue(a + g * b) for g in (g_lo, g_hi))
+    lo, hi, f_lo, f_hi, side = g_lo, g_hi, det(g_lo), det(g_hi), 0
+    if (f_lo > 0) == (f_hi > 0):
+        (mode_lo, *_), (mode_hi, grows, oscillates) = (_top_mode(a + g * b) for g in (g_lo, g_hi))
+        lasing = f"; the oscillating mode {mode_hi!r} grows at g_hi" if grows and oscillates else ""
         raise NoThresholdError(
-            f"no stability change in bracket ({g_lo}, {g_hi}): largest real eigenvalue "
-            f"{rate_lo!r} at g_lo and {rate_hi!r} at g_hi, unstable above eps = {eps!r}; "
+            f"no static instability in bracket ({g_lo}, {g_hi}): largest real eigenvalue "
+            f"{mode_lo.real!r} at g_lo and {mode_hi.real!r} at g_hi{lasing}; "
             "the normal state may be stable (or unstable) throughout"
         )
-    lo, hi = g_lo, g_hi
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if unstable(mid):
-            hi = mid
+    while hi - lo > 4 * np.spacing(hi):
+        mid = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
+        f_mid = det(mid)
+        if (f_mid > 0) == (f_hi > 0):  # Illinois: halve the end that stays twice
+            hi, f_hi, f_lo, side = mid, f_mid, f_lo * (0.5 if side > 0 else 1.0), 1
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            lo, f_lo, f_hi, side = mid, f_mid, f_hi * (0.5 if side < 0 else 1.0), -1
+    root = 0.5 * (lo + hi)
+    below = (1.0 - BELOW) * root
+    mode, grows, oscillates = _top_mode(a + below * b)
+    if grows:
+        raise NoThresholdError(
+            f"the {'oscillating' if oscillates else 'real'} mode {mode!r} grows at g = {below!r}, "
+            f"below the static root {root!r}"
+        )
+    mode, grows, _ = _top_mode(a + g_hi * b)
+    if not grows:
+        raise NoThresholdError(
+            f"the determinant changes sign at g = {root!r}, but no mode grows at g_hi: "
+            f"the largest real eigenvalue is {mode.real!r}"
+        )
+    return root
 
 
 @dataclass(frozen=True)

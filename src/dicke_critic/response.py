@@ -1,4 +1,4 @@
-"""Cavity susceptibility, inverse Green function, and polariton roots.
+"""Cavity susceptibility and the inverse cavity Green function.
 
 The per-atom susceptibility is the half-line transform of the correlator's
 imaginary part,
@@ -47,18 +47,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Sequence
 
 import numpy as np
 
 from . import qops
 from .baths import CavityParams
-from .errors import (
-    ConvergenceError,
-    InvalidModelError,
-    NonIntegrableTailError,
-    PreconditionError,
-)
+from .errors import InvalidModelError, NonIntegrableTailError, PreconditionError
 from .lindblad import CorrelationSeries, SpinModel, steady_state
 
 CHI0_IMAG_TOL = 1e-10
@@ -173,8 +167,10 @@ def resolvent_chi(model: SpinModel):
     are built once, here. Each call solves (L + i omega) x = rho sx - sx rho
     for every omega at once by ``_resolvent``, bordered with rho, and
     returns chi = -4i Tr[sx x] with the shape of its argument. Complex
-    omega continues chi analytically, as ``polariton_roots`` needs; sx
-    does not see the extra zero mode of a degenerate null space.
+    omega continues chi analytically, so ``cavity_det`` vanishes at the
+    polariton roots omega = i lambda, lambda the eigenvalues of the
+    mean-field Jacobian; sx does not see the extra zero mode of a degenerate
+    null space.
 
     A call raises NonIntegrableTailError when omega meets -i lambda for an
     undamped mode lambda of L, where the transform diverges, and
@@ -207,56 +203,3 @@ def cavity_det(omega: complex, cavity: CavityParams, g: float, chi: complex) -> 
         # written so the zero-frequency reduction is exact, not rounded
         return cavity.omega0**2 + cavity.kappa**2 + 2.0 * cavity.omega0 * sigma
     return cavity.omega0**2 + 2.0 * cavity.omega0 * sigma - (omega + 1j * cavity.kappa) ** 2
-
-
-def polariton_roots(
-    cavity: CavityParams,
-    g: float,
-    chi_of_omega: Callable[[complex], complex],
-    seeds: Sequence[complex] | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> list[complex]:
-    """Complex roots of det(omega), damped Newton from the bare-cavity poles."""
-
-    def f(w: complex) -> complex:
-        try:
-            return cavity_det(w, cavity, g, chi_of_omega(w))
-        except ZeroDivisionError:
-            raise ConvergenceError(
-                f"polariton root search from seed {seed} reached a pole of chi at omega = {w}"
-            ) from None
-
-    if seeds is None:
-        seeds = [cavity.omega0 - 1j * cavity.kappa, -cavity.omega0 - 1j * cavity.kappa]
-    scale = max(cavity.omega0, cavity.kappa, 1e-12)
-    roots = []
-    for seed in seeds:
-        w = complex(seed)
-        fw = f(w)
-        converged = False
-        for _ in range(max_iter):
-            h = 1e-7 * scale
-            dfd = (f(w + h) - f(w - h)) / (2.0 * h)
-            if dfd == 0:
-                raise ConvergenceError("vanishing derivative in polariton root search")
-            step = fw / dfd
-            # damping: halve until |f| decreases
-            lam = 1.0
-            for _ in range(60):
-                w_new = w - lam * step
-                f_new = f(w_new)
-                if abs(f_new) <= abs(fw):
-                    break
-                lam *= 0.5
-            else:
-                raise ConvergenceError("damped Newton step failed to reduce |det|")
-            done = abs(w_new - w) <= tol * max(1.0, abs(w_new))
-            w, fw = w_new, f_new
-            if done:
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError(f"polariton root search did not converge from seed {seed}")
-        roots.append(w)
-    return roots

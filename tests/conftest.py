@@ -24,6 +24,23 @@ def random_density_matrix(rng, d=2):
 
 
 @pytest.fixture
+def polariton_residuals():
+    """|det(omega)| at omega = i lambda for the 6 eigenvalues lambda of J(g), ascending.
+
+    The roots of the cavity determinant are i times eigenvalues of the
+    mean-field Jacobian at the normal state; chi is a callable chi(omega).
+    """
+    from dicke_critic.meanfield import jacobian
+    from dicke_critic.response import cavity_det
+
+    def residuals(cavity, model, g, chi):
+        lams = np.linalg.eigvals(jacobian(cavity, model, g))
+        return np.sort([abs(cavity_det(1j * lam, cavity, g, chi(1j * lam))) for lam in lams])
+
+    return residuals
+
+
+@pytest.fixture
 def transverse_sx():
     """Exact S_x(tau) of a catalog bath from its 2x2 transverse block.
 

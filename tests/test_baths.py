@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicke_critic import baths
+from dicke_critic import baths, config
 from dicke_critic.baths import (
     CavityParams,
     Custom,
@@ -250,7 +250,8 @@ class TestTextualForm:
             parse_bath(text)
 
     def test_parse_error_carries_position(self):
+        # a config line adds its line; the column points into the value
         with pytest.raises(ConfigParseError) as err:
-            parse_bath("thermal(gamma=0.1, q=0.5)", line=7)
+            config.coerce("bath", "thermal(gamma=0.1, q=0.5)", line=7, column=8)
         assert err.value.line == 7
-        assert err.value.column is not None
+        assert err.value.column == 27  # "q" is character 20 of a value at column 8

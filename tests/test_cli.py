@@ -76,7 +76,7 @@ class TestGc:
         (("--bath", "generalized(gamma=0.2, t=1)"), 2),
         (("--bath", "generalized(gamma=0.2, t=0.4)", "--kappa", "0.5", "--verify"), 0),
         (("--bath", "generalized(gamma=0.2, t=0.4)", "--kappa", "0.5", "--verify",
-          "--tol", "1e-16"), 3),
+          "--mode", "Literature"), 3),
     ], ids=["ok", "no_transition", "verify", "verify_disagrees"])
     def test_output_file_holds_the_stdout_record(self, capsys, tmp_path, argv, expected):
         out_file = tmp_path / "gc.txt"

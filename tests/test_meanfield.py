@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from dicke_critic.meanfield import (
     simulate,
     stability_threshold,
 )
-from dicke_critic.response import polariton_roots
+from dicke_critic.cli import ORACLE_SUITE
+from dicke_critic.response import resolvent_chi
 
 CAVITY = CavityParams(omega0=1.0, kappa=0.5)
 
@@ -67,32 +70,79 @@ class TestThreshold:
         with pytest.raises(NoThresholdError):
             stability_threshold(CAVITY, model, 0.1, 3.0)
 
-    def test_bracket_error_names_end_rates(self):
-        cavity, model = CavityParams(1e-6, 0.0), model_for(Dephasing(gamma=0.0, sz=-0.5), 1e6)
-        with pytest.raises(NoThresholdError) as info:
-            stability_threshold(cavity, model, 0.2, 1.25)
-        rates = [growth_rate(cavity, model, g) for g in (0.2, 1.25)]
-        assert 0 < rates[1] < 1e-2  # unstable, but below eps = 1e-8 * omega_z
-        assert (f"largest real eigenvalue {rates[0]!r} at g_lo and {rates[1]!r} at g_hi, "
-                f"unstable above eps = 0.01;") in str(info.value)
+    def test_oracle_suite_is_exact(self):
+        # bound fixed before the first run: a few ulps, against the bisection's 1e-8
+        for text, kappa in ORACLE_SUITE:
+            bath, cavity = baths.parse_bath(text), CavityParams(1.0, kappa)
+            gc = baths.closed_form_gc(bath, 1.0, cavity).g_c
+            g_star = stability_threshold(cavity, model_for(bath), 0.4 * gc, 2.5 * gc)
+            assert abs(g_star - gc) / gc <= 2e-15, text
 
-    def test_bisection_eigvals_count_unchanged(self, monkeypatch):
-        # the end rates of the error message cost no eigenvalue solve on success:
-        # one per bracket end, then one per bisection step
-        bath, tol = Thermal(gamma=0.1, temperature=0.5), 1e-8
+    @pytest.mark.parametrize("bath", [Dephasing(gamma=0.0, sz=-0.5), Thermal(0.1, 0.5)])
+    def test_far_apart_scales(self, bath):
+        # omega0 = 1e-6 and omega_z = 1e6: the growth rate at 2.5 g_c is 2.29e-6, far
+        # below max(omega0, omega_z), and the exact root needs no scale to compare it to
+        cavity = CavityParams(1e-6, 0.0)
+        gc = baths.closed_form_gc(bath, 1e6, cavity).g_c
+        g_star = stability_threshold(cavity, model_for(bath, 1e6), 0.4 * gc, 2.5 * gc)
+        assert abs(g_star - gc) / gc <= 1e-15
+
+    def test_bracket_error_names_end_rates(self):
+        bath = Thermal(gamma=0.1, temperature=0.5)
+        model, gc = model_for(bath), baths.closed_form_gc(bath, 1.0, CAVITY).g_c
+        with pytest.raises(NoThresholdError) as info:
+            stability_threshold(CAVITY, model, 1.2 * gc, 2.5 * gc)
+        got = re.search(r"largest real eigenvalue (\S+) at g_lo and (\S+) at g_hi; the normal "
+                        r"state may be stable \(or unstable\) throughout$", str(info.value))
+        want = [growth_rate(CAVITY, model, g) for g in (1.2 * gc, 2.5 * gc)]
+        assert [float(r) for r in got.groups()] == pytest.approx(want, rel=1e-12)
+        assert min(want) > 0
+        with pytest.raises(NoThresholdError, match=r"largest real eigenvalue -\S+ at g_lo and "
+                           r"-\S+ at g_hi; the normal"):
+            stability_threshold(CAVITY, model, 0.4 * gc, 0.9 * gc)
+
+    def test_oscillating_crossing_is_named(self):
+        # an inverted bath goes unstable through a complex pair (lasing, near g = 0.5385),
+        # which leaves the sign of the determinant alone
+        model = model_for(Dephasing(gamma=0.3, sz=0.3))
+        with pytest.raises(NoThresholdError, match=r"the oscillating mode \(0\.\d+[-+]1\.\d+j\) "
+                           r"grows at g_hi"):
+            stability_threshold(CAVITY, model, 0.1, 1.0)
+
+    @staticmethod
+    def linearized(monkeypatch, rates, slopes):
+        # J(g) = diag(rates) + g diag(slopes), with rates[:2] a pair rotating at frequency 1;
+        # row and column 5 are zero, a conserved direction to deflate
+        a = np.diag(np.asarray(rates, dtype=complex))
+        a[0, 1], a[1, 0] = -1.0, 1.0
+        b = np.diag(np.asarray(slopes, dtype=complex))
+        monkeypatch.setattr(meanfield, "_linearization", lambda cavity, model: (a, b))
+
+    def test_mode_growing_below_the_root_is_named(self, monkeypatch):
+        # the pair -0.5 + g +- i grows from g = 0.5, the real mode -1 + g from g = 1
+        self.linearized(monkeypatch, [-0.5, -0.5, -1, -2, -3, 0], [1, 1, 1, 0, 0, 0])
+        with pytest.raises(NoThresholdError, match=r"the oscillating mode \(0\.49\d+[-+]1(\.0*)?j\) "
+                           r"grows at g = 0\.99\d+, below the static root 1\.0"):
+            stability_threshold(CAVITY, None, 0.2, 2.0)
+
+    def test_growth_within_roundoff_is_not_an_instability(self, monkeypatch):
+        # the real mode (g - 1) 1e-14 changes the determinant's sign at g = 1, but at
+        # g_hi = 2 it is 1e-14, below ROUNDOFF times the norm of J
+        self.linearized(monkeypatch, [-1, -1, -1e-14, -2, -3, 0], [0, 0, 1e-14, 0, 0, 0])
+        with pytest.raises(NoThresholdError, match=r"changes sign at g = 1\.0\d*, but no mode "
+                           r"grows at g_hi: the largest real eigenvalue is 1(\.0\d*)?e-14"):
+            stability_threshold(CAVITY, None, 0.2, 2.0)
+
+    def test_two_eigvals_solves_per_threshold(self, monkeypatch):
+        # the root costs determinants only; one eigenvalue solve below it, one at g_hi
+        bath = Thermal(gamma=0.1, temperature=0.5)
         model = model_for(bath)
         gc = baths.closed_form_gc(bath, 1.0, CAVITY).g_c
-        g_lo, g_hi = 0.4 * gc, 2.5 * gc
-        eps = meanfield.GROWTH_EPS_FACTOR * 1.0
-        lo, hi, want = g_lo, g_hi, 2
-        while hi - lo > tol * hi:
-            mid, want = 0.5 * (lo + hi), want + 1
-            lo, hi = (lo, mid) if growth_rate(CAVITY, model, mid) > eps else (mid, hi)
         calls = []
         eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(1) or eigvals(m))
-        assert stability_threshold(CAVITY, model, g_lo, g_hi, tol) == 0.5 * (lo + hi)
-        assert len(calls) == want
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m.shape) or eigvals(m))
+        stability_threshold(CAVITY, model, 0.4 * gc, 2.5 * gc)
+        assert calls == [(5, 5), (5, 5)]
 
     def test_bad_bracket_rejected(self):
         model = model_for(Generalized(gamma=0.2, t=0.4))
@@ -107,8 +157,10 @@ class TestThreshold:
 
 
 class TestPolaritonRoots:
-    # each root omega of det(omega), taken as lambda = -i omega, is an eigenvalue
-    # of the exact Jacobian at the normal state
+    # each root omega of det(omega) is i lambda for an eigenvalue lambda of the exact
+    # Jacobian at the normal state: 4 of its 6 eigenvalues are roots, the other two
+    # (the conserved trace and the population) are not. The population eigenvalue can
+    # sit near the soft root: |det| = 1.9e-3 there at thermal, kappa = 1, omega_z = 1.7
     @pytest.mark.parametrize("bath", [
         Dephasing(gamma=0.3, sz=-0.5),
         Dephasing(gamma=0.05, sz=-0.3),
@@ -118,18 +170,17 @@ class TestPolaritonRoots:
         Generalized(gamma=0.2, t=0.4),
         Generalized(gamma=1.0, t=0.5),  # exceptional point 2 t gamma = omega_z
     ])
-    def test_roots_are_jacobian_eigenvalues(self, bath):
+    def test_roots_are_jacobian_eigenvalues(self, bath, polariton_residuals):
         for kappa in (0.0, 0.4, 1.0):
             cavity = CavityParams(omega0=1.0, kappa=kappa)
             for omega_z in (1.0, 1.7):
                 gc = baths.closed_form_gc(bath, omega_z, cavity).g_c
                 model = model_for(bath, omega_z)
-                for g in (0.5 * gc, 0.9 * gc):
-                    eigs = np.linalg.eigvals(jacobian(cavity, model, g))
-                    roots = polariton_roots(cavity, g, baths.closed_form_chi(bath, omega_z))
-                    assert len(roots) == 2
-                    for w in roots:
-                        assert np.min(np.abs(eigs + 1j * w)) < 1e-12, (kappa, omega_z, g, w)
+                for chi in (baths.closed_form_chi(bath, omega_z), resolvent_chi(model)):
+                    for g in (0.5 * gc, 0.9 * gc):
+                        res = polariton_residuals(cavity, model, g, chi)
+                        assert np.all(res[:4] <= 1e-12), (kappa, omega_z, g, res)
+                        assert np.all(res[4:] >= 1e-6), (kappa, omega_z, g, res)
 
 
 class TestSimulate:

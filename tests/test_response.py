@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 
-from dicke_critic import baths, lindblad, response
-from dicke_critic import qops
+from dicke_critic import baths, lindblad, qops, response
 from dicke_critic.baths import CavityParams, Custom, Dephasing, Generalized, Thermal
 from dicke_critic.critical import solve_gc
-from dicke_critic.errors import ConvergenceError, NonIntegrableTailError
+from dicke_critic.errors import NonIntegrableTailError
 from dicke_critic.lindblad import steady_state, two_time_sx
-from dicke_critic.response import (
-    cavity_det,
-    chi_from_correlator,
-    polariton_roots,
-    resolvent_chi,
-)
+from dicke_critic.meanfield import jacobian
+from dicke_critic.response import cavity_det, chi_from_correlator, resolvent_chi
 
 
 def series_for(bath, omega_z=1.0, **kwargs):
@@ -172,19 +167,22 @@ class TestResolventChi:
         got = resolvent_chi(model)(omegas)
         assert max_rel_dev(got, quad) < 1e-9
 
-    def test_polariton_roots_with_complex_omega(self):
+    def test_polariton_roots_with_complex_omega(self, polariton_residuals):
+        # the resolvent continued to omega = i lambda, lambda an eigenvalue of the
+        # mean-field Jacobian, closes the cavity determinant as the closed form does
         bath = Thermal(gamma=0.2, temperature=0.4)
         model = baths.spin_model(bath, 1.0)
         cavity = CavityParams(1.0, 0.2)
         gc = baths.closed_form_gc(bath, 1.0, cavity).g_c
+        chi, want = resolvent_chi(model), baths.closed_form_chi(bath, 1.0)
         for g in (0.5 * gc, 0.97 * gc):
-            want = polariton_roots(cavity, g, baths.closed_form_chi(bath, 1.0))
-            got = polariton_roots(cavity, g, resolvent_chi(model))
-            assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-9
+            assert np.all(polariton_residuals(cavity, model, g, chi)[:4] <= 1e-12)
+            omegas = 1j * np.linalg.eigvals(jacobian(cavity, model, g))
+            assert max_rel_dev(chi(omegas), want(omegas)) < 1e-12
 
     def test_polariton_search_builds_the_model_once(self, monkeypatch):
         # the steady state and the generator are built with the callable,
-        # not once per chi evaluation of the Newton search
+        # not once per chi evaluation at the roots
         counts = {"steady": 0, "generator": 0}
         steady, generator = lindblad.steady_state, lindblad.SpinModel.generator
 
@@ -205,10 +203,11 @@ class TestResolventChi:
         built = dict(counts)
         assert built["steady"] == 1
         g = 0.97 * baths.closed_form_gc(bath, 1.0, cavity).g_c
-        got = polariton_roots(cavity, g, chi)
+        lams = np.linalg.eigvals(jacobian(cavity, model, g))
+        counts.update(built)  # count only the chi evaluations at the roots i lambda
+        got = [chi(1j * lam) for lam in lams]
         assert counts == built
-        want = polariton_roots(cavity, g, baths.closed_form_chi(bath, 1.0))
-        assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-9
+        assert max_rel_dev(np.array(got), baths.closed_form_chi(bath, 1.0)(1j * lams)) < 1e-12
 
     def test_unpolarized_response_vanishes(self):
         model = baths.spin_model(Dephasing(gamma=0.0, sz=0.0), 1.0)
@@ -262,35 +261,34 @@ class TestCavityDet:
 
 
 class TestPolaritonRoots:
+    # the roots of det(omega) are i lambda for eigenvalues lambda of the mean-field Jacobian
     def test_bare_poles(self):
         cavity = CavityParams(1.0, 0.25)
-        roots = polariton_roots(cavity, 0.0, lambda w: 0.0)
-        assert sorted(r.real for r in roots) == pytest.approx([-1.0, 1.0], abs=1e-9)
-        for r in roots:
-            assert r.imag == pytest.approx(-0.25, abs=1e-9)
+        model = baths.spin_model(Dephasing(gamma=0.3, sz=-0.5), 1.0)
+        lams = np.linalg.eigvals(jacobian(cavity, model, 0.0))
+        for pole in (-0.25 - 1j, -0.25 + 1j):
+            lam = lams[np.argmin(np.abs(lams - pole))]
+            assert abs(lam - pole) < 1e-12
+            assert abs(cavity_det(1j * lam, cavity, 0.0, 0.0)) < 1e-12
 
     def test_root_crosses_origin_at_gc(self):
-        # seeded at the bare poles, the tracked root reaches omega = 0 at g_c
+        # at g_c the soft eigenvalue joins the two conserved directions at 0
         bath = Dephasing(gamma=0.3, sz=-0.5)
         cavity = CavityParams(1.0, 0.2)
-        chi = baths.closed_form_chi(bath, 1.0)
+        model = baths.spin_model(bath, 1.0)
         gc = baths.closed_form_gc(bath, 1.0, cavity).g_c
-        roots = polariton_roots(cavity, gc, chi)
-        assert min(abs(r) for r in roots) < 1e-8
+        for g, zeros in ((0.97 * gc, 2), (gc, 3)):
+            lams = np.linalg.eigvals(jacobian(cavity, model, g))
+            assert np.sum(np.abs(lams) < 1e-8) == zeros
 
     def test_soft_root_below_threshold(self):
         bath = Dephasing(gamma=0.3, sz=-0.5)
         cavity = CavityParams(1.0, 0.2)
-        chi = baths.closed_form_chi(bath, 1.0)
+        model = baths.spin_model(bath, 1.0)
         gc = baths.closed_form_gc(bath, 1.0, cavity).g_c
-        roots = polariton_roots(cavity, 0.97 * gc, chi)
-        soft = min(roots, key=abs)
+        lams = np.linalg.eigvals(jacobian(cavity, model, 0.97 * gc))
+        soft = min(lams[np.abs(lams) > 1e-8], key=abs)  # past the two conserved directions
         assert abs(soft) < 0.3
-        assert soft.imag < 0
-
-    def test_seed_on_a_pole_of_chi_is_typed_error(self):
-        # undamped spin at omega_z = omega0 = 1, kappa = 0: the default seed
-        # omega0 - i kappa is the spin pole of chi
-        chi = baths.closed_form_chi(Dephasing(0.0, -0.5), 1.0)
-        with pytest.raises(ConvergenceError, match=r"seed \(1\+0j\)"):
-            polariton_roots(CavityParams(1.0, 0.0), 0.3, chi)
+        assert soft.real < 0
+        chi = baths.closed_form_chi(bath, 1.0)(1j * soft)
+        assert abs(cavity_det(1j * soft, cavity, 0.97 * gc, chi)) < 1e-12
