@@ -205,17 +205,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
     )
     table = critical.sweep(plan)
     unit = 1.0 if cfg.raw_units else cfg.omega_z
-    ok = (table.status == "ok").tolist()
+    ok = table.status == "ok"
     cols = [table.params[:, 0], table.chi0 * unit, table.g_c / unit, table.gc_over_g0]
-    x, chi0, g_c, ratio = (c.tolist() for c in cols)
     status = table.status.tolist()
     if cfg.format == "csv":
-        lines = [f"{cfg.sweep_param},chi0,g_c,g_c_over_g0,status"]
-        for x_i, chi0_i, g_c_i, ratio_i, status_i, ok_i in zip(x, chi0, g_c, ratio, status, ok):
-            tail = f"{g_c_i + 0.0:.17g},{ratio_i + 0.0:.17g}" if ok_i else "inf,inf"
-            lines.append(f"{x_i + 0.0:.17g},{chi0_i + 0.0:.17g},{tail},{status_i}")
-        _write(cfg.output, _csv(lines))
+        # +0.0 flushes negative zero; a row without a transition reads inf,inf
+        x, chi0, g_c, ratio = (c + 0.0 for c in cols)
+        g_c[~ok] = ratio[~ok] = np.inf
+        rows = map("%.17g,%.17g,%.17g,%.17g,%s".__mod__,
+                   zip(x.tolist(), chi0.tolist(), g_c.tolist(), ratio.tolist(), status))
+        _write(cfg.output, _csv([f"{cfg.sweep_param},chi0,g_c,g_c_over_g0,status", *rows]))
     else:
+        x, chi0, g_c, ratio = (c.tolist() for c in cols)
+        ok = ok.tolist()
         # the bytes of json.dumps(rows, indent=2): its compact C encoder spells
         # each number (float repr, -0.0, null, Infinity), the layout is written here
         key = json.dumps(cfg.sweep_param)

@@ -62,7 +62,7 @@ from .lindblad import CorrelationSeries, SpinModel, correlation_series_from_gene
 
 # 128^2, vec(rho) at Hilbert dimension 128: every N <= 4 system up to that dimension fits
 MAX_UNKNOWNS = 16384
-# the regression correlator steps a dense expm propagator of dimension dim^2
+# the regression correlator steps a dense propagator exp(L dt) of dimension dim^2
 _DENSE_PROPAGATOR_DIM = 64
 # families kept by generator_family: N = 1..6 interleaved at each coupling never evict each other
 MAX_FAMILIES = 8

@@ -16,10 +16,13 @@ for the dephasing bath, which is the closed form every downstream formula
 in this package is written against. (The opposite ordering, sx rho, gives
 the complex conjugate.)
 
-The correlator is sampled by stepping one propagator P = expm(L dt)
-across a uniform grid. No eigenvectors are involved, so exceptional
-points, where L is defective, are no special case. The series keeps the
-generator, the observable row and the state at the end of the window;
+The correlator is sampled by stepping one propagator P = exp(L dt)
+across a uniform grid. P is computed on numpy alone (``_expm``): L dt is
+scaled by 2^-s to 1-norm at most 1/2, its Taylor series is summed by
+Horner to the first term below the unit roundoff, and the sum is squared
+s times. No eigenvectors are involved, so exceptional points, where L is
+defective, are no special case. The series keeps the generator, the
+observable row and the state at the end of the window;
 ``response.chi_from_correlator`` closes the transform past the window
 from them with one resolvent solve.
 """
@@ -47,6 +50,7 @@ DEFAULT_DT_FACTOR = 0.02
 MAX_SAMPLES = 2_000_000
 # window of a correlator without damped modes, in periods of its fastest mode
 DISPLAY_PERIODS = 12
+_UNIT_ROUNDOFF = 2.0**-53
 
 _SX = qops.sigma("x")
 logger = logging.getLogger("dicke_critic")
@@ -209,18 +213,43 @@ def _window(
     return tmax, dt, slow
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring a Taylor polynomial.
+
+    a / 2^s has 1-norm r <= 1/2; the series runs to the first degree m
+    with r^m / m! below the unit roundoff (m = 8 at the default step),
+    summed by Horner, I + x (I + x/2 (... (I + x/m))), and squared s times.
+    """
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    s = max(0, math.frexp(norm)[1] + 1)
+    x = a * 2.0**-s
+    r = term = norm * 2.0**-s
+    m = 1
+    while term > _UNIT_ROUNDOFF:
+        m += 1
+        term *= r / m
+    eye = np.eye(a.shape[0], dtype=x.dtype)
+    p = x / m
+    p += eye
+    for k in range(m - 1, 0, -1):
+        p = x @ p
+        p /= k
+        p += eye
+    for _ in range(s):
+        p = p @ p
+    return p
+
+
 def _step(
     gen: np.ndarray, starts: np.ndarray, row: np.ndarray, dt: float, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """row . P^k s for k < n and each column s of starts, P = expm(gen dt).
+    """row . P^k s for k < n and each column s of starts, P = exp(gen dt).
 
     Returns the (n, columns) samples and P^(n-1) starts. Two-level blocks
     keep the Python loop at O(sqrt n): the rows row P^j for j < b, the
     states (P^b)^i starts, and one product of the two.
     """
-    import scipy.linalg
-
-    prop = scipy.linalg.expm(gen * dt)
+    prop = _expm(gen * dt)
     b = math.isqrt(n - 1) + 1
     rows = np.empty((b, row.size), dtype=complex)
     rows[0] = row

@@ -213,6 +213,31 @@ class TestSweep:
                       "--sweep-param", "t", "--sweep-values", "1")[1]
         assert csv.splitlines()[2] == "1,0,inf,inf,no-transition:unpolarized"
 
+    @pytest.mark.parametrize("raw", [False, True], ids=["omega_z_units", "raw_units"])
+    def test_csv_writer_matches_per_row_format(self, capsys, raw):
+        # chi0 = -0.0 (t = 1) and x = -0.0, inverted rows, and values from 1e-300 to 1e300
+        unit = 1.0 if raw else 1.3
+        for bath, axis, values in (
+            ("generalized(gamma=0.5, t=0)", "t", "-0.0,0.5,1"),
+            ("dephasing(gamma=0.2, sz=-0.5)", "sz", "-0.5,-0.0,0.5"),
+            ("thermal(gamma=0.1, T=0.5)", "gamma", "1e-300,0.3,1e300"),
+            ("generalized(gamma=0.5, t=0.3)", "omega0", "1e-100,1,1e100"),
+        ):
+            argv = ["sweep", "--bath", bath, "--sweep-param", axis, f"--sweep-values={values}",
+                    "--omega-z", "1.3", "--kappa", "0.2", *(["--raw-units"] if raw else [])]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            table = sweep(SweepPlan(parse_bath(bath), 1.3, CavityParams(1.0, 0.2), axis,
+                                    parse_float_list(values)))
+            lines = [cli.HEADER, f"{axis},chi0,g_c,g_c_over_g0,status"]
+            for (x,), chi0, g_c, ratio, status in zip(
+                    table.params.tolist(), table.chi0.tolist(), table.g_c.tolist(),
+                    table.gc_over_g0.tolist(), table.status.tolist()):
+                tail = f"{g_c / unit + 0.0:.17g},{ratio + 0.0:.17g}" if status == "ok" else "inf,inf"
+                lines.append(f"{x + 0.0:.17g},{chi0 * unit + 0.0:.17g},{tail},{status}")
+            assert out == "".join(line + "\n" for line in lines)
+            assert "-0," not in out and ",-0," not in out
+
     def test_invalid_row_is_named(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--bath", "thermal(gamma=0.1, T=0.5)",
                                  "--sweep-param", "gamma", "--sweep-values", "0.1,0")
@@ -650,15 +675,17 @@ class TestParserCache:
 
 
 def test_closed_form_routes_load_no_scipy():
-    """gc, sweep, spectrum and oracle run on numpy alone; corr, the control, loads scipy.linalg.
+    """gc, sweep, spectrum, oracle, corr and the quadrature chi0 run on numpy alone.
 
-    A fresh interpreter, since this process already holds scipy.
+    The control, one N = 1 exact-N steady state, loads scipy.sparse, so the
+    detector is seen to work. A fresh interpreter, since this process
+    already holds scipy.
     """
     script = textwrap.dedent("""
         import contextlib, io, json, sys
 
         import dicke_critic
-        from dicke_critic import cli
+        from dicke_critic import baths, cli, lindblad, response
 
         def scipy_modules():
             return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -667,13 +694,18 @@ def test_closed_form_routes_load_no_scipy():
         sweep = ["sweep", *bath, "--sweep-param", "t", "--sweep-values", "0,0.5"]
         codes = []
         for argv in (["gc", "--verify", *bath], sweep, [*sweep, "--format", "json"],
-                     ["spectrum", *bath, "--omega-points", "5"], ["oracle"]):
+                     ["spectrum", *bath, "--omega-points", "5"], ["oracle"], ["corr", *bath]):
             with contextlib.redirect_stdout(io.StringIO()):
                 codes.append(cli.main(argv))
+        model = baths.spin_model(baths.parse_bath(bath[1]), 1.0)
+        series = lindblad.two_time_sx(model, lindblad.steady_state(model).rho)
+        chi0 = response.chi_from_correlator(series, 0.0)
         before = scipy_modules()
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes.append(cli.main(["corr", *bath]))
-        print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+        from dicke_critic import exactn
+        spec = exactn.FullSystemSpec(1, 3, 0.1, baths.CavityParams(1.0, 0.5), model)
+        exactn.full_steady_observables(spec)
+        print(json.dumps({"codes": codes, "chi0": chi0.real, "before": before,
+                          "after": scipy_modules()}))
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -682,5 +714,6 @@ def test_closed_form_routes_load_no_scipy():
                           text=True, check=True)
     result = json.loads(proc.stdout)
     assert result["codes"] == [0] * 6
+    assert result["chi0"] < 0
     assert result["before"] == []
-    assert "scipy.linalg" in result["after"]
+    assert "scipy.sparse" in result["after"]

@@ -83,6 +83,40 @@ class TestPropagate:
         assert np.max(np.abs(rho_inf - steady_state(model).rho)) < 1e-10
 
 
+class TestExpm:
+    """The numpy propagator against closed forms and against scipy.linalg.expm as an oracle."""
+
+    @pytest.mark.parametrize("lam", [0.0, -0.3 + 0.7j, -3.0 + 2.0j])
+    def test_jordan_block_closed_form(self, lam):
+        # lam I + N is defective, as L is at the exceptional point 2 t gamma = omega_z
+        nil = np.eye(4, k=1)
+        expected = np.exp(lam) * (np.eye(4) + nil + nil @ nil / 2 + nil @ nil @ nil / 6)
+        got = lindblad._expm(lam * np.eye(4) + nil)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_zero_matrix_is_identity(self):
+        # the step of a one-sample grid is dt = 0
+        assert np.array_equal(lindblad._expm(np.zeros((4, 4), dtype=complex)), np.eye(4))
+
+    @pytest.mark.parametrize("dim", [4, 16, 144])
+    def test_matches_scipy_expm(self, dim):
+        rng = np.random.default_rng(dim)
+        for norm in (1e-8, 1e-4, 1e-2, 0.5, 1.0, 10.0, 1e2):
+            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            a *= norm / np.max(np.sum(np.abs(a), axis=0))
+            expected = scipy.linalg.expm(a)
+            err = np.max(np.abs(lindblad._expm(a) - expected))
+            assert err <= 1e-12 * np.max(np.abs(expected)), (norm, err)
+
+    def test_weak_dephasing_keeps_roundoff(self):
+        # 366,669 steps of one propagator; 3.6e-14 is what scipy's expm reaches here
+        model = model_for(Dephasing(gamma=3e-3, sz=-0.5))
+        series = two_time_sx(model, steady_state(model).rho)
+        assert series.times.size == 366_669
+        expected = 0.25 * np.exp(-3e-3 * series.times) * np.exp(1j * series.times)
+        assert np.max(np.abs(series.values - expected)) <= 3.6e-14
+
+
 class TestTwoTimeCorrelator:
     def test_starts_at_one_quarter(self):
         model = model_for(Thermal(gamma=0.1, temperature=0.5))
