@@ -19,6 +19,7 @@ import copy
 import enum
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,19 @@ def solve_gc(chi0: float, cavity: CavityParams) -> CriticalResult:
     return Transition(g_c=_critical_coupling(chi0, cavity))
 
 
+def _cavity_scale(cavity: CavityParams, quantity: str):
+    """omega0^2 + kappa^2, which must be a normal float: below that it has lost its digits."""
+    scale = _sq(cavity.omega0) + _sq(cavity.kappa)
+    if np.any(scale < sys.float_info.min):
+        raise PreconditionError(f"{quantity} is undefined: omega0^2 + kappa^2 underflows the "
+                                f"float range (below {sys.float_info.min:.6g})")
+    return scale
+
+
 def _critical_coupling(chi0, cavity: CavityParams):
     """Root of the zero-frequency condition at chi0 < 0."""
     with _float_range("g_c"):
-        scale = _sq(cavity.omega0) + _sq(cavity.kappa)
+        scale = _cavity_scale(cavity, "g_c")
         return _each(math.sqrt, -scale / (2.0 * cavity.omega0 * chi0))
 
 
@@ -71,7 +81,7 @@ def fully_polarized_gc(omega_z: float, cavity: CavityParams) -> float:
     if np.any(omega_z <= 0):
         raise PreconditionError("the fully polarized reference needs omega_z > 0")
     with _float_range("g0"):
-        scale = _sq(cavity.omega0) + _sq(cavity.kappa)
+        scale = _cavity_scale(cavity, "g0")
         return 0.5 * _each(math.sqrt, omega_z * scale / cavity.omega0)
 
 

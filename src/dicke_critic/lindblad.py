@@ -16,13 +16,16 @@ for the dephasing bath, which is the closed form every downstream formula
 in this package is written against. (The opposite ordering, sx rho, gives
 the complex conjugate.)
 
-The correlator is sampled by stepping one propagator P = exp(L dt)
-across a uniform grid. P is computed on numpy alone (``_expm``): L dt is
-scaled by 2^-s to 1-norm at most 1/2, its Taylor series is summed by
-Horner to the first term below the unit roundoff, and the sum is squared
-s times. No eigenvectors are involved, so exceptional points, where L is
-defective, are no special case. The series keeps the generator, the
-observable row and the state at the end of the window;
+The correlator is sampled on a uniform grid by one propagator
+P = exp(L dt). P is computed on numpy alone (``_expm``): L dt is scaled by
+2^-s to 1-norm at most 1/2, its Taylor series is summed by Horner to the
+first term below the unit roundoff, and the sum is squared s times. One
+chain of squarings P^(2^i) then gives all n samples in O(log n) numpy
+calls (``_step``): it doubles the observable rows and then the states,
+and the samples are one product of the two. No eigenvectors are
+involved, so exceptional points, where L is defective, are no special
+case. The series keeps the generator, the observable row and the state
+at the end of the window;
 ``response.chi_from_correlator`` closes the transform past the window
 from them with one resolvent solve.
 """
@@ -245,24 +248,40 @@ def _step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """row . P^k s for k < n and each column s of starts, P = exp(gen dt).
 
-    Returns the (n, columns) samples and P^(n-1) starts. Two-level blocks
-    keep the Python loop at O(sqrt n): the rows row P^j for j < b, the
-    states (P^b)^i starts, and one product of the two.
+    Returns the (n, columns) samples and P^(n-1) starts. One chain of
+    squarings S_t = P^(2^t) keeps every Python loop at O(log n). With
+    b = 2^d >= sqrt(n), the rows row P^j, j < b, double through S_0 ..
+    S_(d-1); the states (P^b)^i starts, i < ceil(n/b), double through
+    S_d, S_(d+1), ...; the samples are one product of the two. P^(n-1)
+    starts takes one product by S_t for each set bit t of n - 1 along the
+    way, so only the latest square is kept.
     """
-    prop = _expm(gen * dt)
-    b = math.isqrt(n - 1) + 1
+    depth = ((n - 1).bit_length() + 1) // 2
+    b, cols, last = 1 << depth, starts.shape[1], n - 1
+    m = -(-n // b)
+    square = _expm(gen * dt)
     rows = np.empty((b, row.size), dtype=complex)
     rows[0] = row
-    for j in range(1, b):
-        rows[j] = rows[j - 1] @ prop
-    jump = np.linalg.matrix_power(prop, b)
-    states = np.empty((-(-n // b), *starts.shape), dtype=complex)
-    states[0] = starts
-    for i in range(1, states.shape[0]):
-        states[i] = jump @ states[i - 1]
-    samples = (rows @ states).reshape(-1, starts.shape[1])[:n]
-    i, j = divmod(n - 1, b)
-    return samples, np.linalg.matrix_power(prop, j) @ states[i]
+    end = starts
+    for t in range(depth):
+        rows[1 << t:2 << t] = rows[:1 << t] @ square
+        if last >> t & 1:
+            end = square @ end
+        square = square @ square
+    # the states as rows, (columns, i, entries): a doubling multiplies by S^T
+    states = np.empty((cols, m, row.size), dtype=complex)
+    states[:, 0] = starts.T
+    q = 1
+    while q < m:
+        r = min(q, m - q)
+        states[:, q:q + r] = states[:, :r] @ square.T
+        if last >> depth & q:
+            end = square @ end
+        q += r
+        if q < m:
+            square = square @ square
+    samples = (states.reshape(cols * m, -1) @ rows.T).reshape(cols, m * b)[:, :n]
+    return samples.T, end
 
 
 def correlation_series_from_generator(
@@ -308,7 +327,9 @@ def correlation_series_from_generator(
     parts = np.stack([qops.vectorize(init + adj) / 2, qops.vectorize(init - adj) / 2j], axis=1)
     row = qops.observable_row(obs)
     samples, ends = _step(gen, parts, row, step, times.size)
-    values = samples[:, 0].real + 1j * samples[:, 1].real
+    values = np.empty(times.size, dtype=complex)
+    values.real, values.imag = samples[:, 0].real, samples[:, 1].real
+    del samples  # twice the size of values: free it before CorrelationSeries checks them
     end = ends[:, 0] + 1j * ends[:, 1]
     return CorrelationSeries(times=times, values=values, generator=gen, obs_row=row, end_state=end)
 

@@ -134,7 +134,8 @@ def chi_from_correlator(corr: CorrelationSeries, omega: float) -> complex:
     """chi(omega) from the sampled correlator plus the exact tail past it.
 
     A composite Boole rule integrates the samples up to the last sample
-    time T. Past T, with x_T = corr.end_state,
+    time T; at omega = 0 the integrand is real. Past T, with
+    x_T = corr.end_state,
 
         int_T^inf e^{i omega t} Im f dt
             = -e^{i omega T} obs (L + i omega)^{-1} (x_T - x_T^+) / 2i,
@@ -144,8 +145,10 @@ def chi_from_correlator(corr: CorrelationSeries, omega: float) -> complex:
     omega = 0 the imaginary part must vanish; it is checked against
     CHI0_IMAG_TOL and discarded.
     """
-    im_vals = np.imag(corr.values)
-    body = _integrate_samples(corr.times, -8.0 * im_vals * np.exp(1j * omega * corr.times))
+    integrand = -8.0 * np.imag(corr.values)
+    if omega != 0.0:
+        integrand = integrand * np.exp(1j * omega * corr.times)
+    body = _integrate_samples(corr.times, integrand)
     end = corr.end_state
     rhs = (end - qops.vectorize(qops.devectorize(end).conj().T)) / 2j
     dim = math.isqrt(end.size)

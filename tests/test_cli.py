@@ -109,6 +109,8 @@ class TestGc:
         for args, quantity in (
             (["--bath", "dephasing(gamma=0, sz=-0.5)", "--omega-z", "0"], "chi0 is undefined"),
             (["--bath", "thermal(gamma=0.1, T=0.5)", "--omega0", "1e200"], "g_c overflows"),
+            (["--bath", "generalized(gamma=0.5, t=0.3)", "--omega0", "1e-300"],
+             "g_c is undefined: omega0^2 + kappa^2 underflows"),
         ):
             code, out, err = run_cli(capsys, "gc", *args)
             assert (code, out) == (1, "")
@@ -117,6 +119,10 @@ class TestGc:
                                  "--sweep-param", "omega_z", "--sweep-values", "1,0")
         assert (code, out) == (1, "")
         assert "row 1, omega_z = 0.0: chi0 is undefined" in err
+        code, out, err = run_cli(capsys, "sweep", "--bath", "generalized(gamma=0.5, t=0.3)",
+                                 "--sweep-param", "omega0", "--sweep-values=1e-300,1e-200,1")
+        assert (code, out) == (1, "")
+        assert "row 0, omega0 = 1e-300: g_c is undefined: omega0^2 + kappa^2 underflows" in err
 
 
 class TestSweep:

@@ -56,6 +56,19 @@ class TestSolveGc:
         residual = omega0**2 + kappa**2 + 2.0 * omega0 * result.g_c**2 * chi0
         assert abs(residual) < 1e-12 * (omega0**2 + kappa**2)
 
+    def test_underflowing_cavity_scale_is_typed_error(self):
+        # omega0^2 + kappa^2 below the smallest normal float has lost its digits:
+        # at 1e-300 it is 0, at 1e-154 it is subnormal
+        for omega0 in (1e-300, 1e-160, 1e-154):
+            cavity = CavityParams(omega0, 0.0)
+            with pytest.raises(PreconditionError, match="g_c is undefined: omega0.2 .*underflows"):
+                solve_gc(-1.6, cavity)
+            with pytest.raises(PreconditionError, match="g0 is undefined: omega0.2 .*underflows"):
+                fully_polarized_gc(1.0, cavity)
+        # a normal scale still solves: the threshold itself, and kappa rescuing a tiny omega0
+        assert isinstance(solve_gc(-1.6, CavityParams(1.5e-154, 0.0)), Transition)
+        assert fully_polarized_gc(1.0, CavityParams(1e-300, 1e-100)) > 0
+
 
 class TestKappaScaling:
     def test_matches_gc_ratio(self):
@@ -281,6 +294,17 @@ class TestSweepKernel:
                 sweep(plan)
             assert type(swept.value) is type(scalar.value)
             assert str(swept.value) == f"row {row}, {axis} = {bad!r}: {scalar.value}"
+
+    def test_underflowing_row_raises_the_scalar_error(self):
+        # kappa = 0: omega0 = 1e-300 squares to 0, which once gave g_c = 0 with status ok
+        plan = SweepPlan(Generalized(gamma=0.5, t=0.3), 1.0, CavityParams(1.0, 0.0), "omega0",
+                         (1.0, 1e-300, 1e-200))
+        with pytest.raises(PreconditionError) as scalar:
+            _scalar_point(plan, ("omega0",), (1e-300,))
+        with pytest.raises(PreconditionError) as swept:
+            sweep(plan)
+        assert str(swept.value) == f"row 1, omega0 = 1e-300: {scalar.value}"
+        assert "underflows" in str(scalar.value)
 
     def test_invalid_row_of_a_two_axis_grid_is_named(self):
         plan = SweepPlan(Thermal(gamma=0.2, temperature=0.4), 1.1, CavityParams(0.9, 0.3),
