@@ -9,25 +9,32 @@ units u = |i><j|, entry n weighting the sum over all arrangements of those
 units. A sum over the atoms of a single-atom superoperator S moves one
 unit u -> v with weight S[v, u] (n_v + 1), and keeps S[u, u] n_u on the
 diagonal. Each generator term is a ``qops`` cavity superoperator (x) such
-a lift; the steady state is one bordered sparse LU solve. As an oracle,
+a lift; the steady state is one bordered solve by dense fronts. As an oracle,
 the single-atom correlator at g = 0 must match the single-spin engine, and
 the photon number shows the finite-size onset near the infinite-N g_c.
 
 The generator is linear in the coupling, L(g) = A - (2i g/sqrt(N)) B: A is
 the cavity generator (x) 1 + 1 (x) the lifted atomic generator, B the
-coupling commutator. A, B, the solved block of both, the trace row and the
-observable rows depend only on the family (N, n_fock, omega0, kappa, the
-bytes of the single-atom generator), so ``generator_family`` builds them
-once per family and keeps the last MAX_FAMILIES families by value, their
-arrays read-only; each coupling then costs one sparse A - s B per matrix
-and the LU.
+coupling commutator. A, B, the entries of the solved block of both, the
+elimination tree, the trace row and the observable rows depend only on the
+family (N, n_fock, omega0, kappa, the bytes of the single-atom generator),
+so ``generator_family`` builds them once per family and keeps the last
+MAX_FAMILIES families by value, their arrays read-only; each coupling then
+costs one A - s B over those entries, one scatter per front and LAPACK.
 
 The unknowns form an n_fock x n_fock grid of cavity elements |k><m|, each
 node holding a count vector, and every generator term moves k and m by at
-most one. The family orders the solved unknowns by nested dissection of
-that grid (George, SIAM J. Numer. Anal. 10, 345 (1973)), counts in order
-within a node, and the LU factors in that order: at N = 5, n_fock = 12 its
-fill is 1.84M against 2.4-3.3M with minimum degree on A + A^T.
+most one: a row or column of the grid separates the nodes on either side
+of it, and the diagonal k = m separates k < m from k > m. The diagonal is
+the root of the elimination tree, and each side is split by nested
+dissection (George, SIAM J. Numer. Anal. 10, 345 (1973)). Each tree node
+is a dense front: in post-order, LAPACK eliminates its unknowns and its
+Schur complement is added into its parent's front, a multifrontal
+elimination (Duff & Reid, ACM TOMS 9, 302 (1983)). The diagonal nodes must
+wait for the root: their cavity part -2 kappa k vanishes at k = 0 and, at
+kappa = 0, at every k, which leaves a node's block the lifted atomic
+generator, singular at g = 0 and nearly so at small kappa; the trace row,
+which lives on those nodes, is solved last in the root.
 
 Parity: Pi = exp(i pi (a+a + sum (sz + 1/2))) commutes with omega0 a+a, the
 kappa a channel, the coupling (a + a+) sx and every catalog channel (sz;
@@ -52,7 +59,6 @@ from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import qops
 from .baths import CavityParams
@@ -60,7 +66,7 @@ from .errors import (ConvergenceError, DegenerateSteadyStateError, InvalidModelE
                      PreconditionError)
 from .lindblad import CorrelationSeries, SpinModel, correlation_series_from_generator, steady_state
 
-# 128^2, vec(rho) at Hilbert dimension 128: every N <= 4 system up to that dimension fits
+# 128^2 count-basis unknowns C(N+3, 3) n_fock^2: N <= 6 at n_fock = 12 (12096), not N = 7 (17280)
 MAX_UNKNOWNS = 16384
 # the regression correlator steps a dense propagator exp(L dt) of dimension dim^2
 _DENSE_PROPAGATOR_DIM = 64
@@ -140,16 +146,40 @@ def embedded_ops(spec: FullSystemSpec) -> Ops:
 
 
 @dataclass(frozen=True)
+class Front:
+    """One node of the dissection tree: a dense block eliminated by LAPACK (read-only).
+
+    Positions lo..hi-1 of family.keep are eliminated here; update holds the
+    later positions they couple to, ascending, and the front is the square
+    block on positions lo..hi-1 then update. index are the flat positions in
+    it of the entries family.front_base[entries] (and front_interaction) that
+    are assembled here: those whose earlier position, row or column, is
+    eliminated here. into pairs each run of consecutive update positions
+    with the rows (and columns) of the parent front that it falls on.
+    """
+
+    lo: int
+    hi: int
+    update: np.ndarray
+    entries: slice
+    index: np.ndarray
+    parent: int
+    into: tuple[tuple[slice, slice], ...]
+
+
+@dataclass(frozen=True)
 class GeneratorFamily:
     """The parts of the generator and of its solve that do not depend on g (read-only).
 
     base = cavity generator (x) 1 + 1 (x) ops["atoms"]; interaction = L (x)
     ops["left_x"] - R (x) ops["right_x"], L and R the left and right
     multiplication by a + a+. keep lists the unknowns solved for in the
-    order of the LU, unknown 0 last; trace is the trace row r of
-    steady_full, and the bordered matrices are rows keep[:-1] of base over
-    r and those of interaction over a zero row, on columns keep. rows are
-    the photon-number, <sz> and <sx> rows of Observables.
+    order of elimination, unknown 0 last; trace is the trace row r of
+    steady_full. The bordered block M is rows keep[:-1] of base - s
+    interaction over r, on columns keep; fronts are the nodes of its
+    elimination tree in post-order, root last, and front_base and
+    front_interaction the entries of M's two parts, front by front. rows
+    are the photon-number, <sz> and <sx> rows of Observables.
     """
 
     ops: Ops
@@ -157,8 +187,9 @@ class GeneratorFamily:
     interaction: sp.csr_matrix
     keep: np.ndarray
     trace: np.ndarray
-    bordered_base: sp.csc_matrix
-    bordered_interaction: sp.csc_matrix
+    fronts: tuple[Front, ...]
+    front_base: np.ndarray
+    front_interaction: np.ndarray
     rows: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -168,19 +199,114 @@ def _read_only(a):
     return a
 
 
-def _dissection(k: range, m: range) -> list[tuple[int, int]]:
-    """The photon pairs (k, m) of a box of the grid in nested-dissection order.
+Pairs = list[tuple[int, int]]
+Tree = tuple[Pairs, list["Tree"]]
 
-    The wider span splits at its middle row or column, which follows both
-    halves; a box of at most 4 nodes keeps vec order.
+
+def _dissection(pairs: Pairs, leaf: int) -> Tree:
+    """Nested dissection of a set of photon pairs (k, m): (separator, its subtrees).
+
+    No generator term moves k or m by more than one, so any row or column
+    of the grid separates the pairs on either side of it. The set splits at
+    the row or column across the wider span of its bounding box that leaves
+    the two sides closest in size; a set of at most `leaf` pairs is a leaf.
     """
-    if len(k) * len(m) <= 4:
-        return [(i, j) for j in m for i in k]
-    if len(k) >= len(m):
-        h = len(k) // 2
-        return _dissection(k[:h], m) + _dissection(k[h + 1:], m) + [(k[h], j) for j in m]
-    h = len(m) // 2
-    return _dissection(k, m[:h]) + _dissection(k, m[h + 1:]) + [(i, m[h]) for i in k]
+    if len(pairs) <= leaf:
+        return pairs, []
+    k, m = np.array(pairs).T
+    line = k if np.ptp(k) >= np.ptp(m) else m
+    on = np.bincount(line - line.min())  # pairs on each row (or column) of the span
+    h = line.min() + np.argmin(np.abs(2 * np.cumsum(on) - on - len(pairs)))  # |below - above|
+    below = [p for p, at in zip(pairs, line) if at < h]
+    above = [p for p, at in zip(pairs, line) if at > h]
+    separator = [p for p, at in zip(pairs, line) if at == h]
+    return separator, [_dissection(side, leaf) for side in (below, above) if side]
+
+
+def _post_order(n_fock: int, leaf: int) -> tuple[list[Pairs], list[int]]:
+    """The photon pairs of each front, children first, and the index of each front's parent.
+
+    The diagonal pairs (k, k) form the root, last: no generator term moves
+    k - m by more than one, so they separate the pairs k < m from k > m,
+    each side dissected on its own. An empty separator is skipped, its
+    subtrees going to the next front up.
+    """
+    fronts: list[Pairs] = []
+    parents: list[int] = []
+
+    def visit(tree: Tree) -> list[int]:
+        separator, subtrees = tree
+        tops = [top for subtree in subtrees for top in visit(subtree)]
+        if not separator:
+            return tops
+        for top in tops:
+            parents[top] = len(fronts)
+        fronts.append(separator)
+        parents.append(-1)
+        return [len(fronts) - 1]
+
+    tops = []
+    for upper in (True, False):  # k < m, then k > m, each in vec order
+        side = [(k, m) for m in range(n_fock) for k in range(n_fock) if k != m and (k < m) == upper]
+        tops += visit(_dissection(side, leaf))
+    for top in tops:
+        parents[top] = len(fronts)
+    fronts.append([(k, k) for k in range(n_fock)])
+    parents.append(-1)
+    return fronts, parents
+
+
+def _fronts(base: sp.csr_matrix, interaction: sp.csr_matrix, trace: np.ndarray,
+            keep: np.ndarray, bounds: np.ndarray,
+            parents: list[int]) -> tuple[tuple[Front, ...], np.ndarray, np.ndarray]:
+    """The fronts of the bordered block M on keep, and the entries of base and of interaction in M.
+
+    Front f eliminates positions bounds[f]..bounds[f + 1]-1 and hands its
+    Schur complement to parents[f]. Each entry of M is assembled in the
+    front that eliminates the earlier of its row and column; the trace row
+    is the last row of M.
+    """
+
+    def positions(op, bottom):
+        block = sp.vstack([op[keep[:-1]][:, keep], bottom]).tocoo()
+        return block.row.astype(np.int64) * len(keep) + block.col, block.data
+
+    key_a, a_values = positions(base, sp.csr_matrix(trace[keep]))
+    key_b, b_values = positions(interaction, sp.csr_matrix((1, len(keep)), dtype=complex))
+    key = np.union1d(key_a, key_b)
+    row, col = np.divmod(key, len(keep))
+    owner = np.searchsorted(bounds, np.minimum(row, col), side="right") - 1
+    order = np.argsort(owner, kind="stable")
+    front_base, front_interaction = (np.zeros(len(key), dtype=complex) for _ in range(2))
+    front_base[np.searchsorted(key, key_a)] = a_values
+    front_interaction[np.searchsorted(key, key_b)] = b_values
+    row, col, front_base, front_interaction = (v[order] for v in
+                                               (row, col, front_base, front_interaction))
+    starts = np.searchsorted(owner[order], np.arange(len(parents) + 1))
+
+    coupled = sp.csr_matrix((np.ones(2 * len(key)), (np.r_[row, col], np.r_[col, row])),
+                            shape=(len(keep),) * 2)
+    # a front's update: what its positions couple to, with its children's updates, past hi
+    linked = [[coupled.indices[coupled.indptr[lo]:coupled.indptr[hi]]]
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
+    updates: list[np.ndarray] = []
+    for f, hi in enumerate(bounds[1:]):
+        update = np.unique(np.concatenate(linked[f]))
+        updates.append(update[update >= hi])
+        linked[parents[f]].append(updates[f])
+    spans = [np.r_[lo:hi, update] for lo, hi, update in zip(bounds[:-1], bounds[1:], updates)]
+    fronts = []
+    for f, span in enumerate(spans):
+        entries = slice(starts[f], starts[f + 1])
+        index = (np.searchsorted(span, row[entries]) * len(span)
+                 + np.searchsorted(span, col[entries]))
+        into = np.searchsorted(spans[parents[f]], updates[f])  # empty for the root, the last front
+        runs = np.split(np.arange(len(into)), np.flatnonzero(np.diff(into) != 1) + 1)
+        into = tuple((slice(r[0], r[-1] + 1), slice(into[r[0]], into[r[-1]] + 1))
+                     for r in runs if len(r))
+        fronts.append(Front(int(bounds[f]), int(bounds[f + 1]), _read_only(updates[f]), entries,
+                            _read_only(index), parents[f], into))
+    return tuple(fronts), _read_only(front_base), _read_only(front_interaction)
 
 
 def _build_family(spec: FullSystemSpec) -> GeneratorFamily:
@@ -195,15 +321,20 @@ def _build_family(spec: FullSystemSpec) -> GeneratorFamily:
             + sp.kron(sp.identity(cavity.shape[0]), ops["atoms"])).tocsr()
     cavity_trace = qops.trace_functional(spec.n_fock)
     trace = np.kron(cavity_trace, ops["trace"])
-    coherences, atoms = ops["coherences"], ops["atoms"].tocoo()
-    k, m = np.array(_dissection(range(spec.n_fock), range(spec.n_fock))).T
-    keep = ((k + spec.n_fock * m)[:, None] * len(coherences) + np.arange(len(coherences))).ravel()
+
+    n, coherences, atoms = spec.n_fock, ops["coherences"], ops["atoms"].tocoo()
+    solved = np.ones((n, n, len(coherences)), dtype=bool)  # [k, m, count]
     if not np.any((coherences[atoms.row] - coherences[atoms.col]) % 2):
-        keep = keep[np.add.outer(k + m, coherences).ravel() % 2 == 0]
+        solved = np.add.outer(np.add.outer(np.arange(n), np.arange(n)), coherences) % 2 == 0
+    leaf = max(4, 40 * n * n // np.count_nonzero(solved))
+    pairs, parents = _post_order(n, leaf)
+    nodes = [np.concatenate([np.flatnonzero(solved[k, m]) + (k + n * m) * len(coherences)
+                             for k, m in front]) for front in pairs]
+    bounds = np.cumsum([0] + [len(unknowns) for unknowns in nodes])
+    keep = np.concatenate(nodes)
     keep = np.append(keep[keep != 0], 0)  # the trace row stands in for the row of unknown 0
 
-    def bordered(op, bottom):
-        return _read_only(sp.vstack([op[keep[:-1]][:, keep], bottom], format="csc"))
+    fronts, front_base, front_interaction = _fronts(base, interaction, trace, keep, bounds, parents)
 
     number = qops.observable_row(np.diag(np.arange(spec.n_fock, dtype=complex)))
     rows = (np.kron(number, ops["trace"]),
@@ -215,8 +346,9 @@ def _build_family(spec: FullSystemSpec) -> GeneratorFamily:
         interaction=_read_only(interaction),
         keep=_read_only(keep),
         trace=_read_only(trace),
-        bordered_base=bordered(base, sp.csr_matrix(trace[keep])),
-        bordered_interaction=bordered(interaction, sp.csr_matrix((1, len(keep)), dtype=complex)),
+        fronts=fronts,
+        front_base=front_base,
+        front_interaction=front_interaction,
         rows=tuple(_read_only(row) for row in rows),
     )
 
@@ -252,48 +384,93 @@ def build_full_generator(spec: FullSystemSpec) -> sp.csr_matrix:
     return family.base - _coupling(spec) * family.interaction
 
 
+def _eliminate(family: GeneratorFamily, values: np.ndarray) -> np.ndarray:
+    """Solve M y = e_last front by front, for the entries `values` of M (family.front_base's order).
+
+    Each front F = [[F_EE, F_EU], [F_UE, F_UU]] takes its entries and the
+    Schur complements of its children, and gives its parent F_UU - F_UE X
+    with X = F_EE^-1 F_EU; the root solves for its unknowns, the trace row
+    last, and back substitution sets y_E = -X y_U, front by front down the
+    tree. y is in the order of family.keep. A singular block raises
+    np.linalg.LinAlgError.
+    """
+    fronts = family.fronts
+    blocks: dict[int, np.ndarray] = {}
+    factors = []
+
+    def assembled(f: int) -> np.ndarray:  # front f with its own entries, built on first use
+        if f not in blocks:
+            front = fronts[f]
+            size = front.hi - front.lo + len(front.update)
+            blocks[f] = np.zeros(size * size, dtype=complex)
+            blocks[f][front.index] = values[front.entries]
+            blocks[f] = blocks[f].reshape(size, size)
+        return blocks[f]
+
+    for f, front in enumerate(fronts[:-1]):
+        block, e = assembled(f), front.hi - front.lo
+        del blocks[f]
+        x = np.linalg.solve(block[:e, :e], block[:e, e:])
+        update, parent = block[e:, e:], assembled(front.parent)
+        update -= block[e:, :e] @ x
+        for rows, parent_rows in front.into:  # extend-add, run by run of contiguous positions
+            for cols, parent_cols in front.into:
+                parent[parent_rows, parent_cols] += update[rows, cols]
+        factors.append(x)
+    block, front = assembled(len(fronts) - 1), fronts[-1]
+    y = np.empty(len(family.keep), dtype=complex)
+    rhs = np.zeros(len(block), dtype=complex)
+    rhs[-1] = 1.0
+    y[front.lo:] = np.linalg.solve(block, rhs)
+    for front, x in zip(reversed(fronts[:-1]), reversed(factors)):
+        y[front.lo:front.hi] = -(x @ y[front.update])
+    return y
+
+
 def steady_full(spec: FullSystemSpec) -> np.ndarray:
     """Unique steady state as a count-basis vector x, with r @ x = 1 for the trace row r.
 
     The even-parity unknowns are solved for when ops["atoms"] never moves
     n_10 + n_01 by an odd number (module docstring), all of them otherwise;
     unknown 0 is even. r = kron(qops.trace_functional(n_fock), ops["trace"])
-    replaces the row of unknown 0 in that block L, and sparse LU solves
+    replaces the row of unknown 0 in that block L, and _eliminate solves
     L' x = e for e the unit vector of that row, last in the order of
     family.keep. Tr o L = 0 makes that row of L a combination of the
-    others, so L' is singular exactly when the null space of L has dimension > 1
-    (DegenerateSteadyStateError); a solution that leaves the full generator
-    times x != 0 is a ConvergenceError. The block solve cannot see a null
-    vector that lives only in the odd block; the kernel of a Lindbladian is
-    spanned by steady density matrices, so that would be a second steady
-    state, which only the zero pivot and the checks here guard against.
-    Without an atomic channel of positive rate the collective coupling
-    conserves total spin, so for N >= 2 every total-spin sector holds a
-    steady state; that case is rejected before the solve, since LU pivots
-    need not vanish exactly.
+    others, so L' is singular exactly when the null space of L has
+    dimension > 1; a zero pivot of a front (np.linalg.LinAlgError) is a
+    DegenerateSteadyStateError, and a solution with max |L x| > 1e-8 is a
+    ConvergenceError. The block solve cannot see a null vector that lives
+    only in the odd block; the kernel of a Lindbladian is spanned by steady
+    density matrices, so that would be a second steady state, which only
+    the zero pivot and the checks here guard against. Three degenerate
+    cases are rejected before the solve, since pivots need not vanish
+    exactly: without an atomic channel of positive rate, for N >= 2, the
+    collective coupling conserves total spin and every total-spin sector
+    holds a steady state; with kappa = 0 and g = 0 every photon number does;
+    with kappa = 0 and no atomic jump that flips sz, the maximally mixed
+    states of both parity sectors Pi = +-1 are steady.
     """
     point = (f"n_atoms = {spec.n_atoms}, n_fock = {spec.n_fock}, g = {spec.g}, omega_z = "
              f"{spec.model.omega_z}, omega0 = {spec.cavity.omega0}, kappa = {spec.cavity.kappa}")
     if spec.n_atoms > 1 and not any(ch.rate > 0 for ch in spec.model.channels):
         raise DegenerateSteadyStateError(f"total spin is conserved at {point}: no atomic "
                                          "channel has a positive rate")
-    family = generator_family(spec)
-    gen = build_full_generator(spec)
-    bordered = family.bordered_base - _coupling(spec) * family.bordered_interaction
-    rhs = np.zeros(len(family.keep), dtype=complex)
-    rhs[-1] = 1.0
-    x = np.zeros(gen.shape[0], dtype=complex)
+    if spec.cavity.kappa == 0 and spec.g == 0:
+        raise DegenerateSteadyStateError(f"photon number is conserved at {point}: the cavity "
+                                         "is undamped and uncoupled")
+    if spec.cavity.kappa == 0 and not any(ch.rate > 0 and np.any(ch.op[[0, 1], [1, 0]])
+                                          for ch in spec.model.channels):
+        raise DegenerateSteadyStateError(f"parity is conserved at {point}: the cavity is "
+                                         "undamped and no atomic jump flips sz")
+    family, s = generator_family(spec), _coupling(spec)
+    x = np.zeros(family.base.shape[0], dtype=complex)
     try:
-        # factored in the nested-dissection order of keep; the diagonal pivot stands unless it
-        # is below 0.1 of its column (with 1.0, N = 3 fill drifts from 245k to 352k with g)
-        lu = spla.splu(bordered, permc_spec="NATURAL", diag_pivot_thresh=0.1,
-                       options={"SymmetricMode": True})
-        x[family.keep] = lu.solve(rhs)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        x[family.keep] = _eliminate(family, family.front_base - s * family.front_interaction)
+    except np.linalg.LinAlgError as exc:  # LAPACK: "Singular matrix"
         raise DegenerateSteadyStateError(
             f"full steady state is degenerate at {point}: bordered generator is singular ({exc})"
         ) from None
-    residual = np.max(np.abs(gen @ x))
+    residual = np.max(np.abs(family.base @ x - s * (family.interaction @ x)))
     if not residual <= 1e-8:  # also catches a non-finite solution
         raise ConvergenceError(f"direct steady-state solve left residual {residual} at {point}")
     return x / (family.trace @ x)

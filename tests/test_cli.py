@@ -684,8 +684,9 @@ def test_closed_form_routes_load_no_scipy():
     """gc, sweep, spectrum, oracle, corr and the quadrature chi0 run on numpy alone.
 
     The control, one N = 1 exact-N steady state, loads scipy.sparse, so the
-    detector is seen to work. A fresh interpreter, since this process
-    already holds scipy.
+    detector is seen to work; its solve runs on numpy's LAPACK, so neither
+    scipy.sparse.linalg nor scipy.linalg is loaded. A fresh interpreter,
+    since this process already holds scipy.
     """
     script = textwrap.dedent("""
         import contextlib, io, json, sys
@@ -723,3 +724,5 @@ def test_closed_form_routes_load_no_scipy():
     assert result["chi0"] < 0
     assert result["before"] == []
     assert "scipy.sparse" in result["after"]
+    assert "scipy.sparse.linalg" not in result["after"]
+    assert "scipy.linalg" not in result["after"]

@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from dicke_critic import baths, critical, exactn, qops, response
 from dicke_critic.baths import CavityParams, Custom, Dephasing, Generalized, Thermal
@@ -189,16 +188,32 @@ class TestSteadyObservables:
         PARITY_BREAKING,
     ], ids=["generalized", "thermal", "dephasing", "parity-breaking"])
     def test_block_lu_matches_dense_solve(self, bath):
-        # the sparse LU of the bordered block against np.linalg.solve of the same
-        # block in vec order, to 1e-13 of max|x|, below and above g_c at N = 3: the
-        # even block (1000 unknowns) for catalog baths, all 2000 for the parity-breaking jump
-        if bath is PARITY_BREAKING:  # no closed form: chi0 from the single-spin resolvent
-            chi0 = response.resolvent_chi(baths.spin_model(bath, 1.0))(0.0).real
-            gc = critical.solve_gc(float(chi0), CavityParams(1.0, 0.4)).g_c
-        else:
-            gc = baths.closed_form_gc(bath, 1.0, CavityParams(1.0, 0.4)).g_c
-        for g in (0.5 * gc, 1.5 * gc):
-            spec = spec_for(bath, n_atoms=3, n_fock=10, g=float(g))
+        # the front elimination of the bordered block against np.linalg.solve of the
+        # same block in vec order, to 1e-13 of max|x|, below and above g_c: at N = 3
+        # with kappa = 0.4, the even block (1000 unknowns) for catalog baths, all 2000
+        # for the parity-breaking jump; and at N = 1..3 with kappa = 0, where every
+        # diagonal node (k, k) is undamped, and where g = 0 leaves a steady state
+        # at every photon number
+        cases = []
+        for kappa, atom_counts in ((0.4, (3,)), (0.0, (1, 2, 3))):
+            cavity = CavityParams(1.0, kappa)
+            if bath is PARITY_BREAKING:  # no closed form: chi0 from the single-spin resolvent
+                chi0 = response.resolvent_chi(baths.spin_model(bath, 1.0))(0.0).real
+                gc = critical.solve_gc(float(chi0), cavity).g_c
+            else:
+                gc = baths.closed_form_gc(bath, 1.0, cavity).g_c
+            cases += [(n_atoms, kappa, float(g)) for n_atoms in atom_counts
+                      for g in (0.5 * gc, 1.5 * gc)]
+        for n_atoms in (1, 2, 3):
+            with pytest.raises(DegenerateSteadyStateError, match="photon number is conserved"):
+                steady_full(spec_for(bath, n_atoms=n_atoms, n_fock=10, kappa=0.0))
+        for n_atoms, kappa, g in cases:
+            spec = spec_for(bath, n_atoms=n_atoms, n_fock=10, g=g, kappa=kappa)
+            if isinstance(bath, Dephasing) and kappa == 0:
+                # no loss and sz-conserving jumps: each parity sector holds a steady state
+                with pytest.raises(DegenerateSteadyStateError, match="parity is conserved"):
+                    steady_full(spec)
+                continue
             ops = generator_family(spec).ops
             gen = build_full_generator(spec)
             trace = np.kron(trace_functional(spec.n_fock), ops["trace"])
@@ -237,22 +252,30 @@ def per_coupling_generator(spec):
     return gen, ops
 
 
-def per_coupling_steady_state(spec):
-    """The LU of the bordered block of per_coupling_generator, in the order generator_family gives.
+def front_entries(family):
+    """Row and column, in positions of family.keep, of each entry family.front_base holds."""
+    rows, cols = [], []
+    for front in family.fronts:
+        span = np.r_[front.lo:front.hi, front.update]
+        rows.append(span[front.index // len(span)])
+        cols.append(span[front.index % len(span)])
+    return np.concatenate(rows), np.concatenate(cols)
 
-    Rows keep[:-1] of the generator over the trace row, on columns keep, factored
-    with steady_full's splu arguments.
+
+def per_coupling_steady_state(spec):
+    """The front elimination of the bordered block of per_coupling_generator.
+
+    Rows keep[:-1] of the generator over the trace row, on columns keep, read at
+    the family's entries and eliminated on its fronts.
     """
     gen, ops = per_coupling_generator(spec)
-    keep = generator_family(spec).keep
+    family = generator_family(spec)
+    keep = family.keep
     trace = np.kron(trace_functional(spec.n_fock), ops["trace"])
-    bordered = sp.vstack([gen[keep[:-1]][:, keep], sp.csr_matrix(trace[keep])], format="csc")
-    lu = spla.splu(bordered, permc_spec="NATURAL", diag_pivot_thresh=0.1,
-                   options={"SymmetricMode": True})
-    rhs = np.zeros(keep.size, dtype=complex)
-    rhs[-1] = 1.0
+    bordered = sp.vstack([gen[keep[:-1]][:, keep], sp.csr_matrix(trace[keep])], format="csr")
+    values = np.asarray(bordered[front_entries(family)]).ravel()
     x = np.zeros(gen.shape[0], dtype=complex)
-    x[keep] = lu.solve(rhs)
+    x[keep] = exactn._eliminate(family, values)
     return x / (trace @ x)
 
 
@@ -278,7 +301,7 @@ class TestGeneratorFamily:
                     # sz is conserved: every route meets the exact zero pivot
                     with pytest.raises(DegenerateSteadyStateError, match="singular"):
                         steady_full(spec)
-                    with pytest.raises(RuntimeError, match="singular"):
+                    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
                         per_coupling_steady_state(spec)
                     continue
                 cached = steady_full(spec)
@@ -306,6 +329,23 @@ class TestGeneratorFamily:
         changes = np.flatnonzero(np.diff(nodes)) + 1
         assert len(np.unique(nodes)) == len(changes) + 1
         assert all(np.all(np.diff(run) > 0) for run in np.split(rest, changes))
+        # the fronts tile keep in post-order; the root, last, holds the diagonal nodes (k, k)
+        # and every other front lies on one side of them; a front's update follows its own
+        # positions and falls inside its parent's
+        fronts = family.fronts
+        assert [f.lo for f in fronts] == [0] + [f.hi for f in fronts[:-1]]
+        assert fronts[-1].hi == len(family.keep) and fronts[-1].parent == -1
+        k, m = np.divmod(family.keep // counts, n_fock)[::-1]
+        assert np.all((k == m)[fronts[-1].lo:]) and np.all((k != m)[:fronts[-1].lo])
+        for f, front in enumerate(fronts[:-1]):
+            assert len(np.unique(np.sign(m - k)[front.lo:front.hi])) == 1
+            assert f < front.parent
+            assert np.all(np.diff(front.update) > 0) and np.all(front.update >= front.hi)
+            parent = fronts[front.parent]
+            span = np.r_[parent.lo:parent.hi, parent.update]
+            runs = [(front.update[rows], span[parent_rows]) for rows, parent_rows in front.into]
+            assert np.array_equal(np.concatenate([run for run, _ in runs]), front.update)
+            assert all(np.array_equal(run, at) for run, at in runs)
 
     def test_families_are_kept_apart(self, fresh_families):
         # specs that differ only in kappa, omega0, n_fock, N or the bath,
@@ -349,13 +389,17 @@ class TestGeneratorFamily:
     def test_cached_arrays_are_read_only(self):
         family = generator_family(spec_for(Thermal(gamma=0.2, temperature=0.4), n_atoms=2,
                                            n_fock=4, g=0.3))
-        arrays = [family.keep, family.trace, *family.rows]
-        for m in (family.base, family.interaction, family.bordered_base,
-                  family.bordered_interaction, *family.ops.values()):
+        arrays = [family.keep, family.trace, family.front_base, family.front_interaction,
+                  *family.rows]
+        for front in family.fronts:
+            arrays += [front.update, front.index]
+        for m in (family.base, family.interaction, *family.ops.values()):
             arrays += [m.data, m.indices, m.indptr] if sp.issparse(m) else [m]
         for array in arrays:
-            with pytest.raises(ValueError):
-                array[0] = array[0]
+            if array.size:
+                with pytest.raises(ValueError):
+                    array[0] = array[0]
+            assert not array.flags.writeable
         with pytest.raises(TypeError):
             family.ops["atoms"] = None
 
