@@ -36,12 +36,23 @@ kappa = 0, at every k, which leaves a node's block the lifted atomic
 generator, singular at g = 0 and nearly so at small kappa; the trace row,
 which lives on those nodes, is solved last in the root.
 
+Hermiticity: a Lindbladian maps rho+ to (L rho)+ (Minganti, Biella, Bartolo
+& Ciuti, PRA 98, 042118 (2018)). On the count basis the adjoint J takes
+unknown (k, m, n) to (m, k, n with n_10 and n_01 swapped) and conjugates
+it, so P^T L P = conj(L) for the permutation P of J, for every SpinModel.
+The k > m side is thus the mirror image of the k < m side, and only the
+k < m fronts are eliminated: the root adds their Schur complement and its
+mirror image, and each k > m unknown is the conjugate of its k < m image.
+The steady state is Hermitian, x[J i] = conj(x[i]), exactly off the
+diagonal nodes and to rounding on them (~1e-16 of max|x|).
+
 Parity: Pi = exp(i pi (a+a + sum (sz + 1/2))) commutes with omega0 a+a, the
 kappa a channel, the coupling (a + a+) sx and every catalog channel (sz;
 s- and s+; s- + t s+), so the generator never couples unknowns of even
 parity (k - m) + n_10 + n_01 (cavity element |k><m|) to odd ones, and a
 unique steady state is even; it is solved on the even block whenever the
 single-atom generator has no entry between diagonal and coherence units.
+J keeps the parity, so it maps the even block onto itself.
 
 State vectors are vec(cavity) (x) count vector, in the column-stacking
 order of ``qops``: the units are |0><0|, |1><0|, |0><1|, |1><1|, so at
@@ -106,14 +117,20 @@ def annihilation(n_fock: int) -> sp.csr_matrix:
     return sp.diags(np.sqrt(np.arange(1, n_fock)), 1).astype(complex).tocsr()
 
 
+def _tuple_index(counts: np.ndarray) -> np.ndarray:
+    """index[n] = the position of count tuple n in counts."""
+    index = np.zeros((counts[0].sum() + 1,) * 4, dtype=int)
+    index[tuple(counts.T)] = np.arange(len(counts))
+    return index
+
+
 def _lift(s: np.ndarray, counts: np.ndarray) -> sp.csr_matrix:
     """Sum over the atoms of the single-atom 4x4 superoperator s, on the count basis.
 
     Each atom maps unit u to sum_v s[v, u] unit v, so the sum takes tuple n
     to m = n - e_u + e_v with weight s[v, u] m_v (m_v = n_v when v = u).
     """
-    index = np.zeros((counts[0].sum() + 1,) * 4, dtype=int)
-    index[tuple(counts.T)] = np.arange(len(counts))
+    index = _tuple_index(counts)
     v, u = np.nonzero(s)
     dest = counts + (np.eye(4, dtype=int)[v] - np.eye(4, dtype=int)[u])[:, None, :]
     weight = s[v, u][:, None] * (counts[:, v].T + (v != u)[:, None])
@@ -128,8 +145,9 @@ def embedded_ops(spec: FullSystemSpec) -> Ops:
     Sums over the atoms of the single-atom generator ("atoms"), of left and
     right multiplication by sx ("left_x", "right_x") and of left
     multiplication by sz ("left_z"); the trace row ("trace"): the
-    multinomial C(N, n_00) on tuples of diagonal units, 0 elsewhere; and the
-    coherence units n_10 + n_01 of each tuple ("coherences").
+    multinomial C(N, n_00) on tuples of diagonal units, 0 elsewhere; the
+    coherence units n_10 + n_01 of each tuple ("coherences"); and the index
+    of each tuple's adjoint, n_10 and n_01 swapped ("adjoint").
     """
     units = np.array(list(itertools.combinations_with_replacement(range(4), spec.n_atoms)))
     counts = np.stack([np.count_nonzero(units == u, axis=1) for u in range(4)], axis=1)
@@ -142,6 +160,7 @@ def embedded_ops(spec: FullSystemSpec) -> Ops:
         "left_z": _lift(np.kron(eye, sz), counts),
         "trace": np.where(counts[:, 1] + counts[:, 2] == 0, weights, 0).astype(float),
         "coherences": counts[:, 1] + counts[:, 2],
+        "adjoint": _tuple_index(counts)[tuple(counts[:, [0, 2, 1, 3]].T)],
     }
 
 
@@ -155,7 +174,9 @@ class Front:
     it of the entries family.front_base[entries] (and front_interaction) that
     are assembled here: those whose earlier position, row or column, is
     eliminated here. into pairs each run of consecutive update positions
-    with the rows (and columns) of the parent front that it falls on.
+    with the rows (and columns) of the parent front that it falls on. The
+    fronts cover the k < m side of the photon grid and the root; the k > m
+    side is the mirror of the k < m side (GeneratorFamily) and has none.
     """
 
     lo: int
@@ -173,19 +194,27 @@ class GeneratorFamily:
 
     base = cavity generator (x) 1 + 1 (x) ops["atoms"]; interaction = L (x)
     ops["left_x"] - R (x) ops["right_x"], L and R the left and right
-    multiplication by a + a+. keep lists the unknowns solved for in the
-    order of elimination, unknown 0 last; trace is the trace row r of
-    steady_full. The bordered block M is rows keep[:-1] of base - s
-    interaction over r, on columns keep; fronts are the nodes of its
-    elimination tree in post-order, root last, and front_base and
-    front_interaction the entries of M's two parts, front by front. rows
-    are the photon-number, <sz> and <sx> rows of Observables.
+    multiplication by a + a+. J maps unknown (k, m, n) to (m, k, n with n_10
+    and n_01 swapped), the count-basis image of rho -> rho+, and the steady
+    state x obeys x[J i] = conj(x[i]) (steady_full). keep lists the
+    unknowns solved for, in the order of elimination: those with k < m,
+    then those of the diagonal nodes (k, k), unknown 0 last. mirror holds
+    J(keep[i]) for each k < m position i < fronts[-1].lo, and root_mirror
+    the permutation of the root's positions that J makes: J(keep[lo + p]) =
+    keep[lo + root_mirror[p]] for lo = fronts[-1].lo; unknown 0 is its own
+    image. trace is the trace row r of steady_full. The bordered block M is
+    rows keep[:-1] of base - s interaction over r, on columns keep; fronts
+    are the nodes of its elimination tree in post-order, root last, and
+    front_base and front_interaction the entries of M's two parts, front by
+    front. rows are the photon-number, <sz> and <sx> rows of Observables.
     """
 
     ops: Ops
     base: sp.csr_matrix
     interaction: sp.csr_matrix
     keep: np.ndarray
+    mirror: np.ndarray
+    root_mirror: np.ndarray
     trace: np.ndarray
     fronts: tuple[Front, ...]
     front_base: np.ndarray
@@ -199,12 +228,11 @@ def _read_only(a):
     return a
 
 
-Pairs = list[tuple[int, int]]
-Tree = tuple[Pairs, list["Tree"]]
+Tree = tuple[np.ndarray, list["Tree"]]
 
 
-def _dissection(pairs: Pairs, leaf: int) -> Tree:
-    """Nested dissection of a set of photon pairs (k, m): (separator, its subtrees).
+def _dissection(pairs: np.ndarray, leaf: int) -> Tree:
+    """Nested dissection of photon pairs, rows (k, m): (separator, its subtrees).
 
     No generator term moves k or m by more than one, so any row or column
     of the grid separates the pairs on either side of it. The set splits at
@@ -213,31 +241,30 @@ def _dissection(pairs: Pairs, leaf: int) -> Tree:
     """
     if len(pairs) <= leaf:
         return pairs, []
-    k, m = np.array(pairs).T
+    k, m = pairs.T
     line = k if np.ptp(k) >= np.ptp(m) else m
     on = np.bincount(line - line.min())  # pairs on each row (or column) of the span
     h = line.min() + np.argmin(np.abs(2 * np.cumsum(on) - on - len(pairs)))  # |below - above|
-    below = [p for p, at in zip(pairs, line) if at < h]
-    above = [p for p, at in zip(pairs, line) if at > h]
-    separator = [p for p, at in zip(pairs, line) if at == h]
-    return separator, [_dissection(side, leaf) for side in (below, above) if side]
+    sides = (pairs[line < h], pairs[line > h])
+    return pairs[line == h], [_dissection(side, leaf) for side in sides if len(side)]
 
 
-def _post_order(n_fock: int, leaf: int) -> tuple[list[Pairs], list[int]]:
+def _post_order(n_fock: int, leaf: int) -> tuple[list[np.ndarray], list[int]]:
     """The photon pairs of each front, children first, and the index of each front's parent.
 
-    The diagonal pairs (k, k) form the root, last: no generator term moves
-    k - m by more than one, so they separate the pairs k < m from k > m,
-    each side dissected on its own. An empty separator is skipped, its
-    subtrees going to the next front up.
+    The pairs k < m, in vec order, are dissected; the diagonal pairs (k, k)
+    form the root, last: no generator term moves k - m by more than one, so
+    they separate k < m from k > m, whose fronts are the mirror images of
+    these. An empty separator is skipped, its subtrees going to the next
+    front up.
     """
-    fronts: list[Pairs] = []
+    fronts: list[np.ndarray] = []
     parents: list[int] = []
 
     def visit(tree: Tree) -> list[int]:
         separator, subtrees = tree
         tops = [top for subtree in subtrees for top in visit(subtree)]
-        if not separator:
+        if not len(separator):
             return tops
         for top in tops:
             parents[top] = len(fronts)
@@ -245,13 +272,10 @@ def _post_order(n_fock: int, leaf: int) -> tuple[list[Pairs], list[int]]:
         parents.append(-1)
         return [len(fronts) - 1]
 
-    tops = []
-    for upper in (True, False):  # k < m, then k > m, each in vec order
-        side = [(k, m) for m in range(n_fock) for k in range(n_fock) if k != m and (k < m) == upper]
-        tops += visit(_dissection(side, leaf))
-    for top in tops:
+    m, k = np.divmod(np.arange(n_fock**2), n_fock)
+    for top in visit(_dissection(np.column_stack([k, m])[k < m], leaf)):
         parents[top] = len(fronts)
-    fronts.append([(k, k) for k in range(n_fock)])
+    fronts.append(np.column_stack([np.arange(n_fock)] * 2))
     parents.append(-1)
     return fronts, parents
 
@@ -323,16 +347,27 @@ def _build_family(spec: FullSystemSpec) -> GeneratorFamily:
     trace = np.kron(cavity_trace, ops["trace"])
 
     n, coherences, atoms = spec.n_fock, ops["coherences"], ops["atoms"].tocoo()
-    solved = np.ones((n, n, len(coherences)), dtype=bool)  # [k, m, count]
+    per_node = len(coherences)  # count tuples
+    m, k = np.divmod(np.arange(n * n), n)  # node k + n m of vec order is |k><m|
+    solved = np.ones((n * n, per_node), dtype=bool)
     if not np.any((coherences[atoms.row] - coherences[atoms.col]) % 2):
-        solved = np.add.outer(np.add.outer(np.arange(n), np.arange(n)), coherences) % 2 == 0
+        solved = np.add.outer(k + m, coherences) % 2 == 0
     leaf = max(4, 40 * n * n // np.count_nonzero(solved))
     pairs, parents = _post_order(n, leaf)
-    nodes = [np.concatenate([np.flatnonzero(solved[k, m]) + (k + n * m) * len(coherences)
-                             for k, m in front]) for front in pairs]
+    nodes = [(node[:, None] * per_node + np.arange(per_node))[solved[node]]
+             for node in (front @ [1, n] for front in pairs)]
     bounds = np.cumsum([0] + [len(unknowns) for unknowns in nodes])
     keep = np.concatenate(nodes)
     keep = np.append(keep[keep != 0], 0)  # the trace row stands in for the row of unknown 0
+
+    def image(unknowns):  # J: (k, m, n) -> (m, k, n with n_10 and n_01 swapped)
+        node, tuples = np.divmod(unknowns, per_node)
+        m, k = np.divmod(node, n)
+        return (m + n * k) * per_node + ops["adjoint"][tuples]
+
+    root = keep[bounds[-2]:]
+    order = np.argsort(root)
+    root_mirror = order[np.searchsorted(root, image(root), sorter=order)]
 
     fronts, front_base, front_interaction = _fronts(base, interaction, trace, keep, bounds, parents)
 
@@ -345,6 +380,8 @@ def _build_family(spec: FullSystemSpec) -> GeneratorFamily:
         base=_read_only(base),
         interaction=_read_only(interaction),
         keep=_read_only(keep),
+        mirror=_read_only(image(keep[:bounds[-2]])),
+        root_mirror=_read_only(root_mirror),
         trace=_read_only(trace),
         fronts=fronts,
         front_base=front_base,
@@ -385,17 +422,23 @@ def build_full_generator(spec: FullSystemSpec) -> sp.csr_matrix:
 
 
 def _eliminate(family: GeneratorFamily, values: np.ndarray) -> np.ndarray:
-    """Solve M y = e_last front by front, for the entries `values` of M (family.front_base's order).
+    """The count-basis x with M y = e_last, for the entries `values` of M (front_base's order).
 
-    Each front F = [[F_EE, F_EU], [F_UE, F_UU]] takes its entries and the
-    Schur complements of its children, and gives its parent F_UU - F_UE X
-    with X = F_EE^-1 F_EU; the root solves for its unknowns, the trace row
-    last, and back substitution sets y_E = -X y_U, front by front down the
-    tree. y is in the order of family.keep. A singular block raises
-    np.linalg.LinAlgError.
+    Each front F = [[F_EE, F_EU], [F_UE, F_UU]] of the k < m side takes its
+    entries and the Schur complements of its children, and gives its parent
+    F_UU - F_UE X with X = F_EE^-1 F_EU. The root collects the k < m side's
+    Schur complement S. J conjugates M (P^T M P = conj(M), P the permutation
+    of J), so the mirrored k > m side would add conj(S[pi][:, pi]) for pi =
+    family.root_mirror, and exactly that: conjugation commutes with IEEE
+    arithmetic and with LAPACK's pivoting by |re| + |im|. The root solves
+    for its unknowns with its entries and both complements, the trace row
+    last; back substitution sets y_E = -X y_U down the tree. x is y at
+    family.keep and conj(y) of the k < m positions at their images
+    family.mirror. A singular block raises np.linalg.LinAlgError.
     """
-    fronts = family.fronts
-    blocks: dict[int, np.ndarray] = {}
+    fronts, root = family.fronts, len(family.fronts) - 1
+    lo, size = fronts[root].lo, fronts[root].hi - fronts[root].lo
+    blocks = {root: np.zeros((size, size), dtype=complex)}  # S, added in by the root's children
     factors = []
 
     def assembled(f: int) -> np.ndarray:  # front f with its own entries, built on first use
@@ -417,14 +460,20 @@ def _eliminate(family: GeneratorFamily, values: np.ndarray) -> np.ndarray:
             for cols, parent_cols in front.into:
                 parent[parent_rows, parent_cols] += update[rows, cols]
         factors.append(x)
-    block, front = assembled(len(fronts) - 1), fronts[-1]
+    schur, pi = blocks.pop(root), family.root_mirror
+    block = assembled(root)
+    block += schur
+    block += schur[pi][:, pi].conj()
     y = np.empty(len(family.keep), dtype=complex)
-    rhs = np.zeros(len(block), dtype=complex)
+    rhs = np.zeros(size, dtype=complex)
     rhs[-1] = 1.0
-    y[front.lo:] = np.linalg.solve(block, rhs)
+    y[lo:] = np.linalg.solve(block, rhs)
     for front, x in zip(reversed(fronts[:-1]), reversed(factors)):
         y[front.lo:front.hi] = -(x @ y[front.update])
-    return y
+    x = np.zeros(family.base.shape[0], dtype=complex)
+    x[family.keep] = y
+    x[family.mirror] = y[:lo].conj()
+    return x
 
 
 def steady_full(spec: FullSystemSpec) -> np.ndarray:
@@ -435,8 +484,10 @@ def steady_full(spec: FullSystemSpec) -> np.ndarray:
     unknown 0 is even. r = kron(qops.trace_functional(n_fock), ops["trace"])
     replaces the row of unknown 0 in that block L, and _eliminate solves
     L' x = e for e the unit vector of that row, last in the order of
-    family.keep. Tr o L = 0 makes that row of L a combination of the
-    others, so L' is singular exactly when the null space of L has
+    family.keep: the k < m half and the diagonal nodes by elimination, the
+    k > m half as their mirror image (module docstring), which the residual
+    check below covers too. Tr o L = 0 makes that row of L a combination of
+    the others, so L' is singular exactly when the null space of L has
     dimension > 1; a zero pivot of a front (np.linalg.LinAlgError) is a
     DegenerateSteadyStateError, and a solution with max |L x| > 1e-8 is a
     ConvergenceError. The block solve cannot see a null vector that lives
@@ -463,9 +514,8 @@ def steady_full(spec: FullSystemSpec) -> np.ndarray:
         raise DegenerateSteadyStateError(f"parity is conserved at {point}: the cavity is "
                                          "undamped and no atomic jump flips sz")
     family, s = generator_family(spec), _coupling(spec)
-    x = np.zeros(family.base.shape[0], dtype=complex)
     try:
-        x[family.keep] = _eliminate(family, family.front_base - s * family.front_interaction)
+        x = _eliminate(family, family.front_base - s * family.front_interaction)
     except np.linalg.LinAlgError as exc:  # LAPACK: "Singular matrix"
         raise DegenerateSteadyStateError(
             f"full steady state is degenerate at {point}: bordered generator is singular ({exc})"
@@ -473,7 +523,7 @@ def steady_full(spec: FullSystemSpec) -> np.ndarray:
     residual = np.max(np.abs(family.base @ x - s * (family.interaction @ x)))
     if not residual <= 1e-8:  # also catches a non-finite solution
         raise ConvergenceError(f"direct steady-state solve left residual {residual} at {point}")
-    return x / (family.trace @ x)
+    return x / (family.trace @ x).real  # the trace of a Hermitian x is real
 
 
 @dataclass(frozen=True)

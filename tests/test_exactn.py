@@ -75,6 +75,17 @@ class TestConstruction:
         trace = np.kron(trace_functional(spec.n_fock), ops["trace"])
         assert np.max(np.abs(trace @ gen)) < 1e-10
 
+    @pytest.mark.parametrize("bath", [*CATALOG, PARITY_BREAKING],
+                             ids=[*CATALOG_IDS, "parity-breaking"])
+    def test_adjoint_conjugates_the_generator(self, bath):
+        # L maps rho+ to (L rho)+: P^T L P = conj(L) exactly, for P the permutation of J
+        for n_atoms in (1, 2, 3):
+            spec = spec_for(bath, n_atoms=n_atoms, n_fock=5, g=0.37)
+            gen = build_full_generator(spec)
+            image = adjoint_image(spec)[0]
+            p = sp.csr_matrix((np.ones(image.size), (image, np.arange(image.size))))
+            assert abs(p.T @ gen @ p - gen.conj()).max() == 0
+
     def test_unique_zero_eigenvalue(self):
         spec = spec_for(Generalized(gamma=0.2, t=0.0), n_atoms=1, n_fock=4, g=0.3)
         gen = build_full_generator(spec).toarray()
@@ -163,9 +174,10 @@ class TestSteadyObservables:
         Dephasing(gamma=0.3, sz=-0.4),
     ], ids=["generalized", "thermal", "dephasing"])
     def test_dense_and_direct_solvers_agree(self, bath):
-        # the sparse LU solve on the even block against the null vector of the
-        # dense eigendecomposition of the full generator, normalized by the
-        # trace row; the odd entries (k + m + n_10 + n_01 odd) are never solved for
+        # the front elimination on the even block, its k > m half mirrored from
+        # the k < m half, against the null vector of the dense eigendecomposition
+        # of the full generator, normalized by the trace row; the odd entries
+        # (k + m + n_10 + n_01 odd) are never solved for
         spec = spec_for(bath, n_atoms=2, n_fock=8, g=0.45)
         ops = generator_family(spec).ops
         vals, vecs = np.linalg.eig(build_full_generator(spec).toarray())
@@ -252,8 +264,21 @@ def per_coupling_generator(spec):
     return gen, ops
 
 
+def adjoint_image(spec):
+    """J by hand: unknown (k, m, n) -> (m, k, n with the units |1><0| and |0><1| swapped)."""
+    tuples = list(itertools.combinations_with_replacement(range(4), spec.n_atoms))
+    swapped = [tuples.index(tuple(sorted({1: 2, 2: 1}.get(u, u) for u in t))) for t in tuples]
+    n = spec.n_fock
+    m, k, n_tuple = np.unravel_index(np.arange(n * n * len(tuples)), (n, n, len(tuples)))
+    return (m + n * k) * len(tuples) + np.array(swapped)[n_tuple], k, m
+
+
 def front_entries(family):
-    """Row and column, in positions of family.keep, of each entry family.front_base holds."""
+    """Row and column, in positions of family.keep, of each entry family.front_base holds.
+
+    The fronts cover the k < m side and the root, so these are the entries of
+    the bordered block on those positions.
+    """
     rows, cols = [], []
     for front in family.fronts:
         span = np.r_[front.lo:front.hi, front.update]
@@ -265,18 +290,17 @@ def front_entries(family):
 def per_coupling_steady_state(spec):
     """The front elimination of the bordered block of per_coupling_generator.
 
-    Rows keep[:-1] of the generator over the trace row, on columns keep, read at
-    the family's entries and eliminated on its fronts.
+    Rows keep[:-1] of the generator over the trace row, on columns keep (the
+    k < m side and the root), read at the family's entries and eliminated on
+    its fronts; the k > m half is the mirror image.
     """
     gen, ops = per_coupling_generator(spec)
     family = generator_family(spec)
     keep = family.keep
     trace = np.kron(trace_functional(spec.n_fock), ops["trace"])
     bordered = sp.vstack([gen[keep[:-1]][:, keep], sp.csr_matrix(trace[keep])], format="csr")
-    values = np.asarray(bordered[front_entries(family)]).ravel()
-    x = np.zeros(gen.shape[0], dtype=complex)
-    x[keep] = exactn._eliminate(family, values)
-    return x / (trace @ x)
+    x = exactn._eliminate(family, np.asarray(bordered[front_entries(family)]).ravel())
+    return x / (trace @ x).real
 
 
 def same_bytes(a, b) -> bool:
@@ -313,32 +337,37 @@ class TestGeneratorFamily:
                              ids=[*CATALOG_IDS, "parity-breaking"])
     @pytest.mark.parametrize("n_atoms, n_fock", [(1, 2), (1, 5), (2, 6), (3, 12)])
     def test_keep_orders_the_solved_block(self, bath, n_atoms, n_fock):
-        # keep is a permutation of the even unknowns (of all of them for the
-        # parity-breaking jump), unknown 0 last; each photon pair's unknowns are
-        # consecutive and in count order
+        # keep holds the k < m unknowns, then the root's diagonal nodes (k, k),
+        # unknown 0 last; with the J images of its k < m positions it is a
+        # permutation of the even unknowns (of all of them for the
+        # parity-breaking jump); J permutes the root's positions, unknown 0's
+        # fixed; each photon pair's unknowns are consecutive and in count order
         spec = spec_for(bath, n_atoms=n_atoms, n_fock=n_fock, g=0.3)
         family = generator_family(spec)
         counts = family.ops["atoms"].shape[0]
         cavity = np.add.outer(np.arange(n_fock), np.arange(n_fock)).ravel()
         even = np.flatnonzero(np.add.outer(cavity, family.ops["coherences"]).ravel() % 2 == 0)
         solved = np.arange(n_fock**2 * counts) if bath is PARITY_BREAKING else even
-        assert family.keep[-1] == 0
-        assert np.array_equal(np.sort(family.keep), solved)
-        rest = family.keep[:-1]
+        fronts, (image, k, m) = family.fronts, adjoint_image(spec)
+        lo, keep = fronts[-1].lo, family.keep
+        assert keep[-1] == 0
+        assert np.all((k < m)[keep[:lo]]) and np.all((k == m)[keep[lo:]])
+        assert np.array_equal(family.mirror, image[keep[:lo]])
+        assert np.array_equal(np.sort(np.r_[keep, family.mirror]), solved)
+        pi = family.root_mirror
+        assert np.array_equal(np.sort(pi), np.arange(len(keep) - lo))
+        assert np.array_equal(keep[lo:][pi], image[keep[lo:]])
+        assert pi[-1] == len(pi) - 1
+        rest = keep[:-1]
         nodes = rest // counts
         changes = np.flatnonzero(np.diff(nodes)) + 1
         assert len(np.unique(nodes)) == len(changes) + 1
         assert all(np.all(np.diff(run) > 0) for run in np.split(rest, changes))
-        # the fronts tile keep in post-order; the root, last, holds the diagonal nodes (k, k)
-        # and every other front lies on one side of them; a front's update follows its own
-        # positions and falls inside its parent's
-        fronts = family.fronts
+        # the fronts tile keep in post-order, the root last; a front's update follows
+        # its own positions and falls inside its parent's
         assert [f.lo for f in fronts] == [0] + [f.hi for f in fronts[:-1]]
-        assert fronts[-1].hi == len(family.keep) and fronts[-1].parent == -1
-        k, m = np.divmod(family.keep // counts, n_fock)[::-1]
-        assert np.all((k == m)[fronts[-1].lo:]) and np.all((k != m)[:fronts[-1].lo])
+        assert fronts[-1].hi == len(keep) and fronts[-1].parent == -1
         for f, front in enumerate(fronts[:-1]):
-            assert len(np.unique(np.sign(m - k)[front.lo:front.hi])) == 1
             assert f < front.parent
             assert np.all(np.diff(front.update) > 0) and np.all(front.update >= front.hi)
             parent = fronts[front.parent]
@@ -346,6 +375,26 @@ class TestGeneratorFamily:
             runs = [(front.update[rows], span[parent_rows]) for rows, parent_rows in front.into]
             assert np.array_equal(np.concatenate([run for run, _ in runs]), front.update)
             assert all(np.array_equal(run, at) for run, at in runs)
+
+    @pytest.mark.parametrize("bath", [*CATALOG, PARITY_BREAKING],
+                             ids=[*CATALOG_IDS, "parity-breaking"])
+    def test_steady_state_is_hermitian(self, bath):
+        # x[J i] = conj(x[i]): exactly off the diagonal nodes, where the k > m
+        # half is the k < m half mirrored; within 1e-14 of max|x| on the
+        # diagonal nodes, which the root solves without imposing the symmetry
+        for kappa in (0.4, 0.0):
+            for n_atoms in (1, 2, 3):
+                spec = spec_for(bath, n_atoms=n_atoms, n_fock=8, g=0.5, kappa=kappa)
+                if isinstance(bath, Dephasing) and kappa == 0:
+                    with pytest.raises(DegenerateSteadyStateError, match="parity is conserved"):
+                        steady_full(spec)
+                    continue
+                x = steady_full(spec)
+                image, k, m = adjoint_image(spec)
+                assert np.array_equal(x[image[k != m]], x[k != m].conj())
+                diagonal = k == m
+                assert (np.max(np.abs(x[image[diagonal]] - x[diagonal].conj()))
+                        <= 1e-14 * np.max(np.abs(x)))
 
     def test_families_are_kept_apart(self, fresh_families):
         # specs that differ only in kappa, omega0, n_fock, N or the bath,
@@ -389,8 +438,8 @@ class TestGeneratorFamily:
     def test_cached_arrays_are_read_only(self):
         family = generator_family(spec_for(Thermal(gamma=0.2, temperature=0.4), n_atoms=2,
                                            n_fock=4, g=0.3))
-        arrays = [family.keep, family.trace, family.front_base, family.front_interaction,
-                  *family.rows]
+        arrays = [family.keep, family.mirror, family.root_mirror, family.trace,
+                  family.front_base, family.front_interaction, *family.rows]
         for front in family.fronts:
             arrays += [front.update, front.index]
         for m in (family.base, family.interaction, *family.ops.values()):
