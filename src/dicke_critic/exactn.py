@@ -15,34 +15,35 @@ the photon number shows the finite-size onset near the infinite-N g_c.
 
 The generator is linear in the coupling, L(g) = A - (2i g/sqrt(N)) B: A is
 the cavity generator (x) 1 + 1 (x) the lifted atomic generator, B the
-coupling commutator. A, B, the entries of the solved block of both, the
-elimination tree, the trace row and the observable rows depend only on the
-family (N, n_fock, omega0, kappa, the bytes of the single-atom generator),
-so ``generator_family`` builds them once per family and keeps the last
+coupling commutator. A, B, the entries of the solved block of both, its
+fronts, the trace row and the observable rows depend only on the family
+(N, n_fock, omega0, kappa, the bytes of the single-atom generator), so
+``generator_family`` builds them once per family and keeps the last
 MAX_FAMILIES families by value, their arrays read-only; each coupling then
 costs one A - s B over those entries, one scatter per front and LAPACK.
 
 The unknowns form an n_fock x n_fock grid of cavity elements |k><m|, each
-node holding a count vector, and every generator term moves k and m by at
-most one: a row or column of the grid separates the nodes on either side
-of it, and the diagonal k = m separates k < m from k > m. The diagonal is
-the root of the elimination tree, and each side is split by nested
-dissection (George, SIAM J. Numer. Anal. 10, 345 (1973)). Each tree node
-is a dense front: in post-order, LAPACK eliminates its unknowns and its
-Schur complement is added into its parent's front, a multifrontal
-elimination (Duff & Reid, ACM TOMS 9, 302 (1983)). The diagonal nodes must
-wait for the root: their cavity part -2 kappa k vanishes at k = 0 and, at
-kappa = 0, at every k, which leaves a node's block the lifted atomic
-generator, singular at g = 0 and nearly so at small kappa; the trace row,
-which lives on those nodes, is solved last in the root.
+node holding a count vector, and no generator term moves the diagonal
+d = m - k by more than one: the Hamiltonian keeps (k, m), the kappa jump
+a rho a+ lowers k and m together, and the coupling moves k alone or m
+alone. Grouped by diagonal, the unknowns thus form a chain, and the block
+tridiagonal system is solved by block Thomas elimination: each diagonal of
+the k < m side, d = n_fock - 1 down to 1, is a dense front that LAPACK
+eliminates, its Schur complement added onto the next diagonal, and the
+diagonal d = 0 is the root, solved last. The diagonal nodes must wait for
+the root: their cavity part -2 kappa k vanishes at k = 0 and, at kappa = 0,
+at every k, which leaves a node's block the lifted atomic generator,
+singular at g = 0 and nearly so at small kappa; the trace row, which lives
+on those nodes, is solved last in the root.
 
 Hermiticity: a Lindbladian maps rho+ to (L rho)+ (Minganti, Biella, Bartolo
 & Ciuti, PRA 98, 042118 (2018)). On the count basis the adjoint J takes
 unknown (k, m, n) to (m, k, n with n_10 and n_01 swapped) and conjugates
 it, so P^T L P = conj(L) for the permutation P of J, for every SpinModel.
 The k > m side is thus the mirror image of the k < m side, and only the
-k < m fronts are eliminated: the root adds their Schur complement and its
-mirror image, and each k > m unknown is the conjugate of its k < m image.
+k < m fronts are eliminated: the root adds the Schur complement of d = 1
+and its mirror image, that of d = -1, and each k > m unknown is the
+conjugate of its k < m image.
 The steady state is Hermitian, x[J i] = conj(x[i]), exactly off the
 diagonal nodes and to rounding on them (~1e-16 of max|x|).
 
@@ -64,6 +65,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -95,6 +97,9 @@ class FullSystemSpec:
     model: SpinModel
 
     def __post_init__(self):
+        for name in ("n_atoms", "n_fock"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise InvalidModelError(f"{name} = {getattr(self, name)!r} must be an integer")
         if self.n_atoms < 1:
             raise InvalidModelError(f"n_atoms = {self.n_atoms} must be >= 1")
         if self.n_fock < 2:
@@ -165,30 +170,6 @@ def embedded_ops(spec: FullSystemSpec) -> Ops:
 
 
 @dataclass(frozen=True)
-class Front:
-    """One node of the dissection tree: a dense block eliminated by LAPACK (read-only).
-
-    Positions lo..hi-1 of family.keep are eliminated here; update holds the
-    later positions they couple to, ascending, and the front is the square
-    block on positions lo..hi-1 then update. index are the flat positions in
-    it of the entries family.front_base[entries] (and front_interaction) that
-    are assembled here: those whose earlier position, row or column, is
-    eliminated here. into pairs each run of consecutive update positions
-    with the rows (and columns) of the parent front that it falls on. The
-    fronts cover the k < m side of the photon grid and the root; the k > m
-    side is the mirror of the k < m side (GeneratorFamily) and has none.
-    """
-
-    lo: int
-    hi: int
-    update: np.ndarray
-    entries: slice
-    index: np.ndarray
-    parent: int
-    into: tuple[tuple[slice, slice], ...]
-
-
-@dataclass(frozen=True)
 class GeneratorFamily:
     """The parts of the generator and of its solve that do not depend on g (read-only).
 
@@ -197,16 +178,21 @@ class GeneratorFamily:
     multiplication by a + a+. J maps unknown (k, m, n) to (m, k, n with n_10
     and n_01 swapped), the count-basis image of rho -> rho+, and the steady
     state x obeys x[J i] = conj(x[i]) (steady_full). keep lists the
-    unknowns solved for, in the order of elimination: those with k < m,
-    then those of the diagonal nodes (k, k), unknown 0 last. mirror holds
-    J(keep[i]) for each k < m position i < fronts[-1].lo, and root_mirror
-    the permutation of the root's positions that J makes: J(keep[lo + p]) =
-    keep[lo + root_mirror[p]] for lo = fronts[-1].lo; unknown 0 is its own
-    image. trace is the trace row r of steady_full. The bordered block M is
-    rows keep[:-1] of base - s interaction over r, on columns keep; fronts
-    are the nodes of its elimination tree in post-order, root last, and
-    front_base and front_interaction the entries of M's two parts, front by
-    front. rows are the photon-number, <sz> and <sx> rows of Observables.
+    unknowns solved for, in the order of elimination: diagonal by diagonal
+    of the photon grid, d = m - k = n_fock - 1 down to 1, then the root d =
+    0, unknown 0 last. Positions bounds[f]..bounds[f + 1]-1 hold diagonal
+    n_fock - 1 - f; bounds ends in len(keep) twice, so front f is the square
+    block on positions bounds[f]..bounds[f + 2]-1, its own diagonal then the
+    next one, and the root's is its own. mirror holds J(keep[i]) for each
+    k < m position i < bounds[-3], and root_mirror the permutation of the
+    root's positions that J makes: J(keep[lo + p]) = keep[lo + root_mirror[p]]
+    for lo = bounds[-3]; unknown 0 is its own image. trace is the trace row
+    r of steady_full. The bordered block M is rows keep[:-1] of base - s
+    interaction over r, on columns keep; front_base and front_interaction
+    hold the entries of M's two parts, front by front: those of front f,
+    whose earlier position, row or column, it eliminates, are
+    starts[f]..starts[f + 1]-1, at the flat positions index in its block.
+    rows are the photon-number, <sz> and <sx> rows of Observables.
     """
 
     ops: Ops
@@ -216,7 +202,9 @@ class GeneratorFamily:
     mirror: np.ndarray
     root_mirror: np.ndarray
     trace: np.ndarray
-    fronts: tuple[Front, ...]
+    bounds: np.ndarray
+    starts: np.ndarray
+    index: np.ndarray
     front_base: np.ndarray
     front_interaction: np.ndarray
     rows: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -226,111 +214,6 @@ def _read_only(a):
     for array in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
         array.flags.writeable = False
     return a
-
-
-Tree = tuple[np.ndarray, list["Tree"]]
-
-
-def _dissection(pairs: np.ndarray, leaf: int) -> Tree:
-    """Nested dissection of photon pairs, rows (k, m): (separator, its subtrees).
-
-    No generator term moves k or m by more than one, so any row or column
-    of the grid separates the pairs on either side of it. The set splits at
-    the row or column across the wider span of its bounding box that leaves
-    the two sides closest in size; a set of at most `leaf` pairs is a leaf.
-    """
-    if len(pairs) <= leaf:
-        return pairs, []
-    k, m = pairs.T
-    line = k if np.ptp(k) >= np.ptp(m) else m
-    on = np.bincount(line - line.min())  # pairs on each row (or column) of the span
-    h = line.min() + np.argmin(np.abs(2 * np.cumsum(on) - on - len(pairs)))  # |below - above|
-    sides = (pairs[line < h], pairs[line > h])
-    return pairs[line == h], [_dissection(side, leaf) for side in sides if len(side)]
-
-
-def _post_order(n_fock: int, leaf: int) -> tuple[list[np.ndarray], list[int]]:
-    """The photon pairs of each front, children first, and the index of each front's parent.
-
-    The pairs k < m, in vec order, are dissected; the diagonal pairs (k, k)
-    form the root, last: no generator term moves k - m by more than one, so
-    they separate k < m from k > m, whose fronts are the mirror images of
-    these. An empty separator is skipped, its subtrees going to the next
-    front up.
-    """
-    fronts: list[np.ndarray] = []
-    parents: list[int] = []
-
-    def visit(tree: Tree) -> list[int]:
-        separator, subtrees = tree
-        tops = [top for subtree in subtrees for top in visit(subtree)]
-        if not len(separator):
-            return tops
-        for top in tops:
-            parents[top] = len(fronts)
-        fronts.append(separator)
-        parents.append(-1)
-        return [len(fronts) - 1]
-
-    m, k = np.divmod(np.arange(n_fock**2), n_fock)
-    for top in visit(_dissection(np.column_stack([k, m])[k < m], leaf)):
-        parents[top] = len(fronts)
-    fronts.append(np.column_stack([np.arange(n_fock)] * 2))
-    parents.append(-1)
-    return fronts, parents
-
-
-def _fronts(base: sp.csr_matrix, interaction: sp.csr_matrix, trace: np.ndarray,
-            keep: np.ndarray, bounds: np.ndarray,
-            parents: list[int]) -> tuple[tuple[Front, ...], np.ndarray, np.ndarray]:
-    """The fronts of the bordered block M on keep, and the entries of base and of interaction in M.
-
-    Front f eliminates positions bounds[f]..bounds[f + 1]-1 and hands its
-    Schur complement to parents[f]. Each entry of M is assembled in the
-    front that eliminates the earlier of its row and column; the trace row
-    is the last row of M.
-    """
-
-    def positions(op, bottom):
-        block = sp.vstack([op[keep[:-1]][:, keep], bottom]).tocoo()
-        return block.row.astype(np.int64) * len(keep) + block.col, block.data
-
-    key_a, a_values = positions(base, sp.csr_matrix(trace[keep]))
-    key_b, b_values = positions(interaction, sp.csr_matrix((1, len(keep)), dtype=complex))
-    key = np.union1d(key_a, key_b)
-    row, col = np.divmod(key, len(keep))
-    owner = np.searchsorted(bounds, np.minimum(row, col), side="right") - 1
-    order = np.argsort(owner, kind="stable")
-    front_base, front_interaction = (np.zeros(len(key), dtype=complex) for _ in range(2))
-    front_base[np.searchsorted(key, key_a)] = a_values
-    front_interaction[np.searchsorted(key, key_b)] = b_values
-    row, col, front_base, front_interaction = (v[order] for v in
-                                               (row, col, front_base, front_interaction))
-    starts = np.searchsorted(owner[order], np.arange(len(parents) + 1))
-
-    coupled = sp.csr_matrix((np.ones(2 * len(key)), (np.r_[row, col], np.r_[col, row])),
-                            shape=(len(keep),) * 2)
-    # a front's update: what its positions couple to, with its children's updates, past hi
-    linked = [[coupled.indices[coupled.indptr[lo]:coupled.indptr[hi]]]
-              for lo, hi in zip(bounds[:-1], bounds[1:])]
-    updates: list[np.ndarray] = []
-    for f, hi in enumerate(bounds[1:]):
-        update = np.unique(np.concatenate(linked[f]))
-        updates.append(update[update >= hi])
-        linked[parents[f]].append(updates[f])
-    spans = [np.r_[lo:hi, update] for lo, hi, update in zip(bounds[:-1], bounds[1:], updates)]
-    fronts = []
-    for f, span in enumerate(spans):
-        entries = slice(starts[f], starts[f + 1])
-        index = (np.searchsorted(span, row[entries]) * len(span)
-                 + np.searchsorted(span, col[entries]))
-        into = np.searchsorted(spans[parents[f]], updates[f])  # empty for the root, the last front
-        runs = np.split(np.arange(len(into)), np.flatnonzero(np.diff(into) != 1) + 1)
-        into = tuple((slice(r[0], r[-1] + 1), slice(into[r[0]], into[r[-1]] + 1))
-                     for r in runs if len(r))
-        fronts.append(Front(int(bounds[f]), int(bounds[f + 1]), _read_only(updates[f]), entries,
-                            _read_only(index), parents[f], into))
-    return tuple(fronts), _read_only(front_base), _read_only(front_interaction)
 
 
 def _build_family(spec: FullSystemSpec) -> GeneratorFamily:
@@ -352,11 +235,9 @@ def _build_family(spec: FullSystemSpec) -> GeneratorFamily:
     solved = np.ones((n * n, per_node), dtype=bool)
     if not np.any((coherences[atoms.row] - coherences[atoms.col]) % 2):
         solved = np.add.outer(k + m, coherences) % 2 == 0
-    leaf = max(4, 40 * n * n // np.count_nonzero(solved))
-    pairs, parents = _post_order(n, leaf)
-    nodes = [(node[:, None] * per_node + np.arange(per_node))[solved[node]]
-             for node in (front @ [1, n] for front in pairs)]
-    bounds = np.cumsum([0] + [len(unknowns) for unknowns in nodes])
+    diagonals = (np.arange(n - d) * (n + 1) + n * d for d in range(n - 1, -1, -1))  # (k, k + d)
+    nodes = [(node[:, None] * per_node + np.arange(per_node))[solved[node]] for node in diagonals]
+    bounds = np.cumsum([0] + [len(unknowns) for unknowns in nodes] + [0])
     keep = np.concatenate(nodes)
     keep = np.append(keep[keep != 0], 0)  # the trace row stands in for the row of unknown 0
 
@@ -365,11 +246,25 @@ def _build_family(spec: FullSystemSpec) -> GeneratorFamily:
         m, k = np.divmod(node, n)
         return (m + n * k) * per_node + ops["adjoint"][tuples]
 
-    root = keep[bounds[-2]:]
+    root = keep[bounds[-3]:]
     order = np.argsort(root)
     root_mirror = order[np.searchsorted(root, image(root), sorter=order)]
 
-    fronts, front_base, front_interaction = _fronts(base, interaction, trace, keep, bounds, parents)
+    def positions(op, bottom):  # flat positions in M, and values, of op's entries over bottom
+        block = sp.vstack([op[keep[:-1]][:, keep], bottom]).tocoo()
+        return block.row.astype(np.int64) * len(keep) + block.col, block.data
+
+    key_a, a_values = positions(base, sp.csr_matrix(trace[keep]))
+    key_b, b_values = positions(interaction, sp.csr_matrix((1, len(keep)), dtype=complex))
+    key = np.union1d(key_a, key_b)
+    front_base, front_interaction = (np.zeros(len(key), dtype=complex) for _ in range(2))
+    front_base[np.searchsorted(key, key_a)] = a_values
+    front_interaction[np.searchsorted(key, key_b)] = b_values
+    row, col = np.divmod(key, len(keep))
+    owner = np.searchsorted(bounds, np.minimum(row, col), side="right") - 1  # eliminated there
+    order = np.argsort(owner, kind="stable")
+    lo, size = bounds[owner], bounds[owner + 2] - bounds[owner]
+    index = ((row - lo) * size + col - lo)[order]
 
     number = qops.observable_row(np.diag(np.arange(spec.n_fock, dtype=complex)))
     rows = (np.kron(number, ops["trace"]),
@@ -380,12 +275,14 @@ def _build_family(spec: FullSystemSpec) -> GeneratorFamily:
         base=_read_only(base),
         interaction=_read_only(interaction),
         keep=_read_only(keep),
-        mirror=_read_only(image(keep[:bounds[-2]])),
+        mirror=_read_only(image(keep[:bounds[-3]])),
         root_mirror=_read_only(root_mirror),
         trace=_read_only(trace),
-        fronts=fronts,
-        front_base=front_base,
-        front_interaction=front_interaction,
+        bounds=_read_only(bounds),
+        starts=_read_only(np.searchsorted(owner[order], np.arange(len(bounds) - 1))),
+        index=_read_only(index),
+        front_base=_read_only(front_base[order]),
+        front_interaction=_read_only(front_interaction[order]),
         rows=tuple(_read_only(row) for row in rows),
     )
 
@@ -424,55 +321,48 @@ def build_full_generator(spec: FullSystemSpec) -> sp.csr_matrix:
 def _eliminate(family: GeneratorFamily, values: np.ndarray) -> np.ndarray:
     """The count-basis x with M y = e_last, for the entries `values` of M (front_base's order).
 
-    Each front F = [[F_EE, F_EU], [F_UE, F_UU]] of the k < m side takes its
-    entries and the Schur complements of its children, and gives its parent
-    F_UU - F_UE X with X = F_EE^-1 F_EU. The root collects the k < m side's
-    Schur complement S. J conjugates M (P^T M P = conj(M), P the permutation
-    of J), so the mirrored k > m side would add conj(S[pi][:, pi]) for pi =
-    family.root_mirror, and exactly that: conjugation commutes with IEEE
-    arithmetic and with LAPACK's pivoting by |re| + |im|. The root solves
-    for its unknowns with its entries and both complements, the trace row
-    last; back substitution sets y_E = -X y_U down the tree. x is y at
-    family.keep and conj(y) of the k < m positions at their images
-    family.mirror. A singular block raises np.linalg.LinAlgError.
+    No generator term moves the diagonal d = m - k of |k><m| by more than
+    one, so M is block tridiagonal over the diagonals, and they are
+    eliminated in turn, d = n_fock - 1 first (block Thomas elimination).
+    Front f = [[F_EE, F_EU], [F_UE, F_UU]], E its diagonal and U the next,
+    takes its entries and, on F_EE, the Schur complement S of the front
+    before it, and hands S = F_UU - F_UE X, X = F_EE^-1 F_EU, to the next.
+    The root d = 0 collects S of d = 1. J conjugates M (P^T M P = conj(M),
+    P the permutation of J), so the mirrored k > m side, d = -1 up to
+    -(n_fock - 1), would add conj(S[pi][:, pi]) for pi = family.root_mirror,
+    and exactly that: conjugation commutes with IEEE arithmetic and with
+    LAPACK's pivoting by |re| + |im|. The root solves for its unknowns with
+    its entries and both complements, the trace row last; back substitution
+    sets y_E = -X y_U up the chain. x is y at family.keep and conj(y) of the
+    k < m positions at their images family.mirror. A singular block raises
+    np.linalg.LinAlgError.
     """
-    fronts, root = family.fronts, len(family.fronts) - 1
-    lo, size = fronts[root].lo, fronts[root].hi - fronts[root].lo
-    blocks = {root: np.zeros((size, size), dtype=complex)}  # S, added in by the root's children
-    factors = []
-
-    def assembled(f: int) -> np.ndarray:  # front f with its own entries, built on first use
-        if f not in blocks:
-            front = fronts[f]
-            size = front.hi - front.lo + len(front.update)
-            blocks[f] = np.zeros(size * size, dtype=complex)
-            blocks[f][front.index] = values[front.entries]
-            blocks[f] = blocks[f].reshape(size, size)
-        return blocks[f]
-
-    for f, front in enumerate(fronts[:-1]):
-        block, e = assembled(f), front.hi - front.lo
-        del blocks[f]
+    bounds, starts, root = family.bounds, family.starts, len(family.bounds) - 3
+    schur, factors = np.zeros((0, 0), dtype=complex), []
+    for f in range(root + 1):
+        lo, mid, hi = bounds[f:f + 3]
+        block = np.zeros((hi - lo) ** 2, dtype=complex)
+        block[family.index[starts[f]:starts[f + 1]]] = values[starts[f]:starts[f + 1]]
+        block = block.reshape(hi - lo, hi - lo)
+        block[:len(schur), :len(schur)] += schur  # extend-add onto this front's own diagonal
+        if f == root:
+            break
+        e = mid - lo
         x = np.linalg.solve(block[:e, :e], block[:e, e:])
-        update, parent = block[e:, e:], assembled(front.parent)
-        update -= block[e:, :e] @ x
-        for rows, parent_rows in front.into:  # extend-add, run by run of contiguous positions
-            for cols, parent_cols in front.into:
-                parent[parent_rows, parent_cols] += update[rows, cols]
+        schur = block[e:, e:] - block[e:, :e] @ x
         factors.append(x)
-    schur, pi = blocks.pop(root), family.root_mirror
-    block = assembled(root)
-    block += schur
+    pi = family.root_mirror
     block += schur[pi][:, pi].conj()
     y = np.empty(len(family.keep), dtype=complex)
-    rhs = np.zeros(size, dtype=complex)
+    rhs = np.zeros(len(block), dtype=complex)
     rhs[-1] = 1.0
-    y[lo:] = np.linalg.solve(block, rhs)
-    for front, x in zip(reversed(fronts[:-1]), reversed(factors)):
-        y[front.lo:front.hi] = -(x @ y[front.update])
+    y[bounds[root]:] = np.linalg.solve(block, rhs)
+    for f in reversed(range(root)):
+        lo, mid, hi = bounds[f:f + 3]
+        y[lo:mid] = -(factors[f] @ y[mid:hi])
     x = np.zeros(family.base.shape[0], dtype=complex)
     x[family.keep] = y
-    x[family.mirror] = y[:lo].conj()
+    x[family.mirror] = y[:bounds[root]].conj()
     return x
 
 

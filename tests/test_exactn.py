@@ -67,6 +67,13 @@ class TestConstruction:
             with pytest.raises(InvalidModelError):
                 spec_for(bath, n_atoms=n_atoms, n_fock=2)
 
+    @pytest.mark.parametrize("field, value", [("n_atoms", 2.0), ("n_fock", 6.5)])
+    def test_non_integer_size_is_typed_error(self, field, value):
+        sizes = {"n_atoms": 2, "n_fock": 6, field: value}
+        with pytest.raises(InvalidModelError, match=f"{field} = {value} must be an integer"):
+            FullSystemSpec(**sizes, g=0.3, cavity=CavityParams(1.0, 0.4),
+                           model=baths.spin_model(Thermal(gamma=0.1, temperature=0.5), 1.0))
+
     def test_trace_preservation(self):
         # the count-basis trace row annihilates the generator: Tr o L = 0
         spec = spec_for(Generalized(gamma=0.2, t=0.3), n_atoms=2, n_fock=5, g=0.4)
@@ -276,23 +283,21 @@ def adjoint_image(spec):
 def front_entries(family):
     """Row and column, in positions of family.keep, of each entry family.front_base holds.
 
-    The fronts cover the k < m side and the root, so these are the entries of
-    the bordered block on those positions.
+    Front f is the square block on positions bounds[f]..bounds[f + 2]-1, and
+    its entries sit at the flat offsets index[starts[f]:starts[f + 1]] in it.
     """
-    rows, cols = [], []
-    for front in family.fronts:
-        span = np.r_[front.lo:front.hi, front.update]
-        rows.append(span[front.index // len(span)])
-        cols.append(span[front.index % len(span)])
-    return np.concatenate(rows), np.concatenate(cols)
+    bounds, starts = family.bounds, family.starts
+    f = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    lo, size = bounds[f], bounds[f + 2] - bounds[f]
+    return lo + family.index // size, lo + family.index % size
 
 
 def per_coupling_steady_state(spec):
     """The front elimination of the bordered block of per_coupling_generator.
 
     Rows keep[:-1] of the generator over the trace row, on columns keep (the
-    k < m side and the root), read at the family's entries and eliminated on
-    its fronts; the k > m half is the mirror image.
+    k < m diagonals and the root), read at the family's entries and eliminated
+    on its fronts; the k > m half is the mirror image.
     """
     gen, ops = per_coupling_generator(spec)
     family = generator_family(spec)
@@ -348,8 +353,8 @@ class TestGeneratorFamily:
         cavity = np.add.outer(np.arange(n_fock), np.arange(n_fock)).ravel()
         even = np.flatnonzero(np.add.outer(cavity, family.ops["coherences"]).ravel() % 2 == 0)
         solved = np.arange(n_fock**2 * counts) if bath is PARITY_BREAKING else even
-        fronts, (image, k, m) = family.fronts, adjoint_image(spec)
-        lo, keep = fronts[-1].lo, family.keep
+        bounds, (image, k, m) = family.bounds, adjoint_image(spec)
+        lo, keep = bounds[-3], family.keep
         assert keep[-1] == 0
         assert np.all((k < m)[keep[:lo]]) and np.all((k == m)[keep[lo:]])
         assert np.array_equal(family.mirror, image[keep[:lo]])
@@ -363,18 +368,41 @@ class TestGeneratorFamily:
         changes = np.flatnonzero(np.diff(nodes)) + 1
         assert len(np.unique(nodes)) == len(changes) + 1
         assert all(np.all(np.diff(run) > 0) for run in np.split(rest, changes))
-        # the fronts tile keep in post-order, the root last; a front's update follows
-        # its own positions and falls inside its parent's
-        assert [f.lo for f in fronts] == [0] + [f.hi for f in fronts[:-1]]
-        assert fronts[-1].hi == len(keep) and fronts[-1].parent == -1
-        for f, front in enumerate(fronts[:-1]):
-            assert f < front.parent
-            assert np.all(np.diff(front.update) > 0) and np.all(front.update >= front.hi)
-            parent = fronts[front.parent]
-            span = np.r_[parent.lo:parent.hi, parent.update]
-            runs = [(front.update[rows], span[parent_rows]) for rows, parent_rows in front.into]
-            assert np.array_equal(np.concatenate([run for run, _ in runs]), front.update)
-            assert all(np.array_equal(run, at) for run, at in runs)
+        # the fronts tile keep one diagonal d = m - k each, d = n_fock - 1 down to 1,
+        # the root d = 0 last, (0, 0) first in it; bounds repeats len(keep), so the
+        # root's update is empty
+        assert len(bounds) == n_fock + 2 and bounds[0] == 0
+        assert np.all(np.diff(bounds[:-1]) > 0) and bounds[-2] == bounds[-1] == len(keep)
+        for f in range(n_fock):
+            assert np.all((m - k)[keep[bounds[f]:bounds[f + 1]]] == n_fock - 1 - f)
+        assert k[keep[lo]] == m[keep[lo]] == 0
+        # each entry of the bordered block is held once, by the front that eliminates
+        # the earlier of its row and column, and lies on that front's two diagonals
+        rows, cols = front_entries(family)
+        assert len(np.unique(rows * len(keep) + cols)) == len(rows)
+        starts = family.starts
+        assert starts[0] == 0 and starts[-1] == len(rows) and np.all(np.diff(starts) >= 0)
+        for f in range(n_fock):
+            entries = slice(starts[f], starts[f + 1])
+            first = np.minimum(rows[entries], cols[entries])
+            assert np.all((bounds[f] <= first) & (first < bounds[f + 1]))
+            assert np.all(np.maximum(rows[entries], cols[entries]) < bounds[f + 2])
+
+    @pytest.mark.parametrize("bath", [*CATALOG, PARITY_BREAKING],
+                             ids=[*CATALOG_IDS, "parity-breaking"])
+    @pytest.mark.parametrize("kappa", [0.4, 0.0])
+    def test_generator_moves_the_diagonal_by_at_most_one(self, bath, kappa):
+        # the premise of the chain: every entry of base and of interaction links
+        # cavity elements |k><m| whose diagonals d = m - k differ by at most one
+        for n_atoms in (1, 2, 3):
+            family = generator_family(spec_for(bath, n_atoms=n_atoms, n_fock=7, kappa=kappa))
+            counts = family.ops["atoms"].shape[0]
+            for op in (family.base, family.interaction):
+                op = op.tocoo()
+                assert op.nnz
+                m, k = np.divmod(np.r_[op.row, op.col] // counts, 7)
+                d_row, d_col = np.split(m - k, 2)
+                assert np.max(np.abs(d_row - d_col)) <= 1
 
     @pytest.mark.parametrize("bath", [*CATALOG, PARITY_BREAKING],
                              ids=[*CATALOG_IDS, "parity-breaking"])
@@ -438,10 +466,9 @@ class TestGeneratorFamily:
     def test_cached_arrays_are_read_only(self):
         family = generator_family(spec_for(Thermal(gamma=0.2, temperature=0.4), n_atoms=2,
                                            n_fock=4, g=0.3))
-        arrays = [family.keep, family.mirror, family.root_mirror, family.trace,
-                  family.front_base, family.front_interaction, *family.rows]
-        for front in family.fronts:
-            arrays += [front.update, front.index]
+        arrays = [family.keep, family.mirror, family.root_mirror, family.trace, family.bounds,
+                  family.starts, family.index, family.front_base, family.front_interaction,
+                  *family.rows]
         for m in (family.base, family.interaction, *family.ops.values()):
             arrays += [m.data, m.indices, m.indptr] if sp.issparse(m) else [m]
         for array in arrays:
