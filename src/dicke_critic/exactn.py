@@ -15,12 +15,14 @@ the photon number shows the finite-size onset near the infinite-N g_c.
 
 The generator is linear in the coupling, L(g) = A - (2i g/sqrt(N)) B: A is
 the cavity generator (x) 1 + 1 (x) the lifted atomic generator, B the
-coupling commutator. A, B, the entries of the solved block of both, its
-fronts, the trace row and the observable rows depend only on the family
-(N, n_fock, omega0, kappa, the bytes of the single-atom generator), so
-``generator_family`` builds them once per family and keeps the last
-MAX_FAMILIES families by value, their arrays read-only; each coupling then
-costs one A - s B over those entries, one scatter per front and LAPACK.
+coupling commutator. Both are ``qops.Triplets``, numpy coordinate
+triplets, so no route here loads scipy. A, B, the entries of the solved
+block of both, its fronts, the trace row and the observable rows depend
+only on the family (N, n_fock, omega0, kappa, the bytes of the single-atom
+generator), so ``generator_family`` builds them once per family and keeps
+the last MAX_FAMILIES families by value, their arrays read-only; each
+coupling then costs, front by front, a scatter of A's and B's entries and
+LAPACK, and one residual pass over the merged pattern of A and B.
 
 The unknowns form an n_fock x n_fock grid of cavity elements |k><m|, each
 node holding a count vector, and no generator term moves the diagonal
@@ -71,7 +73,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import qops
 from .baths import CavityParams
@@ -85,7 +86,7 @@ MAX_UNKNOWNS = 16384
 _DENSE_PROPAGATOR_DIM = 64
 # families kept by generator_family: N = 1..6 interleaved at each coupling never evict each other
 MAX_FAMILIES = 8
-Ops = Mapping[str, sp.csr_matrix | np.ndarray]  # what embedded_ops returns
+Ops = Mapping[str, qops.Triplets | np.ndarray]  # what embedded_ops returns
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,9 @@ class FullSystemSpec:
         return math.comb(self.n_atoms + 3, 3) * self.n_fock**2
 
 
-def annihilation(n_fock: int) -> sp.csr_matrix:
-    return sp.diags(np.sqrt(np.arange(1, n_fock)), 1).astype(complex).tocsr()
+def annihilation(n_fock: int) -> qops.Triplets:
+    k = np.arange(n_fock - 1)
+    return qops.Triplets(k, k + 1, np.sqrt(k + 1.0).astype(complex), (n_fock, n_fock))
 
 
 def _tuple_index(counts: np.ndarray) -> np.ndarray:
@@ -129,7 +131,7 @@ def _tuple_index(counts: np.ndarray) -> np.ndarray:
     return index
 
 
-def _lift(s: np.ndarray, counts: np.ndarray) -> sp.csr_matrix:
+def _lift(s: np.ndarray, counts: np.ndarray) -> qops.Triplets:
     """Sum over the atoms of the single-atom 4x4 superoperator s, on the count basis.
 
     Each atom maps unit u to sum_v s[v, u] unit v, so the sum takes tuple n
@@ -140,8 +142,8 @@ def _lift(s: np.ndarray, counts: np.ndarray) -> sp.csr_matrix:
     dest = counts + (np.eye(4, dtype=int)[v] - np.eye(4, dtype=int)[u])[:, None, :]
     weight = s[v, u][:, None] * (counts[:, v].T + (v != u)[:, None])
     moved = counts[:, u].T > 0  # (pair, tuple): the tuple holds a unit u to move
-    entries = (weight[moved], (index[tuple(dest[moved].T)], np.nonzero(moved)[1]))
-    return sp.csr_matrix(entries, shape=(len(counts),) * 2)
+    return qops.Triplets(index[tuple(dest[moved].T)], np.nonzero(moved)[1], weight[moved],
+                         (len(counts),) * 2).canonical()
 
 
 def embedded_ops(spec: FullSystemSpec) -> Ops:
@@ -175,43 +177,52 @@ class GeneratorFamily:
 
     base = cavity generator (x) 1 + 1 (x) ops["atoms"]; interaction = L (x)
     ops["left_x"] - R (x) ops["right_x"], L and R the left and right
-    multiplication by a + a+. J maps unknown (k, m, n) to (m, k, n with n_10
-    and n_01 swapped), the count-basis image of rho -> rho+, and the steady
+    multiplication by a + a+. Both are canonical Triplets on one merged,
+    row-sorted pattern (the same row and col arrays, each holding 0 where
+    only the other has an entry); row_starts holds the first entry of each
+    row that has one. J maps unknown (k, m, n) to (m, k, n with n_10 and
+    n_01 swapped), the count-basis image of rho -> rho+, and the steady
     state x obeys x[J i] = conj(x[i]) (steady_full). keep lists the
     unknowns solved for, in the order of elimination: diagonal by diagonal
     of the photon grid, d = m - k = n_fock - 1 down to 1, then the root d =
     0, unknown 0 last. Positions bounds[f]..bounds[f + 1]-1 hold diagonal
-    n_fock - 1 - f; bounds ends in len(keep) twice, so front f is the square
-    block on positions bounds[f]..bounds[f + 2]-1, its own diagonal then the
-    next one, and the root's is its own. mirror holds J(keep[i]) for each
-    k < m position i < bounds[-3], and root_mirror the permutation of the
-    root's positions that J makes: J(keep[lo + p]) = keep[lo + root_mirror[p]]
-    for lo = bounds[-3]; unknown 0 is its own image. trace is the trace row
-    r of steady_full. The bordered block M is rows keep[:-1] of base - s
-    interaction over r, on columns keep; front_base and front_interaction
-    hold the entries of M's two parts, front by front: those of front f,
-    whose earlier position, row or column, it eliminates, are
-    starts[f]..starts[f + 1]-1, at the flat positions index in its block.
-    rows are the photon-number, <sz> and <sx> rows of Observables.
+    n_fock - 1 - f, front f's own diagonal E; bounds ends in len(keep)
+    twice, so the next diagonal U, positions bounds[f + 1]..bounds[f + 2]-1,
+    is empty for the root. mirror holds J(keep[i]) for each k < m position
+    i < bounds[-3], and root_mirror the permutation of the root's positions
+    that J makes: J(keep[lo + p]) = keep[lo + root_mirror[p]] for lo =
+    bounds[-3]; unknown 0 is its own image. trace is the trace row r of
+    steady_full. The bordered block M is rows keep[:-1] of base - s
+    interaction over r, on columns keep. base keeps d and interaction moves
+    it by one, so M's E x E blocks hold base and r alone, and its E x U and
+    U x E blocks interaction alone: own_values are the entries of front f's
+    E x E block at own_starts[f]..own_starts[f + 1]-1, at the flat
+    positions own_index in it; coupling_values, coupling_index and
+    coupling_starts the same for interaction, at flat positions in the E x
+    U block followed by the U x E block. rows are the photon-number, <sz>
+    and <sx> rows of Observables.
     """
 
     ops: Ops
-    base: sp.csr_matrix
-    interaction: sp.csr_matrix
+    base: qops.Triplets
+    interaction: qops.Triplets
+    row_starts: np.ndarray
     keep: np.ndarray
     mirror: np.ndarray
     root_mirror: np.ndarray
     trace: np.ndarray
     bounds: np.ndarray
-    starts: np.ndarray
-    index: np.ndarray
-    front_base: np.ndarray
-    front_interaction: np.ndarray
+    own_starts: np.ndarray
+    own_index: np.ndarray
+    own_values: np.ndarray
+    coupling_starts: np.ndarray
+    coupling_index: np.ndarray
+    coupling_values: np.ndarray
     rows: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _read_only(a):
-    for array in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
+    for array in (a.row, a.col, a.data) if isinstance(a, qops.Triplets) else (a,):
         array.flags.writeable = False
     return a
 
@@ -221,15 +232,25 @@ def _build_family(spec: FullSystemSpec) -> GeneratorFamily:
     a = annihilation(spec.n_fock)
     channels = [qops.LindbladChannel(a, spec.cavity.kappa)] if spec.cavity.kappa > 0 else []
     cavity = qops.lindblad_generator(spec.cavity.omega0 * (a.conj().T @ a), channels)
-    eye, drive = sp.identity(spec.n_fock), a + a.conj().T
-    interaction = (sp.kron(sp.kron(eye, drive), ops["left_x"])
-                   - sp.kron(sp.kron(drive.T, eye), ops["right_x"])).tocsr()
-    base = (sp.kron(cavity, sp.identity(ops["atoms"].shape[0]))
-            + sp.kron(sp.identity(cavity.shape[0]), ops["atoms"])).tocsr()
+    eye, drive, atoms = qops.Triplets.identity(spec.n_fock), a + a.conj().T, ops["atoms"]
+    interaction = (eye.kron(drive).kron(ops["left_x"])
+                   - drive.T.kron(eye).kron(ops["right_x"])).canonical()
+    base = (cavity.kron(qops.Triplets.identity(atoms.shape[0]))
+            + qops.Triplets.identity(cavity.shape[0]).kron(atoms)).canonical()
+    size = base.shape[0]
+    key = np.union1d(base.row * size + base.col, interaction.row * size + interaction.col)
+    row, col = np.divmod(key, size)
+
+    def on_pattern(op):  # op's entries on the merged pattern, 0 where op has none
+        values = np.zeros(len(key), dtype=complex)
+        values[np.searchsorted(key, op.row * size + op.col)] = op.data
+        return qops.Triplets(row, col, values, op.shape)
+
+    base, interaction = on_pattern(base), on_pattern(interaction)
     cavity_trace = qops.trace_functional(spec.n_fock)
     trace = np.kron(cavity_trace, ops["trace"])
 
-    n, coherences, atoms = spec.n_fock, ops["coherences"], ops["atoms"].tocoo()
+    n, coherences = spec.n_fock, ops["coherences"]
     per_node = len(coherences)  # count tuples
     m, k = np.divmod(np.arange(n * n), n)  # node k + n m of vec order is |k><m|
     solved = np.ones((n * n, per_node), dtype=bool)
@@ -250,21 +271,36 @@ def _build_family(spec: FullSystemSpec) -> GeneratorFamily:
     order = np.argsort(root)
     root_mirror = order[np.searchsorted(root, image(root), sorter=order)]
 
-    def positions(op, bottom):  # flat positions in M, and values, of op's entries over bottom
-        block = sp.vstack([op[keep[:-1]][:, keep], bottom]).tocoo()
-        return block.row.astype(np.int64) * len(keep) + block.col, block.data
+    # M's entries by position in keep: rows keep[:-1] of the generator, then r
+    position = np.full(size, -1)
+    position[keep] = np.arange(len(keep))
+    p_row, p_col = position[row], position[col]
+    inside = (p_row >= 0) & (p_row < len(keep) - 1) & (p_col >= 0)
+    p_row, p_col = p_row[inside], p_col[inside]
+    on_trace = np.flatnonzero(trace[keep])
+    f_row, f_col = (np.searchsorted(bounds, p, side="right") - 1 for p in (p_row, p_col))
 
-    key_a, a_values = positions(base, sp.csr_matrix(trace[keep]))
-    key_b, b_values = positions(interaction, sp.csr_matrix((1, len(keep)), dtype=complex))
-    key = np.union1d(key_a, key_b)
-    front_base, front_interaction = (np.zeros(len(key), dtype=complex) for _ in range(2))
-    front_base[np.searchsorted(key, key_a)] = a_values
-    front_interaction[np.searchsorted(key, key_b)] = b_values
-    row, col = np.divmod(key, len(keep))
-    owner = np.searchsorted(bounds, np.minimum(row, col), side="right") - 1  # eliminated there
-    order = np.argsort(owner, kind="stable")
-    lo, size = bounds[owner], bounds[owner + 2] - bounds[owner]
-    index = ((row - lo) * size + col - lo)[order]
+    def by_front(front, index, values):  # the entries front by front, and where each front starts
+        order = np.argsort(front, kind="stable")
+        return np.searchsorted(front[order], np.arange(len(bounds) - 1)), index[order], values[order]
+
+    own = f_row == f_col
+    own_row = np.append(p_row[own], np.full(len(on_trace), len(keep) - 1))
+    own_col = np.append(p_col[own], on_trace)
+    front = np.searchsorted(bounds, own_row, side="right") - 1
+    lo, e = bounds[front], bounds[front + 1] - bounds[front]
+    own_starts, own_index, own_values = by_front(
+        front, (own_row - lo) * e + own_col - lo,
+        np.append(base.data[inside][own], trace[keep][on_trace]))
+
+    step = np.abs(f_row - f_col) == 1
+    front, upper = np.minimum(f_row, f_col)[step], (f_row < f_col)[step]
+    lo, mid, hi = bounds[front], bounds[front + 1], bounds[front + 2]
+    p_row, p_col = p_row[step], p_col[step]
+    index = np.where(upper, (p_row - lo) * (hi - mid) + p_col - mid,
+                     (mid - lo) * (hi - mid) + (p_row - mid) * (mid - lo) + p_col - lo)
+    coupling_starts, coupling_index, coupling_values = by_front(
+        front, index, interaction.data[inside][step])
 
     number = qops.observable_row(np.diag(np.arange(spec.n_fock, dtype=complex)))
     rows = (np.kron(number, ops["trace"]),
@@ -274,15 +310,18 @@ def _build_family(spec: FullSystemSpec) -> GeneratorFamily:
         ops=MappingProxyType({k: _read_only(v) for k, v in ops.items()}),
         base=_read_only(base),
         interaction=_read_only(interaction),
+        row_starts=_read_only(np.flatnonzero(np.diff(row, prepend=-1))),
         keep=_read_only(keep),
         mirror=_read_only(image(keep[:bounds[-3]])),
         root_mirror=_read_only(root_mirror),
         trace=_read_only(trace),
         bounds=_read_only(bounds),
-        starts=_read_only(np.searchsorted(owner[order], np.arange(len(bounds) - 1))),
-        index=_read_only(index),
-        front_base=_read_only(front_base[order]),
-        front_interaction=_read_only(front_interaction[order]),
+        own_starts=_read_only(own_starts),
+        own_index=_read_only(own_index),
+        own_values=_read_only(own_values),
+        coupling_starts=_read_only(coupling_starts),
+        coupling_index=_read_only(coupling_index),
+        coupling_values=_read_only(coupling_values),
         rows=tuple(_read_only(row) for row in rows),
     )
 
@@ -312,47 +351,57 @@ def _coupling(spec: FullSystemSpec) -> complex:
     return 2j * spec.g / np.sqrt(spec.n_atoms)
 
 
-def build_full_generator(spec: FullSystemSpec) -> sp.csr_matrix:
-    """Sparse generator on the count-basis state vector: base - (2i g/sqrt(N)) interaction."""
+def build_full_generator(spec: FullSystemSpec) -> qops.Triplets:
+    """Canonical generator on the count-basis state vector: base - (2i g/sqrt(N)) interaction."""
     family = generator_family(spec)
-    return family.base - _coupling(spec) * family.interaction
+    base, values = family.base, family.base.data - _coupling(spec) * family.interaction.data
+    return qops.Triplets(base.row, base.col, values, base.shape)
 
 
-def _eliminate(family: GeneratorFamily, values: np.ndarray) -> np.ndarray:
-    """The count-basis x with M y = e_last, for the entries `values` of M (front_base's order).
+def _eliminate(family: GeneratorFamily, s: complex) -> np.ndarray:
+    """The count-basis x with M y = e_last, for M = A - s B on family.keep (GeneratorFamily).
 
     No generator term moves the diagonal d = m - k of |k><m| by more than
     one, so M is block tridiagonal over the diagonals, and they are
     eliminated in turn, d = n_fock - 1 first (block Thomas elimination).
-    Front f = [[F_EE, F_EU], [F_UE, F_UU]], E its diagonal and U the next,
-    takes its entries and, on F_EE, the Schur complement S of the front
-    before it, and hands S = F_UU - F_UE X, X = F_EE^-1 F_EU, to the next.
-    The root d = 0 collects S of d = 1. J conjugates M (P^T M P = conj(M),
-    P the permutation of J), so the mirrored k > m side, d = -1 up to
-    -(n_fock - 1), would add conj(S[pi][:, pi]) for pi = family.root_mirror,
-    and exactly that: conjugation commutes with IEEE arithmetic and with
-    LAPACK's pivoting by |re| + |im|. The root solves for its unknowns with
-    its entries and both complements, the trace row last; back substitution
-    sets y_E = -X y_U up the chain. x is y at family.keep and conj(y) of the
-    k < m positions at their images family.mirror. A singular block raises
+    Front f has its own diagonal E and the next one U. A lives on the E x E
+    blocks and B on the E x U and U x E blocks, so the front's pivot block
+    is D = A_EE + S, A's entries added in place onto the Schur complement S
+    handed on by the front before it; with F = -s B scattered on the E x U
+    and U x E blocks alone and X = D^-1 F_EU, it hands S = -F_UE X to the
+    next. These are the float operations of the full front [[D, F_EU],
+    [F_UE, 0]], without its zero fill. The root d = 0 collects S of d = 1. J
+    conjugates M (P^T M P = conj(M), P the permutation of J), so the
+    mirrored k > m side, d = -1 up to -(n_fock - 1), would add
+    conj(S[pi][:, pi]) for pi = family.root_mirror, and exactly that:
+    conjugation commutes with IEEE arithmetic and with LAPACK's pivoting by
+    |re| + |im|. The root solves for its unknowns with its entries and both
+    complements, the trace row last; back substitution sets y_E = -X y_U
+    up the chain. x is y at family.keep and conj(y) of the k < m positions
+    at their images family.mirror. A singular block raises
     np.linalg.LinAlgError.
     """
-    bounds, starts, root = family.bounds, family.starts, len(family.bounds) - 3
-    schur, factors = np.zeros((0, 0), dtype=complex), []
-    for f in range(root + 1):
+    bounds, root = family.bounds, len(family.bounds) - 3
+
+    def pivot_block(f, schur):  # schur plus front f's own entries, in place
+        own = slice(family.own_starts[f], family.own_starts[f + 1])
+        schur.reshape(-1)[family.own_index[own]] += family.own_values[own]
+        return schur
+
+    schur, factors = np.zeros((bounds[1], bounds[1]), dtype=complex), []
+    for f in range(root):
         lo, mid, hi = bounds[f:f + 3]
-        block = np.zeros((hi - lo) ** 2, dtype=complex)
-        block[family.index[starts[f]:starts[f + 1]]] = values[starts[f]:starts[f + 1]]
-        block = block.reshape(hi - lo, hi - lo)
-        block[:len(schur), :len(schur)] += schur  # extend-add onto this front's own diagonal
-        if f == root:
-            break
-        e = mid - lo
-        x = np.linalg.solve(block[:e, :e], block[:e, e:])
-        schur = block[e:, e:] - block[e:, :e] @ x
+        e, u = mid - lo, hi - mid
+        coupling = np.zeros(2 * e * u, dtype=complex)  # -s B_EU, then -s B_UE
+        entries = slice(family.coupling_starts[f], family.coupling_starts[f + 1])
+        coupling[family.coupling_index[entries]] = -s * family.coupling_values[entries]
+        x = np.linalg.solve(pivot_block(f, schur), coupling[:e * u].reshape(e, u))
+        schur = -(coupling[e * u:].reshape(u, e) @ x)
         factors.append(x)
     pi = family.root_mirror
-    block += schur[pi][:, pi].conj()
+    mirrored = schur[pi][:, pi].conj()
+    block = pivot_block(root, schur)
+    block += mirrored
     y = np.empty(len(family.keep), dtype=complex)
     rhs = np.zeros(len(block), dtype=complex)
     rhs[-1] = 1.0
@@ -360,7 +409,7 @@ def _eliminate(family: GeneratorFamily, values: np.ndarray) -> np.ndarray:
     for f in reversed(range(root)):
         lo, mid, hi = bounds[f:f + 3]
         y[lo:mid] = -(factors[f] @ y[mid:hi])
-    x = np.zeros(family.base.shape[0], dtype=complex)
+    x = np.zeros(len(family.trace), dtype=complex)
     x[family.keep] = y
     x[family.mirror] = y[:bounds[root]].conj()
     return x
@@ -379,7 +428,8 @@ def steady_full(spec: FullSystemSpec) -> np.ndarray:
     check below covers too. Tr o L = 0 makes that row of L a combination of
     the others, so L' is singular exactly when the null space of L has
     dimension > 1; a zero pivot of a front (np.linalg.LinAlgError) is a
-    DegenerateSteadyStateError, and a solution with max |L x| > 1e-8 is a
+    DegenerateSteadyStateError, and a solution with max |L x| > 1e-8, over
+    every row of L (one pass over the merged pattern of A and B), is a
     ConvergenceError. The block solve cannot see a null vector that lives
     only in the odd block; the kernel of a Lindbladian is spanned by steady
     density matrices, so that would be a second steady state, which only
@@ -405,12 +455,13 @@ def steady_full(spec: FullSystemSpec) -> np.ndarray:
                                          "undamped and no atomic jump flips sz")
     family, s = generator_family(spec), _coupling(spec)
     try:
-        x = _eliminate(family, family.front_base - s * family.front_interaction)
+        x = _eliminate(family, s)
     except np.linalg.LinAlgError as exc:  # LAPACK: "Singular matrix"
         raise DegenerateSteadyStateError(
             f"full steady state is degenerate at {point}: bordered generator is singular ({exc})"
         ) from None
-    residual = np.max(np.abs(family.base @ x - s * (family.interaction @ x)))
+    values = family.base.data - s * family.interaction.data
+    residual = np.max(np.abs(np.add.reduceat(values * x[family.base.col], family.row_starts)))
     if not residual <= 1e-8:  # also catches a non-finite solution
         raise ConvergenceError(f"direct steady-state solve left residual {residual} at {point}")
     return x / (family.trace @ x).real  # the trace of a Hermitian x is real

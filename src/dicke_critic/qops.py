@@ -1,9 +1,10 @@
 """Operator algebra for few-level systems.
 
 The superoperator builders (``hamiltonian_superop``, ``dissipator``,
-``lindblad_generator``) take numpy or scipy.sparse operators and return
-the generator in the same representation: the dense 4x4 single-spin
-generator and the sparse exact-N generator come from the same code.
+``lindblad_generator``) take numpy arrays or ``Triplets``, the package's
+sparse form (numpy coordinate triplets), and return the generator in the
+same representation: the dense 4x4 single-spin generator and the sparse
+exact-N generator come from the same code, and neither loads scipy.
 
 Conventions used throughout the package:
 
@@ -22,7 +23,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +51,8 @@ def sigma(which: str) -> np.ndarray:
 
 
 def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
-    """Hermiticity test for numpy or scipy.sparse operators."""
-    return bool(abs(a - a.conj().T).max() <= tol)
+    """Hermiticity test for numpy arrays or Triplets."""
+    return bool(abs(_entries(a - a.conj().T)).max(initial=0.0) <= tol)
 
 
 def validate_density_matrix(rho: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
@@ -91,10 +91,105 @@ def observable_row(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class Triplets:
+    """Sparse matrix as numpy coordinate triplets: data[i] sits at (row[i], col[i]).
+
+    Entries at one position add up, in the order given. Sums, the adjoint
+    and Kronecker products keep every triplet; canonical() sums duplicates
+    and sorts by row, then column. Scalar multiples and products of two
+    Triplets start from the canonical form, so each entry rounds as in the
+    dense product. Only what the generator builders and the exact-N solve
+    use is defined.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    __array_ufunc__ = None  # numpy defers `vector @ triplets` to __rmatmul__
+
+    @classmethod
+    def identity(cls, d: int) -> Triplets:
+        diagonal = np.arange(d)
+        return cls(diagonal, diagonal, np.ones(d, dtype=complex), (d, d))
+
+    @property
+    def T(self) -> Triplets:
+        return Triplets(self.col, self.row, self.data, self.shape[::-1])
+
+    def conj(self) -> Triplets:
+        return Triplets(self.row, self.col, self.data.conj(), self.shape)
+
+    def __add__(self, other: Triplets) -> Triplets:
+        if other.shape != self.shape:
+            raise DimensionMismatchError(f"cannot add shapes {self.shape} and {other.shape}")
+        return Triplets(np.concatenate([self.row, other.row]), np.concatenate([self.col, other.col]),
+                        np.concatenate([self.data, other.data]), self.shape)
+
+    def __neg__(self) -> Triplets:
+        return Triplets(self.row, self.col, -self.data, self.shape)
+
+    def __sub__(self, other: Triplets) -> Triplets:
+        return self + -other
+
+    def __mul__(self, scalar) -> Triplets:
+        a = self.canonical()
+        return Triplets(a.row, a.col, a.data * scalar, a.shape)
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other: Triplets) -> Triplets:
+        """Product: entry (i, k) of self meets each entry (k, j) of other."""
+        if self.shape[1] != other.shape[0]:
+            raise DimensionMismatchError(f"cannot multiply shapes {self.shape} and {other.shape}")
+        other = other.canonical()
+        lo = np.searchsorted(other.row, self.col)
+        n = np.searchsorted(other.row, self.col, side="right") - lo
+        left = np.repeat(np.arange(len(self.data)), n)
+        right = np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
+        return Triplets(self.row[left], other.col[right], self.data[left] * other.data[right],
+                        (self.shape[0], other.shape[1])).canonical()
+
+    def __rmatmul__(self, vector: np.ndarray) -> np.ndarray:
+        """vector @ self, for a 1-d vector."""
+        out = np.zeros(self.shape[1], dtype=np.result_type(vector, self.data))
+        np.add.at(out, self.col, vector[self.row] * self.data)
+        return out
+
+    def kron(self, other: Triplets) -> Triplets:
+        """Kronecker product: every pair of entries, as np.kron pairs them."""
+        (m, n), (p, q) = self.shape, other.shape
+        row = self.row.astype(np.int64)[:, None] * p + other.row
+        col = self.col.astype(np.int64)[:, None] * q + other.col
+        return Triplets(row.ravel(), col.ravel(), (self.data[:, None] * other.data).ravel(),
+                        (m * p, n * q))
+
+    def canonical(self) -> Triplets:
+        """One entry per position, duplicates summed, sorted by row and then column."""
+        key, slot = np.unique(self.row.astype(np.int64) * self.shape[1] + self.col,
+                              return_inverse=True)
+        data = np.zeros(len(key), dtype=self.data.dtype)
+        np.add.at(data, slot, self.data)  # left to right, unlike np.add.reduceat
+        row, col = np.divmod(key, self.shape[1])
+        return Triplets(row, col, data, self.shape)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        np.add.at(out, (self.row, self.col), self.data)
+        return out
+
+
+def _entries(a):
+    """The entries of a numpy array, or the summed entries of Triplets."""
+    return a.canonical().data if isinstance(a, Triplets) else a
+
+
+@dataclass(frozen=True, eq=False)
 class LindbladChannel:
     """Jump operator plus rate, in the doubled dissipator normalization."""
 
-    op: np.ndarray = field(repr=False)  # numpy or scipy.sparse
+    op: np.ndarray = field(repr=False)  # numpy or Triplets
     rate: float
 
     def __post_init__(self):
@@ -102,15 +197,8 @@ class LindbladChannel:
             raise InvalidModelError(f"channel rate {self.rate} is not finite")
         if self.rate < 0:
             raise InvalidModelError(f"channel rate {self.rate} < 0")
-        entries = self.op.data if _issparse(self.op) else self.op
-        if not np.all(np.isfinite(entries)):
+        if not np.all(np.isfinite(_entries(self.op))):
             raise InvalidModelError("jump operator has non-finite entries")
-
-
-def _issparse(a) -> bool:
-    """sp.issparse(a), without importing scipy.sparse: no sparse a exists before it is loaded."""
-    sp = sys.modules.get("scipy.sparse")
-    return sp is not None and sp.issparse(a)
 
 
 def _dense_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -119,26 +207,11 @@ def _dense_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
-def _sparse_kron(a, b):
-    """sp.kron(a, b, format="csr"): the same entries and CSR structure, from COO indices."""
-    import scipy.sparse as sp
-
-    a, b = a.tocoo(), b.tocoo()
-    (m, n), (p, q) = a.shape, b.shape
-    row = a.row.astype(np.int64)[:, None] * p + b.row
-    col = a.col.astype(np.int64)[:, None] * q + b.col
-    data = a.data[:, None] * b.data
-    return sp.csr_matrix((data.ravel(), (row.ravel(), col.ravel())), shape=(m * p, n * q))
-
-
 def _kron_and_eye(a):
     """Kronecker product and identity in the representation of a."""
-    d = a.shape[0]
-    if _issparse(a):
-        import scipy.sparse as sp
-
-        return _sparse_kron, sp.identity(d, dtype=complex, format="csr")
-    return _dense_kron, np.eye(d, dtype=complex)
+    if isinstance(a, Triplets):
+        return Triplets.kron, Triplets.identity(a.shape[0])
+    return _dense_kron, np.eye(a.shape[0], dtype=complex)
 
 
 def dissipator(op, rate: float):
@@ -155,7 +228,7 @@ def hamiltonian_superop(h):
 
 
 def lindblad_generator(h, channels: list[LindbladChannel] | tuple):
-    """Generator acting on vec(rho); numpy or scipy.sparse like h."""
+    """Generator acting on vec(rho); a numpy array or Triplets like h."""
     if not is_hermitian(h):
         raise InvalidModelError("Hamiltonian must be Hermitian within 1e-12")
     gen = hamiltonian_superop(h)

@@ -12,6 +12,19 @@ import scipy.sparse as sp  # noqa: E402
 import scipy.sparse.linalg as spla  # noqa: E402
 
 
+def to_scipy(t):
+    """A qops.Triplets as a scipy CSR matrix, duplicates summed."""
+    return sp.csr_matrix((t.data, (t.row, t.col)), shape=t.shape)
+
+
+def to_triplets(m):
+    """A scipy sparse matrix as qops.Triplets."""
+    from dicke_critic import qops
+
+    m = m.tocoo()
+    return qops.Triplets(m.row, m.col, m.data, m.shape)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
@@ -66,7 +79,8 @@ class TensorReference:
 
     Tensor order is cavity (x) atom_1 (x) ... (x) atom_N; the generator acts
     on the column-stacked vec(rho) and is assembled from per-atom embedded
-    operators, independently of the count basis of ``exactn``. The solve
+    operators in scipy.sparse, independently of the count basis of
+    ``exactn``; ``qops.lindblad_generator`` builds it on Triplets. The solve
     runs on the even-parity entries of vec(rho) alone when no entry of that
     generator couples them to odd ones.
     """
@@ -83,7 +97,7 @@ class TensorReference:
         """factor at tensor slot `slot` (0 = cavity, 1 + j = atom j), identities elsewhere."""
         chain = [sp.identity(spec.n_fock, dtype=complex, format="csr")]
         chain += [sp.identity(2, dtype=complex, format="csr")] * spec.n_atoms
-        chain[slot] = sp.csr_matrix(factor)
+        chain[slot] = sp.csr_matrix(factor) if isinstance(factor, np.ndarray) else to_scipy(factor)
         out = chain[0]
         for m in chain[1:]:
             out = sp.kron(out, m, format="csr")
@@ -95,16 +109,14 @@ class TensorReference:
         a = self.embed(spec, exactn.annihilation(spec.n_fock), 0)
         h = spec.cavity.omega0 * (a.conj().T @ a)
         coupling = 2.0 * spec.g / np.sqrt(spec.n_atoms)
-        channels = [qops.LindbladChannel(a, spec.cavity.kappa)] if spec.cavity.kappa > 0 else []
+        channels = [(a, spec.cavity.kappa)] if spec.cavity.kappa > 0 else []
         for j in range(spec.n_atoms):
             sx = self.embed(spec, qops.sigma("x"), 1 + j)
             h = h + spec.model.omega_z * self.embed(spec, qops.sigma("z"), 1 + j)
             h = h + coupling * (sx @ (a + a.conj().T))
-            channels += [
-                qops.LindbladChannel(self.embed(spec, ch.op, 1 + j), ch.rate)
-                for ch in spec.model.channels
-            ]
-        return qops.lindblad_generator(h.tocsr(), channels)
+            channels += [(self.embed(spec, ch.op, 1 + j), ch.rate) for ch in spec.model.channels]
+        channels = [qops.LindbladChannel(to_triplets(op), rate) for op, rate in channels]
+        return to_scipy(qops.lindblad_generator(to_triplets(h), channels))
 
     def steady_rho(self, spec, block=True):
         """Steady density matrix by one bordered sparse LU, on the even block if `block`."""

@@ -680,16 +680,16 @@ class TestParserCache:
         assert cli.build_parser.cache_info().misses == 1
 
 
-def test_closed_form_routes_load_no_scipy():
-    """gc, sweep, spectrum, oracle, corr and the quadrature chi0 run on numpy alone.
+def test_closed_form_routes_load_no_scipy(tmp_path):
+    """gc, sweep, spectrum, oracle, corr, the quadrature chi0 and the exact-N oracle run on numpy alone.
 
-    The control, one N = 1 exact-N steady state, loads scipy.sparse, so the
-    detector is seen to work; its solve runs on numpy's LAPACK, so neither
-    scipy.sparse.linalg nor scipy.linalg is loaded. A fresh interpreter,
-    since this process already holds scipy.
+    The exact-N steady states at N = 1..3 and a run of
+    scripts/finite_size_onset.py load no scipy module either. The control,
+    one meanfield.simulate, loads scipy.integrate, so the detector is seen
+    to work. A fresh interpreter, since this process already holds scipy.
     """
     script = textwrap.dedent("""
-        import contextlib, io, json, sys
+        import contextlib, io, json, runpy, sys
 
         import dicke_critic
         from dicke_critic import baths, cli, lindblad, response
@@ -707,22 +707,34 @@ def test_closed_form_routes_load_no_scipy():
         model = baths.spin_model(baths.parse_bath(bath[1]), 1.0)
         series = lindblad.two_time_sx(model, lindblad.steady_state(model).rho)
         chi0 = response.chi_from_correlator(series, 0.0)
-        before = scipy_modules()
+        closed_form = scipy_modules()
         from dicke_critic import exactn
-        spec = exactn.FullSystemSpec(1, 3, 0.1, baths.CavityParams(1.0, 0.5), model)
-        exactn.full_steady_observables(spec)
-        print(json.dumps({"codes": codes, "chi0": chi0.real, "before": before,
-                          "after": scipy_modules()}))
+        photons = [exactn.full_steady_observables(exactn.FullSystemSpec(
+            n, 12, 0.3, baths.CavityParams(1.0, 0.4), model)).photon_number for n in (1, 2, 3)]
+        exact_n = scipy_modules()
+        path, output = sys.argv[1:]
+        sys.argv = [path, "--points", "2", "--output", output]
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_path(path, run_name="__main__")
+        script = scipy_modules()
+        from dicke_critic import meanfield
+        cavity = baths.CavityParams(1.0, 0.4)
+        meanfield.simulate(meanfield.normal_fixed_point(model), cavity, model, 0.1, 1.0, 0.5)
+        print(json.dumps({"codes": codes, "chi0": chi0.real, "photons": photons,
+                          "closed_form": closed_form, "exact_n": exact_n, "script": script,
+                          "control": scipy_modules()}))
     """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, check=True)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    output = tmp_path / "fso.csv"
+    proc = subprocess.run([sys.executable, "-c", script, str(root / "scripts" / "finite_size_onset.py"),
+                           str(output)], env=env,
+                          capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout)
     assert result["codes"] == [0] * 6
     assert result["chi0"] < 0
-    assert result["before"] == []
-    assert "scipy.sparse" in result["after"]
-    assert "scipy.sparse.linalg" not in result["after"]
-    assert "scipy.linalg" not in result["after"]
+    assert all(p > 0 for p in result["photons"])
+    assert len(output.read_text(encoding="utf-8").splitlines()) == 4  # header, columns, 2 rows
+    assert result["closed_form"] == result["exact_n"] == result["script"] == []
+    assert "scipy.integrate" in result["control"]

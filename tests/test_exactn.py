@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 from dicke_critic import baths, critical, exactn, qops, response
 from dicke_critic.baths import CavityParams, Custom, Dephasing, Generalized, Thermal
 from dicke_critic.errors import (
+    ConvergenceError,
     DegenerateSteadyStateError,
     InvalidModelError,
     PreconditionError,
@@ -23,6 +25,8 @@ from dicke_critic.exactn import (
 from dicke_critic.lindblad import SpinModel, steady_state, two_time_sx
 from dicke_critic.qops import trace_functional
 from dicke_critic.response import chi_from_correlator
+
+from conftest import to_scipy
 
 
 def spec_for(bath, n_atoms=1, n_fock=6, g=0.0, kappa=0.4, omega_z=1.0, omega0=1.0):
@@ -88,7 +92,7 @@ class TestConstruction:
         # L maps rho+ to (L rho)+: P^T L P = conj(L) exactly, for P the permutation of J
         for n_atoms in (1, 2, 3):
             spec = spec_for(bath, n_atoms=n_atoms, n_fock=5, g=0.37)
-            gen = build_full_generator(spec)
+            gen = to_scipy(build_full_generator(spec))
             image = adjoint_image(spec)[0]
             p = sp.csr_matrix((np.ones(image.size), (image, np.arange(image.size))))
             assert abs(p.T @ gen @ p - gen.conj()).max() == 0
@@ -234,7 +238,7 @@ class TestSteadyObservables:
                     steady_full(spec)
                 continue
             ops = generator_family(spec).ops
-            gen = build_full_generator(spec)
+            gen = to_scipy(build_full_generator(spec))
             trace = np.kron(trace_functional(spec.n_fock), ops["trace"])
             cavity = np.add.outer(np.arange(spec.n_fock), np.arange(spec.n_fock)).ravel()
             solved = np.flatnonzero(np.add.outer(cavity, ops["coherences"]).ravel() % 2 == 0)
@@ -248,6 +252,32 @@ class TestSteadyObservables:
             x = steady_full(spec)
             assert np.max(np.abs(x - dense)) <= 1e-13 * np.max(np.abs(dense))
 
+    def test_residual_gate_names_the_point(self, monkeypatch):
+        # the 1e-8 gate on max |L x| over every row: one entry of the eliminated
+        # solution off by 1e-6, or a solution that is not finite, is a
+        # ConvergenceError naming the point and the residual
+        spec = spec_for(Generalized(gamma=0.2, t=0.0), n_atoms=2, n_fock=6, g=0.3, kappa=0.25)
+        point = "n_atoms = 2, n_fock = 6, g = 0.3, omega_z = 1.0, omega0 = 1.0, kappa = 0.25"
+        eliminate = exactn._eliminate
+        x = steady_full(spec)
+        assert np.all(np.isfinite(x))
+
+        def perturbed(family, s):
+            x = eliminate(family, s)
+            x[0] += 1e-6
+            return x
+
+        monkeypatch.setattr(exactn, "_eliminate", perturbed)
+        with pytest.raises(ConvergenceError, match=f"left residual \\S+ at {point}$") as err:
+            steady_full(spec)
+        residual = float(str(err.value).split(" residual ")[1].split()[0])
+        assert 1e-8 < residual < 1e-5
+        monkeypatch.setattr(exactn, "_eliminate", lambda family, s: np.full_like(x, np.nan))
+        with pytest.raises(ConvergenceError, match=f"left residual nan at {point}$"):
+            steady_full(spec)
+        monkeypatch.setattr(exactn, "_eliminate", eliminate)
+        assert same_bytes(steady_full(spec), x)
+
     def test_errors_name_the_point(self):
         spec = spec_for(Dephasing(gamma=0.3, sz=-0.5), n_atoms=2, n_fock=3, g=0.0, kappa=0.25,
                         omega_z=1.5, omega0=0.75)
@@ -257,18 +287,25 @@ class TestSteadyObservables:
 
 
 def per_coupling_generator(spec):
-    """The generator assembled with sp.kron at this g alone."""
-    ops = exactn.embedded_ops(spec)
-    a = exactn.annihilation(spec.n_fock)
-    channels = [qops.LindbladChannel(a, spec.cavity.kappa)] if spec.cavity.kappa > 0 else []
-    cavity = qops.lindblad_generator(spec.cavity.omega0 * (a.conj().T @ a), channels)
+    """A and B of L(g) = A - s B, assembled with sp.kron for this spec alone: (A, B, ops).
+
+    The cavity generator is qops.lindblad_generator's formula written out in
+    scipy, so each entry rounds as in the family's Triplets.
+    """
+    ops = {name: to_scipy(op) if isinstance(op, qops.Triplets) else op
+           for name, op in exactn.embedded_ops(spec).items()}
+    a = to_scipy(exactn.annihilation(spec.n_fock))
     eye, drive = sp.identity(spec.n_fock), a + a.conj().T
+    h, ldl = spec.cavity.omega0 * (a.conj().T @ a), a.conj().T @ a
+    cavity = -1j * (sp.kron(eye, h) - sp.kron(h.T, eye))
+    if spec.cavity.kappa > 0:
+        cavity = cavity + spec.cavity.kappa * (
+            2.0 * sp.kron(a.conj(), a) - sp.kron(eye, ldl) - sp.kron(ldl.T, eye))
     interaction = (sp.kron(sp.kron(eye, drive), ops["left_x"])
-                   - sp.kron(sp.kron(drive.T, eye), ops["right_x"]))
-    gen = (sp.kron(cavity, sp.identity(ops["atoms"].shape[0]))
-           + sp.kron(sp.identity(cavity.shape[0]), ops["atoms"])
-           - 2j * spec.g / np.sqrt(spec.n_atoms) * interaction).tocsr()
-    return gen, ops
+                   - sp.kron(sp.kron(drive.T, eye), ops["right_x"])).tocsr()
+    base = (sp.kron(cavity, sp.identity(ops["atoms"].shape[0]))
+            + sp.kron(sp.identity(cavity.shape[0]), ops["atoms"])).tocsr()
+    return base, interaction, ops
 
 
 def adjoint_image(spec):
@@ -281,37 +318,47 @@ def adjoint_image(spec):
 
 
 def front_entries(family):
-    """Row and column, in positions of family.keep, of each entry family.front_base holds.
+    """Rows and columns, in positions of family.keep, of the own and the coupling entries.
 
-    Front f is the square block on positions bounds[f]..bounds[f + 2]-1, and
-    its entries sit at the flat offsets index[starts[f]:starts[f + 1]] in it.
+    Front f's own entries sit at the flat offsets own_index[own_starts[f]:
+    own_starts[f + 1]] of its E x E block; its coupling entries at offsets
+    of its E x U block followed by its U x E block.
     """
-    bounds, starts = family.bounds, family.starts
-    f = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-    lo, size = bounds[f], bounds[f + 2] - bounds[f]
-    return lo + family.index // size, lo + family.index % size
+    bounds = family.bounds
+    f = np.repeat(np.arange(len(bounds) - 2), np.diff(family.own_starts))
+    lo, e = bounds[f], bounds[f + 1] - bounds[f]
+    own = (lo + family.own_index // e, lo + family.own_index % e)
+    f = np.repeat(np.arange(len(bounds) - 2), np.diff(family.coupling_starts))
+    lo, mid, hi = bounds[f], bounds[f + 1], bounds[f + 2]
+    e, u = mid - lo, hi - mid
+    upper = family.coupling_index < e * u
+    index = np.where(upper, family.coupling_index, family.coupling_index - e * u)
+    coupling = (np.where(upper, lo + index // u, mid + index // e),
+                np.where(upper, mid + index % u, lo + index % e))
+    return own, coupling
 
 
 def per_coupling_steady_state(spec):
-    """The front elimination of the bordered block of per_coupling_generator.
+    """The front elimination with the entries of per_coupling_generator.
 
-    Rows keep[:-1] of the generator over the trace row, on columns keep (the
-    k < m diagonals and the root), read at the family's entries and eliminated
-    on its fronts; the k > m half is the mirror image.
+    The bordered A (rows keep[:-1] of A over the trace row, on columns keep)
+    read at the family's own entries and B at its coupling entries; the k > m
+    half is the mirror image.
     """
-    gen, ops = per_coupling_generator(spec)
+    base, interaction, ops = per_coupling_generator(spec)
     family = generator_family(spec)
     keep = family.keep
     trace = np.kron(trace_functional(spec.n_fock), ops["trace"])
-    bordered = sp.vstack([gen[keep[:-1]][:, keep], sp.csr_matrix(trace[keep])], format="csr")
-    x = exactn._eliminate(family, np.asarray(bordered[front_entries(family)]).ravel())
+    bordered = sp.vstack([base[keep[:-1]][:, keep], sp.csr_matrix(trace[keep])], format="csr")
+    own, coupling = front_entries(family)
+    family = dataclasses.replace(
+        family, own_values=np.asarray(bordered[own]).ravel(),
+        coupling_values=np.asarray(interaction[keep[coupling[0]], keep[coupling[1]]]).ravel())
+    x = exactn._eliminate(family, 2j * spec.g / np.sqrt(spec.n_atoms))
     return x / (trace @ x).real
 
 
 def same_bytes(a, b) -> bool:
-    if sp.issparse(a):
-        return all(same_bytes(*pair) for pair in
-                   ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)))
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -319,13 +366,15 @@ class TestGeneratorFamily:
     @pytest.mark.parametrize("bath", CATALOG, ids=CATALOG_IDS)
     def test_cached_solve_is_bitwise_per_coupling_solve(self, bath):
         # warm cache, cleared cache and the per-coupling sp.kron assembly give
-        # the same bytes, g = 0 included
+        # the same generator entries and the same steady-state bytes, g = 0 included
         gc = baths.closed_form_gc(bath, 1.0, CavityParams(1.0, 0.4)).g_c
         for n_atoms in (1, 2, 3):
             for g in (0.0, 0.5 * gc, 1.5 * gc):
                 spec = spec_for(bath, n_atoms=n_atoms, n_fock=6, g=float(g))
                 build_full_generator(spec)
-                assert same_bytes(build_full_generator(spec), per_coupling_generator(spec)[0])
+                base, interaction, _ = per_coupling_generator(spec)
+                assert np.array_equal(build_full_generator(spec).toarray(),
+                                      (base - 2j * spec.g / np.sqrt(n_atoms) * interaction).toarray())
                 if isinstance(bath, Dephasing) and g == 0.0:
                     # sz is conserved: every route meets the exact zero pivot
                     with pytest.raises(DegenerateSteadyStateError, match="singular"):
@@ -376,33 +425,49 @@ class TestGeneratorFamily:
         for f in range(n_fock):
             assert np.all((m - k)[keep[bounds[f]:bounds[f + 1]]] == n_fock - 1 - f)
         assert k[keep[lo]] == m[keep[lo]] == 0
-        # each entry of the bordered block is held once, by the front that eliminates
-        # the earlier of its row and column, and lies on that front's two diagonals
-        rows, cols = front_entries(family)
-        assert len(np.unique(rows * len(keep) + cols)) == len(rows)
-        starts = family.starts
-        assert starts[0] == 0 and starts[-1] == len(rows) and np.all(np.diff(starts) >= 0)
+        # each entry of the bordered block is held once: A's and the trace row's by
+        # the front of their diagonal, on its E x E block, B's by the front that
+        # eliminates the earlier of its row and column, one end on each diagonal
+        (own_rows, own_cols), (rows, cols) = front_entries(family)
+        held = np.r_[own_rows * len(keep) + own_cols, rows * len(keep) + cols]
+        assert len(np.unique(held)) == len(held)
+        for starts in (family.own_starts, family.coupling_starts):
+            assert starts[0] == 0 and np.all(np.diff(starts) >= 0)
+        assert family.own_starts[-1] == len(own_rows)
+        assert family.coupling_starts[-1] == len(rows)
+        assert family.coupling_starts[-2] == len(rows)  # the root has no U
         for f in range(n_fock):
-            entries = slice(starts[f], starts[f + 1])
+            own = slice(family.own_starts[f], family.own_starts[f + 1])
+            for ends in (own_rows[own], own_cols[own]):
+                assert np.all((bounds[f] <= ends) & (ends < bounds[f + 1]))
+            entries = slice(family.coupling_starts[f], family.coupling_starts[f + 1])
             first = np.minimum(rows[entries], cols[entries])
+            last = np.maximum(rows[entries], cols[entries])
             assert np.all((bounds[f] <= first) & (first < bounds[f + 1]))
-            assert np.all(np.maximum(rows[entries], cols[entries]) < bounds[f + 2])
+            assert np.all((bounds[f + 1] <= last) & (last < bounds[f + 2]))
+        # and every nonzero of the bordered block is held
+        gen = to_scipy(build_full_generator(spec))
+        trace = np.kron(trace_functional(n_fock), family.ops["trace"])
+        bordered = sp.vstack([gen[keep[:-1]][:, keep], sp.csr_matrix(trace[keep])]).tocoo()
+        nonzero = bordered.data != 0
+        assert np.all(np.isin(bordered.row[nonzero] * len(keep) + bordered.col[nonzero], held))
 
     @pytest.mark.parametrize("bath", [*CATALOG, PARITY_BREAKING],
                              ids=[*CATALOG_IDS, "parity-breaking"])
     @pytest.mark.parametrize("kappa", [0.4, 0.0])
     def test_generator_moves_the_diagonal_by_at_most_one(self, bath, kappa):
-        # the premise of the chain: every entry of base and of interaction links
-        # cavity elements |k><m| whose diagonals d = m - k differ by at most one
+        # the premise of the chain and of the front layout: every nonzero of
+        # base links cavity elements |k><m| on the same diagonal d = m - k, and
+        # every nonzero of interaction elements on neighbouring diagonals
         for n_atoms in (1, 2, 3):
             family = generator_family(spec_for(bath, n_atoms=n_atoms, n_fock=7, kappa=kappa))
             counts = family.ops["atoms"].shape[0]
-            for op in (family.base, family.interaction):
-                op = op.tocoo()
-                assert op.nnz
-                m, k = np.divmod(np.r_[op.row, op.col] // counts, 7)
+            for op, step in ((family.base, 0), (family.interaction, 1)):
+                nonzero = op.data != 0
+                assert np.any(nonzero)
+                m, k = np.divmod(np.r_[op.row[nonzero], op.col[nonzero]] // counts, 7)
                 d_row, d_col = np.split(m - k, 2)
-                assert np.max(np.abs(d_row - d_col)) <= 1
+                assert np.all(np.abs(d_row - d_col) == step)
 
     @pytest.mark.parametrize("bath", [*CATALOG, PARITY_BREAKING],
                              ids=[*CATALOG_IDS, "parity-breaking"])
@@ -466,11 +531,12 @@ class TestGeneratorFamily:
     def test_cached_arrays_are_read_only(self):
         family = generator_family(spec_for(Thermal(gamma=0.2, temperature=0.4), n_atoms=2,
                                            n_fock=4, g=0.3))
-        arrays = [family.keep, family.mirror, family.root_mirror, family.trace, family.bounds,
-                  family.starts, family.index, family.front_base, family.front_interaction,
+        arrays = [family.row_starts, family.keep, family.mirror, family.root_mirror, family.trace,
+                  family.bounds, family.own_starts, family.own_index, family.own_values,
+                  family.coupling_starts, family.coupling_index, family.coupling_values,
                   *family.rows]
         for m in (family.base, family.interaction, *family.ops.values()):
-            arrays += [m.data, m.indices, m.indptr] if sp.issparse(m) else [m]
+            arrays += [m.row, m.col, m.data] if isinstance(m, qops.Triplets) else [m]
         for array in arrays:
             if array.size:
                 with pytest.raises(ValueError):
@@ -608,6 +674,19 @@ class TestFiniteSizeOnset:
             slopes.append(np.max(np.gradient(photons, gs)))
         assert np.all(np.diff(slopes) > 0)
         assert cutoff_stability(spec_for(bath, n_atoms=4, n_fock=12, g=1.5 * gc)) < 0.01
+
+    def test_dephasing_polarization_is_set_by_the_cavity(self):
+        # pure dephasing conserves populations, so the bath's sz = -0.5 does not
+        # fix <sz>: the coupled cavity does, even at 0.05 g_c (Kirton & Keeling,
+        # PRL 118, 123602 (2017)); <sz> ~ -0.4234 at N = 1..3, converged in n_fock
+        bath = Dephasing(gamma=0.2, sz=-0.5)
+        g = 0.05 * baths.closed_form_gc(bath, 1.0, CavityParams(1.0, 0.4)).g_c
+        sz = {n_fock: [full_steady_observables(spec_for(bath, n_atoms=n_atoms, n_fock=n_fock,
+                                                         g=g)).sz_mean for n_atoms in (1, 2, 3)]
+              for n_fock in (8, 12)}
+        assert all(abs(value + 0.5) > 0.07 for value in sz[12])
+        assert np.ptp(sz[12]) < 1e-4
+        assert np.max(np.abs(np.subtract(sz[8], sz[12]))) < 1e-12
 
     def test_cutoff_stability_metric(self):
         spec = spec_for(Generalized(gamma=0.2, t=0.0), n_atoms=1, n_fock=8, g=0.6)

@@ -14,7 +14,7 @@ from dicke_critic.errors import (
     UnknownOperatorError,
 )
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, to_scipy, to_triplets
 
 
 def test_pauli_commutator():
@@ -69,16 +69,25 @@ def test_generator_rejects_negative_rate():
         qops.LindbladChannel(qops.sigma("z"), -0.1)
 
 
+def triplets(a):
+    """The nonzero entries of a dense array as qops.Triplets."""
+    row, col = np.nonzero(a)
+    return qops.Triplets(row, col, a[row, col], a.shape)
+
+
 def test_sparse_checks_match_dense():
     with pytest.raises(InvalidModelError):
-        qops.lindblad_generator(sp.csr_matrix(qops.sigma("plus")), [])
+        qops.lindblad_generator(triplets(qops.sigma("plus")), [])
     with pytest.raises(InvalidModelError):
-        qops.LindbladChannel(sp.csr_matrix(np.array([[0, np.nan], [0, 0]], dtype=complex)), 0.1)
+        qops.LindbladChannel(triplets(np.array([[0, np.nan], [0, 0]], dtype=complex)), 0.1)
     with pytest.raises(DimensionMismatchError):
-        qops.lindblad_generator(
-            sp.csr_matrix(qops.sigma("z")),
-            [qops.LindbladChannel(sp.identity(3, dtype=complex, format="csr"), 0.1)],
-        )
+        qops.lindblad_generator(triplets(qops.sigma("z")),
+                                [qops.LindbladChannel(qops.Triplets.identity(3), 0.1)])
+    # an entry stored in two parts is summed before the check: h = sx, Hermitian
+    h = qops.Triplets(np.array([0, 0, 1]), np.array([1, 1, 0]),
+                      np.array([0.3, 0.2, 0.5], dtype=complex), (2, 2))
+    assert qops.is_hermitian(h)
+    assert not qops.is_hermitian(h + triplets(qops.sigma("plus")))
 
 
 @pytest.mark.parametrize("bath", [
@@ -91,11 +100,12 @@ def test_sparse_generator_equals_dense(bath):
     model = baths.spin_model(bath, 1.3)
     dense = qops.lindblad_generator(model.hamiltonian(), model.channels)
     sparse = qops.lindblad_generator(
-        sp.csr_matrix(model.hamiltonian()),
-        [qops.LindbladChannel(sp.csr_matrix(ch.op), ch.rate) for ch in model.channels],
+        triplets(model.hamiltonian()),
+        [qops.LindbladChannel(triplets(ch.op), ch.rate) for ch in model.channels],
     )
-    assert sp.issparse(sparse)
+    assert isinstance(sparse, qops.Triplets)
     assert np.array_equal(sparse.toarray(), dense)
+    assert np.array_equal(to_scipy(sparse).toarray(), dense)
 
 
 def _operand(rng, shape, dtype):
@@ -124,20 +134,27 @@ def test_dense_kron_is_np_kron(rng, dtype, shapes):
 @pytest.mark.parametrize("fmt", ["csr", "coo"])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_sparse_kron_is_sp_kron(rng, fmt, dtype):
-    # same entries and the same CSR structure as sp.kron, since SuperLU orders
-    # by the structure; every operand has an entry (sp.kron gives float64 when one has none)
+    # Triplets.kron, read from scipy operands in either format, has the entries
+    # of sp.kron bit for bit, explicit zeros and their signs included (the
+    # operands hold no duplicates, so neither does the product), and products
+    # of two Triplets and of a vector with Triplets match scipy's
     ops = [sp.csr_matrix(_operand(rng, shape, dtype)).asformat(fmt)
            for shape in ((2, 2), (3, 2), (2, 4), (6, 6))]
     a = sp.diags(np.sqrt(np.arange(1, 6)), 1).astype(complex).asformat(fmt)
     ops += [a, a.T, 0.0 * a, sp.identity(6, dtype=complex, format=fmt)]  # 0.0 * a stores zeros
     for x, y in itertools.product(ops, repeat=2):
-        kron, _ = qops._kron_and_eye(x)
-        out, ref = kron(x, y), sp.kron(x, y, format="csr")
-        assert type(out) is type(ref) and out.shape == ref.shape and out.dtype == ref.dtype
-        assert np.array_equal(out.indptr, ref.indptr) and out.indptr.dtype == ref.indptr.dtype
-        assert np.array_equal(out.indices, ref.indices) and out.indices.dtype == ref.indices.dtype
-        assert out.data.tobytes() == ref.data.tobytes()
-        assert out.has_sorted_indices == ref.has_sorted_indices
+        kron, _ = qops._kron_and_eye(to_triplets(x))
+        out, ref = kron(to_triplets(x), to_triplets(y)), sp.kron(x, y, format="csr")
+        ref.sort_indices()
+        ref, order = ref.tocoo(), np.lexsort((out.col, out.row))
+        assert out.shape == ref.shape and out.data.dtype == ref.dtype
+        assert np.array_equal(out.row[order], ref.row) and np.array_equal(out.col[order], ref.col)
+        assert out.data[order].tobytes() == ref.data.tobytes()
+        if x.shape[1] == y.shape[0]:
+            product = to_scipy(to_triplets(x) @ to_triplets(y)).toarray()
+            assert np.allclose(product, (x @ y).toarray(), rtol=1e-15, atol=0)
+        vector = rng.normal(size=x.shape[0])
+        assert np.allclose(vector @ to_triplets(x), x.T @ vector, rtol=1e-15, atol=0)
 
 
 def test_bare_precession_spectrum():
