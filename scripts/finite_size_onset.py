@@ -9,13 +9,20 @@ unknowns: N = 6 at the default n_fock = 12.
 """
 
 import argparse
+import os
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread unless the environment sets its own, before numpy loads BLAS:
+# the photon numbers differ in their last digits between thread counts, and
+# the small products of the exact-N front elimination gain nothing from more.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from dicke_critic import CavityParams, Generalized, closed_form_gc, spin_model
-from dicke_critic.cli import HEADER, fmt
-from dicke_critic.exactn import FullSystemSpec, full_steady_observables
+import numpy as np  # noqa: E402
+
+from dicke_critic import CavityParams, Generalized, closed_form_gc, spin_model  # noqa: E402
+from dicke_critic.cli import HEADER, fmt  # noqa: E402
+from dicke_critic.exactn import FullSystemSpec, full_steady_observables  # noqa: E402
 
 
 def main() -> None:

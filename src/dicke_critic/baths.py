@@ -117,7 +117,10 @@ class GcMode(enum.Enum):
 def _each(f, *args):
     """f(*args), element by element through Python floats where an argument is an array.
 
-    numpy's square, tanh and expm1 are not bitwise Python's; + - * / and sqrt are.
+    Only what must match libm bit for bit goes through here: ``pow`` (``_sq``),
+    ``tanh`` (``steady_sz``) and ``expm1`` (``bose_occupation``), where numpy's
+    square, tanh and expm1 differ from Python's in the last bit. + - * / and
+    sqrt are correctly rounded in both, so they run on whole arrays.
     """
     if not any(isinstance(a, np.ndarray) for a in args):
         return f(*args)

@@ -158,7 +158,7 @@ def _require_bath(cfg: RunConfig) -> None:
 
 
 def _csv(lines: list[str]) -> str:
-    return "".join(line + "\n" for line in [HEADER, *lines])
+    return "\n".join([HEADER, *lines]) + "\n"
 
 
 def cmd_gc(cfg: RunConfig) -> int:
@@ -205,7 +205,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     )
     table = critical.sweep(plan)
     unit = 1.0 if cfg.raw_units else cfg.omega_z
-    ok = table.status == "ok"
+    ok = table.code == 0
     cols = [table.params[:, 0], table.chi0 * unit, table.g_c / unit, table.gc_over_g0]
     status = table.status.tolist()
     if cfg.format == "csv":

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .baths import BathSpec, CavityParams, GcMode, parse_bath
 from .errors import ConfigParseError
 
@@ -25,9 +27,9 @@ from .errors import ConfigParseError
 def parse_float_list(raw: str) -> tuple[float, ...]:
     """Comma-separated floats, as in "0.2, 0.5"; an empty entry is a ValueError."""
     entries = raw.split(",")
-    if not all(entry.strip() for entry in entries):
+    if not all(map(str.strip, entries)):
         raise ValueError(f"empty entry in {raw!r}")
-    return tuple(float(entry) for entry in entries)
+    return tuple(map(float, entries))
 
 
 def _bool(raw: str) -> bool:
@@ -182,7 +184,7 @@ def merge_config(cli_values: dict[str, str | None], config_path: str | None) -> 
         if n == 1:
             merged["sweep_values"] = (lo,)
         else:
-            step = (hi - lo) / (n - 1)
-            merged["sweep_values"] = tuple(lo + i * step for i in range(n))
+            step = (hi - lo) / (n - 1)  # lo + i * step, each element as Python computes it
+            merged["sweep_values"] = tuple((lo + np.arange(n) * step).tolist())
     cavity = CavityParams(omega0=merged.pop("omega0"), kappa=merged.pop("kappa"))
     return RunConfig(cavity=cavity, **merged)

@@ -11,13 +11,17 @@ as distinct no-transition outcomes rather than errors.
 
 A sweep evaluates the same expressions once over its grid, with swept
 parameters as arrays: a ``SweepTable`` of columns, bitwise the scalar calls.
+The grid, + - * /, the square root and the status labels run on whole
+arrays. numpy's sqrt is the correctly rounded IEEE sqrt, as ``math.sqrt``
+is; a float argument keeps ``math.sqrt``, so a scalar result stays a
+Python float. Only libm's ``pow`` (``baths._sq``), ``tanh`` and ``expm1``
+stay per element, through ``baths._each``.
 """
 
 from __future__ import annotations
 
 import copy
 import enum
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baths
-from .baths import _BATH_FIELDS, BathSpec, CavityParams, GcMode, _each, _float_range, _sq
+from .baths import _BATH_FIELDS, BathSpec, CavityParams, GcMode, _float_range, _sq
 from .errors import DickeCriticError, PreconditionError
 
 ZERO_TOL = 1e-14  # |chi0| <= ZERO_TOL is unpolarized
@@ -69,11 +73,16 @@ def _cavity_scale(cavity: CavityParams, quantity: str):
     return scale
 
 
+def _sqrt(x):
+    """Correctly rounded square root: np.sqrt on an array, math.sqrt (a Python float) otherwise."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
 def _critical_coupling(chi0, cavity: CavityParams):
     """Root of the zero-frequency condition at chi0 < 0."""
     with _float_range("g_c"):
         scale = _cavity_scale(cavity, "g_c")
-        return _each(math.sqrt, -scale / (2.0 * cavity.omega0 * chi0))
+        return _sqrt(-scale / (2.0 * cavity.omega0 * chi0))
 
 
 def fully_polarized_gc(omega_z: float, cavity: CavityParams) -> float:
@@ -82,7 +91,7 @@ def fully_polarized_gc(omega_z: float, cavity: CavityParams) -> float:
         raise PreconditionError("the fully polarized reference needs omega_z > 0")
     with _float_range("g0"):
         scale = _cavity_scale(cavity, "g0")
-        return 0.5 * _each(math.sqrt, omega_z * scale / cavity.omega0)
+        return 0.5 * _sqrt(omega_z * scale / cavity.omega0)
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -105,27 +114,37 @@ class SweepPlan:
     mode: GcMode = GcMode.SELF_CONSISTENT
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         if self.values2 is not None:
-            object.__setattr__(self, "values2", tuple(float(v) for v in self.values2))
+            object.__setattr__(self, "values2", tuple(map(float, self.values2)))
         if (self.axis2 is None) != (self.values2 is None):
             raise PreconditionError("axis2 and values2 must be given together")
         if not self.values or (self.values2 is not None and not self.values2):
             raise PreconditionError("sweep grids must be non-empty")
 
 
+# a row's status label, indexed by its code: 0 a transition, else the NoTransitionReason
+STATUS = ("ok", *(f"no-transition:{r.value}" for r in NoTransitionReason))
+_STATUS = np.array(STATUS, dtype=object)
+
+
 @dataclass(frozen=True)
 class SweepTable:
     """Sweep columns in grid order; params is (rows, axes), row-major for two axes.
 
-    g_c and gc_over_g0 are nan where status is not "ok".
+    code indexes STATUS; g_c and gc_over_g0 are nan where code is not 0 ("ok").
     """
 
     params: np.ndarray
     chi0: np.ndarray
     g_c: np.ndarray
     gc_over_g0: np.ndarray
-    status: np.ndarray
+    code: np.ndarray
+
+    @property
+    def status(self) -> np.ndarray:
+        """Each row's label from STATUS, as an object array of str."""
+        return _STATUS[self.code]
 
 
 def _point(plan: SweepPlan, axes: tuple[str, ...], values, checked: bool = True):
@@ -155,9 +174,11 @@ def sweep(plan: SweepPlan) -> SweepTable:
     Each element equals the scalar calls at its row bitwise. Where a check
     fails, the scalar path is replayed row by row to raise its error.
     """
-    axes = (plan.axis,) if plan.axis2 is None else (plan.axis, plan.axis2)
-    grids = (plan.values,) if plan.axis2 is None else (plan.values, plan.values2)
-    params = np.array(list(itertools.product(*grids)), float)
+    if plan.axis2 is None:
+        axes, params = (plan.axis,), np.array(plan.values)[:, None]
+    else:  # the rows of itertools.product(values, values2)
+        grid = np.meshgrid(plan.values, plan.values2, indexing="ij")
+        axes, params = (plan.axis, plan.axis2), np.stack([g.ravel() for g in grid], axis=1)
     bath, omega_z, cavity = _point(plan, axes, list(params.T), checked=False)
     try:
         for ends in (params.min(axis=0), params.max(axis=0)):
@@ -166,9 +187,8 @@ def sweep(plan: SweepPlan) -> SweepTable:
             chi0 = np.broadcast_to(baths.closed_form_chi0(bath, omega_z, plan.mode), len(params))
             if not np.isfinite(chi0).all():  # the one output the scalar path rejects
                 raise PreconditionError("chi0 is not finite")
-            status = np.select([np.abs(chi0) <= ZERO_TOL, chi0 > 0],
-                               [f"no-transition:{r.value}" for r in NoTransitionReason], "ok")
-            g_c = _critical_coupling(np.where(status == "ok", chi0, np.nan), cavity)
+            code = np.where(np.abs(chi0) <= ZERO_TOL, 1, 2 * (chi0 > 0))
+            g_c = _critical_coupling(np.where(code == 0, chi0, np.nan), cavity)
             ratio = g_c / fully_polarized_gc(omega_z, cavity)
     except DickeCriticError:  # the scalar path, row by row, raises its error naming the row
         for i, values in enumerate(params.tolist()):
@@ -180,4 +200,4 @@ def sweep(plan: SweepPlan) -> SweepTable:
                 where = ", ".join(f"{axis} = {value!r}" for axis, value in zip(axes, values))
                 raise type(exc)(f"row {i}, {where}: {exc}") from None
         raise
-    return SweepTable(params, chi0, g_c, ratio, status)
+    return SweepTable(params, chi0, g_c, ratio, code)

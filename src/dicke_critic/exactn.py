@@ -22,7 +22,8 @@ only on the family (N, n_fock, omega0, kappa, the bytes of the single-atom
 generator), so ``generator_family`` builds them once per family and keeps
 the last MAX_FAMILIES families by value, their arrays read-only; each
 coupling then costs, front by front, a scatter of A's and B's entries and
-LAPACK, and one residual pass over the merged pattern of A and B.
+LAPACK, and one residual pass over the merged pattern of A and B, a few
+thousand entries at a time.
 
 The unknowns form an n_fock x n_fock grid of cavity elements |k><m|, each
 node holding a count vector, and no generator term moves the diagonal
@@ -415,6 +416,29 @@ def _eliminate(family: GeneratorFamily, s: complex) -> np.ndarray:
     return x
 
 
+# entries of L per residual pass: its temporaries (96 KB) stay in cache and are reused from
+# the heap, where pattern-length ones (445 KB at N = 3) took ~95 fresh pages on every call
+_RESIDUAL_ENTRIES = 6144
+
+
+def _residual(family: GeneratorFamily, s: complex, x: np.ndarray) -> float:
+    """max |L x| over every row of L = base - s interaction, a few thousand entries at a time.
+
+    Each pass takes whole rows, so every row sum is the one np.add.reduceat
+    forms over the full pattern; the max over all of them is one np.max, so a
+    NaN row sum reaches the result.
+    """
+    a, b, col, starts = family.base.data, family.interaction.data, family.base.col, family.row_starts
+    step = max(1, _RESIDUAL_ENTRIES * len(starts) // len(col))  # rows per pass
+    sums = np.empty(len(starts), complex)
+    for first, hi in zip(range(0, len(starts), step), [*starts[step::step].tolist(), len(col)]):
+        rows = starts[first:first + step]
+        lo = rows[0]
+        terms = (a[lo:hi] - s * b[lo:hi]) * x[col[lo:hi]]
+        np.add.reduceat(terms, rows - lo, out=sums[first:first + step])
+    return np.max(np.abs(sums))
+
+
 def steady_full(spec: FullSystemSpec) -> np.ndarray:
     """Unique steady state as a count-basis vector x, with r @ x = 1 for the trace row r.
 
@@ -460,8 +484,7 @@ def steady_full(spec: FullSystemSpec) -> np.ndarray:
         raise DegenerateSteadyStateError(
             f"full steady state is degenerate at {point}: bordered generator is singular ({exc})"
         ) from None
-    values = family.base.data - s * family.interaction.data
-    residual = np.max(np.abs(np.add.reduceat(values * x[family.base.col], family.row_starts)))
+    residual = _residual(family, s, x)
     if not residual <= 1e-8:  # also catches a non-finite solution
         raise ConvergenceError(f"direct steady-state solve left residual {residual} at {point}")
     return x / (family.trace @ x).real  # the trace of a Hermitian x is real

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 from dicke_critic import __version__, baths, cli, response
 from dicke_critic.baths import CavityParams, parse_bath
 from dicke_critic.cli import main
-from dicke_critic.config import SETTINGS, coerce, parse_float_list
+from dicke_critic.config import SETTINGS, coerce, merge_config, parse_float_list
 from dicke_critic.critical import SweepPlan, sweep
 from dicke_critic.errors import ConfigParseError
 
@@ -252,6 +253,135 @@ class TestSweep:
             "dicke-critic: error: at bath = thermal(gamma=0.1, T=0.5), omega_z = 1, omega0 = 1, "
             "kappa = 0: row 1, gamma = 0.0: thermal rate 0.0 must be > 0\n"
         )
+
+
+# every bath along one bath axis, omega_z and kappa, at omega_z = 1.3, omega0 = 0.8,
+# kappa = 0.3: sz runs through 0 (unpolarized and inverted rows) on an explicit grid,
+# T starts at 0, and the t grid is expanded from --sweep-start/--sweep-stop and ends at 1
+GOLDEN_SWEEPS = {
+    "dephasing/sz": ("dephasing(gamma=0.3, sz=-0.4)",
+                     ["--sweep-values=" + ",".join(repr(k / 50) for k in range(-25, 26))]),
+    "dephasing/omega_z": ("dephasing(gamma=0.3, sz=-0.4)",
+                          ["--sweep-start", "0.25", "--sweep-stop", "3", "--sweep-points", "50"]),
+    "dephasing/kappa": ("dephasing(gamma=0.3, sz=-0.4)",
+                        ["--sweep-start", "0", "--sweep-stop", "2", "--sweep-points", "49"]),
+    "thermal/T": ("thermal(gamma=0.2, T=0.4)",
+                  ["--sweep-start", "0", "--sweep-stop", "2.5", "--sweep-points", "50"]),
+    "thermal/omega_z": ("thermal(gamma=0.2, T=0.4)",
+                        ["--sweep-start", "0.25", "--sweep-stop", "3", "--sweep-points", "50"]),
+    "thermal/kappa": ("thermal(gamma=0.2, T=0.4)",
+                      ["--sweep-start", "0", "--sweep-stop", "2", "--sweep-points", "49"]),
+    "generalized/t": ("generalized(gamma=0.4, t=0.3)",
+                      ["--sweep-start", "0.3", "--sweep-stop", "1", "--sweep-points", "50"]),
+    "generalized/omega_z": ("generalized(gamma=0.4, t=0.3)",
+                            ["--sweep-start", "0.25", "--sweep-stop", "3", "--sweep-points", "50"]),
+    "generalized/kappa": ("generalized(gamma=0.4, t=0.3)",
+                          ["--sweep-start", "0", "--sweep-stop", "2", "--sweep-points", "49"]),
+}
+# sha256 of the stdout of each sweep, format and unit, as the per-row code wrote it
+# (byte identity across versions, where criterion 12 compares two runs of one version)
+GOLDEN_DIGESTS = {
+    "dephasing/sz/csv/omega_z":
+        "46c765b0dee59ef67c813c4abb59c07fa1a1f46bc7a0d42ce3a2d894eb5d4be3",
+    "dephasing/sz/csv/raw":
+        "77664fb16152ddd2c6a149b739d3ddfcbc6071a21af3ce885c2c8862cb6969f2",
+    "dephasing/sz/json/omega_z":
+        "187aa1d4ac6e8fd3e64f3ffa21cc03ec9c734ecefdfc0763eaf070ee4e33b36d",
+    "dephasing/sz/json/raw":
+        "d4faa70a8d6b609371e64a94b6ec401270aa5e40c07cbb5f0dbbfcb169e7375b",
+    "dephasing/omega_z/csv/omega_z":
+        "39bac3606079098e19d593cca93b4dce553fa6ebe96211f7119c9e8207aaa3e7",
+    "dephasing/omega_z/csv/raw":
+        "2750e2b1840b8aedde72dca048bdf006999f03ebbf749cb10d5498ee9b46376a",
+    "dephasing/omega_z/json/omega_z":
+        "738559e4fc08da7e20da4d897a85eb114efff1cf8015dac14e2af47c22a58e6a",
+    "dephasing/omega_z/json/raw":
+        "31def7753353b4a499e24c98d9d81d4f486735dfcb20e9be1a69d691e0a8b219",
+    "dephasing/kappa/csv/omega_z":
+        "38609e7b6c838d28b7d99c3294849f06285c2b54c212d6eecc1115ebd6f68c75",
+    "dephasing/kappa/csv/raw":
+        "a0681523c2f5fe47094567417f81e20b3f91f5acd249e6f6d959c683e79ab61c",
+    "dephasing/kappa/json/omega_z":
+        "1e7f4704c6807d806901e7111654077c5bb53a92a74430dac19045ae6cb51c55",
+    "dephasing/kappa/json/raw":
+        "8beb5492707ba6f5ff12556621072d121097c7e898be94eaafd57405ff3fbbc8",
+    "thermal/T/csv/omega_z":
+        "8585222ada352b781098127ac8676d8e65b1503b7119bd6947be1760f8fad833",
+    "thermal/T/csv/raw":
+        "973fd8ef9fcc644c72e93dde003bcb5001a1baa2d8b5ced82f7ea2b20f7cd473",
+    "thermal/T/json/omega_z":
+        "4dc2be3cbec32ab1790f53ca67cff8cc7fb0c6d2fc6dab83e9bc98d9d208b318",
+    "thermal/T/json/raw":
+        "f7e10f2829981ea8937fa81d5998ea6b778171f1cec270a60dcb49c4d03b53ce",
+    "thermal/omega_z/csv/omega_z":
+        "34c49e09072948488d3395aec3477f8af601d3528a7c18a72ada30d62f530c44",
+    "thermal/omega_z/csv/raw":
+        "d97dda30270a79a8fdcd18ad46ef8d6f11e78797ce3ee74d9112b6baf432610e",
+    "thermal/omega_z/json/omega_z":
+        "5bc4e75517d7afe7e78f3467e4ae25f82808aac5963b0125dd15ad262c1579a8",
+    "thermal/omega_z/json/raw":
+        "3a4ac08711907db8ad24cfb9d71e6c63b8c967f680091b929de02bd7e7809308",
+    "thermal/kappa/csv/omega_z":
+        "26ba7bbcb70e7d27b6d9818a51da1c8edc361c37dfab1b17896e45464106e35c",
+    "thermal/kappa/csv/raw":
+        "9b0b2f0e40a78c3f7cf29362545349be96e4400e8c0510a96b1d4a7bed7a4675",
+    "thermal/kappa/json/omega_z":
+        "defb3327e7fb081e6ec61e07107712e2f51bb086bf826ad76bad0924959c25f6",
+    "thermal/kappa/json/raw":
+        "958a8e13243e1eea530131aa3da5cba15a6a10927b597e18f4ec053fa0337a2d",
+    "generalized/t/csv/omega_z":
+        "650e2c0e3448710b56f316986e621bc6f275c66b51f31d4af63bee036a1a1c4e",
+    "generalized/t/csv/raw":
+        "00281e761f943b331c06f41b3c2fc4e63c65d22361a7034bcb1d06a9b8a65f42",
+    "generalized/t/json/omega_z":
+        "6c9d0cf541addf7c6ff5d6187466ec28fe9488a4c77ba37cf50dc07cdb8660c9",
+    "generalized/t/json/raw":
+        "b0701e45a6f1be4cc1ef9c8e8930bd8d5be9dc937ddc1766b6c34395c4416ccb",
+    "generalized/omega_z/csv/omega_z":
+        "18dfd4fa558e1874f50ae0ce6a314fd7b0733ca914c04be336a062ab8de5dc93",
+    "generalized/omega_z/csv/raw":
+        "3989afaf20e56861e47bb31e7de4b35856de80201054cf25d852ef2d559124bb",
+    "generalized/omega_z/json/omega_z":
+        "952c59398d7cdfd3623003ef6fda7be9b8429565a85c2af274f806466ee63e70",
+    "generalized/omega_z/json/raw":
+        "bb32055b213b393da8055d8f5ace7c7f7eb29705e793dc64ac0eaddaff8b98ee",
+    "generalized/kappa/csv/omega_z":
+        "140406730a5ae06a1ff4266e42890882de20ec44cb4448cd82c762acfc8146c5",
+    "generalized/kappa/csv/raw":
+        "fd0ed03b26fe31bf2b42c9cf0f5c8d73e93183d1fb0a56a35e2d94ee0e414fef",
+    "generalized/kappa/json/omega_z":
+        "d819b76dc94adaf37badadc9d9967417ef2192d94ca13c37c0bf4952a365d4ac",
+    "generalized/kappa/json/raw":
+        "cd46b590b39af2db271ed0d2ee995e3cc29dcdb00c10ac88b42fd3680306c790",
+}
+
+
+def _golden_outputs(capsys, case):
+    bath, grid = GOLDEN_SWEEPS[case]
+    outputs = {}
+    for fmt in ("csv", "json"):
+        for units in ("omega_z", "raw"):
+            argv = ["sweep", "--bath", bath, "--sweep-param", case.split("/")[1], *grid,
+                    "--omega-z", "1.3", "--omega0", "0.8", "--kappa", "0.3", "--format", fmt,
+                    *(["--raw-units"] if units == "raw" else [])]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            outputs[f"{case}/{fmt}/{units}"] = out
+    return outputs
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_SWEEPS))
+def test_sweep_output_matches_recorded_digests(capsys, case):
+    outputs = _golden_outputs(capsys, case)
+    digests = {key: hashlib.sha256(out.encode()).hexdigest() for key, out in outputs.items()}
+    assert digests == {key: GOLDEN_DIGESTS[key] for key in digests}
+    rows = outputs[f"{case}/csv/raw"].splitlines()[2:]
+    assert 49 <= len(rows) <= 51
+    if case == "generalized/t":
+        assert rows[-1] == "1,0,inf,inf,no-transition:unpolarized"
+    if case == "dephasing/sz":
+        assert {row.rsplit(",", 1)[1] for row in rows} == {
+            "ok", "no-transition:unpolarized", "no-transition:inverted"}
 
 
 class TestCorr:
@@ -527,6 +657,38 @@ class TestNumericFlags:
         assert out == ""
         assert err.startswith(f"dicke-critic: error: {key} = ")
         assert rule in err
+
+
+class TestSweepGrid:
+    @staticmethod
+    def expanded(lo, hi, n):
+        cfg = merge_config({"sweep_start": repr(lo), "sweep_stop": repr(hi),
+                            "sweep_points": str(n)}, None)
+        return cfg.sweep_values
+
+    def test_expansion_is_python_arithmetic_bitwise(self):
+        rng = np.random.default_rng(20261019)
+        ranges = [(0.0, 1.0), (0.3, 1.0), (-2.5, -0.5), (0.7, -1.3), (-1e-300, 1e300),
+                  (-0.0, 5.0), (1.0, 1.0)]
+        ranges += [tuple(rng.uniform(-10.0, 10.0, 2).tolist()) for _ in range(40)]
+        for lo, hi in ranges:
+            for n in (2, 3, 7, int(rng.integers(2, 5000))):
+                step = (hi - lo) / (n - 1)
+                want = tuple(lo + i * step for i in range(n))
+                got = self.expanded(lo, hi, n)
+                assert all(type(v) is float for v in got)
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (lo, hi, n)
+        assert self.expanded(0.25, 3.0, 1) == (0.25,)
+
+    def test_float_list_whitespace_and_empty_entries(self):
+        assert parse_float_list(" 0.2 ,\t0.5\n, -1e-3,1") == (0.2, 0.5, -0.001, 1.0)
+        assert all(type(v) is float for v in parse_float_list("1, 2"))
+        assert math.copysign(1.0, parse_float_list(" -0.0 ")[0]) == -1.0
+        for raw in ("0.2,,0.5", "0.2, ,0.5", "", " ", "0.2,", ",0.2"):
+            with pytest.raises(ValueError, match="empty entry"):
+                parse_float_list(raw)
+        with pytest.raises(ValueError):
+            parse_float_list("0.2, abc")
 
 
 def test_help_defaults_are_the_settings_defaults():

@@ -278,6 +278,21 @@ class TestSteadyObservables:
         monkeypatch.setattr(exactn, "_eliminate", eliminate)
         assert same_bytes(steady_full(spec), x)
 
+    def test_residual_passes_equal_one_pass(self):
+        # the residual runs over whole rows a few thousand entries at a time:
+        # each row sum, and so the max, is bit for bit that of one pass over the
+        # pattern, and a NaN in the last pass reaches the result
+        for n_atoms in (1, 2, 3, 4):
+            spec = spec_for(Generalized(gamma=0.2, t=0.0), n_atoms=n_atoms, n_fock=12, g=0.3)
+            family, s = exactn.generator_family(spec), exactn._coupling(spec)
+            x = exactn._eliminate(family, s)
+            terms = np.multiply(family.base.data - s * family.interaction.data, x[family.base.col])
+            one_pass = np.max(np.abs(np.add.reduceat(terms, family.row_starts)))
+            assert exactn._residual(family, s, x).tobytes() == one_pass.tobytes()
+        assert len(family.base.col) > 4 * exactn._RESIDUAL_ENTRIES
+        x[family.base.col[-1]] = np.nan
+        assert np.isnan(exactn._residual(family, s, x))
+
     def test_errors_name_the_point(self):
         spec = spec_for(Dephasing(gamma=0.3, sz=-0.5), n_atoms=2, n_fock=3, g=0.0, kappa=0.25,
                         omega_z=1.5, omega0=0.75)
