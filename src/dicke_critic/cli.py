@@ -216,13 +216,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
                    zip(x.tolist(), chi0.tolist(), g_c.tolist(), ratio.tolist(), status))
         _write(cfg.output, _csv([f"{cfg.sweep_param},chi0,g_c,g_c_over_g0,status", *rows]))
     else:
-        x, chi0, g_c, ratio = (c.tolist() for c in cols)
-        ok = ok.tolist()
         # the bytes of json.dumps(rows, indent=2): its compact C encoder spells
         # each number (float repr, -0.0, null, Infinity), the layout is written here
         key = json.dumps(cfg.sweep_param)
-        masked = ([v if k else None for v, k in zip(c, ok)] for c in (g_c, ratio))
-        x, chi0, g_c, ratio = (json.dumps(c)[1:-1].split(", ") for c in (x, chi0, *masked))
+        masked = (np.where(ok, c, None) for c in cols[2:])  # None, a Python float elsewhere
+        x, chi0, g_c, ratio = (json.dumps(c.tolist())[1:-1].split(", ")
+                               for c in (*cols[:2], *masked))
         rows = [
             f'  {{\n    {key}: {x_i},\n    "chi0": {chi0_i},\n    "g_c": {g_c_i},\n'
             f'    "g_c_over_g0": {ratio_i},\n    "status": "{status_i}"\n  }}'
