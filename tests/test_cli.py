@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dicke_critic import __version__, baths, cli, response
+from dicke_critic import __version__, baths, cli, lindblad, meanfield, response
 from dicke_critic.baths import CavityParams, parse_bath
 from dicke_critic.cli import main
 from dicke_critic.config import SETTINGS, coerce, merge_config, parse_float_list
@@ -384,6 +384,35 @@ def test_sweep_output_matches_recorded_digests(capsys, case):
             "ok", "no-transition:unpolarized", "no-transition:inverted"}
 
 
+# sha256 of each script's CSV, as its per-row code wrote it, with one BLAS thread
+SCRIPT_DIGESTS = {
+    "decay_channel_sweep/defaults":
+        "5149d5ba2d39c536422dd631b55afae049346f2dbd47532b3aa9691fae9414da",
+    "decay_channel_sweep/kappa0.3-points17":
+        "83aaa14a3fa3083752c0df64f0b703c81ec4a2fe4cb56e55ea2d0a5788380e95",
+    "finite_size_onset/points3":
+        "bf5b6e2fb4a454ded895b097d308a622942925a2baffc3a137a5bd3710ee09ed",
+}
+SCRIPT_ARGS = {
+    "decay_channel_sweep/defaults": [],
+    "decay_channel_sweep/kappa0.3-points17": ["--kappa", "0.3", "--points", "17"],
+    "finite_size_onset/points3": ["--points", "3"],
+}
+
+
+@pytest.mark.parametrize("case", list(SCRIPT_DIGESTS))
+def test_script_output_matches_recorded_digests(tmp_path, case):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    output = tmp_path / "out.csv"
+    script = root / "scripts" / f"{case.split('/')[0]}.py"
+    subprocess.run([sys.executable, str(script), *SCRIPT_ARGS[case], "--output", str(output)],
+                   env=env, capture_output=True, check=True)
+    assert hashlib.sha256(output.read_bytes()).hexdigest() == SCRIPT_DIGESTS[case]
+
+
 class TestCorr:
     def test_undamped_cosine_columns(self, capsys, tmp_path):
         out_file = tmp_path / "corr.csv"
@@ -420,6 +449,24 @@ class TestCorr:
         ts, sz = rows[:, 0], -0.5 * (1 - t**2) / (1 + t**2)
         expected = np.exp(-gamma * (1 + t**2) * ts) * (0.25 + ts * (0.25 - 0.5j * sz))
         assert np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - expected)) < 1e-10
+
+    @pytest.mark.parametrize("bath, extra", [
+        ("generalized(gamma=1, t=0.5)", []),
+        ("dephasing(gamma=0, sz=-0.5)", []),
+        ("thermal(gamma=0.05, T=0.7)", ["--omega-z", "2"]),
+        ("thermal(gamma=0.05, T=0.7)", ["--omega-z", "2", "--raw-units"]),
+    ], ids=["exceptional_point", "undamped", "omega_z_units", "raw_units"])
+    def test_rows_match_per_value_reference(self, capsys, bath, extra):
+        # the per-row loop the column writer replaced: fmt() on each value
+        omega_z = float(extra[1]) if extra else 1.0
+        model = baths.spin_model(parse_bath(bath), omega_z)
+        series = lindblad.two_time_sx(model, lindblad.steady_state(model).rho)
+        unit = 1.0 if "--raw-units" in extra else omega_z
+        lines = [cli.HEADER, "t,re_sx,im_sx"]
+        for t, v in zip(series.times, series.values):
+            lines.append(f"{cli.fmt(t * unit)},{cli.fmt(v.real)},{cli.fmt(v.imag)}")
+        assert run_cli(capsys, "corr", "--bath", bath, *extra) == (
+            0, "".join(f"{line}\n" for line in lines), "")
 
     def test_thermal_occupation_underflow_exits_1(self, capsys):
         # omega_z / T underflows to 0: the occupation is a typed error naming the point
@@ -556,6 +603,23 @@ class TestOracleCommand:
         devs = [float(line.rsplit(",", 1)[1]) for line in rows[2:]]
         assert max(devs) < 1e-5
 
+    @pytest.mark.parametrize("extra", [[], ["--omega-z", "1.3", "--omega0", "0.8"]],
+                             ids=["defaults", "detuned"])
+    def test_rows_match_per_value_reference(self, capsys, extra):
+        # the per-row loop the column writer replaced: the quoted bath, then fmt() on each value
+        omega_z, omega0 = (float(extra[1]), float(extra[3])) if extra else (1.0, 1.0)
+        lines = [cli.HEADER, "bath,omega_z,omega0,kappa,g_c_closed,g_star,rel_dev"]
+        for text, kappa in cli.ORACLE_SUITE:
+            bath, cavity = parse_bath(text), CavityParams(omega0, kappa)
+            g_c = baths.closed_form_gc(bath, omega_z, cavity).g_c
+            g_star = meanfield.stability_threshold(
+                cavity, baths.spin_model(bath, omega_z), 0.4 * g_c, 2.5 * g_c)
+            values = (omega_z, omega0, kappa, g_c, g_star, abs(g_star - g_c) / g_c)
+            lines.append(f'"{text}",' + ",".join(map(cli.fmt, values)))
+        code, out, _ = run_cli(capsys, "oracle", *extra)
+        assert code in (0, 3)
+        assert out == "".join(f"{line}\n" for line in lines)
+
     def test_tight_tolerance_exits_3(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "oracle", "--tol", "1e-16", "--output", str(tmp_path / "oracle.csv")
@@ -641,6 +705,10 @@ class TestNumericFlags:
         (("sweep", *BATH, "--sweep-param", "gamma"), "sweep_values", "0.1,inf",
          "every entry must be finite"),
     ]
+
+    def test_every_float_setting_is_checked_finite(self):
+        finite = {key for _, key, _, rule in self.CASES if rule == "must be finite"}
+        assert finite == {key for key, (parse, _) in SETTINGS.items() if parse is float}
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command, key, raw, rule", CASES,
