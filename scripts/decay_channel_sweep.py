@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from dicke_critic import CavityParams, GcMode, Generalized, Transition, closed_form_gc
-from dicke_critic.cli import HEADER, fmt
+from dicke_critic.cli import csv_table
 from dicke_critic.critical import fully_polarized_gc
 
 
@@ -34,21 +34,17 @@ def main() -> None:
     ratios = [float(r) for r in args.gamma_ratios.split(",")]
     ts = np.linspace(0.0, 0.99, args.points)
 
-    cols = ["t"]
+    names, cols = ["t"], [ts]
     for r in ratios:
-        cols += [f"gc_exact_gamma{r}", f"gc_quoted_gamma{r}"]
-    lines = [",".join(cols)]
-    for t in ts:
-        row = [fmt(t)]
-        for r in ratios:
-            bath = Generalized(gamma=r * omega_z, t=float(t))
-            for mode in (GcMode.SELF_CONSISTENT, GcMode.LITERATURE):
-                result = closed_form_gc(bath, omega_z, cavity, mode)
-                row.append(fmt(result.g_c / g0) if isinstance(result, Transition) else "inf")
-        lines.append(",".join(row))
+        names += [f"gc_exact_gamma{r}", f"gc_quoted_gamma{r}"]
+        for mode in (GcMode.SELF_CONSISTENT, GcMode.LITERATURE):
+            results = [closed_form_gc(Generalized(gamma=r * omega_z, t=t), omega_z, cavity, mode)
+                       for t in ts.tolist()]
+            cols.append(np.array([res.g_c / g0 if isinstance(res, Transition) else np.inf
+                                  for res in results]))
 
     out = Path(args.output)
-    out.write_text("\n".join([HEADER, *lines]) + "\n", encoding="utf-8")
+    out.write_text(csv_table(",".join(names), cols), encoding="utf-8")
     print(f"wrote {out} ({len(ts)} rows, {len(ratios)} damping strengths)")
 
 

@@ -21,7 +21,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from dicke_critic import CavityParams, Generalized, closed_form_gc, spin_model  # noqa: E402
-from dicke_critic.cli import HEADER, fmt  # noqa: E402
+from dicke_critic.cli import csv_table, fmt  # noqa: E402
 from dicke_critic.exactn import FullSystemSpec, full_steady_observables  # noqa: E402
 
 
@@ -42,21 +42,17 @@ def main() -> None:
     gs = np.linspace(0.2 * gc, 1.8 * gc, args.points)
     atom_counts = list(range(1, args.max_atoms + 1))
 
-    lines = ["g_over_gc," + ",".join(f"photons_N{n}" for n in atom_counts) + ",sz_mean_largest"]
-    for g in gs:
-        row = [fmt(g / gc)]
-        sz_last = 0.0
-        for n in atom_counts:
-            spec = FullSystemSpec(n_atoms=n, n_fock=args.n_fock, g=float(g),
-                                  cavity=cavity, model=model)
+    photons = np.zeros((len(gs), len(atom_counts)))
+    sz_last = np.zeros(len(gs))
+    for i, g in enumerate(gs.tolist()):
+        for j, n in enumerate(atom_counts):
+            spec = FullSystemSpec(n_atoms=n, n_fock=args.n_fock, g=g, cavity=cavity, model=model)
             obs = full_steady_observables(spec)
-            row.append(fmt(obs.photon_number))
-            sz_last = obs.sz_mean
-        row.append(fmt(sz_last))
-        lines.append(",".join(row))
+            photons[i, j], sz_last[i] = obs.photon_number, obs.sz_mean
 
+    header = "g_over_gc," + ",".join(f"photons_N{n}" for n in atom_counts) + ",sz_mean_largest"
     out = Path(args.output)
-    out.write_text("\n".join([HEADER, *lines]) + "\n", encoding="utf-8")
+    out.write_text(csv_table(header, [gs / gc, *photons.T, sz_last]), encoding="utf-8")
     print(f"wrote {out}: infinite-N threshold gc = {fmt(gc)}")
 
 

@@ -3,16 +3,17 @@
 Subcommands:
 
 * ``gc``       -- critical coupling for one parameter point
-* ``sweep``    -- phase-boundary table over a parameter grid, written row by
-  row from the columns of one ``critical.sweep`` broadcast; the JSON is the
-  text ``json.dumps(rows, indent=2)`` would give, without its slow encoder
+* ``sweep``    -- phase-boundary table over a parameter grid, from the columns
+  of one ``critical.sweep`` broadcast; the JSON is the text
+  ``json.dumps(rows, indent=2)`` would give, without its slow encoder
 * ``corr``     -- sampled two-time correlator S_x(t), stepped by one
   propagator, so it also runs at exceptional points of the generator
 * ``spectrum`` -- cavity determinant and susceptibility over frequency;
   chi(omega) on the whole grid, omega = 0 included, comes from one batched
   resolvent solve (``response.resolvent_chi``), not from the sampled
-  correlator; the rows are written from its columns, and the determinant
-  is evaluated row by row, so omega = 0 takes its exact branch
+  correlator; the determinant is evaluated one frequency at a time, since
+  a broadcast (omega + i kappa)^2 misses ``cavity_det``'s exact branch at
+  omega = 0 in the last bit
 * ``oracle``   -- closed form vs mean-field threshold comparison table
 
 Flags are declared here with their help text only: each flag's text goes
@@ -25,9 +26,10 @@ Exit codes: 0 success, 1 usage or parse error, 2 no transition,
 point of the run (bath, omega_z, omega0, kappa) once the configuration
 has been read.
 
-All floats are printed with 17 significant digits so repeated runs are
-byte-identical. Frequencies are reported in units of omega_z unless
---raw-units is given.
+Every CSV table is written by ``csv_table``: the version line, the header,
+then one row per index of its columns, each float with 17 significant
+digits, so repeated runs are byte-identical. Frequencies are reported in
+units of omega_z unless --raw-units is given.
 
 ``build_parser`` is cached: the argparse tree is built on the first
 ``main`` call of a process and reused by every later one, in-process
@@ -45,6 +47,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -157,8 +160,17 @@ def _require_bath(cfg: RunConfig) -> None:
         raise DickeCriticError("a bath must be given (--bath or config)")
 
 
-def _csv(lines: list[str]) -> str:
-    return "\n".join([HEADER, *lines]) + "\n"
+def csv_table(header: str, columns: Sequence[np.ndarray | Sequence[str]]) -> str:
+    """The CSV text of a table: the version line, header, then a row per index of columns.
+
+    A column of str is written as it is; any other column is an array of
+    floats, each written "%.17g" after + 0.0, which flushes negative zero
+    (a row without a transition holds inf, written inf).
+    """
+    cells = [np.asarray(c) for c in columns]
+    template = ",".join("%s" if c.dtype.kind in "OU" else "%.17g" for c in cells) + "\n"
+    cells = [(c if c.dtype.kind in "OU" else c + 0.0).tolist() for c in cells]
+    return f"{HEADER}\n{header}\n" + "".join(map(template.__mod__, zip(*cells, strict=True)))
 
 
 def cmd_gc(cfg: RunConfig) -> int:
@@ -207,14 +219,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     unit = 1.0 if cfg.raw_units else cfg.omega_z
     ok = table.code == 0
     cols = [table.params[:, 0], table.chi0 * unit, table.g_c / unit, table.gc_over_g0]
-    status = table.status.tolist()
     if cfg.format == "csv":
-        # +0.0 flushes negative zero; a row without a transition reads inf,inf
-        x, chi0, g_c, ratio = (c + 0.0 for c in cols)
-        g_c[~ok] = ratio[~ok] = np.inf
-        rows = map("%.17g,%.17g,%.17g,%.17g,%s".__mod__,
-                   zip(x.tolist(), chi0.tolist(), g_c.tolist(), ratio.tolist(), status))
-        _write(cfg.output, _csv([f"{cfg.sweep_param},chi0,g_c,g_c_over_g0,status", *rows]))
+        cols[2:] = (np.where(ok, c, np.inf) for c in cols[2:])
+        _write(cfg.output, csv_table(f"{cfg.sweep_param},chi0,g_c,g_c_over_g0,status",
+                                     [*cols, table.status]))
     else:
         # the bytes of json.dumps(rows, indent=2): its compact C encoder spells
         # each number (float repr, -0.0, null, Infinity), the layout is written here
@@ -222,6 +230,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         masked = (np.where(ok, c, None) for c in cols[2:])  # None, a Python float elsewhere
         x, chi0, g_c, ratio = (json.dumps(c.tolist())[1:-1].split(", ")
                                for c in (*cols[:2], *masked))
+        status = table.status.tolist()
         rows = [
             f'  {{\n    {key}: {x_i},\n    "chi0": {chi0_i},\n    "g_c": {g_c_i},\n'
             f'    "g_c_over_g0": {ratio_i},\n    "status": "{status_i}"\n  }}'
@@ -238,10 +247,8 @@ def cmd_corr(cfg: RunConfig) -> int:
 
     series = two_time_sx(model, steady_state(model).rho, tmax=cfg.tmax, dt=cfg.dt)
     unit = 1.0 if cfg.raw_units else cfg.omega_z
-    lines = ["t,re_sx,im_sx"]
-    for t, v in zip(series.times, series.values):
-        lines.append(f"{fmt(t * unit)},{fmt(v.real)},{fmt(v.imag)}")
-    _write(cfg.output, _csv(lines))
+    _write(cfg.output, csv_table("t,re_sx,im_sx",
+                                 [series.times * unit, series.values.real, series.values.imag]))
     return EXIT_OK
 
 
@@ -254,15 +261,11 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     omega_min = cfg.omega_min if cfg.omega_min is not None else -omega_max
     omegas = np.linspace(omega_min, omega_max, cfg.omega_points)
     chis = response.resolvent_chi(model)(omegas)
+    dets = np.array([response.cavity_det(w, cfg.cavity, cfg.g, chi)
+                     for w, chi in zip(omegas.tolist(), chis.tolist())], dtype=complex)
     unit = 1.0 if cfg.raw_units else cfg.omega_z
-    cols = [omegas / unit, omegas, chis, chis.real * unit, chis.imag * unit]
-    lines = ["omega,re_det,im_det,re_chi,im_chi"]
-    for w_u, w, chi, re_chi, im_chi in zip(*(c.tolist() for c in cols)):
-        # scalar, not broadcast: cavity_det has an exact branch at omega = 0
-        det = response.cavity_det(w, cfg.cavity, cfg.g, chi)
-        lines.append(f"{w_u + 0.0:.17g},{det.real + 0.0:.17g},{det.imag + 0.0:.17g},"
-                     f"{re_chi + 0.0:.17g},{im_chi + 0.0:.17g}")
-    _write(cfg.output, _csv(lines))
+    _write(cfg.output, csv_table("omega,re_det,im_det,re_chi,im_chi", [
+        omegas / unit, dets.real, dets.imag, chis.real * unit, chis.imag * unit]))
     return EXIT_OK
 
 
@@ -280,24 +283,20 @@ ORACLE_SUITE: tuple[tuple[str, float], ...] = (
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    lines = ["bath,omega_z,omega0,kappa,g_c_closed,g_star,rel_dev"]
-    worst = 0.0
+    g_c, g_star = [], []
     for bath_text, kappa in ORACLE_SUITE:
         bath = parse_bath(bath_text)
         cavity = baths.CavityParams(omega0=cfg.cavity.omega0, kappa=kappa)
-        result = baths.closed_form_gc(bath, cfg.omega_z, cavity, GcMode.SELF_CONSISTENT)
+        g_c.append(baths.closed_form_gc(bath, cfg.omega_z, cavity, GcMode.SELF_CONSISTENT).g_c)
         model = baths.spin_model(bath, cfg.omega_z)
-        g_star = meanfield.stability_threshold(
-            cavity, model, 0.4 * result.g_c, 2.5 * result.g_c
-        )
-        dev = abs(g_star - result.g_c) / result.g_c
-        worst = max(worst, dev)
-        lines.append(
-            f"\"{bath_text}\",{fmt(cfg.omega_z)},{fmt(cavity.omega0)},{fmt(kappa)},"
-            f"{fmt(result.g_c)},{fmt(g_star)},{fmt(dev)}"
-        )
-    _write(cfg.output, _csv(lines))
-    return EXIT_OK if worst <= cfg.tol else EXIT_ORACLE_DISAGREEMENT
+        g_star.append(meanfield.stability_threshold(cavity, model, 0.4 * g_c[-1], 2.5 * g_c[-1]))
+    texts, kappas = zip(*ORACLE_SUITE)
+    g_c, g_star = np.array(g_c), np.array(g_star)
+    dev = abs(g_star - g_c) / g_c
+    _write(cfg.output, csv_table("bath,omega_z,omega0,kappa,g_c_closed,g_star,rel_dev", [
+        [f'"{text}"' for text in texts], np.full(len(texts), cfg.omega_z),
+        np.full(len(texts), cfg.cavity.omega0), np.array(kappas), g_c, g_star, dev]))
+    return EXIT_OK if dev.max() <= cfg.tol else EXIT_ORACLE_DISAGREEMENT
 
 
 _COMMANDS = {

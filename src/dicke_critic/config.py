@@ -76,6 +76,8 @@ SETTINGS: dict[str, tuple[Callable[[str], object], object]] = {
     "omega_max": (float, None),
     "omega_points": (int, 201),
 }
+# a float setting must be finite, whichever source gave it
+FINITE_KEYS = tuple(key for key, (parse, _) in SETTINGS.items() if parse is float)
 # spectrum solves its whole grid at once: 1e6 frequencies took 0.64 GB and 8.4 s on
 # 2 cores, and 1e8 had the process killed for memory
 MAX_OMEGA_POINTS = 1_000_000
@@ -161,8 +163,7 @@ def merge_config(cli_values: dict[str, str | None], config_path: str | None) -> 
     merged = {key: default for key, (_, default) in SETTINGS.items()}
     merged.update(file_values)
     merged.update(flag_values)
-    for key in ("omega_z", "omega0", "kappa", "tol", "g", "tmax", "dt", "omega_min", "omega_max",
-                "sweep_start", "sweep_stop"):
+    for key in FINITE_KEYS:
         if merged[key] is not None and not math.isfinite(merged[key]):
             raise ConfigParseError(f"{key} = {merged[key]} must be finite")
     if merged["sweep_values"] is not None and not all(map(math.isfinite, merged["sweep_values"])):

@@ -122,7 +122,7 @@ def steady_state(model: SpinModel) -> SteadyState:
         rho = qops.devectorize(vecs[:, 0])
         rho = rho / np.trace(rho)
         rho = 0.5 * (rho + rho.conj().T)
-        qops.validate_density_matrix(rho, tol=1e-9)
+        qops.validate_density_matrix(rho)
         return SteadyState(rho=rho, null_dim=1)
     if model.initial_sz is None:
         raise DegenerateSteadyStateError(
@@ -341,7 +341,7 @@ def two_time_sx(
     dt: float | None = None,
 ) -> CorrelationSeries:
     """S_x(t) from the steady (or designated) state rho, perturbed as rho @ sx."""
-    qops.validate_density_matrix(rho, tol=1e-9)
+    qops.validate_density_matrix(rho)
     return correlation_series_from_generator(
         model.generator(), rho @ _SX, _SX, omega_scale=model.omega_z, tmax=tmax, dt=dt
     )

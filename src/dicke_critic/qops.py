@@ -30,6 +30,10 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidModelError, UnknownOperatorError
 
 HERMITICITY_TOL = 1e-12
+# a density matrix's trace, Hermiticity and eigenvalues may miss by this much
+DENSITY_MATRIX_TOL = 1e-9
+# an eigenvalue of a generator below this, times max(1, spectral radius), is zero
+NULL_SPACE_TOL = 1e-9
 
 _SIGMA = {
     "x": np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
@@ -55,17 +59,17 @@ def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
     return bool(abs(_entries(a - a.conj().T)).max(initial=0.0) <= tol)
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
-    """Raise InvalidModelError unless rho is a valid density matrix."""
+def validate_density_matrix(rho: np.ndarray) -> None:
+    """Raise InvalidModelError unless rho is a density matrix to DENSITY_MATRIX_TOL."""
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidModelError(f"density matrix must be square, got shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise InvalidModelError("density matrix has non-finite entries")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if abs(np.trace(rho) - 1.0) > DENSITY_MATRIX_TOL:
         raise InvalidModelError(f"density matrix trace {np.trace(rho)} != 1")
-    if not is_hermitian(rho, tol):
+    if not is_hermitian(rho, DENSITY_MATRIX_TOL):
         raise InvalidModelError("density matrix is not Hermitian")
-    if np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) < -tol:
+    if np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) < -DENSITY_MATRIX_TOL:
         raise InvalidModelError("density matrix has a negative eigenvalue")
 
 
@@ -243,13 +247,13 @@ def lindblad_generator(h, channels: list[LindbladChannel] | tuple):
     return gen
 
 
-def null_space(gen: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of the generator with |eigenvalue| below tol * scale.
+def null_space(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of the generator with |eigenvalue| below NULL_SPACE_TOL * scale.
 
-    Returns (eigenvalues, columns). tol is absolute when the spectrum is
-    O(1); it is scaled by max(1, spectral radius) otherwise.
+    Returns (eigenvalues, columns). The tolerance is absolute when the
+    spectrum is O(1); it is scaled by max(1, spectral radius) otherwise.
     """
     vals, vecs = np.linalg.eig(gen)
     scale = max(1.0, float(np.max(np.abs(vals))))
-    mask = np.abs(vals) < tol * scale
+    mask = np.abs(vals) < NULL_SPACE_TOL * scale
     return vals[mask], vecs[:, mask]

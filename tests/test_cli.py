@@ -255,6 +255,18 @@ class TestSweep:
         )
 
 
+def test_csv_table_writes_rows_from_columns():
+    # -0.0 flushed, inf kept, a text column as it is; columns of unequal length
+    # or of complex values are errors, not truncated or misprinted rows
+    text = cli.csv_table("a,b,c", [np.array([-0.0, np.inf]), ["x", "y"], np.array([0.1, 1e300])])
+    assert text == f"{cli.HEADER}\na,b,c\n0,x,0.10000000000000001\ninf,y,1.0000000000000001e+300\n"
+    assert cli.csv_table("a", [np.array([])]) == f"{cli.HEADER}\na\n"
+    with pytest.raises(ValueError):
+        cli.csv_table("a,b", [np.zeros(2), np.zeros(3)])
+    with pytest.raises(TypeError):
+        cli.csv_table("a", [np.array([1j])])
+
+
 # every bath along one bath axis, omega_z and kappa, at omega_z = 1.3, omega0 = 0.8,
 # kappa = 0.3: sz runs through 0 (unpolarized and inverted rows) on an explicit grid,
 # T starts at 0, and the t grid is expanded from --sweep-start/--sweep-stop and ends at 1
