@@ -16,7 +16,7 @@ from dicke_critic import __version__, baths, cli, lindblad, meanfield, response
 from dicke_critic.baths import CavityParams, parse_bath
 from dicke_critic.cli import main
 from dicke_critic.config import SETTINGS, coerce, merge_config, parse_float_list
-from dicke_critic.critical import SweepPlan, sweep
+from dicke_critic.critical import SweepPlan, fully_polarized_gc, solve_gc, sweep
 from dicke_critic.errors import ConfigParseError
 
 
@@ -85,6 +85,30 @@ class TestGc:
         assert (code, err) == (expected, "")
         assert run_cli(capsys, "gc", *argv, "--output", str(out_file)) == (expected, "", "")
         assert out_file.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("extra, expected", [
+        ([], 0),
+        (["--mode", "literature"], 3),
+        (["--omega-z", "2", "--raw-units"], 0),
+    ], ids=["defaults", "literature", "raw_units"])
+    def test_verify_lines_match_per_value_reference(self, capsys, extra, expected):
+        # each key = value line rebuilt from the library calls, fmt() on each value
+        text = "generalized(gamma=0.2, t=0.4)"
+        bath, cavity = parse_bath(text), CavityParams(1.0, 0.0)
+        omega_z = 2.0 if "--omega-z" in extra else 1.0
+        mode = baths.GcMode.LITERATURE if "--mode" in extra else baths.GcMode.SELF_CONSISTENT
+        unit = 1.0 if "--raw-units" in extra else omega_z
+        chi0 = baths.closed_form_chi0(bath, omega_z, mode)
+        g_c = solve_gc(chi0, cavity).g_c
+        g_star = meanfield.stability_threshold(
+            cavity, baths.spin_model(bath, omega_z), 0.4 * g_c, 2.5 * g_c)
+        lines = [f"units = {'raw' if '--raw-units' in extra else 'omega_z'}",
+                 f"chi0 = {cli.fmt(chi0 * unit)}", f"g_c = {cli.fmt(g_c / unit)}",
+                 f"g_c_over_g0 = {cli.fmt(g_c / fully_polarized_gc(omega_z, cavity))}",
+                 f"g_star = {cli.fmt(g_star / unit)}",
+                 f"oracle_rel_dev = {cli.fmt(abs(g_star - g_c) / g_c)}"]
+        assert run_cli(capsys, "gc", "--verify", "--bath", text, *extra) == (
+            expected, "".join(f"{line}\n" for line in lines), "")
 
     def test_bad_bath_exits_1(self, capsys):
         # parse_bath's own diagnostic, naming the flag, and no usage block
@@ -423,6 +447,31 @@ def test_script_output_matches_recorded_digests(tmp_path, case):
     subprocess.run([sys.executable, str(script), *SCRIPT_ARGS[case], "--output", str(output)],
                    env=env, capture_output=True, check=True)
     assert hashlib.sha256(output.read_bytes()).hexdigest() == SCRIPT_DIGESTS[case]
+
+
+# sha256 of scripts/oracle_table.py's stdout, as its per-point route chain printed it,
+# with one BLAS thread
+ORACLE_TABLE_DIGESTS = {
+    "defaults": "8a6e282f4c337dd2685f81726aabf0f5bd53ef9bf6065afa5fa2ac0367a61af3",
+    "detuned": "29ce10b57bcead48d0bb2b70d8389449a84f912211c046d6181dba8265a2cc47",
+}
+ORACLE_TABLE_ARGS = {"defaults": [], "detuned": ["--omega-z", "1.3", "--omega0", "0.8"]}
+
+
+def run_oracle_table(*argv):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(root / "scripts" / "oracle_table.py"), *argv],
+                          env=env, capture_output=True)
+
+
+@pytest.mark.parametrize("case", list(ORACLE_TABLE_DIGESTS))
+def test_oracle_table_stdout_matches_recorded_digests(case):
+    proc = run_oracle_table(*ORACLE_TABLE_ARGS[case])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == ORACLE_TABLE_DIGESTS[case]
 
 
 class TestCorr:
