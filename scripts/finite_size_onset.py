@@ -10,6 +10,7 @@ unknowns: N = 6 at the default n_fock = 12.
 
 import argparse
 import os
+import sys
 from pathlib import Path
 
 # One BLAS thread unless the environment sets its own, before numpy loads BLAS:
@@ -20,7 +21,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from dicke_critic import CavityParams, Generalized, closed_form_gc, spin_model  # noqa: E402
+from dicke_critic import CavityParams, Generalized, NoTransition, closed_form_gc, spin_model  # noqa: E402
 from dicke_critic.cli import csv_table, fmt  # noqa: E402
 from dicke_critic.exactn import FullSystemSpec, full_steady_observables  # noqa: E402
 
@@ -38,7 +39,11 @@ def main() -> None:
     bath = Generalized(gamma=args.gamma, t=0.0)
     cavity = CavityParams(omega0=1.0, kappa=args.kappa)
     model = spin_model(bath, 1.0)
-    gc = closed_form_gc(bath, 1.0, cavity).g_c
+    # a --gamma so large that chi0 falls within critical.ZERO_TOL of 0 has no transition
+    if isinstance(result := closed_form_gc(bath, 1.0, cavity), NoTransition):
+        print(f"no transition at gamma = {args.gamma}: {result.reason.value}", file=sys.stderr)
+        sys.exit(2)
+    gc = result.g_c
     gs = np.linspace(0.2 * gc, 1.8 * gc, args.points)
     atom_counts = list(range(1, args.max_atoms + 1))
 

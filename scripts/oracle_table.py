@@ -3,17 +3,18 @@
 
 For each parameter set the table lists the closed-form g_c, the value
 reconstructed from numerical quadrature of the correlator, and the
-mean-field stability threshold, with relative deviations.
+mean-field stability threshold, with relative deviations: a view of
+``critical.agreement`` over ``cli.ORACLE_SUITE``. The first suite point
+without a transition exits 2, and one with an error exits 1, each with one
+stderr line that names the point and no table.
 """
 
 import argparse
+import sys
 
-from dicke_critic import baths, meanfield
-from dicke_critic.baths import CavityParams, parse_bath
-from dicke_critic.cli import ORACLE_SUITE, fmt
-from dicke_critic.critical import solve_gc
-from dicke_critic.lindblad import steady_state, two_time_sx
-from dicke_critic.response import chi_from_correlator
+from dicke_critic.cli import ORACLE_SUITE, fmt, oracle_suite
+from dicke_critic.critical import ROUTES
+from dicke_critic.errors import DickeCriticError, NoTransitionError
 
 
 def main() -> None:
@@ -21,20 +22,16 @@ def main() -> None:
     ap.add_argument("--omega-z", type=float, default=1.0)
     ap.add_argument("--omega0", type=float, default=1.0)
     args = ap.parse_args()
+    try:
+        points = oracle_suite(args.omega_z, args.omega0, ROUTES)
+    except DickeCriticError as exc:
+        print(f"oracle_table.py: error: {exc}", file=sys.stderr)
+        sys.exit(2 if isinstance(exc, NoTransitionError) else 1)
 
     print(f"{'bath':38s} {'kappa':>6s} {'gc_closed':>12s} {'gc_quad':>12s} "
           f"{'g_star':>12s} {'dev_quad':>9s} {'dev_mf':>9s}")
-    for bath_text, kappa in ORACLE_SUITE:
-        bath = parse_bath(bath_text)
-        cavity = CavityParams(args.omega0, kappa)
-        gc = baths.closed_form_gc(bath, args.omega_z, cavity).g_c
-
-        model = baths.spin_model(bath, args.omega_z)
-        series = two_time_sx(model, steady_state(model).rho)
-        chi0 = chi_from_correlator(series, 0.0).real
-        gc_quad = solve_gc(chi0, cavity).g_c
-
-        g_star = meanfield.stability_threshold(cavity, model, 0.4 * gc, 2.5 * gc)
+    for (bath_text, kappa), point in zip(ORACLE_SUITE, points):
+        gc, gc_quad, g_star = (point.results[route].g_c for route in ROUTES)
         print(f"{bath_text:38s} {kappa:6.2f} {fmt(gc)[:12]:>12s} {fmt(gc_quad)[:12]:>12s} "
               f"{fmt(g_star)[:12]:>12s} {abs(gc_quad-gc)/gc:9.1e} {abs(g_star-gc)/gc:9.1e}")
 

@@ -14,7 +14,8 @@ Subcommands:
   correlator; the determinant is evaluated one frequency at a time, since
   a broadcast (omega + i kappa)^2 misses ``cavity_det``'s exact branch at
   omega = 0 in the last bit
-* ``oracle``   -- closed form vs mean-field threshold comparison table
+* ``oracle``   -- closed form vs mean-field threshold table, ``critical.agreement``
+  at each ``ORACLE_SUITE`` point; a point without a transition exits 2
 
 Flags are declared here with their help text only: each flag's text goes
 to ``config.merge_config``, which reads it with the parser of its key in
@@ -52,11 +53,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, baths, critical, meanfield, response
+from . import __version__, baths, critical, response
 from .baths import GcMode, parse_bath
 from .config import SETTINGS, RunConfig, merge_config
-from .critical import NoTransition, SweepPlan
-from .errors import DickeCriticError
+from .critical import Agreement, NoTransition, SweepPlan
+from .errors import DickeCriticError, NoTransitionError
 
 HEADER = f"# dicke-critic v{__version__}"
 
@@ -175,28 +176,23 @@ def csv_table(header: str, columns: Sequence[np.ndarray | Sequence[str]]) -> str
 
 def cmd_gc(cfg: RunConfig) -> int:
     _require_bath(cfg)
-    chi0 = baths.closed_form_chi0(cfg.bath, cfg.omega_z, cfg.mode)
-    result = critical.solve_gc(chi0, cfg.cavity)
+    point = critical.agreement(cfg.bath, cfg.omega_z, cfg.cavity, cfg.mode,
+                               ("closed_form", "mean_field") if cfg.verify else ("closed_form",))
+    result = point.results["closed_form"]
     g0 = critical.fully_polarized_gc(cfg.omega_z, cfg.cavity)
     unit = 1.0 if cfg.raw_units else cfg.omega_z
     lines = [f"units = {'raw' if cfg.raw_units else 'omega_z'}",
-             f"chi0 = {fmt(chi0 * unit)}"]
+             f"chi0 = {fmt(point.chi0 * unit)}"]
     if isinstance(result, NoTransition):
-        lines.append(f"g_c = no transition: {result.reason.value}")
-        lines.append("g_c_over_g0 = inf")
+        lines += [f"g_c = no transition: {result.reason.value}", "g_c_over_g0 = inf"]
         _write(cfg.output, "\n".join(lines) + "\n")
         return EXIT_NO_TRANSITION
-    lines.append(f"g_c = {fmt(result.g_c / unit)}")
-    lines.append(f"g_c_over_g0 = {fmt(result.g_c / g0)}")
+    lines += [f"g_c = {fmt(result.g_c / unit)}", f"g_c_over_g0 = {fmt(result.g_c / g0)}"]
     status = EXIT_OK
-    if cfg.verify:
-        model = baths.spin_model(cfg.bath, cfg.omega_z)
-        g_star = meanfield.stability_threshold(
-            cfg.cavity, model, 0.4 * result.g_c, 2.5 * result.g_c
-        )
+    if cfg.verify:  # the mean-field route ran on the closed form's transition
+        g_star = point.results["mean_field"].g_c
         dev = abs(g_star - result.g_c) / result.g_c
-        lines.append(f"g_star = {fmt(g_star / unit)}")
-        lines.append(f"oracle_rel_dev = {fmt(dev)}")
+        lines += [f"g_star = {fmt(g_star / unit)}", f"oracle_rel_dev = {fmt(dev)}"]
         if dev > cfg.tol:
             status = EXIT_ORACLE_DISAGREEMENT
     _write(cfg.output, "\n".join(lines) + "\n")
@@ -282,16 +278,27 @@ ORACLE_SUITE: tuple[tuple[str, float], ...] = (
 )
 
 
+def oracle_suite(omega_z: float, omega0: float, routes: tuple[str, ...]) -> list[Agreement]:
+    """``critical.agreement`` at each ORACLE_SUITE point; the first point where a route
+    has no transition (``NoTransitionError``) or an error raises, naming the point."""
+    points = []
+    for text, kappa in ORACLE_SUITE:
+        try:
+            cavity = baths.CavityParams(omega0=omega0, kappa=kappa)
+            points.append(critical.agreement(parse_bath(text), omega_z, cavity, routes=routes))
+            for route, result in points[-1].results.items():
+                if isinstance(result, NoTransition):
+                    raise NoTransitionError(f"{route}: no transition: {result.reason.value}")
+        except DickeCriticError as exc:
+            raise type(exc)(f"suite point {text}, kappa = {fmt(kappa)}: {exc}") from None
+    return points
+
+
 def cmd_oracle(cfg: RunConfig) -> int:
-    g_c, g_star = [], []
-    for bath_text, kappa in ORACLE_SUITE:
-        bath = parse_bath(bath_text)
-        cavity = baths.CavityParams(omega0=cfg.cavity.omega0, kappa=kappa)
-        g_c.append(baths.closed_form_gc(bath, cfg.omega_z, cavity, GcMode.SELF_CONSISTENT).g_c)
-        model = baths.spin_model(bath, cfg.omega_z)
-        g_star.append(meanfield.stability_threshold(cavity, model, 0.4 * g_c[-1], 2.5 * g_c[-1]))
+    routes = ("closed_form", "mean_field")
+    points = oracle_suite(cfg.omega_z, cfg.cavity.omega0, routes)
+    g_c, g_star = (np.array([p.results[route].g_c for p in points]) for route in routes)
     texts, kappas = zip(*ORACLE_SUITE)
-    g_c, g_star = np.array(g_c), np.array(g_star)
     dev = abs(g_star - g_c) / g_c
     _write(cfg.output, csv_table("bath,omega_z,omega0,kappa,g_c_closed,g_star,rel_dev", [
         [f'"{text}"' for text in texts], np.full(len(texts), cfg.omega_z),
@@ -328,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     except DickeCriticError as exc:
         where = "" if cfg is None else f"at {_point(cfg)}: "
         print(f"dicke-critic: error: {where}{exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_NO_TRANSITION if isinstance(exc, NoTransitionError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -16,6 +16,9 @@ arrays. numpy's sqrt is the correctly rounded IEEE sqrt, as ``math.sqrt``
 is; a float argument keeps ``math.sqrt``, so a scalar result stays a
 Python float. Only libm's ``pow`` (``baths._sq``), ``tanh`` and ``expm1``
 stay per element, through ``baths._each``.
+
+``agreement`` runs the routes to g_c at one point and returns one typed
+result per route: ``gc --verify``, ``oracle`` and ``oracle_table.py`` are its views.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import baths
+from . import baths, lindblad, meanfield, response
 from .baths import _BATH_FIELDS, BathSpec, CavityParams, GcMode, _float_range, _sq
 from .errors import DickeCriticError, PreconditionError
 
@@ -201,3 +204,57 @@ def sweep(plan: SweepPlan) -> SweepTable:
                 raise type(exc)(f"row {i}, {where}: {exc}") from None
         raise
     return SweepTable(params, chi0, g_c, ratio, code)
+
+
+# --- agreement of the routes to g_c -------------------------------------------
+
+ROUTES = ("closed_form", "quadrature", "mean_field")
+MEAN_FIELD_BRACKET = (0.4, 2.5)  # the mean-field search bracket, in units of the closed-form g_c
+
+
+@dataclass(frozen=True)
+class NotRun:
+    """The mean-field route where the closed form has no transition: no g_c to bracket."""
+
+
+@dataclass(frozen=True)
+class Agreement:
+    """g_c at one point by each route run, in ROUTES order, and the closed form's chi0."""
+
+    chi0: float
+    results: dict[str, CriticalResult | NotRun]
+
+
+def agreement(bath: BathSpec, omega_z: float, cavity: CavityParams,
+              mode: GcMode = GcMode.SELF_CONSISTENT, routes: tuple[str, ...] = ROUTES) -> Agreement:
+    """g_c at one point by each named route; a typed error of any route propagates.
+
+    * closed_form: ``baths.closed_form_chi0`` in ``mode``, then ``solve_gc``.
+      It runs first whether named or not: chi0 and the mean-field bracket
+      come from it.
+    * quadrature: the steady state, the sampled S_x(t), chi(0) by
+      quadrature, then ``solve_gc``.
+    * mean_field: the static threshold in ``MEAN_FIELD_BRACKET`` times the
+      closed-form g_c, a ``Transition``; ``NotRun()`` where the closed form
+      has none.
+
+    Each route is called through its module, so a wrapper set on the
+    module attribute sees the call.
+    """
+    if unknown := sorted(set(routes) - set(ROUTES)):
+        raise PreconditionError(f"unknown routes {unknown}: the routes are {ROUTES}")
+    chi0 = baths.closed_form_chi0(bath, omega_z, mode)
+    closed = solve_gc(chi0, cavity)
+    results: dict[str, CriticalResult | NotRun] = {"closed_form": closed}
+    mean_field = "mean_field" in routes and isinstance(closed, Transition)
+    if "quadrature" in routes or mean_field:
+        model = baths.spin_model(bath, omega_z)
+    if "quadrature" in routes:
+        series = lindblad.two_time_sx(model, lindblad.steady_state(model).rho)
+        results["quadrature"] = solve_gc(response.chi_from_correlator(series, 0.0).real, cavity)
+    if mean_field:
+        lo, hi = (f * closed.g_c for f in MEAN_FIELD_BRACKET)
+        results["mean_field"] = Transition(meanfield.stability_threshold(cavity, model, lo, hi))
+    elif "mean_field" in routes:
+        results["mean_field"] = NotRun()
+    return Agreement(chi0, results)

@@ -41,6 +41,10 @@ class NoThresholdError(DickeCriticError):
     """
 
 
+class NoTransitionError(DickeCriticError):
+    """A parameter point that must have a transition, such as an oracle suite point, has none."""
+
+
 class ConvergenceError(DickeCriticError):
     """An iterative solver failed to converge."""
 

@@ -15,10 +15,11 @@ import time
 import numpy as np
 from scipy.optimize import brentq
 
-from dicke_critic import baths, meanfield
+from dicke_critic import baths
 from dicke_critic.baths import CavityParams, Dephasing, GcMode, Generalized, Thermal
 from dicke_critic.cli import main
-from dicke_critic.critical import NoTransition, NoTransitionReason, fully_polarized_gc, solve_gc
+from dicke_critic.critical import (NoTransition, NoTransitionReason, agreement, fully_polarized_gc,
+                                   solve_gc)
 from dicke_critic.exactn import FullSystemSpec, cutoff_stability, full_regression_sx, full_steady_observables
 from dicke_critic.lindblad import steady_state, two_time_sx
 from dicke_critic.response import chi_from_correlator
@@ -146,9 +147,8 @@ def test_c07_generalized_shape():
         return baths.closed_form_gc(Generalized(gamma=gamma, t=t), wz, cavity).g_c
 
     def g_threshold(gamma: float, t: float) -> float:
-        model = baths.spin_model(Generalized(gamma=gamma, t=t), wz)
-        guess = gc(gamma, t)
-        return meanfield.stability_threshold(cavity, model, 0.4 * guess, 2.5 * guess)
+        point = agreement(Generalized(gamma=gamma, t=t), wz, cavity, routes=("mean_field",))
+        return point.results["mean_field"].g_c
 
     endpoint = abs(gc(0.5 * wz, 0.0) / fully_polarized_gc(wz, cavity) - math.sqrt(1.25))
 
@@ -221,10 +221,8 @@ def test_c09_mean_field_oracle_agreement():
     start = time.perf_counter()
     worst = 0.0
     for bath, kappa in ORACLE_SETS:
-        cavity = CavityParams(1.0, kappa)
-        gc = baths.closed_form_gc(bath, 1.0, cavity).g_c
-        model = baths.spin_model(bath, 1.0)
-        g_star = meanfield.stability_threshold(cavity, model, 0.4 * gc, 2.5 * gc)
+        point = agreement(bath, 1.0, CavityParams(1.0, kappa), routes=("mean_field",))
+        gc, g_star = (result.g_c for result in point.results.values())
         worst = max(worst, abs(g_star - gc) / gc)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 60.0
@@ -295,10 +293,9 @@ def test_c11_mode_discrepancy_is_generalized_only():
     # the oracle sides with the self-consistent form once gamma (1-t)^2 ~ wz
     strong = Generalized(gamma=5.0, t=0.5)  # gamma (1-t)^2 = 1.25 wz
     cavity = CavityParams(1.0, 0.3)
-    gc_sc = baths.closed_form_gc(strong, 1.0, cavity, GcMode.SELF_CONSISTENT).g_c
+    point = agreement(strong, 1.0, cavity, GcMode.SELF_CONSISTENT, routes=("mean_field",))
+    gc_sc, g_star = (result.g_c for result in point.results.values())
     gc_lit = baths.closed_form_gc(strong, 1.0, cavity, GcMode.LITERATURE).g_c
-    model = baths.spin_model(strong, 1.0)
-    g_star = meanfield.stability_threshold(cavity, model, 0.4 * gc_sc, 2.5 * gc_sc)
     dev_lit = abs(gc_lit - g_star) / g_star
     dev_sc = abs(gc_sc - g_star) / g_star
     ok = dev_lit > 1e-3 and dev_sc < 1e-6

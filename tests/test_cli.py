@@ -467,6 +467,17 @@ def run_oracle_table(*argv):
                           env=env, capture_output=True)
 
 
+@pytest.mark.parametrize("omega_z, expected, cause", [
+    ("-1", 2, "closed_form: no transition: inverted"),
+    ("0", 1, "chi0 is undefined (division by zero)"),
+], ids=["inverted", "singular"])
+def test_oracle_table_names_the_first_failing_suite_point(omega_z, expected, cause):
+    proc = run_oracle_table("--omega-z", omega_z)
+    assert (proc.returncode, proc.stdout) == (expected, b"")
+    assert proc.stderr.decode() == ("oracle_table.py: error: suite point "
+                                    f"dephasing(gamma=0.0, sz=-0.5), kappa = 0: {cause}\n")
+
+
 @pytest.mark.parametrize("case", list(ORACLE_TABLE_DIGESTS))
 def test_oracle_table_stdout_matches_recorded_digests(case):
     proc = run_oracle_table(*ORACLE_TABLE_ARGS[case])
@@ -680,6 +691,17 @@ class TestOracleCommand:
         code, out, _ = run_cli(capsys, "oracle", *extra)
         assert code in (0, 3)
         assert out == "".join(f"{line}\n" for line in lines)
+
+    @pytest.mark.parametrize("omega_z, expected, cause", [
+        ("-1", 2, "closed_form: no transition: inverted"),
+        ("0", 1, "chi0 is undefined (division by zero)"),
+    ], ids=["inverted", "singular"])
+    def test_first_failing_suite_point_is_named(self, capsys, omega_z, expected, cause):
+        # the first suite point stops the run: one stderr line, nothing on stdout
+        code, out, err = run_cli(capsys, "oracle", "--omega-z", omega_z)
+        assert (code, out) == (expected, "")
+        assert err == (f"dicke-critic: error: at omega_z = {omega_z}, omega0 = 1, kappa = 0: "
+                       f"suite point dephasing(gamma=0.0, sz=-0.5), kappa = 0: {cause}\n")
 
     def test_tight_tolerance_exits_3(self, capsys, tmp_path):
         code, _, _ = run_cli(

@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dicke_critic import baths, lindblad, meanfield, response
 from dicke_critic.baths import (
     CavityParams,
     Dephasing,
@@ -16,10 +18,13 @@ from dicke_critic.baths import (
     closed_form_chi0,
 )
 from dicke_critic.critical import (
+    ROUTES,
     NoTransition,
+    NotRun,
     NoTransitionReason,
     SweepPlan,
     Transition,
+    agreement,
     fully_polarized_gc,
     solve_gc,
     sweep,
@@ -68,6 +73,76 @@ class TestSolveGc:
         # a normal scale still solves: the threshold itself, and kappa rescuing a tiny omega0
         assert isinstance(solve_gc(-1.6, CavityParams(1.5e-154, 0.0)), Transition)
         assert fully_polarized_gc(1.0, CavityParams(1e-300, 1e-100)) > 0
+
+
+# every catalog family at the ends and the middle of its parameter ranges
+SCAN_BATHS = (
+    [Dephasing(gamma, sz) for gamma in (0.0, 0.3, 5.0) for sz in (-0.5, -0.2, 0.0, 0.3, 0.5)]
+    + [Thermal(gamma, temp) for gamma in (0.01, 0.3, 5.0) for temp in (0.0, 0.5, 50.0)]
+    + [Generalized(gamma, t) for gamma in (0.01, 1.0, 5.0) for t in (0.0, 0.5, 1.0)]
+)
+
+
+class TestAgreement:
+    def test_routes_agree_across_the_catalog(self):
+        # bounds from c04 (quadrature chi0 to 1e-8) and c09 (mean-field threshold to 1e-6);
+        # points near |chi0| = ZERO_TOL, where the two chi0 can fall on either side of
+        # the absolute cut, are left out
+        outcomes = set()
+        for bath, omega_z, kappa in itertools.product(SCAN_BATHS, (1.0, -1.0), (0.0, 0.5)):
+            try:
+                point = agreement(bath, omega_z, CavityParams(1.0, kappa))
+            except DickeCriticError as exc:  # then the quadrature route's model fails alike
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    lindblad.steady_state(baths.spin_model(bath, omega_z))
+                outcomes.add(type(exc))
+                continue
+            assert list(point.results) == list(ROUTES)
+            closed, quadrature, mean_field = point.results.values()
+            if isinstance(closed, Transition):
+                assert abs(quadrature.g_c - closed.g_c) <= 1e-8 * closed.g_c, (bath, omega_z, kappa)
+                assert abs(mean_field.g_c - closed.g_c) <= 1e-6 * closed.g_c, (bath, omega_z, kappa)
+                outcomes.add(Transition)
+            else:
+                assert (quadrature, mean_field) == (closed, NotRun()), (bath, omega_z, kappa)
+                outcomes.add(closed.reason)
+        assert outcomes == {Transition, *NoTransitionReason, InvalidModelError}
+
+    def test_named_routes_only(self):
+        bath, cavity = Generalized(gamma=0.2, t=0.4), CavityParams(1.0, 0.5)
+        closed = agreement(bath, 1.0, cavity, routes=("closed_form",))
+        assert list(closed.results) == ["closed_form"]
+        assert closed.chi0 == closed_form_chi0(bath, 1.0)
+        assert closed.results["closed_form"] == solve_gc(closed.chi0, cavity)
+        # the closed form runs whether named or not
+        assert list(agreement(bath, 1.0, cavity, routes=("quadrature",)).results) == [
+            "closed_form", "quadrature"]
+        literature = agreement(bath, 1.0, cavity, GcMode.LITERATURE, routes=())
+        assert literature.chi0 == closed_form_chi0(bath, 1.0, GcMode.LITERATURE)
+        with pytest.raises(PreconditionError, match=r"unknown routes \['exact_n'\]"):
+            agreement(bath, 1.0, cavity, routes=("closed_form", "exact_n"))
+
+    def test_mean_field_not_run_without_a_transition(self, monkeypatch):
+        monkeypatch.setattr(meanfield, "stability_threshold", None)  # a call would fail
+        point = agreement(Dephasing(gamma=0.3, sz=0.3), 1.0, CavityParams(1.0, 0.5),
+                          routes=("mean_field",))
+        assert point.results == {"closed_form": NoTransition(NoTransitionReason.INVERTED),
+                                 "mean_field": NotRun()}
+
+    def test_routes_are_called_through_their_modules(self, monkeypatch):
+        # a wrapper set on the module attribute, as a tracer sets it, sees each route's call
+        calls = []
+        for module, name in ((baths, "closed_form_chi0"), (baths, "spin_model"),
+                             (lindblad, "steady_state"), (lindblad, "two_time_sx"),
+                             (response, "chi_from_correlator"),
+                             (meanfield, "stability_threshold")):
+            def wrapper(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+        agreement(Thermal(gamma=0.1, temperature=0.5), 1.0, CavityParams(1.0, 0.3))
+        assert calls == ["closed_form_chi0", "spin_model", "steady_state", "two_time_sx",
+                         "chi_from_correlator", "stability_threshold"]
 
 
 class TestKappaScaling:

@@ -5,6 +5,7 @@ import pytest
 
 from dicke_critic import baths, meanfield
 from dicke_critic.baths import CavityParams, Dephasing, Generalized, Thermal
+from dicke_critic.critical import agreement
 from dicke_critic.errors import NoThresholdError, PreconditionError
 from dicke_critic.lindblad import steady_state
 from dicke_critic.meanfield import (
@@ -73,18 +74,17 @@ class TestThreshold:
     def test_oracle_suite_is_exact(self):
         # bound fixed before the first run: a few ulps, against the bisection's 1e-8
         for text, kappa in ORACLE_SUITE:
-            bath, cavity = baths.parse_bath(text), CavityParams(1.0, kappa)
-            gc = baths.closed_form_gc(bath, 1.0, cavity).g_c
-            g_star = stability_threshold(cavity, model_for(bath), 0.4 * gc, 2.5 * gc)
+            point = agreement(baths.parse_bath(text), 1.0, CavityParams(1.0, kappa),
+                              routes=("mean_field",))
+            gc, g_star = (result.g_c for result in point.results.values())
             assert abs(g_star - gc) / gc <= 2e-15, text
 
     @pytest.mark.parametrize("bath", [Dephasing(gamma=0.0, sz=-0.5), Thermal(0.1, 0.5)])
     def test_far_apart_scales(self, bath):
         # omega0 = 1e-6 and omega_z = 1e6: the growth rate at 2.5 g_c is 2.29e-6, far
         # below max(omega0, omega_z), and the exact root needs no scale to compare it to
-        cavity = CavityParams(1e-6, 0.0)
-        gc = baths.closed_form_gc(bath, 1e6, cavity).g_c
-        g_star = stability_threshold(cavity, model_for(bath, 1e6), 0.4 * gc, 2.5 * gc)
+        point = agreement(bath, 1e6, CavityParams(1e-6, 0.0), routes=("mean_field",))
+        gc, g_star = (result.g_c for result in point.results.values())
         assert abs(g_star - gc) / gc <= 1e-15
 
     def test_bracket_error_names_end_rates(self):

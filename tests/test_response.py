@@ -3,7 +3,7 @@ import pytest
 
 from dicke_critic import baths, lindblad, qops, response
 from dicke_critic.baths import CavityParams, Custom, Dephasing, Generalized, Thermal
-from dicke_critic.critical import solve_gc
+from dicke_critic.critical import agreement, solve_gc
 from dicke_critic.errors import NonIntegrableTailError
 from dicke_critic.lindblad import steady_state, two_time_sx
 from dicke_critic.meanfield import jacobian
@@ -112,10 +112,9 @@ class TestChiQuadrature:
             Thermal(gamma=0.15, temperature=0.7),
             Generalized(gamma=0.35, t=0.6),
         ):
-            cavity = CavityParams(1.1, 0.4)
-            closed = baths.closed_form_gc(bath, 1.0, cavity).g_c
-            chi0 = chi_from_correlator(series_for(bath), 0.0).real
-            assert solve_gc(chi0, cavity).g_c == pytest.approx(closed, rel=1e-6)
+            point = agreement(bath, 1.0, CavityParams(1.1, 0.4), routes=("quadrature",))
+            closed, quadrature = (result.g_c for result in point.results.values())
+            assert quadrature == pytest.approx(closed, rel=1e-6)
 
 
 def max_rel_dev(got, want):
