@@ -184,15 +184,18 @@ def cmd_gc(cfg: RunConfig) -> int:
     lines = [f"units = {'raw' if cfg.raw_units else 'omega_z'}",
              f"chi0 = {fmt(point.chi0 * unit)}"]
     if isinstance(result, NoTransition):
-        lines += [f"g_c = no transition: {result.reason.value}", "g_c_over_g0 = inf"]
+        lines.append(f"g_c = no transition: {result.reason.value}")
+        lines.append("g_c_over_g0 = inf")
         _write(cfg.output, "\n".join(lines) + "\n")
         return EXIT_NO_TRANSITION
-    lines += [f"g_c = {fmt(result.g_c / unit)}", f"g_c_over_g0 = {fmt(result.g_c / g0)}"]
+    lines.append(f"g_c = {fmt(result.g_c / unit)}")
+    lines.append(f"g_c_over_g0 = {fmt(result.g_c / g0)}")
     status = EXIT_OK
     if cfg.verify:  # the mean-field route ran on the closed form's transition
         g_star = point.results["mean_field"].g_c
         dev = abs(g_star - result.g_c) / result.g_c
-        lines += [f"g_star = {fmt(g_star / unit)}", f"oracle_rel_dev = {fmt(dev)}"]
+        lines.append(f"g_star = {fmt(g_star / unit)}")
+        lines.append(f"oracle_rel_dev = {fmt(dev)}")
         if dev > cfg.tol:
             status = EXIT_ORACLE_DISAGREEMENT
     _write(cfg.output, "\n".join(lines) + "\n")

@@ -241,8 +241,6 @@ def agreement(bath: BathSpec, omega_z: float, cavity: CavityParams,
     Each route is called through its module, so a wrapper set on the
     module attribute sees the call.
     """
-    if unknown := sorted(set(routes) - set(ROUTES)):
-        raise PreconditionError(f"unknown routes {unknown}: the routes are {ROUTES}")
     chi0 = baths.closed_form_chi0(bath, omega_z, mode)
     closed = solve_gc(chi0, cavity)
     results: dict[str, CriticalResult | NotRun] = {"closed_form": closed}

@@ -119,8 +119,6 @@ class TestAgreement:
             "closed_form", "quadrature"]
         literature = agreement(bath, 1.0, cavity, GcMode.LITERATURE, routes=())
         assert literature.chi0 == closed_form_chi0(bath, 1.0, GcMode.LITERATURE)
-        with pytest.raises(PreconditionError, match=r"unknown routes \['exact_n'\]"):
-            agreement(bath, 1.0, cavity, routes=("closed_form", "exact_n"))
 
     def test_mean_field_not_run_without_a_transition(self, monkeypatch):
         monkeypatch.setattr(meanfield, "stability_threshold", None)  # a call would fail
