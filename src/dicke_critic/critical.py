@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import baths, lindblad, meanfield, response
+from . import baths, lindblad, response
 from .baths import _BATH_FIELDS, BathSpec, CavityParams, GcMode, _float_range, _sq
 from .errors import DickeCriticError, PreconditionError
 
@@ -251,6 +251,8 @@ def agreement(bath: BathSpec, omega_z: float, cavity: CavityParams,
         series = lindblad.two_time_sx(model, lindblad.steady_state(model).rho)
         results["quadrature"] = solve_gc(response.chi_from_correlator(series, 0.0).real, cavity)
     if mean_field:
+        from . import meanfield  # here, so that import dicke_critic (the exact-N route) skips it
+
         lo, hi = (f * closed.g_c for f in MEAN_FIELD_BRACKET)
         results["mean_field"] = Transition(meanfield.stability_threshold(cavity, model, lo, hi))
     elif "mean_field" in routes:
