@@ -16,12 +16,13 @@ import numpy as np
 
 from dicke_critic import CavityParams, GcMode, Generalized, Transition, closed_form_gc
 from dicke_critic.cli import csv_table
+from dicke_critic.config import parse_float_list
 from dicke_critic.critical import fully_polarized_gc
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--gamma-ratios", default="0.25,0.5,1.0",
+    ap.add_argument("--gamma-ratios", type=parse_float_list, default="0.25,0.5,1.0",
                     help="comma list of gamma_t / omega_z values")
     ap.add_argument("--kappa", type=float, default=0.0)
     ap.add_argument("--points", type=int, default=100)
@@ -31,11 +32,10 @@ def main() -> None:
     omega_z = 1.0
     cavity = CavityParams(omega0=1.0, kappa=args.kappa)
     g0 = fully_polarized_gc(omega_z, cavity)
-    ratios = [float(r) for r in args.gamma_ratios.split(",")]
     ts = np.linspace(0.0, 0.99, args.points)
 
     names, cols = ["t"], [ts]
-    for r in ratios:
+    for r in args.gamma_ratios:
         names += [f"gc_exact_gamma{r}", f"gc_quoted_gamma{r}"]
         for mode in (GcMode.SELF_CONSISTENT, GcMode.LITERATURE):
             results = [closed_form_gc(Generalized(gamma=r * omega_z, t=t), omega_z, cavity, mode)
@@ -45,7 +45,7 @@ def main() -> None:
 
     out = Path(args.output)
     out.write_text(csv_table(",".join(names), cols), encoding="utf-8")
-    print(f"wrote {out} ({len(ts)} rows, {len(ratios)} damping strengths)")
+    print(f"wrote {out} ({len(ts)} rows, {len(args.gamma_ratios)} damping strengths)")
 
 
 if __name__ == "__main__":

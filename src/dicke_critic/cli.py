@@ -17,15 +17,17 @@ Subcommands:
 * ``oracle``   -- closed form vs mean-field threshold table, ``critical.agreement``
   at each ``ORACLE_SUITE`` point; a point without a transition exits 2
 
-Flags are declared here with their help text only: each flag's text goes
-to ``config.merge_config``, which reads it with the parser of its key in
-``config.SETTINGS``, as it reads a config line of that key, and runs the
-same checks on both. A bad value is one ``bad value for --flag: ...`` line.
+A subcommand has a flag for each ``config.SETTINGS`` key it reads, as
+``COMMANDS`` lists them, and ``--config`` and ``--output``; any other flag
+is a usage error. Each flag's text goes to ``config.merge_config``, which
+reads it as it reads a config line of that key and runs the same checks
+on both; a config line of a key the subcommand does not read is checked,
+not read. A bad value is one ``bad value for --flag: ...`` line.
 
 Exit codes: 0 success, 1 usage or parse error, 2 no transition,
-3 oracle disagreement. An error message on stderr names the parameter
-point of the run (bath, omega_z, omega0, kappa) once the configuration
-has been read.
+3 oracle disagreement. Once the configuration has been read, an error
+message on stderr starts with the point settings (bath, omega_z, omega0,
+kappa) that the subcommand reads, and their values.
 
 Every CSV table is written by ``csv_table``: the version line, the header,
 then one row per index of its columns, each float with 17 significant
@@ -87,20 +89,30 @@ def _default(key: str) -> str:
     return f"(default {text})"
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bath", help='e.g. "dephasing(gamma=0.3, sz=-0.5)"')
-    p.add_argument("--omega-z", dest="omega_z", help=f"atomic detuning {_default('omega_z')}")
-    p.add_argument("--omega0", help=f"cavity detuning {_default('omega0')}")
-    p.add_argument("--kappa", help=f"cavity decay {_default('kappa')}")
-    p.add_argument(
-        "--mode",
-        metavar="{self-consistent,literature}",
-        help=f"closed-form variant {_default('mode')}",
-    )
-    p.add_argument("--raw-units", dest="raw_units", action="store_const", const="true",
-                   help="report raw frequencies instead of units of omega_z")
-    p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--output", help="output path ('-' = stdout)")
+# command -> (help, the config.SETTINGS keys it reads, each a flag --key with '-' for '_');
+# every command also takes --config and --output
+_POINT = ("bath", "omega_z", "omega0", "kappa")
+COMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "gc": ("critical coupling at one point", (*_POINT, "mode", "raw_units", "verify", "tol")),
+    "sweep": ("phase boundary over a grid", (*_POINT, "mode", "raw_units", "sweep_param",
+              "sweep_start", "sweep_stop", "sweep_points", "sweep_values", "format")),
+    "corr": ("two-time correlator samples", ("bath", "omega_z", "raw_units", "tmax", "dt")),
+    "spectrum": ("cavity determinant vs frequency",
+                 (*_POINT, "raw_units", "g", "omega_min", "omega_max", "omega_points")),
+    "oracle": ("closed form vs mean-field table", ("omega_z", "omega0", "tol")),
+}
+# the help of each flag that has one; six name their key's default in config.SETTINGS
+_HELP = {
+    "bath": 'e.g. "dephasing(gamma=0.3, sz=-0.5)"',
+    "omega_z": f"atomic detuning {_default('omega_z')}",
+    "omega0": f"cavity detuning {_default('omega0')}", "kappa": f"cavity decay {_default('kappa')}",
+    "mode": f"closed-form variant {_default('mode')}", "g": f"coupling {_default('g')}",
+    "tol": f"max relative deviation of the mean-field threshold {_default('tol')}",
+    "raw_units": "report raw frequencies instead of units of omega_z",
+    "verify": "cross-check against the mean-field threshold",
+    "sweep_param": "parameter to sweep", "sweep_values": "comma-separated explicit grid",
+}
+_METAVARS = {"mode": "{self-consistent,literature}", "format": "{csv,json}"}
 
 
 @functools.cache
@@ -109,38 +121,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="dicke-critic")
     parser.add_argument("--version", action="version", version=HEADER.lstrip("# "))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gc = sub.add_parser("gc", parents=[], help="critical coupling at one point")
-    _add_common(p_gc)
-    p_gc.add_argument("--verify", action="store_const", const="true",
-                      help="cross-check against the mean-field threshold")
-    p_gc.add_argument("--tol", help=f"oracle tolerance for --verify {_default('tol')}")
-
-    p_sweep = sub.add_parser("sweep", help="phase boundary over a grid")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--sweep-param", dest="sweep_param", help="parameter to sweep")
-    p_sweep.add_argument("--sweep-start", dest="sweep_start")
-    p_sweep.add_argument("--sweep-stop", dest="sweep_stop")
-    p_sweep.add_argument("--sweep-points", dest="sweep_points")
-    p_sweep.add_argument("--sweep-values", dest="sweep_values",
-                         help="comma-separated explicit grid")
-    p_sweep.add_argument("--format", dest="format", metavar="{csv,json}")
-
-    p_corr = sub.add_parser("corr", help="two-time correlator samples")
-    _add_common(p_corr)
-    p_corr.add_argument("--tmax")
-    p_corr.add_argument("--dt")
-
-    p_spec = sub.add_parser("spectrum", help="cavity determinant vs frequency")
-    _add_common(p_spec)
-    p_spec.add_argument("--g", help=f"coupling {_default('g')}")
-    p_spec.add_argument("--omega-min", dest="omega_min")
-    p_spec.add_argument("--omega-max", dest="omega_max")
-    p_spec.add_argument("--omega-points", dest="omega_points")
-
-    p_oracle = sub.add_parser("oracle", help="closed form vs mean-field table")
-    _add_common(p_oracle)
-    p_oracle.add_argument("--tol", help=f"max relative deviation {_default('tol')}")
+    for name, (help_text, keys) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in keys:  # a bool key is a switch, whose presence reads "true"
+            kind = ({"action": "store_const", "const": "true"} if isinstance(SETTINGS[key][1], bool)
+                    else {"metavar": _METAVARS.get(key)})
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, help=_HELP.get(key), **kind)
+        p.add_argument("--config", help="key = value config file; flags override it")
+        p.add_argument("--output", help="output path ('-' = stdout)")
     return parser
 
 
@@ -152,13 +140,11 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 def _write(cfg_output: str, text: str) -> None:
     if cfg_output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(cfg_output).write_text(text, encoding="utf-8", newline="")
-
-
-def _require_bath(cfg: RunConfig) -> None:
-    if cfg.bath is None:
-        raise DickeCriticError("a bath must be given (--bath or config)")
+    except OSError as exc:
+        raise DickeCriticError(f"cannot write {cfg_output}: {exc.strerror}") from None
 
 
 def csv_table(header: str, columns: Sequence[np.ndarray | Sequence[str]]) -> str:
@@ -175,7 +161,6 @@ def csv_table(header: str, columns: Sequence[np.ndarray | Sequence[str]]) -> str
 
 
 def cmd_gc(cfg: RunConfig) -> int:
-    _require_bath(cfg)
     point = critical.agreement(cfg.bath, cfg.omega_z, cfg.cavity, cfg.mode,
                                ("closed_form", "mean_field") if cfg.verify else ("closed_form",))
     result = point.results["closed_form"]
@@ -203,7 +188,6 @@ def cmd_gc(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    _require_bath(cfg)
     if not cfg.sweep_param or not cfg.sweep_values:
         raise DickeCriticError("sweep needs sweep_param and a grid")
     plan = SweepPlan(
@@ -240,7 +224,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_corr(cfg: RunConfig) -> int:
-    _require_bath(cfg)
     model = baths.spin_model(cfg.bath, cfg.omega_z)
     from .lindblad import steady_state, two_time_sx
 
@@ -252,7 +235,6 @@ def cmd_corr(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    _require_bath(cfg)
     model = baths.spin_model(cfg.bath, cfg.omega_z)
     omega_max = cfg.omega_max if cfg.omega_max is not None else 2.5 * max(
         cfg.cavity.omega0, abs(cfg.omega_z)
@@ -309,6 +291,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return EXIT_OK if dev.max() <= cfg.tol else EXIT_ORACLE_DISAGREEMENT
 
 
+# the function of each command in COMMANDS: a dict of functions, whose entries
+# perfbench/tracer.py wraps in place
 _COMMANDS = {
     "gc": cmd_gc,
     "sweep": cmd_sweep,
@@ -318,12 +302,12 @@ _COMMANDS = {
 }
 
 
-def _point(cfg: RunConfig) -> str:
-    """The parameter point of a run, as error messages name it."""
-    parts = [] if cfg.bath is None else [f"bath = {baths.format_bath(cfg.bath)}"]
-    parts += [f"omega_z = {fmt(cfg.omega_z)}", f"omega0 = {fmt(cfg.cavity.omega0)}",
-              f"kappa = {fmt(cfg.cavity.kappa)}"]
-    return ", ".join(parts)
+def _point(cfg: RunConfig, keys: tuple[str, ...]) -> str:
+    """The parameter point of a run, as error messages name it: the point settings it reads
+    (a run without a bath names none)."""
+    point = {"bath": cfg.bath and baths.format_bath(cfg.bath), "omega_z": fmt(cfg.omega_z),
+             "omega0": fmt(cfg.cavity.omega0), "kappa": fmt(cfg.cavity.kappa)}
+    return ", ".join(f"{key} = {point[key]}" for key in _POINT if key in keys and point[key])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -331,12 +315,15 @@ def main(argv: list[str] | None = None) -> int:
     cfg = None
     try:
         args = parser.parse_args(argv)
+        keys = COMMANDS[args.command][1]
         cfg = _run_config(args)
+        if "bath" in keys and cfg.bath is None:
+            raise DickeCriticError("a bath must be given (--bath or config)")
         return _COMMANDS[args.command](cfg)
     except SystemExit as exc:
         return int(exc.code or 0)
     except DickeCriticError as exc:
-        where = "" if cfg is None else f"at {_point(cfg)}: "
+        where = "" if cfg is None else f"at {_point(cfg, keys)}: "
         print(f"dicke-critic: error: {where}{exc}", file=sys.stderr)
         return EXIT_NO_TRANSITION if isinstance(exc, NoTransitionError) else EXIT_USAGE
 

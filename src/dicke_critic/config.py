@@ -121,7 +121,13 @@ def coerce(key: str, raw: str, line: int | None = None, column: int | None = Non
 
 
 def load_config_file(path: str | Path) -> dict[str, object]:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigParseError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(
+            f"cannot read config file {path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
     raw = parse_config_text(text)
     return {k: coerce(k, v, line, col) for k, (v, line, col) in raw.items()}
 
@@ -177,7 +183,10 @@ def merge_config(cli_values: dict[str, str | None], config_path: str | None) -> 
         raise ConfigParseError(
             f"omega_points = {merged['omega_points']} must be <= {MAX_OMEGA_POINTS}")
     lo, hi, n = merged.pop("sweep_start"), merged.pop("sweep_stop"), merged.pop("sweep_points")
-    if merged["sweep_values"] is None and n is not None:
+    if merged["sweep_values"] is not None and (lo, hi, n) != (None, None, None):
+        raise ConfigParseError("sweep_values and sweep_start/sweep_stop/sweep_points are two grids:"
+                               " give one")
+    if n is not None:
         if lo is None or hi is None:
             raise ConfigParseError("sweep_points needs sweep_start and sweep_stop")
         if n < 1:

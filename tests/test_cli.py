@@ -449,6 +449,20 @@ def test_script_output_matches_recorded_digests(tmp_path, case):
     assert hashlib.sha256(output.read_bytes()).hexdigest() == SCRIPT_DIGESTS[case]
 
 
+def test_decay_channel_sweep_rejects_an_empty_ratio(tmp_path):
+    # the script reads --gamma-ratios with config.parse_float_list: a usage error, not a traceback
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "decay_channel_sweep.py"),
+                           "--gamma-ratios", "0.25,,0.5", "--output", str(tmp_path / "out.csv")],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith("error: argument --gamma-ratios: "
+                                "invalid parse_float_list value: '0.25,,0.5'\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
 # sha256 of scripts/oracle_table.py's stdout, as its per-point route chain printed it,
 # with one BLAS thread
 ORACLE_TABLE_DIGESTS = {
@@ -546,8 +560,7 @@ class TestCorr:
                                  "--omega-z", "1e-300")
         assert (code, out) == (1, "")
         assert err == ("dicke-critic: error: at bath = thermal(gamma=0.1, T=1e+300), "
-                       "omega_z = 1e-300, omega0 = 1, kappa = 0: "
-                       "thermal occupation is undefined (division by zero)\n")
+                       "omega_z = 1e-300: thermal occupation is undefined (division by zero)\n")
 
 
 class TestSpectrum:
@@ -700,7 +713,7 @@ class TestOracleCommand:
         # the first suite point stops the run: one stderr line, nothing on stdout
         code, out, err = run_cli(capsys, "oracle", "--omega-z", omega_z)
         assert (code, out) == (expected, "")
-        assert err == (f"dicke-critic: error: at omega_z = {omega_z}, omega0 = 1, kappa = 0: "
+        assert err == (f"dicke-critic: error: at omega_z = {omega_z}, omega0 = 1: "
                        f"suite point dephasing(gamma=0.0, sz=-0.5), kappa = 0: {cause}\n")
 
     def test_tight_tolerance_exits_3(self, capsys, tmp_path):
@@ -762,6 +775,43 @@ class TestConfigFile:
     def test_unknown_flag_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "gc", "--frobnicate")
         assert code == 1
+
+    def test_lines_a_command_does_not_read_are_checked_not_read(self, capsys, tmp_path):
+        # one file serves gc, sweep and spectrum; oracle and corr check its other lines
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bath = thermal(gamma=0.1, T=0.5)\nkappa = 0.3\nmode = literature\n"
+                       "sweep_param = T\nsweep_values = 0.1, 0.2\ng = 0.2\nomega_points = 5\n")
+        for command in ("gc", "sweep", "spectrum"):
+            assert run_cli(capsys, command, "--config", str(cfg))[::2] == (0, "")
+        assert run_cli(capsys, "oracle", "--config", str(cfg)) == run_cli(capsys, "oracle")
+        bath = ("--bath", "thermal(gamma=0.1, T=0.5)")
+        assert run_cli(capsys, "corr", "--config", str(cfg)) == run_cli(capsys, "corr", *bath)
+        cfg.write_text("kappa = -1\n")
+        assert run_cli(capsys, "corr", *bath, "--config", str(cfg)) == (
+            1, "", "dicke-critic: error: kappa = -1.0 must be nonnegative\n")
+
+    @pytest.mark.parametrize("case, cause", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+        ("not_utf8", "not UTF-8: invalid start byte at byte 10"),
+    ])
+    def test_unreadable_file_is_one_error_line(self, capsys, tmp_path, case, cause):
+        path = tmp_path / "run.cfg"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not_utf8":
+            path.write_bytes(b"omega0 = 1\xff\n")
+        assert run_cli(capsys, "gc", "--bath", "thermal(gamma=0.1, T=0.5)", "--config", str(path)) == (
+            1, "", f"dicke-critic: error: cannot read config file {path}: {cause}\n")
+
+
+@pytest.mark.parametrize("case, cause", [("missing_directory", "No such file or directory"),
+                                         ("directory", "Is a directory")])
+def test_unwritable_output_is_one_error_line(capsys, tmp_path, case, cause):
+    path = tmp_path / "absent" / "gc.txt" if case == "missing_directory" else tmp_path
+    assert run_cli(capsys, "gc", "--bath", "thermal(gamma=0.1, T=0.5)", "--output", str(path)) == (
+        1, "", f"dicke-critic: error: at bath = thermal(gamma=0.1, T=0.5), omega_z = 1, omega0 = 1, "
+               f"kappa = 0: cannot write {path}: {cause}\n")
 
 
 class TestNumericFlags:
@@ -830,6 +880,23 @@ class TestSweepGrid:
                 assert all(type(v) is float for v in got)
                 assert np.array(got).tobytes() == np.array(want).tobytes(), (lo, hi, n)
         assert self.expanded(0.25, 3.0, 1) == (0.25,)
+
+    @pytest.mark.parametrize("values, grid", [
+        ("flag", "flags"), ("line", "lines"), ("line", "flags"), ("flag", "start_line"),
+    ])
+    def test_one_grid_form_at_a_time(self, capsys, tmp_path, values, grid):
+        # an explicit grid and a start/stop/points grid, whichever source gave each
+        cfg = tmp_path / "run.cfg"
+        lines = {"lines": "sweep_start = 5\nsweep_stop = 6\nsweep_points = 7\n",
+                 "start_line": "sweep_start = 5\n"}.get(grid, "")
+        cfg.write_text(lines + ("sweep_values = 0.1, 0.2\n" if values == "line" else ""))
+        argv = ["sweep", "--bath", "thermal(gamma=0.1, T=0.5)", "--sweep-param", "T",
+                "--config", str(cfg), *(["--sweep-values", "0.1,0.2"] if values == "flag" else []),
+                *(["--sweep-start", "5", "--sweep-stop", "6", "--sweep-points", "7"]
+                  if grid == "flags" else [])]
+        assert run_cli(capsys, *argv) == (1, "", "dicke-critic: error: sweep_values and "
+                                          "sweep_start/sweep_stop/sweep_points are two grids: "
+                                          "give one\n")
 
     def test_float_list_whitespace_and_empty_entries(self):
         assert parse_float_list(" 0.2 ,\t0.5\n, -1e-3,1") == (0.2, 0.5, -0.001, 1.0)
@@ -945,6 +1012,55 @@ class TestSettingSources:
         column = len(f"{key} = ") + 1 + (raw.index("abc") if key == "bath" else 0)
         assert run_cli(capsys, *by_line) == (
             1, "", f"dicke-critic: error: bad value for {key!r}: {rule} (line 1, column {column})\n")
+
+
+# a base run of each command at a point where every setting it reads shows in its
+# stdout or exit code: omega_z != 1 (raw_units) and a generalized bath (mode). Four
+# settings show as a typed error naming their value: sweep_param T (not a parameter of
+# the bath), sweep_values (a second grid), tmax 5 and dt 0.25 (too short, too coarse)
+GUARD_BATH = ("--bath", "generalized(gamma=0.3, t=0.7)", "--omega-z", "2")
+GUARD_BASE = {
+    "gc": ("gc", *GUARD_BATH),
+    "sweep": ("sweep", *GUARD_BATH, "--sweep-param", "gamma", "--sweep-start", "0.2",
+              "--sweep-stop", "0.5", "--sweep-points", "2"),
+    "corr": ("corr", *GUARD_BATH),
+    "spectrum": ("spectrum", *GUARD_BATH),
+    "oracle": ("oracle", "--omega-z", "2"),
+}
+# the settings that subcommands no longer declare, since no subcommand read them there
+UNREAD = [("oracle", "bath"), ("oracle", "kappa"), ("oracle", "mode"), ("oracle", "raw_units"),
+          ("corr", "omega0"), ("corr", "kappa"), ("corr", "mode"), ("spectrum", "mode")]
+
+
+class TestCommandTable:
+    """Each subcommand declares the flags of the settings it reads, and only those."""
+
+    def test_declared_flags_are_the_command_table(self):
+        assert DECLARED == [(command, key) for command, (_, keys) in cli.COMMANDS.items()
+                            for key in (*keys, "output")]
+        assert not set(UNREAD) & set(DECLARED)
+
+    @pytest.mark.parametrize("command, key", DECLARED, ids=[f"{c}-{k}" for c, k in DECLARED])
+    def test_every_declared_flag_changes_the_run(self, capsys, tmp_path, monkeypatch,
+                                                 command, key):
+        monkeypatch.chdir(tmp_path)  # --output=out.csv is written here, and stdout is empty
+        base = list(GUARD_BASE[command])
+        if key == "tol":  # against a tolerance of 0, which a nonzero deviation fails
+            (tmp_path / "run.cfg").write_text("verify = true\ntol = 0\n")
+            base += ["--config", "run.cfg"]
+        flag = f"--{key.replace('_', '-')}"
+        without = run_cli(capsys, *base)
+        assert without[0] == (3 if key == "tol" else 0)
+        given = [*base, flag] if key in BOOL_KEYS else [*base, f"{flag}={GOOD_TEXT[key]}"]
+        assert run_cli(capsys, *given)[:2] != without[:2]
+
+    @pytest.mark.parametrize("command, key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
+    def test_unread_setting_is_a_usage_error(self, capsys, command, key):
+        flag = f"--{key.replace('_', '-')}"
+        given = [flag] if key in BOOL_KEYS else [flag, GOOD_TEXT[key]]
+        code, out, err = run_cli(capsys, *GUARD_BASE[command], *given)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"dicke-critic: error: unrecognized arguments: {' '.join(given)}\n")
 
 
 class TestParserCache:
