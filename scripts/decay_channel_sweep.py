@@ -7,17 +7,20 @@ strengths, to visualize how the symmetric-decay approximation (the
 is monotone in t for gamma <= (3 sqrt(3)/2) omega_z ~= 2.598 omega_z (every
 default damping strength), while the approximation dips before diverging at
 t -> 1. Above that damping the exact curve is non-monotone too.
+
+Each curve is one critical.sweep over t. A bad input or an unwritable
+--output is one error line and exit 1.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from dicke_critic import CavityParams, GcMode, Generalized, Transition, closed_form_gc
+from dicke_critic import CavityParams, DickeCriticError, GcMode, Generalized, SweepPlan, sweep
 from dicke_critic.cli import csv_table
 from dicke_critic.config import parse_float_list
-from dicke_critic.critical import fully_polarized_gc
 
 
 def main() -> None:
@@ -30,21 +33,24 @@ def main() -> None:
     args = ap.parse_args()
 
     omega_z = 1.0
-    cavity = CavityParams(omega0=1.0, kappa=args.kappa)
-    g0 = fully_polarized_gc(omega_z, cavity)
     ts = np.linspace(0.0, 0.99, args.points)
-
     names, cols = ["t"], [ts]
-    for r in args.gamma_ratios:
-        names += [f"gc_exact_gamma{r}", f"gc_quoted_gamma{r}"]
-        for mode in (GcMode.SELF_CONSISTENT, GcMode.LITERATURE):
-            results = [closed_form_gc(Generalized(gamma=r * omega_z, t=t), omega_z, cavity, mode)
-                       for t in ts.tolist()]
-            cols.append(np.array([res.g_c / g0 if isinstance(res, Transition) else np.inf
-                                  for res in results]))
+    try:
+        cavity = CavityParams(omega0=1.0, kappa=args.kappa)
+        for r in args.gamma_ratios:
+            names += [f"gc_exact_gamma{r}", f"gc_quoted_gamma{r}"]
+            bath = Generalized(gamma=r * omega_z, t=0.0)
+            for mode in (GcMode.SELF_CONSISTENT, GcMode.LITERATURE):
+                table = sweep(SweepPlan(bath, omega_z, cavity, "t", ts, mode=mode))
+                cols.append(np.where(table.code == 0, table.gc_over_g0, np.inf))
+    except DickeCriticError as exc:
+        sys.exit(f"{ap.prog}: error: {exc}")
 
     out = Path(args.output)
-    out.write_text(csv_table(",".join(names), cols), encoding="utf-8")
+    try:
+        out.write_text(csv_table(",".join(names), cols), encoding="utf-8")
+    except OSError as exc:
+        sys.exit(f"{ap.prog}: error: cannot write {out}: {exc.strerror}")
     print(f"wrote {out} ({len(ts)} rows, {len(args.gamma_ratios)} damping strengths)")
 
 

@@ -57,7 +57,10 @@ def main() -> None:
 
     header = "g_over_gc," + ",".join(f"photons_N{n}" for n in atom_counts) + ",sz_mean_largest"
     out = Path(args.output)
-    out.write_text(csv_table(header, [gs / gc, *photons.T, sz_last]), encoding="utf-8")
+    try:
+        out.write_text(csv_table(header, [gs / gc, *photons.T, sz_last]), encoding="utf-8")
+    except OSError as exc:
+        sys.exit(f"{ap.prog}: error: cannot write {out}: {exc.strerror}")
     print(f"wrote {out}: infinite-N threshold gc = {fmt(gc)}")
 
 

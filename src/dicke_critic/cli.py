@@ -3,17 +3,15 @@
 Subcommands:
 
 * ``gc``       -- critical coupling for one parameter point
-* ``sweep``    -- phase-boundary table over a parameter grid, from the columns
-  of one ``critical.sweep`` broadcast; the JSON is the text
+* ``sweep``    -- phase-boundary table over a grid of one parameter, from the
+  columns of one ``critical.sweep`` broadcast; the JSON is the text
   ``json.dumps(rows, indent=2)`` would give, without its slow encoder
 * ``corr``     -- sampled two-time correlator S_x(t), stepped by one
   propagator, so it also runs at exceptional points of the generator
 * ``spectrum`` -- cavity determinant and susceptibility over frequency;
   chi(omega) on the whole grid, omega = 0 included, comes from one batched
   resolvent solve (``response.resolvent_chi``), not from the sampled
-  correlator; the determinant is evaluated one frequency at a time, since
-  a broadcast (omega + i kappa)^2 misses ``cavity_det``'s exact branch at
-  omega = 0 in the last bit
+  correlator, and the determinant from one ``response.cavity_det`` call
 * ``oracle``   -- closed form vs mean-field threshold table, ``critical.agreement``
   at each ``ORACLE_SUITE`` point; a point without a transition exits 2
 
@@ -201,7 +199,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     table = critical.sweep(plan)
     unit = 1.0 if cfg.raw_units else cfg.omega_z
     ok = table.code == 0
-    cols = [table.params[:, 0], table.chi0 * unit, table.g_c / unit, table.gc_over_g0]
+    cols = [table.params, table.chi0 * unit, table.g_c / unit, table.gc_over_g0]
     if cfg.format == "csv":
         cols[2:] = (np.where(ok, c, np.inf) for c in cols[2:])
         _write(cfg.output, csv_table(f"{cfg.sweep_param},chi0,g_c,g_c_over_g0,status",
@@ -242,8 +240,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     omega_min = cfg.omega_min if cfg.omega_min is not None else -omega_max
     omegas = np.linspace(omega_min, omega_max, cfg.omega_points)
     chis = response.resolvent_chi(model)(omegas)
-    dets = np.array([response.cavity_det(w, cfg.cavity, cfg.g, chi)
-                     for w, chi in zip(omegas.tolist(), chis.tolist())], dtype=complex)
+    dets = response.cavity_det(omegas, cfg.cavity, cfg.g, chis)
     unit = 1.0 if cfg.raw_units else cfg.omega_z
     _write(cfg.output, csv_table("omega,re_det,im_det,re_chi,im_chi", [
         omegas / unit, dets.real, dets.imag, chis.real * unit, chis.imag * unit]))

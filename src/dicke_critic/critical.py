@@ -101,7 +101,7 @@ def fully_polarized_gc(omega_z: float, cavity: CavityParams) -> float:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Grid specification: one or two swept parameters over a base point.
+    """Grid specification: one swept parameter over a base point.
 
     axis may name a bath parameter (e.g. "t", "gamma", "T", "sz") or one of
     omega_z / omega0 / kappa.
@@ -112,17 +112,11 @@ class SweepPlan:
     cavity: CavityParams
     axis: str
     values: tuple[float, ...]
-    axis2: str | None = None
-    values2: tuple[float, ...] | None = None
     mode: GcMode = GcMode.SELF_CONSISTENT
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(map(float, self.values)))
-        if self.values2 is not None:
-            object.__setattr__(self, "values2", tuple(map(float, self.values2)))
-        if (self.axis2 is None) != (self.values2 is None):
-            raise PreconditionError("axis2 and values2 must be given together")
-        if not self.values or (self.values2 is not None and not self.values2):
+        if not self.values:
             raise PreconditionError("sweep grids must be non-empty")
 
 
@@ -133,7 +127,7 @@ _STATUS = np.array(STATUS, dtype=object)
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Sweep columns in grid order; params is (rows, axes), row-major for two axes.
+    """Sweep columns in grid order; params is the column of swept values.
 
     code indexes STATUS; g_c and gc_over_g0 are nan where code is not 0 ("ok").
     """
@@ -150,21 +144,20 @@ class SweepTable:
         return _STATUS[self.code]
 
 
-def _point(plan: SweepPlan, axes: tuple[str, ...], values, checked: bool = True):
-    """(bath, omega_z, cavity) with each axis set to its value (unchecked: to its column)."""
+def _point(plan: SweepPlan, value, checked: bool = True):
+    """(bath, omega_z, cavity) with the axis set to value (unchecked: to its column)."""
     fields = {"omega_z": plan.omega_z, **vars(plan.cavity), **vars(plan.bath)}
     keys = next((k for cls, k in _BATH_FIELDS.values() if isinstance(plan.bath, cls)), {})
-    for axis, value in zip(axes, values):
-        name = keys.get(axis, axis)
-        if name not in fields:
-            kind = type(plan.bath).__name__
-            raise PreconditionError(f"cannot sweep {axis!r}: not a parameter of {kind}")
-        fields[name] = value
+    name = keys.get(plan.axis, plan.axis)
+    if name not in fields:
+        kind = type(plan.bath).__name__
+        raise PreconditionError(f"cannot sweep {plan.axis!r}: not a parameter of {kind}")
+    fields[name] = value
     omega_z = fields.pop("omega_z")
     cavity_fields = {name: fields.pop(name) for name in ("omega0", "kappa")}
     if checked:
         return type(plan.bath)(**fields), omega_z, CavityParams(**cavity_fields)
-    # columns skip __post_init__: sweep runs its checks at each column's ends
+    # columns skip __post_init__: sweep runs its checks at the column's ends
     bath, cavity = copy.copy(plan.bath), copy.copy(plan.cavity)
     bath.__dict__.update(fields)
     cavity.__dict__.update(cavity_fields)
@@ -177,15 +170,11 @@ def sweep(plan: SweepPlan) -> SweepTable:
     Each element equals the scalar calls at its row bitwise. Where a check
     fails, the scalar path is replayed row by row to raise its error.
     """
-    if plan.axis2 is None:
-        axes, params = (plan.axis,), np.array(plan.values)[:, None]
-    else:  # the rows of itertools.product(values, values2)
-        grid = np.meshgrid(plan.values, plan.values2, indexing="ij")
-        axes, params = (plan.axis, plan.axis2), np.stack([g.ravel() for g in grid], axis=1)
-    bath, omega_z, cavity = _point(plan, axes, list(params.T), checked=False)
+    params = np.array(plan.values)
+    bath, omega_z, cavity = _point(plan, params, checked=False)
     try:
-        for ends in (params.min(axis=0), params.max(axis=0)):
-            _point(plan, axes, ends.tolist())
+        for end in (params.min(), params.max()):
+            _point(plan, end.item())
         with np.errstate(all="ignore"):
             chi0 = np.broadcast_to(baths.closed_form_chi0(bath, omega_z, plan.mode), len(params))
             if not np.isfinite(chi0).all():  # the one output the scalar path rejects
@@ -194,14 +183,13 @@ def sweep(plan: SweepPlan) -> SweepTable:
             g_c = _critical_coupling(np.where(code == 0, chi0, np.nan), cavity)
             ratio = g_c / fully_polarized_gc(omega_z, cavity)
     except DickeCriticError:  # the scalar path, row by row, raises its error naming the row
-        for i, values in enumerate(params.tolist()):
+        for i, value in enumerate(plan.values):
             try:
-                bath, omega_z, cavity = _point(plan, axes, values)
+                bath, omega_z, cavity = _point(plan, value)
                 solve_gc(baths.closed_form_chi0(bath, omega_z, plan.mode), cavity)
                 fully_polarized_gc(omega_z, cavity)
             except DickeCriticError as exc:
-                where = ", ".join(f"{axis} = {value!r}" for axis, value in zip(axes, values))
-                raise type(exc)(f"row {i}, {where}: {exc}") from None
+                raise type(exc)(f"row {i}, {plan.axis} = {value!r}: {exc}") from None
         raise
     return SweepTable(params, chi0, g_c, ratio, code)
 

@@ -25,8 +25,8 @@ Two routes compute it:
   time-domain check of the resolvent.
 
 chi values travel as plain numbers or arrays, so a weighted average over
-an ensemble is ``np.average``; ``cavity_det`` takes the value at omega. The
-cavity self-energy is Sigma(omega) = g^2 chi(omega).
+an ensemble is ``np.average``; ``cavity_det`` broadcasts over a grid of
+omega. The cavity self-energy is Sigma(omega) = g^2 chi(omega).
 
 Sign convention for the inverse Green function: the 2x2 particle/hole
 matrix is assembled as
@@ -199,10 +199,15 @@ def resolvent_chi(model: SpinModel):
     return chi
 
 
-def cavity_det(omega: complex, cavity: CavityParams, g: float, chi: complex) -> complex:
-    """Inverse cavity Green function det M(omega), given chi = chi(omega)."""
-    sigma = g**2 * chi
-    if omega == 0.0:
-        # written so the zero-frequency reduction is exact, not rounded
-        return cavity.omega0**2 + cavity.kappa**2 + 2.0 * cavity.omega0 * sigma
-    return cavity.omega0**2 + 2.0 * cavity.omega0 * sigma - (omega + 1j * cavity.kappa) ** 2
+def cavity_det(omega, cavity: CavityParams, g: float, chi):
+    """Inverse cavity Green function det M(omega), given chi = chi(omega); broadcasts.
+
+    On real omega each element is bitwise Python's complex arithmetic at that element:
+    (omega + i kappa)^2 is written as the product its complex multiply forms, and omega = 0
+    takes the zero-frequency reduction, exact, not rounded. A scalar call gives np.complex128.
+    """
+    w, k, w0 = np.asarray(omega), cavity.kappa, cavity.omega0
+    sigma = g**2 * np.asarray(chi)
+    shifted_sq = (w * w - k * k) + 1j * (w * k + k * w)
+    return np.where(w == 0, w0**2 + k**2 + 2.0 * w0 * sigma,
+                    w0**2 + 2.0 * w0 * sigma - shifted_sq)[()]

@@ -16,7 +16,7 @@ from dicke_critic import __version__, baths, cli, lindblad, meanfield, response
 from dicke_critic.baths import CavityParams, parse_bath
 from dicke_critic.cli import main
 from dicke_critic.config import SETTINGS, coerce, merge_config, parse_float_list
-from dicke_critic.critical import SweepPlan, fully_polarized_gc, solve_gc, sweep
+from dicke_critic.critical import SweepPlan, Transition, fully_polarized_gc, solve_gc, sweep
 from dicke_critic.errors import ConfigParseError
 
 
@@ -232,7 +232,7 @@ class TestSweep:
                 {axis: x, "chi0": chi0 * 1.3,
                  "g_c": g_c / 1.3 if status == "ok" else None,
                  "g_c_over_g0": ratio if status == "ok" else None, "status": status}
-                for (x,), chi0, g_c, ratio, status in zip(
+                for x, chi0, g_c, ratio, status in zip(
                     table.params.tolist(), table.chi0.tolist(), table.g_c.tolist(),
                     table.gc_over_g0.tolist(), table.status.tolist())
             ]
@@ -261,7 +261,7 @@ class TestSweep:
             table = sweep(SweepPlan(parse_bath(bath), 1.3, CavityParams(1.0, 0.2), axis,
                                     parse_float_list(values)))
             lines = [cli.HEADER, f"{axis},chi0,g_c,g_c_over_g0,status"]
-            for (x,), chi0, g_c, ratio, status in zip(
+            for x, chi0, g_c, ratio, status in zip(
                     table.params.tolist(), table.chi0.tolist(), table.g_c.tolist(),
                     table.gc_over_g0.tolist(), table.status.tolist()):
                 tail = f"{g_c / unit + 0.0:.17g},{ratio + 0.0:.17g}" if status == "ok" else "inf,inf"
@@ -461,6 +461,64 @@ def test_decay_channel_sweep_rejects_an_empty_ratio(tmp_path):
     assert proc.stderr.endswith("error: argument --gamma-ratios: "
                                 "invalid parse_float_list value: '0.25,,0.5'\n")
     assert not (tmp_path / "out.csv").exists()
+
+
+
+def run_script(name, *args):
+    """A script of scripts/ in a fresh interpreter with one BLAS thread, its text captured."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(root / "scripts" / f"{name}.py"), *args],
+                          env=env, capture_output=True, text=True)
+
+
+def test_decay_channel_sweep_rows_match_per_value_reference(tmp_path):
+    # the per-row loop that critical.sweep replaced: closed_form_gc at each t, over g0.
+    # gamma = 3 and 5 omega_z lie above (3 sqrt(3)/2) omega_z: the exact curve is non-monotone
+    ratios, kappa, points = ("0.1", "3.0", "5.0"), 0.7, 333
+    output = tmp_path / "out.csv"
+    proc = run_script("decay_channel_sweep", "--gamma-ratios", ",".join(ratios),
+                      "--kappa", str(kappa), "--points", str(points), "--output", str(output))
+    assert proc.returncode == 0, proc.stderr
+    cavity = CavityParams(1.0, kappa)
+    g0 = fully_polarized_gc(1.0, cavity)
+    ts = np.linspace(0.0, 0.99, points)
+    names, cols = ["t"], [ts.tolist()]
+    for r in map(float, ratios):
+        names += [f"gc_exact_gamma{r}", f"gc_quoted_gamma{r}"]
+        for mode in (baths.GcMode.SELF_CONSISTENT, baths.GcMode.LITERATURE):
+            results = [baths.closed_form_gc(baths.Generalized(gamma=r, t=t), 1.0, cavity, mode)
+                       for t in ts.tolist()]
+            cols.append([res.g_c / g0 if isinstance(res, Transition) else math.inf
+                         for res in results])
+    exact = np.array(cols[5])  # gamma = 5 omega_z, self-consistent
+    assert np.any(np.diff(exact) < 0) and np.any(np.diff(exact) > 0)
+    lines = [cli.HEADER, ",".join(names), *(",".join(map(cli.fmt, row)) for row in zip(*cols))]
+    assert output.read_text() == "".join(f"{line}\n" for line in lines)
+
+
+@pytest.mark.parametrize("script, args, cause", [
+    ("decay_channel_sweep", ["--gamma-ratios", "nan"], "rate nan must be > 0"),
+    ("decay_channel_sweep", ["--gamma-ratios", "0"], "rate 0.0 must be > 0"),
+    ("decay_channel_sweep", ["--gamma-ratios", "0.5,inf"], "rate inf must be > 0"),
+    ("decay_channel_sweep", ["--kappa", "-1"], "kappa = -1.0 must be nonnegative"),
+    ("decay_channel_sweep", ["--points", "0"], "sweep grids must be non-empty"),
+    ("decay_channel_sweep", ["--output", "{missing}"],
+     "cannot write {missing}: No such file or directory"),
+    ("finite_size_onset", ["--points", "2", "--max-atoms", "1", "--output", "{missing}"],
+     "cannot write {missing}: No such file or directory"),
+], ids=["gamma-nan", "gamma-0", "gamma-inf", "kappa-negative", "points-0",
+        "decay-missing-dir", "onset-missing-dir"])
+def test_script_error_is_one_line(tmp_path, script, args, cause):
+    # exit 1 and one "<script>: error: ..." line on stderr: no traceback, no file
+    output, missing = tmp_path / "out.csv", tmp_path / "missing" / "out.csv"
+    args = [arg.format(missing=missing) for arg in args]
+    proc = run_script(script, *args, *([] if "--output" in args else ["--output", str(output)]))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"{script}.py: error: {cause.format(missing=missing)}\n"
+    assert not output.exists() and not missing.parent.exists()
 
 
 # sha256 of scripts/oracle_table.py's stdout, as its per-point route chain printed it,

@@ -171,7 +171,7 @@ class TestSweep:
             values=tuple(np.linspace(0.05, 2.0, 12)),
         )
         table = sweep(plan)
-        assert table.params[:, 0].tolist() == list(plan.values)
+        assert table.params.tolist() == list(plan.values)
         gcs = table.g_c.tolist()
         assert all(a < b for a, b in zip(gcs, gcs[1:]))
 
@@ -201,21 +201,6 @@ class TestSweep:
         assert table.status[1] == "no-transition:unpolarized"
         assert math.isnan(table.gc_over_g0[1])
 
-    def test_two_axis_row_major(self):
-        plan = SweepPlan(
-            bath=Thermal(gamma=0.2, temperature=0.1),
-            omega_z=1.0,
-            cavity=CavityParams(1.0, 0.0),
-            axis="T",
-            values=(0.1, 0.2),
-            axis2="kappa",
-            values2=(0.0, 0.5, 1.0),
-        )
-        table = sweep(plan)
-        assert [tuple(p) for p in table.params.tolist()] == [
-            (0.1, 0.0), (0.1, 0.5), (0.1, 1.0), (0.2, 0.0), (0.2, 0.5), (0.2, 1.0)
-        ]
-
     def test_empty_grid_rejected(self):
         with pytest.raises(PreconditionError):
             SweepPlan(
@@ -239,9 +224,7 @@ class TestSweep:
 
 
 def _axes_and_grid(plan):
-    if plan.axis2 is None:
-        return (plan.axis,), [(v,) for v in plan.values]
-    return (plan.axis, plan.axis2), list(itertools.product(plan.values, plan.values2))
+    return (plan.axis,), [(v,) for v in plan.values]
 
 
 def _scalar_point(plan, axes, values):
@@ -273,7 +256,7 @@ def scalar_sweep(plan):
 def assert_bitwise_equal(plan):
     table = sweep(plan)
     grid, rows = scalar_sweep(plan)
-    assert table.params.tolist() == [list(v) for v in grid]
+    assert table.params.tolist() == [v for (v,) in grid]
     for col, i in ((table.chi0, 0), (table.g_c, 1), (table.gc_over_g0, 2)):
         assert col.tobytes() == np.array([r[i] for r in rows]).tobytes()
     assert table.status.tolist() == [r[3] for r in rows]
@@ -323,18 +306,6 @@ class TestSweepKernel:
         if not isinstance(bath, Thermal):
             assert "no-transition:unpolarized" in statuses
 
-    @pytest.mark.parametrize("mode", list(GcMode))
-    def test_two_axis_grids_equal_scalar_calls_bitwise(self, mode):
-        cavity = CavityParams(0.9, 0.3)
-        for bath, axis, axis2 in (
-            (Thermal(gamma=0.2, temperature=0.4), "T", "omega_z"),
-            (Generalized(gamma=0.4, t=0.3), "t", "kappa"),
-            (Dephasing(gamma=0.3, sz=-0.4), "sz", "gamma"),
-        ):
-            plan = SweepPlan(bath, 1.1, cavity, axis, DOMAIN[axis][:40],
-                             axis2=axis2, values2=DOMAIN[axis2][1:30], mode=mode)
-            assert_bitwise_equal(plan)
-
     def test_inverted_and_negative_zero_rows(self):
         plan = SweepPlan(Dephasing(0.3, -0.4), 1.1, CavityParams(0.9, 0.3), "sz", (-0.5, 0.0, 0.5))
         assert assert_bitwise_equal(plan).status.tolist() == [
@@ -378,11 +349,3 @@ class TestSweepKernel:
             sweep(plan)
         assert str(swept.value) == f"row 1, omega0 = 1e-300: {scalar.value}"
         assert "underflows" in str(scalar.value)
-
-    def test_invalid_row_of_a_two_axis_grid_is_named(self):
-        plan = SweepPlan(Thermal(gamma=0.2, temperature=0.4), 1.1, CavityParams(0.9, 0.3),
-                         "T", (0.1, 0.2), axis2="omega_z", values2=(1.0, -1.0))
-        with pytest.raises(InvalidModelError) as swept:
-            sweep(plan)
-        assert str(swept.value) == (
-            "row 1, T = 0.1, omega_z = -1.0: thermal baths require omega_z > 0")

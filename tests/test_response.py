@@ -259,6 +259,34 @@ class TestCavityDet:
         assert np.linalg.det(matrix) == pytest.approx(cavity_det(omega, cavity, g, chi), rel=1e-12)
 
 
+    @staticmethod
+    def python_det(omega, cavity, g, chi):
+        """The determinant in Python's complex arithmetic, one frequency at a time."""
+        sigma = g**2 * chi
+        if omega == 0.0:
+            return cavity.omega0**2 + cavity.kappa**2 + 2.0 * cavity.omega0 * sigma
+        return cavity.omega0**2 + 2.0 * cavity.omega0 * sigma - (omega + 1j * cavity.kappa) ** 2
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.37], ids=["kappa0", "kappa"])
+    @pytest.mark.parametrize("points", [41, 40], ids=["odd", "even"])
+    def test_broadcast_equals_scalar_calls_bitwise(self, points, kappa):
+        # each grid holds omega = 0 and -0.0 (the exact reduction) and omega = +-kappa,
+        # where Re (omega + i kappa)^2 is zero
+        rng = np.random.default_rng(points)
+        cavity, g = CavityParams(0.9, kappa), 0.45
+        for scale in (1e-3, 1.0, 1e3):
+            draws = scale * rng.uniform(-1.0, 1.0, points - 4)
+            omegas = np.sort(np.concatenate([[0.0, -0.0, kappa, -kappa], draws]))
+            for sign in (1.0, -1.0):
+                chis = sign * (rng.uniform(0.0, 2.0, points) + 1j * rng.normal(size=points))
+                pairs = list(zip(omegas.tolist(), chis.tolist()))
+                scalar = [cavity_det(w, cavity, g, chi) for w, chi in pairs]
+                assert all(type(det) is np.complex128 for det in scalar)
+                reference = np.array([self.python_det(w, cavity, g, chi) for w, chi in pairs])
+                dets = cavity_det(omegas, cavity, g, chis)
+                assert dets.tobytes() == np.array(scalar).tobytes() == reference.tobytes()
+
+
 class TestPolaritonRoots:
     # the roots of det(omega) are i lambda for eigenvalues lambda of the mean-field Jacobian
     def test_bare_poles(self):
