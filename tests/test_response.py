@@ -258,7 +258,6 @@ class TestCavityDet:
         )
         assert np.linalg.det(matrix) == pytest.approx(cavity_det(omega, cavity, g, chi), rel=1e-12)
 
-
     @staticmethod
     def python_det(omega, cavity, g, chi):
         """The determinant in Python's complex arithmetic, one frequency at a time."""
