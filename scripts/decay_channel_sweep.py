@@ -33,7 +33,8 @@ def main() -> None:
     args = ap.parse_args()
 
     omega_z = 1.0
-    ts = np.linspace(0.0, 0.99, args.points)
+    # a --points below 1 gives an empty grid, which SweepPlan rejects in one error line
+    ts = np.linspace(0.0, 0.99, max(args.points, 0))
     names, cols = ["t"], [ts]
     try:
         cavity = CavityParams(omega0=1.0, kappa=args.kappa)

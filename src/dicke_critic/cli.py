@@ -5,7 +5,9 @@ Subcommands:
 * ``gc``       -- critical coupling for one parameter point
 * ``sweep``    -- phase-boundary table over a grid of one parameter, from the
   columns of one ``critical.sweep`` broadcast; the JSON is the text
-  ``json.dumps(rows, indent=2)`` would give, without its slow encoder
+  ``json.dumps(rows, indent=2)`` would give, without its slow encoder. A
+  column whose values repeat (chi0 along omega0 or kappa takes one value)
+  is spelled once per distinct value, at unchanged bytes
 * ``corr``     -- sampled two-time correlator S_x(t), stepped by one
   propagator, so it also runs at exceptional points of the generator
 * ``spectrum`` -- cavity determinant and susceptibility over frequency;
@@ -48,7 +50,7 @@ import argparse
 import functools
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +160,32 @@ def csv_table(header: str, columns: Sequence[np.ndarray | Sequence[str]]) -> str
     return f"{HEADER}\n{header}\n" + "".join(map(template.__mod__, zip(*cells, strict=True)))
 
 
+def _spelled_once(column: np.ndarray, spell: Callable[[np.ndarray], list[str]]
+                  ) -> np.ndarray | None:
+    """The text of each row of a float column, each distinct value spelled once; None when
+    over half the rows hold distinct values.
+
+    Values are told apart by their float64 bit patterns, so -0.0 and 0.0 are
+    spelled apart. Returns an object array of str.
+    """
+    bits = column.view(np.int64)
+    keys = np.sort(bits)  # not np.unique: it imports numpy.ma and costs more per call
+    distinct = np.concatenate((keys[:1], keys[1:][np.diff(keys) != 0]))
+    if 2 * distinct.size > bits.size:
+        return None
+    texts = np.array(spell(distinct.view(np.float64)), dtype=object)
+    return texts[np.searchsorted(distinct, bits)]
+
+
+def _csv_spell(values: np.ndarray) -> list[str]:
+    return [fmt(v) for v in values.tolist()]
+
+
+def _json_spell(values: np.ndarray) -> list[str]:
+    # json.dumps spells each number of a list as it spells the number alone
+    return json.dumps(values.tolist())[1:-1].split(", ")
+
+
 def cmd_gc(cfg: RunConfig) -> int:
     point = critical.agreement(cfg.bath, cfg.omega_z, cfg.cavity, cfg.mode,
                                ("closed_form", "mean_field") if cfg.verify else ("closed_form",))
@@ -200,17 +228,21 @@ def cmd_sweep(cfg: RunConfig) -> int:
     unit = 1.0 if cfg.raw_units else cfg.omega_z
     ok = table.code == 0
     cols = [table.params, table.chi0 * unit, table.g_c / unit, table.gc_over_g0]
+    cols[2:] = (np.where(ok, c, np.inf) for c in cols[2:])
+    # a column of few values (chi0 and g_c/g0 along omega0 or kappa) is spelled once per
+    # value; any other stays a float column, which csv_table or one json.dumps spells
+    once = [_spelled_once(c, _csv_spell if cfg.format == "csv" else _json_spell) for c in cols]
     if cfg.format == "csv":
-        cols[2:] = (np.where(ok, c, np.inf) for c in cols[2:])
+        cols = [c if texts is None else texts for c, texts in zip(cols, once)]
         _write(cfg.output, csv_table(f"{cfg.sweep_param},chi0,g_c,g_c_over_g0,status",
                                      [*cols, table.status]))
     else:
         # the bytes of json.dumps(rows, indent=2): its compact C encoder spells
-        # each number (float repr, -0.0, null, Infinity), the layout is written here
+        # each number (float repr, -0.0, Infinity), the layout is written here
         key = json.dumps(cfg.sweep_param)
-        masked = (np.where(ok, c, None) for c in cols[2:])  # None, a Python float elsewhere
-        x, chi0, g_c, ratio = (json.dumps(c.tolist())[1:-1].split(", ")
-                               for c in (*cols[:2], *masked))
+        x, chi0, g_c, ratio = (np.array(_json_spell(c), dtype=object) if texts is None else texts
+                               for c, texts in zip(cols, once))
+        g_c[~ok] = ratio[~ok] = "null"  # a row without a transition
         status = table.status.tolist()
         rows = [
             f'  {{\n    {key}: {x_i},\n    "chi0": {chi0_i},\n    "g_c": {g_c_i},\n'

@@ -150,6 +150,16 @@ class TestGc:
         assert "row 0, omega0 = 1e-300: g_c is undefined: omega0^2 + kappa^2 underflows" in err
 
 
+# sweeps along kappa, whose chi0 (and g_c/g0, up to rounding) repeat on every row:
+# chi0 = -0.0 on every row at t = 1, and a grid that repeats -0.0 and 0.0
+KAPPA_GRID = ",".join(repr(k / 4) for k in range(12))
+REPEATED_SWEEPS = (
+    ("thermal(gamma=0.1, T=0.5)", "kappa", KAPPA_GRID),
+    ("generalized(gamma=0.5, t=1)", "kappa", KAPPA_GRID),
+    ("thermal(gamma=0.1, T=0.5)", "kappa", "-0.0,0,-0.0,0,-0.0,0"),
+)
+
+
 class TestSweep:
     def test_csv_structure_and_order(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
@@ -217,10 +227,12 @@ class TestSweep:
 
 
     def test_json_writer_matches_json_dumps(self, capsys):
-        # null rows, inverted rows and chi0 = -0.0 (t = 1), in omega_z units
+        # null rows, inverted rows and chi0 = -0.0 (t = 1), in omega_z units; along kappa,
+        # columns of repeated values, chi0 = -0.0 on every row, and x = -0.0 apart from 0.0
         for bath, axis, values in (
             ("generalized(gamma=0.5, t=0)", "t", "0,0.5,1"),
             ("dephasing(gamma=0.2, sz=-0.5)", "sz", "-0.5,0,0.5"),
+            *REPEATED_SWEEPS,
         ):
             code, out, _ = run_cli(capsys, "sweep", "--bath", bath, "--sweep-param", axis,
                                    f"--sweep-values={values}", "--omega-z", "1.3",
@@ -246,13 +258,15 @@ class TestSweep:
 
     @pytest.mark.parametrize("raw", [False, True], ids=["omega_z_units", "raw_units"])
     def test_csv_writer_matches_per_row_format(self, capsys, raw):
-        # chi0 = -0.0 (t = 1) and x = -0.0, inverted rows, and values from 1e-300 to 1e300
+        # chi0 = -0.0 (t = 1) and x = -0.0, inverted rows, values from 1e-300 to 1e300,
+        # and columns of repeated values along kappa
         unit = 1.0 if raw else 1.3
         for bath, axis, values in (
             ("generalized(gamma=0.5, t=0)", "t", "-0.0,0.5,1"),
             ("dephasing(gamma=0.2, sz=-0.5)", "sz", "-0.5,-0.0,0.5"),
             ("thermal(gamma=0.1, T=0.5)", "gamma", "1e-300,0.3,1e300"),
             ("generalized(gamma=0.5, t=0.3)", "omega0", "1e-100,1,1e100"),
+            *REPEATED_SWEEPS,
         ):
             argv = ["sweep", "--bath", bath, "--sweep-param", axis, f"--sweep-values={values}",
                     "--omega-z", "1.3", "--kappa", "0.2", *(["--raw-units"] if raw else [])]
@@ -268,6 +282,36 @@ class TestSweep:
                 lines.append(f"{x + 0.0:.17g},{chi0 * unit + 0.0:.17g},{tail},{status}")
             assert out == "".join(line + "\n" for line in lines)
             assert "-0," not in out and ",-0," not in out
+
+    def test_repeated_values_spelled_once(self):
+        # the columns of REPEATED_SWEEPS take the spelled path; -0.0 and 0.0 stay apart
+        for bath, axis, values in REPEATED_SWEEPS:
+            table = sweep(SweepPlan(parse_bath(bath), 1.3, CavityParams(1.0, 0.2), axis,
+                                    parse_float_list(values)))
+            assert cli._spelled_once(table.chi0 * 1.3, cli._json_spell) is not None
+        texts = cli._spelled_once(np.array([-0.0, 0.0, 0.0, -0.0]), cli._json_spell)
+        assert texts.tolist() == ["-0.0", "0.0", "0.0", "-0.0"]
+        assert cli._spelled_once(np.array([0.1, np.inf, 0.1, 0.1]), cli._csv_spell).tolist() == [
+            "0.10000000000000001", "inf", "0.10000000000000001", "0.10000000000000001"]
+        assert cli._spelled_once(np.array([0.1, 0.2, 0.1]), cli._csv_spell) is None
+
+    def test_repeated_values_import_no_numpy_ma(self):
+        # np.unique would import numpy.ma (over 1 MB of resident memory) on its first call
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            from dicke_critic import cli
+            argv = ["sweep", "--bath", "thermal(gamma=0.1, T=0.5)", "--sweep-param", "kappa",
+                    "--sweep-start", "0", "--sweep-stop", "2", "--sweep-points", "20"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [cli.main(argv), cli.main([*argv, "--format", "json"])]
+            print(codes, "numpy.ma" in sys.modules)
+        """)
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True)
+        assert proc.stdout == "[0, 0] False\n", proc.stderr
 
     def test_invalid_row_is_named(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--bath", "thermal(gamma=0.1, T=0.5)",
@@ -505,12 +549,22 @@ def test_decay_channel_sweep_rows_match_per_value_reference(tmp_path):
     ("decay_channel_sweep", ["--gamma-ratios", "0.5,inf"], "rate inf must be > 0"),
     ("decay_channel_sweep", ["--kappa", "-1"], "kappa = -1.0 must be nonnegative"),
     ("decay_channel_sweep", ["--points", "0"], "sweep grids must be non-empty"),
+    ("decay_channel_sweep", ["--points", "-1"], "sweep grids must be non-empty"),
     ("decay_channel_sweep", ["--output", "{missing}"],
      "cannot write {missing}: No such file or directory"),
     ("finite_size_onset", ["--points", "2", "--max-atoms", "1", "--output", "{missing}"],
      "cannot write {missing}: No such file or directory"),
-], ids=["gamma-nan", "gamma-0", "gamma-inf", "kappa-negative", "points-0",
-        "decay-missing-dir", "onset-missing-dir"])
+    ("finite_size_onset", ["--points", "2", "--max-atoms", "1", "--gamma", "0"],
+     "rate 0.0 must be > 0"),
+    ("finite_size_onset", ["--points", "2", "--max-atoms", "1", "--kappa", "-1"],
+     "kappa = -1.0 must be nonnegative"),
+    ("finite_size_onset", ["--points", "2", "--max-atoms", "1", "--n-fock", "1"],
+     "n_fock = 1 must be >= 2"),
+    ("finite_size_onset", ["--points", "-2", "--max-atoms", "1"], "--points = -2 must be >= 1"),
+    ("finite_size_onset", ["--points", "2", "--max-atoms", "0"], "--max-atoms = 0 must be >= 1"),
+], ids=["gamma-nan", "gamma-0", "gamma-inf", "kappa-negative", "points-0", "points-negative",
+        "decay-missing-dir", "onset-missing-dir", "onset-gamma-0", "onset-kappa-negative",
+        "onset-n-fock-1", "onset-points-negative", "onset-max-atoms-0"])
 def test_script_error_is_one_line(tmp_path, script, args, cause):
     # exit 1 and one "<script>: error: ..." line on stderr: no traceback, no file
     output, missing = tmp_path / "out.csv", tmp_path / "missing" / "out.csv"
