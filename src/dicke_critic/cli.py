@@ -171,6 +171,8 @@ def _spelled_once(column: np.ndarray, spell: Callable[[np.ndarray], list[str]]
     bits = column.view(np.int64)
     keys = np.sort(bits)  # not np.unique: it imports numpy.ma and costs more per call
     distinct = np.concatenate((keys[:1], keys[1:][np.diff(keys) != 0]))
+    # spelling once then indexing costs more than spelling each row past about half the
+    # rows distinct in CSV (0.85 in JSON); on an all-distinct column, 1.28x and 1.16x
     if 2 * distinct.size > bits.size:
         return None
     texts = np.array(spell(distinct.view(np.float64)), dtype=object)
