@@ -8,8 +8,8 @@ is monotone in t for gamma <= (3 sqrt(3)/2) omega_z ~= 2.598 omega_z (every
 default damping strength), while the approximation dips before diverging at
 t -> 1. Above that damping the exact curve is non-monotone too.
 
-Each curve is one critical.sweep over t. A bad input or an unwritable
---output is one error line and exit 1.
+Each curve is one critical.sweep over t, of at most config.MAX_GRID_POINTS
+points. A bad input or an unwritable --output is one error line and exit 1.
 """
 
 import argparse
@@ -20,7 +20,7 @@ import numpy as np
 
 from dicke_critic import CavityParams, DickeCriticError, GcMode, Generalized, SweepPlan, sweep
 from dicke_critic.cli import csv_table
-from dicke_critic.config import parse_float_list
+from dicke_critic.config import MAX_GRID_POINTS, parse_float_list
 
 
 def main() -> None:
@@ -32,6 +32,8 @@ def main() -> None:
     ap.add_argument("--output", default="decay_channel_sweep.csv")
     args = ap.parse_args()
 
+    if args.points > MAX_GRID_POINTS:
+        sys.exit(f"{ap.prog}: error: --points = {args.points} must be <= {MAX_GRID_POINTS}")
     omega_z = 1.0
     # a --points below 1 gives an empty grid, which SweepPlan rejects in one error line
     ts = np.linspace(0.0, 0.99, max(args.points, 0))

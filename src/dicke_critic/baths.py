@@ -46,6 +46,7 @@ from . import qops
 from .errors import ConfigParseError, InvalidModelError, NoClosedFormError, PreconditionError
 
 
+# np.all and np.any check a sweep's column in a field as a float, with a float's message
 @dataclass(frozen=True)
 class CavityParams:
     """Cavity detuning and decay; omega0 > 0 is required for a transition."""
@@ -54,11 +55,11 @@ class CavityParams:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.omega0) and np.isfinite(self.kappa)):
+        if not (np.all(np.isfinite(self.omega0)) and np.all(np.isfinite(self.kappa))):
             raise InvalidModelError("cavity parameters must be finite")
-        if self.omega0 <= 0:
+        if np.any(self.omega0 <= 0):
             raise InvalidModelError(f"omega0 = {self.omega0} must be positive")
-        if self.kappa < 0:
+        if np.any(self.kappa < 0):
             raise InvalidModelError(f"kappa = {self.kappa} must be nonnegative")
 
 
@@ -68,9 +69,9 @@ class Dephasing:
     sz: float
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma) or self.gamma < 0:
+        if not np.all(np.isfinite(self.gamma) & (self.gamma >= 0)):
             raise InvalidModelError(f"dephasing rate {self.gamma} must be >= 0")
-        if not -0.5 <= self.sz <= 0.5:
+        if not np.all((-0.5 <= self.sz) & (self.sz <= 0.5)):
             raise InvalidModelError(f"sz = {self.sz} outside [-1/2, 1/2]")
 
 
@@ -80,9 +81,9 @@ class Thermal:
     temperature: float
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma) or self.gamma <= 0:
+        if not np.all(np.isfinite(self.gamma) & (self.gamma > 0)):
             raise InvalidModelError(f"thermal rate {self.gamma} must be > 0")
-        if not np.isfinite(self.temperature) or self.temperature < 0:
+        if not np.all(np.isfinite(self.temperature) & (self.temperature >= 0)):
             raise InvalidModelError(f"temperature {self.temperature} must be >= 0")
 
 
@@ -92,9 +93,9 @@ class Generalized:
     t: float
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma) or self.gamma <= 0:
+        if not np.all(np.isfinite(self.gamma) & (self.gamma > 0)):
             raise InvalidModelError(f"rate {self.gamma} must be > 0")
-        if not 0.0 <= self.t <= 1.0:
+        if not np.all((0.0 <= self.t) & (self.t <= 1.0)):
             raise InvalidModelError(f"t = {self.t} outside [0, 1]")
 
 

@@ -78,9 +78,10 @@ SETTINGS: dict[str, tuple[Callable[[str], object], object]] = {
 }
 # a float setting must be finite, whichever source gave it
 FINITE_KEYS = tuple(key for key, (parse, _) in SETTINGS.items() if parse is float)
-# spectrum solves its whole grid at once: 1e6 frequencies took 0.64 GB and 8.4 s on
-# 2 cores, and 1e8 had the process killed for memory
-MAX_OMEGA_POINTS = 1_000_000
+# the most points of any grid: spectrum solves its whole grid at once (1e6 frequencies
+# took 0.64 GB and 8.4 s on 2 cores, and 1e8 had the process killed for memory), and a
+# sweep of 1e6 points took 2.75 s and peaked at 468 MB
+MAX_GRID_POINTS = 1_000_000
 
 
 def parse_config_text(text: str) -> dict[str, tuple[str, int, int]]:
@@ -175,13 +176,15 @@ def merge_config(cli_values: dict[str, str | None], config_path: str | None) -> 
     if merged["sweep_values"] is not None and not all(map(math.isfinite, merged["sweep_values"])):
         listed = ", ".join(map(str, merged["sweep_values"]))
         raise ConfigParseError(f"sweep_values = {listed}: every entry must be finite")
+    if merged["sweep_values"] is not None and len(merged["sweep_values"]) > MAX_GRID_POINTS:
+        raise ConfigParseError(f"sweep_values = ({len(merged['sweep_values'])} entries) must "
+                               f"have at most {MAX_GRID_POINTS}")
     if merged["tol"] < 0:
         raise ConfigParseError(f"tol = {merged['tol']} must be >= 0")
-    if merged["omega_points"] < 1:
-        raise ConfigParseError(f"omega_points = {merged['omega_points']} must be >= 1")
-    if merged["omega_points"] > MAX_OMEGA_POINTS:
-        raise ConfigParseError(
-            f"omega_points = {merged['omega_points']} must be <= {MAX_OMEGA_POINTS}")
+    for key in ("omega_points", "sweep_points"):  # before a grid is expanded
+        if merged[key] is not None and not 1 <= merged[key] <= MAX_GRID_POINTS:
+            rule = ">= 1" if merged[key] < 1 else f"<= {MAX_GRID_POINTS}"
+            raise ConfigParseError(f"{key} = {merged[key]} must be {rule}")
     lo, hi, n = merged.pop("sweep_start"), merged.pop("sweep_stop"), merged.pop("sweep_points")
     if merged["sweep_values"] is not None and (lo, hi, n) != (None, None, None):
         raise ConfigParseError("sweep_values and sweep_start/sweep_stop/sweep_points are two grids:"
@@ -189,8 +192,6 @@ def merge_config(cli_values: dict[str, str | None], config_path: str | None) -> 
     if n is not None:
         if lo is None or hi is None:
             raise ConfigParseError("sweep_points needs sweep_start and sweep_stop")
-        if n < 1:
-            raise ConfigParseError(f"sweep_points = {n} must be >= 1")
         if n == 1:
             merged["sweep_values"] = (lo,)
         else:

@@ -23,7 +23,6 @@ result per route: ``gc --verify``, ``oracle`` and ``oracle_table.py`` are its vi
 
 from __future__ import annotations
 
-import copy
 import enum
 import math
 import sys
@@ -64,12 +63,13 @@ def solve_gc(chi0: float, cavity: CavityParams) -> CriticalResult:
         return NoTransition(NoTransitionReason.UNPOLARIZED)
     if chi0 > 0:
         return NoTransition(NoTransitionReason.INVERTED)
-    return Transition(g_c=_critical_coupling(chi0, cavity))
+    return Transition(g_c=_critical_coupling(chi0, cavity, _cavity_scale(cavity, "g_c")))
 
 
 def _cavity_scale(cavity: CavityParams, quantity: str):
     """omega0^2 + kappa^2, which must be a normal float: below that it has lost its digits."""
-    scale = _sq(cavity.omega0) + _sq(cavity.kappa)
+    with _float_range(quantity):
+        scale = _sq(cavity.omega0) + _sq(cavity.kappa)
     if np.any(scale < sys.float_info.min):
         raise PreconditionError(f"{quantity} is undefined: omega0^2 + kappa^2 underflows the "
                                 f"float range (below {sys.float_info.min:.6g})")
@@ -81,19 +81,21 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
-def _critical_coupling(chi0, cavity: CavityParams):
-    """Root of the zero-frequency condition at chi0 < 0."""
+def _critical_coupling(chi0, cavity: CavityParams, scale):
+    """Root of the zero-frequency condition at chi0 < 0; scale is ``_cavity_scale``."""
     with _float_range("g_c"):
-        scale = _cavity_scale(cavity, "g_c")
         return _sqrt(-scale / (2.0 * cavity.omega0 * chi0))
 
 
-def fully_polarized_gc(omega_z: float, cavity: CavityParams) -> float:
-    """Critical coupling of a fully polarized, dissipation-free ensemble."""
+def fully_polarized_gc(omega_z: float, cavity: CavityParams, scale=None) -> float:
+    """Critical coupling of a fully polarized, dissipation-free ensemble.
+
+    scale is omega0^2 + kappa^2 (``_cavity_scale``) where the caller has it.
+    """
     if np.any(omega_z <= 0):
         raise PreconditionError("the fully polarized reference needs omega_z > 0")
+    scale = _cavity_scale(cavity, "g0") if scale is None else scale
     with _float_range("g0"):
-        scale = _cavity_scale(cavity, "g0")
         return 0.5 * _sqrt(omega_z * scale / cavity.omega0)
 
 
@@ -144,24 +146,12 @@ class SweepTable:
         return _STATUS[self.code]
 
 
-def _point(plan: SweepPlan, value, checked: bool = True):
-    """(bath, omega_z, cavity) with the axis set to value (unchecked: to its column)."""
-    fields = {"omega_z": plan.omega_z, **vars(plan.cavity), **vars(plan.bath)}
-    keys = next((k for cls, k in _BATH_FIELDS.values() if isinstance(plan.bath, cls)), {})
-    name = keys.get(plan.axis, plan.axis)
-    if name not in fields:
-        kind = type(plan.bath).__name__
-        raise PreconditionError(f"cannot sweep {plan.axis!r}: not a parameter of {kind}")
-    fields[name] = value
+def _point(plan: SweepPlan, name: str, value):
+    """(bath, omega_z, cavity) with the field name set to value, a float or the grid's column."""
+    fields = {"omega_z": plan.omega_z, **vars(plan.cavity), **vars(plan.bath), name: value}
     omega_z = fields.pop("omega_z")
-    cavity_fields = {name: fields.pop(name) for name in ("omega0", "kappa")}
-    if checked:
-        return type(plan.bath)(**fields), omega_z, CavityParams(**cavity_fields)
-    # columns skip __post_init__: sweep runs its checks at the column's ends
-    bath, cavity = copy.copy(plan.bath), copy.copy(plan.cavity)
-    bath.__dict__.update(fields)
-    cavity.__dict__.update(cavity_fields)
-    return bath, omega_z, cavity
+    cavity = CavityParams(omega0=fields.pop("omega0"), kappa=fields.pop("kappa"))
+    return type(plan.bath)(**fields), omega_z, cavity
 
 
 def sweep(plan: SweepPlan) -> SweepTable:
@@ -170,22 +160,26 @@ def sweep(plan: SweepPlan) -> SweepTable:
     Each element equals the scalar calls at its row bitwise. Where a check
     fails, the scalar path is replayed row by row to raise its error.
     """
+    keys = next((k for cls, k in _BATH_FIELDS.values() if isinstance(plan.bath, cls)), {})
+    name = keys.get(plan.axis, plan.axis)  # the record field the axis names
+    if name not in {"omega_z", *vars(plan.cavity), *vars(plan.bath)}:
+        kind = type(plan.bath).__name__
+        raise PreconditionError(f"cannot sweep {plan.axis!r}: not a parameter of {kind}")
     params = np.array(plan.values)
-    bath, omega_z, cavity = _point(plan, params, checked=False)
     try:
-        for end in (params.min(), params.max()):
-            _point(plan, end.item())
+        bath, omega_z, cavity = _point(plan, name, params)
         with np.errstate(all="ignore"):
             chi0 = np.broadcast_to(baths.closed_form_chi0(bath, omega_z, plan.mode), len(params))
             if not np.isfinite(chi0).all():  # the one output the scalar path rejects
                 raise PreconditionError("chi0 is not finite")
             code = np.where(np.abs(chi0) <= ZERO_TOL, 1, 2 * (chi0 > 0))
-            g_c = _critical_coupling(np.where(code == 0, chi0, np.nan), cavity)
-            ratio = g_c / fully_polarized_gc(omega_z, cavity)
+            scale = _cavity_scale(cavity, "g_c")
+            g_c = _critical_coupling(np.where(code == 0, chi0, np.nan), cavity, scale)
+            ratio = g_c / fully_polarized_gc(omega_z, cavity, scale)
     except DickeCriticError:  # the scalar path, row by row, raises its error naming the row
         for i, value in enumerate(plan.values):
             try:
-                bath, omega_z, cavity = _point(plan, value)
+                bath, omega_z, cavity = _point(plan, name, value)
                 solve_gc(baths.closed_form_chi0(bath, omega_z, plan.mode), cavity)
                 fully_polarized_gc(omega_z, cavity)
             except DickeCriticError as exc:

@@ -6,7 +6,7 @@ mean-field equations close on (alpha, rho):
     d alpha/dt = -(i omega0 + kappa) alpha - 2 i g Tr[sx rho]
     d rho/dt   = L_atom(rho) - i [2 g (alpha + conj(alpha)) sx, rho]
 
-``simulate`` and the stability oracle share one flow on the complex state
+The threshold and the superradiant branch read one flow on the complex state
 y = (alpha, conj(alpha), vec rho) in C^6, vec rho column-stacked as in
 ``qops``:
 
@@ -28,6 +28,14 @@ eigenvalues lambda are the polariton roots omega = i lambda of
 zero-frequency determinant condition, g*^2 = -(omega0^2 + kappa^2) /
 (2 omega0 chi0), so ``stability_threshold``, the exact root of the
 deflated det J(g), is an independent check on the closed forms.
+
+Past the threshold the flow has a fixed point with alpha != 0, the
+superradiant branch (Kirton & Keeling, PRL 118, 123602 (2017)), where
+alpha = -2 i g <sx> / (i omega0 + kappa). The field h = 2 g (alpha +
+conj(alpha)) on the atom then solves F(h) = h + K <sx>(h) = 0, with
+K = 8 g^2 omega0 / (omega0^2 + kappa^2) and <sx>(h) from the steady state of
+L_atom + h D; ``superradiant_state`` finds the root h* > 0 (-h* is its Z2
+mirror) with the threshold's root finder.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ import numpy as np
 
 from . import qops
 from .baths import CavityParams
-from .errors import ConvergenceError, NoThresholdError, PreconditionError
+from .errors import DegenerateSteadyStateError, NoThresholdError, PreconditionError
 from .lindblad import SpinModel, steady_state
 
 # a mode grows when its real part exceeds ROUNDOFF times the norm of the Jacobian
@@ -50,12 +58,14 @@ BELOW = 1e-6
 
 _SX_ROW = qops.observable_row(qops.sigma("x"))  # Tr[sx rho] = _SX_ROW @ vec(rho)
 _DRIVE = qops.hamiltonian_superop(qops.sigma("x"))  # -i [sx, .] as a superoperator
+_TRACE_ROW, _UNIT = qops.trace_functional(2), np.eye(4)[0]  # row 0 of a bordered solve: Tr = 1
 
 
 @dataclass(frozen=True)
 class MeanFieldState:
     alpha: complex
     rho: np.ndarray = field(repr=False)
+    top_eigenvalue: complex  # of the Jacobian there, trace left out: stable where Re < 0
 
 
 def _flow_parts(cavity: CavityParams, model: SpinModel) -> tuple[np.ndarray, np.ndarray]:
@@ -69,31 +79,10 @@ def _flow_parts(cavity: CavityParams, model: SpinModel) -> tuple[np.ndarray, np.
     return m0, c
 
 
-def _vector(state: MeanFieldState) -> np.ndarray:
-    return np.concatenate([[state.alpha, np.conj(state.alpha)], qops.vectorize(state.rho)])
-
-
-def _flow(cavity: CavityParams, model: SpinModel, g: float):
-    """dy/dt as a function of (t, y), for solve_ivp."""
-    m0, c = _flow_parts(cavity, model)
-    m = m0 + g * c
-
-    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-        dy = m @ y
-        dy[2:] += (y[0] + y[1]) * 2.0 * g * (_DRIVE @ y[2:])
-        return dy
-
-    return rhs
-
-
-def normal_fixed_point(model: SpinModel) -> MeanFieldState:
-    return MeanFieldState(alpha=0.0 + 0.0j, rho=steady_state(model).rho)
-
-
 def _linearization(cavity: CavityParams, model: SpinModel) -> tuple[np.ndarray, np.ndarray]:
     """(a, b) with the Jacobian at the normal fixed point exactly a + g b."""
     a, b = _flow_parts(cavity, model)
-    b[2:, 0] = b[2:, 1] = 2.0 * _DRIVE @ qops.vectorize(normal_fixed_point(model).rho)
+    b[2:, 0] = b[2:, 1] = 2.0 * _DRIVE @ qops.vectorize(steady_state(model).rho)
     return a, b
 
 
@@ -108,18 +97,19 @@ def growth_rate(cavity: CavityParams, model: SpinModel, g: float) -> float:
     return float(np.max(np.real(np.linalg.eigvals(jacobian(cavity, model, g)))))
 
 
-def _deflate(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) restricted to their common range, as r x r matrices.
+def _deflate(*mats: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The 6 x 6 mats restricted to their common range, as r x r matrices.
 
     Every J(g) = a + g b maps into the range of [a b], so on an orthonormal
     basis q of it J(g) has the eigenvalues of J(g) less 6 - r zeros: the
     directions conserved for every g (the trace, and <sz> for dephasing-only
     baths). The rank is counted as numpy's matrix_rank counts it for the
-    6 x 12 [a b].
+    stacked [a b].
     """
-    u, s, _ = np.linalg.svd(np.hstack([a, b]))
-    q = u[:, s > s[0] * 12 * np.finfo(float).eps]
-    return q.conj().T @ a @ q, q.conj().T @ b @ q
+    stacked = np.hstack(mats)
+    u, s, _ = np.linalg.svd(stacked)
+    q = u[:, s > s[0] * max(stacked.shape) * np.finfo(float).eps]
+    return tuple(q.conj().T @ m @ q for m in mats)
 
 
 def _top_mode(jac: np.ndarray) -> tuple[complex, bool, bool]:
@@ -133,16 +123,30 @@ def _top_mode(jac: np.ndarray) -> tuple[complex, bool, bool]:
     return top, top.real > noise, abs(top.imag) > noise
 
 
+def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Root of f in (lo, hi) by Illinois false position, f_lo = f(lo) and f_hi = f(hi) of
+    opposite sign: a midpoint step where the secant leaves the bracket, to a few ulps."""
+    side = 0
+    while hi - lo > 4 * np.spacing(hi):
+        mid = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if (f_mid > 0) == (f_hi > 0):  # Illinois: halve the end that stays twice
+            hi, f_hi, f_lo, side = mid, f_mid, f_lo * (0.5 if side > 0 else 1.0), 1
+        else:
+            lo, f_lo, f_hi, side = mid, f_mid, f_hi * (0.5 if side < 0 else 1.0), -1
+    return 0.5 * (lo + hi)
+
+
 def stability_threshold(cavity: CavityParams, model: SpinModel, g_lo: float, g_hi: float) -> float:
     """The coupling in (g_lo, g_hi) at which the normal state goes statically unstable.
 
     On the deflated Jacobian (``_deflate``) det J(g) is real, since the
     spectrum is closed under conjugation, and it changes sign exactly where
-    a real eigenvalue crosses 0. Illinois false position finds that root g*,
-    one determinant per step, with a midpoint step whenever the secant
-    leaves the bracket, until the bracket is a few ulps wide. Two
-    eigenvalue solves confirm it: no mode grows at (1 - BELOW) g*, and one
-    does at g_hi.
+    a real eigenvalue crosses 0. ``_illinois`` finds that root g*, one
+    determinant per step. Two eigenvalue solves confirm it: no mode grows
+    at (1 - BELOW) g*, and one does at g_hi.
 
     ``NoThresholdError`` is raised for a bracket without a sign change, with
     the largest real eigenvalue at both ends, and for a mode that grows
@@ -157,7 +161,7 @@ def stability_threshold(cavity: CavityParams, model: SpinModel, g_lo: float, g_h
     def det(g: float) -> float:
         return float(np.linalg.det(a + g * b).real)
 
-    lo, hi, f_lo, f_hi, side = g_lo, g_hi, det(g_lo), det(g_hi), 0
+    f_lo, f_hi = det(g_lo), det(g_hi)
     if (f_lo > 0) == (f_hi > 0):
         (mode_lo, *_), (mode_hi, grows, oscillates) = (_top_mode(a + g * b) for g in (g_lo, g_hi))
         lasing = f"; the oscillating mode {mode_hi!r} grows at g_hi" if grows and oscillates else ""
@@ -166,16 +170,7 @@ def stability_threshold(cavity: CavityParams, model: SpinModel, g_lo: float, g_h
             f"{mode_lo.real!r} at g_lo and {mode_hi.real!r} at g_hi{lasing}; "
             "the normal state may be stable (or unstable) throughout"
         )
-    while hi - lo > 4 * np.spacing(hi):
-        mid = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < mid < hi:
-            mid = 0.5 * (lo + hi)
-        f_mid = det(mid)
-        if (f_mid > 0) == (f_hi > 0):  # Illinois: halve the end that stays twice
-            hi, f_hi, f_lo, side = mid, f_mid, f_lo * (0.5 if side > 0 else 1.0), 1
-        else:
-            lo, f_lo, f_hi, side = mid, f_mid, f_hi * (0.5 if side < 0 else 1.0), -1
-    root = 0.5 * (lo + hi)
+    root = _illinois(det, g_lo, g_hi, f_lo, f_hi)
     below = (1.0 - BELOW) * root
     mode, grows, oscillates = _top_mode(a + below * b)
     if grows:
@@ -192,37 +187,45 @@ def stability_threshold(cavity: CavityParams, model: SpinModel, g_lo: float, g_h
     return root
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray = field(repr=False)
-    alphas: np.ndarray = field(repr=False)
-    rhos: np.ndarray = field(repr=False)
-
-    @property
-    def sx(self) -> np.ndarray:
-        return np.real(self.rhos[:, 0, 1])
-
-    @property
-    def sz(self) -> np.ndarray:
-        return 0.5 * np.real(self.rhos[:, 0, 0] - self.rhos[:, 1, 1])
-
-    @property
-    def traces(self) -> np.ndarray:
-        return np.real(self.rhos[:, 0, 0] + self.rhos[:, 1, 1])
+def _field_state(model: SpinModel, h: float) -> np.ndarray:
+    """vec rho of the steady state of L_atom + h D: one solve, the trace row in place of row 0."""
+    m = model.generator() + h * _DRIVE
+    m[0] = _TRACE_ROW
+    return np.linalg.solve(m, _UNIT)
 
 
-def simulate(state0: MeanFieldState, cavity: CavityParams, model: SpinModel, g: float,
-             duration: float, dt: float) -> Trajectory:
-    """Integrate the full nonlinear mean-field equations (adaptive RK45)."""
-    from scipy.integrate import solve_ivp
+def superradiant_state(cavity: CavityParams, model: SpinModel, g: float) -> MeanFieldState:
+    """The fixed point with alpha != 0 at coupling g: the root h* > 0 of F.
 
-    if dt <= 0:
-        raise PreconditionError(f"dt = {dt} must be positive")
-    t_eval = np.arange(0.0, duration + 0.5 * dt, dt)
-    sol = solve_ivp(_flow(cavity, model, g), (0.0, float(t_eval[-1])), _vector(state0),
-                    method="RK45", t_eval=t_eval, rtol=1e-10, atol=1e-10)
-    if not sol.success:
-        raise ConvergenceError(f"mean-field integration failed: {sol.message}")
-    ys = sol.y.T
-    rhos = ys[:, 2:].reshape(-1, 2, 2).transpose(0, 2, 1)  # column-stacked vec rho
-    return Trajectory(times=sol.t, alphas=ys[:, 0], rhos=rhos)
+    F is bracketed on (1e-8 K/2, (1 + 1e-9) K/2]: |<sx>| <= 1/2 makes it
+    positive at the top, and it is negative near 0 where the normal state is
+    statically unstable; ``NoThresholdError`` names g where it keeps its sign
+    (below the threshold, and under pure dephasing, where <sx>(h) = 0).
+    ``DegenerateSteadyStateError`` where an atom without dissipation has no
+    unique steady state in the field.
+    """
+    k = 8.0 * g**2 * cavity.omega0 / (cavity.omega0**2 + cavity.kappa**2)
+
+    def f(h: float) -> float:
+        return h + k * float((_SX_ROW @ _field_state(model, h)).real)
+
+    lo, hi = 1e-8 * k / 2, (1 + 1e-9) * k / 2
+    try:
+        f_lo, f_hi = f(lo), f(hi)
+    except np.linalg.LinAlgError:
+        raise DegenerateSteadyStateError(
+            f"no superradiant fixed point at g = {g!r}: the atom in a field sx has no unique "
+            "steady state") from None
+    if (f_lo > 0) == (f_hi > 0):
+        raise NoThresholdError(
+            f"no superradiant fixed point at g = {g!r}: F(h) = h + K <sx>(h) keeps its "
+            f"sign on ({lo!r}, {hi!r}]")
+    h = _illinois(f, lo, hi, f_lo, f_hi)
+    vec = _field_state(model, h)
+    m0, c = _flow_parts(cavity, model)
+    jac = m0 + g * c
+    jac[2:, 2:] += h * _DRIVE
+    jac[2:, 0] = jac[2:, 1] = 2.0 * g * (_DRIVE @ vec)
+    top, *_ = _top_mode(*_deflate(jac))
+    alpha = -2j * g * float((_SX_ROW @ vec).real) / (1j * cavity.omega0 + cavity.kappa)
+    return MeanFieldState(alpha=alpha, rho=qops.devectorize(vec), top_eigenvalue=top)

@@ -225,6 +225,13 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--bath", "thermal(gamma=0.2,T=0.1)")
         assert code == 1
 
+    def test_bad_axis_error_names_no_row(self, capsys):
+        # the axis is resolved before any row is built, so the line names the point alone
+        assert run_cli(capsys, "sweep", "--bath", "thermal(gamma=0.1, T=0.5)", "--sweep-param", "x",
+                       "--sweep-values", "0.1,0.2") == (
+            1, "", "dicke-critic: error: at bath = thermal(gamma=0.1, T=0.5), omega_z = 1, "
+                   "omega0 = 1, kappa = 0: cannot sweep 'x': not a parameter of Thermal\n")
+
 
     def test_json_writer_matches_json_dumps(self, capsys):
         # null rows, inverted rows and chi0 = -0.0 (t = 1), in omega_z units; along kappa,
@@ -550,6 +557,7 @@ def test_decay_channel_sweep_rows_match_per_value_reference(tmp_path):
     ("decay_channel_sweep", ["--kappa", "-1"], "kappa = -1.0 must be nonnegative"),
     ("decay_channel_sweep", ["--points", "0"], "sweep grids must be non-empty"),
     ("decay_channel_sweep", ["--points", "-1"], "sweep grids must be non-empty"),
+    ("decay_channel_sweep", ["--points", "1000001"], "--points = 1000001 must be <= 1000000"),
     ("decay_channel_sweep", ["--output", "{missing}"],
      "cannot write {missing}: No such file or directory"),
     ("finite_size_onset", ["--points", "2", "--max-atoms", "1", "--output", "{missing}"],
@@ -563,7 +571,7 @@ def test_decay_channel_sweep_rows_match_per_value_reference(tmp_path):
     ("finite_size_onset", ["--points", "-2", "--max-atoms", "1"], "--points = -2 must be >= 1"),
     ("finite_size_onset", ["--points", "2", "--max-atoms", "0"], "--max-atoms = 0 must be >= 1"),
 ], ids=["gamma-nan", "gamma-0", "gamma-inf", "kappa-negative", "points-0", "points-negative",
-        "decay-missing-dir", "onset-missing-dir", "onset-gamma-0", "onset-kappa-negative",
+        "points-too-many", "decay-missing-dir", "onset-missing-dir", "onset-gamma-0", "onset-kappa-negative",
         "onset-n-fock-1", "onset-points-negative", "onset-max-atoms-0"])
 def test_script_error_is_one_line(tmp_path, script, args, cause):
     # exit 1 and one "<script>: error: ..." line on stderr: no traceback, no file
@@ -949,6 +957,10 @@ class TestNumericFlags:
          "sweep_stop", "nan", "must be finite"),
         (("sweep", *BATH, "--sweep-param", "gamma"), "sweep_values", "0.1,inf",
          "every entry must be finite"),
+        (("sweep", *BATH, "--sweep-param", "gamma", "--sweep-start", "0.1", "--sweep-stop", "1"),
+         "sweep_points", "1000001", "must be <= 1000000"),
+        (("sweep", *BATH, "--sweep-param", "gamma"), "sweep_values", ",".join(["0.1"] * 1000001),
+         "(1000001 entries) must have at most 1000000"),
     ]
 
     def test_every_float_setting_is_checked_finite(self):
@@ -957,7 +969,7 @@ class TestNumericFlags:
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command, key, raw, rule", CASES,
-                             ids=[f"{c[0]}-{k}={r}" for c, k, r, _ in CASES])
+                             ids=[f"{c[0]}-{k}={r if len(r) < 20 else 'long'}" for c, k, r, _ in CASES])
     def test_bad_value_is_typed_error(self, capsys, tmp_path, source, command, key, raw, rule):
         if source == "flag":
             argv = [*command, f"--{key.replace('_', '-')}={raw}"]
@@ -1225,15 +1237,16 @@ def test_closed_form_routes_load_no_scipy(tmp_path):
     """gc, sweep, spectrum, oracle, corr, the quadrature chi0 and the exact-N oracle run on numpy alone.
 
     The exact-N steady states at N = 1..3 and a run of
-    scripts/finite_size_onset.py load no scipy module either. The control,
-    one meanfield.simulate, loads scipy.integrate, so the detector is seen
-    to work. A fresh interpreter, since this process already holds scipy.
+    scripts/finite_size_onset.py load no scipy module either, nor do the
+    mean-field threshold and superradiant branch. The control imports
+    scipy.linalg itself, so the detector is seen to work. A fresh
+    interpreter, since this process already holds scipy.
     """
     script = textwrap.dedent("""
         import contextlib, io, json, runpy, sys
 
         import dicke_critic
-        from dicke_critic import baths, cli, lindblad, response
+        from dicke_critic import baths, cli, lindblad, meanfield, response
 
         def scipy_modules():
             return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -1248,6 +1261,9 @@ def test_closed_form_routes_load_no_scipy(tmp_path):
         model = baths.spin_model(baths.parse_bath(bath[1]), 1.0)
         series = lindblad.two_time_sx(model, lindblad.steady_state(model).rho)
         chi0 = response.chi_from_correlator(series, 0.0)
+        cavity = baths.CavityParams(1.0, 0.4)
+        g_star = meanfield.stability_threshold(cavity, model, 0.1, 2.0)
+        branch = abs(meanfield.superradiant_state(cavity, model, 1.5 * g_star).alpha)
         closed_form = scipy_modules()
         from dicke_critic import exactn
         photons = [exactn.full_steady_observables(exactn.FullSystemSpec(
@@ -1258,10 +1274,8 @@ def test_closed_form_routes_load_no_scipy(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             runpy.run_path(path, run_name="__main__")
         script = scipy_modules()
-        from dicke_critic import meanfield
-        cavity = baths.CavityParams(1.0, 0.4)
-        meanfield.simulate(meanfield.normal_fixed_point(model), cavity, model, 0.1, 1.0, 0.5)
-        print(json.dumps({"codes": codes, "chi0": chi0.real, "photons": photons,
+        import scipy.linalg
+        print(json.dumps({"codes": codes, "chi0": chi0.real, "photons": photons, "branch": branch,
                           "closed_form": closed_form, "exact_n": exact_n, "script": script,
                           "control": scipy_modules()}))
     """)
@@ -1274,8 +1288,8 @@ def test_closed_form_routes_load_no_scipy(tmp_path):
                           capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout)
     assert result["codes"] == [0] * 6
-    assert result["chi0"] < 0
+    assert result["chi0"] < 0 and result["branch"] > 0
     assert all(p > 0 for p in result["photons"])
     assert len(output.read_text(encoding="utf-8").splitlines()) == 4  # header, columns, 2 rows
     assert result["closed_form"] == result["exact_n"] == result["script"] == []
-    assert "scipy.integrate" in result["control"]
+    assert "scipy.linalg" in result["control"]

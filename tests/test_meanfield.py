@@ -3,27 +3,45 @@ import re
 import numpy as np
 import pytest
 
-from dicke_critic import baths, meanfield
+from dicke_critic import baths, meanfield, qops
 from dicke_critic.baths import CavityParams, Dephasing, Generalized, Thermal
 from dicke_critic.critical import agreement
-from dicke_critic.errors import NoThresholdError, PreconditionError
+from dicke_critic.errors import DegenerateSteadyStateError, NoThresholdError, PreconditionError
 from dicke_critic.lindblad import steady_state
-from dicke_critic.meanfield import (
-    MeanFieldState,
-    growth_rate,
-    jacobian,
-    normal_fixed_point,
-    simulate,
-    stability_threshold,
-)
+from dicke_critic.meanfield import growth_rate, jacobian, stability_threshold, superradiant_state
 from dicke_critic.cli import ORACLE_SUITE
 from dicke_critic.response import resolvent_chi
 
 CAVITY = CavityParams(omega0=1.0, kappa=0.5)
+SX = qops.sigma("x")
 
 
 def model_for(bath, omega_z=1.0):
     return baths.spin_model(bath, omega_z)
+
+
+def flow(cavity, model, g, alpha, rho):
+    """(d alpha/dt, d rho/dt), the mean-field equations written out as the meanfield
+    docstring states them, with rho as a 2x2 matrix."""
+    h = 2.0 * g * (alpha + np.conj(alpha))
+    d_alpha = -(1j * cavity.omega0 + cavity.kappa) * alpha - 2j * g * np.trace(SX @ rho)
+    d_rho = qops.devectorize(model.generator() @ qops.vectorize(rho)) - 1j * h * (SX @ rho - rho @ SX)
+    return d_alpha, d_rho
+
+
+def sx_in_field(model, h):
+    """<sx> and <sz> in the steady state of the atom in the static field h sx."""
+    rho = qops.devectorize(meanfield._field_state(model, h))
+    return np.trace(SX @ rho).real, np.trace(qops.sigma("z") @ rho).real
+
+
+def gc_of(bath, cavity=CAVITY):
+    return baths.closed_form_gc(bath, 1.0, cavity).g_c
+
+
+def normal_top(model, g):
+    """The top eigenvalue of the Jacobian at the normal state, the conserved trace left out."""
+    return meanfield._top_mode(*meanfield._deflate(jacobian(CAVITY, model, g)))[0]
 
 
 class TestDerivative:
@@ -34,24 +52,25 @@ class TestDerivative:
     ])
     def test_normal_state_is_fixed_point(self, bath):
         model = model_for(bath)
-        state = normal_fixed_point(model)
-        dy = meanfield._flow(CAVITY, model, 0.8)(0.0, meanfield._vector(state))
-        assert abs(dy[0]) < 1e-12
-        assert np.max(np.abs(dy[2:])) < 1e-12
+        d_alpha, d_rho = flow(CAVITY, model, 0.8, 0.0, steady_state(model).rho)
+        assert abs(d_alpha) < 1e-12
+        assert np.max(np.abs(d_rho)) < 1e-12
 
     def test_decoupled_cavity_decay(self):
-        model = model_for(Generalized(gamma=0.2, t=0.0))
-        state = MeanFieldState(alpha=1.0 + 0.0j, rho=steady_state(model).rho)
-        dy = meanfield._flow(CAVITY, model, 0.0)(0.0, meanfield._vector(state))
-        assert dy[0] == pytest.approx(-(1j * CAVITY.omega0 + CAVITY.kappa), abs=1e-14)
+        # at g = 0 the amplitudes decay at -(i omega0 + kappa) and its conjugate, apart from the atom
+        jac = jacobian(CAVITY, model_for(Generalized(gamma=0.2, t=0.0)), 0.0)
+        decay = -(1j * CAVITY.omega0 + CAVITY.kappa)
+        assert np.array_equal(jac[:2, :2], np.diag([decay, np.conj(decay)]))
+        assert not jac[:2, 2:].any() and not jac[2:, :2].any()
 
     def test_drive_term_scales_with_alpha(self):
+        # the drive of alpha* holds rho* at the branch; without it rho* is not stationary
         model = model_for(Generalized(gamma=0.2, t=0.0))
-        rho = steady_state(model).rho
-        flow = meanfield._flow(CAVITY, model, 0.7)
-        d1 = flow(0.0, meanfield._vector(MeanFieldState(0.01 + 0j, rho)))
-        d2 = flow(0.0, meanfield._vector(MeanFieldState(0.02 + 0j, rho)))
-        assert np.max(np.abs(2 * d1[2:] - d2[2:])) < 1e-12
+        g = 1.5 * gc_of(Generalized(gamma=0.2, t=0.0))
+        state = superradiant_state(CAVITY, model, g)
+        d_alpha, d_rho = flow(CAVITY, model, g, state.alpha, state.rho)
+        assert abs(d_alpha) < 1e-12 and np.max(np.abs(d_rho)) < 1e-12
+        assert np.max(np.abs(flow(CAVITY, model, g, 0.0, state.rho)[1])) > 1e-2
 
 
 class TestThreshold:
@@ -184,53 +203,93 @@ class TestPolaritonRoots:
 
 
 class TestSimulate:
+    """What the flow does from a seed state, read off its fixed points."""
+
     BATH = Generalized(gamma=0.2, t=0.0)
 
-    def _threshold(self):
-        bath = self.BATH
-        return baths.closed_form_gc(bath, 1.0, CAVITY).g_c
-
-    def seed_state(self, model, alpha):
-        return MeanFieldState(alpha=alpha, rho=steady_state(model).rho)
-
     def test_below_threshold_decays(self):
-        model = model_for(self.BATH)
-        g = 0.5 * self._threshold()
-        traj = simulate(self.seed_state(model, 1e-3), CAVITY, model, g, duration=150.0, dt=0.5)
-        assert abs(traj.alphas[-1]) < 1e-6
+        # no branch, and the normal state is stable: every seed decays to it
+        model, g = model_for(self.BATH), 0.5 * gc_of(self.BATH)
+        with pytest.raises(NoThresholdError):
+            superradiant_state(CAVITY, model, g)
+        assert normal_top(model, g).real < 0
 
     def test_above_threshold_saturates(self):
-        model = model_for(self.BATH)
-        g = 1.5 * self._threshold()
-        traj = simulate(self.seed_state(model, 1e-3), CAVITY, model, g, duration=400.0, dt=0.5)
-        tail = np.abs(traj.alphas[traj.times > 0.9 * traj.times[-1]])
-        assert tail[-1] > 1e-2
-        assert np.max(tail) - np.min(tail) < 0.01 * np.mean(tail)
+        # |alpha| where an adaptive RK45 run (rtol = atol = 1e-10) of the flow from
+        # alpha = 1e-3, duration 400 and dt 0.5, saturated at 1.5 g_c; bound fixed beforehand
+        for bath, alpha in ((self.BATH, 0.527046276796352),
+                            (Thermal(gamma=0.1, temperature=0.5), 0.459949923473376)):
+            model, g = model_for(bath), 1.5 * gc_of(bath)
+            state = superradiant_state(CAVITY, model, g)
+            assert abs(abs(state.alpha) / alpha - 1) < 1e-9, bath
+            assert state.top_eigenvalue.real < 0
+            again = superradiant_state(CAVITY, model, g)
+            assert again.alpha == state.alpha and again.rho.tobytes() == state.rho.tobytes()
 
     def test_zero_seed_stays_symmetric(self):
-        model = model_for(self.BATH)
-        g = 1.5 * self._threshold()
-        traj = simulate(self.seed_state(model, 0.0), CAVITY, model, g, duration=50.0, dt=0.5)
-        assert np.max(np.abs(traj.alphas)) == 0.0
+        # above g_c the normal state is still a fixed point, but an unstable one
+        model, g = model_for(self.BATH), 1.5 * gc_of(self.BATH)
+        d_alpha, d_rho = flow(CAVITY, model, g, 0.0, steady_state(model).rho)
+        assert d_alpha == 0 and np.max(np.abs(d_rho)) < 1e-12
+        assert normal_top(model, g).real > 0
 
     def test_z2_mirror_trajectories(self):
-        model = model_for(self.BATH)
-        g = 1.3 * self._threshold()
-        plus = simulate(self.seed_state(model, 1e-2), CAVITY, model, g, duration=60.0, dt=0.5)
-        minus = simulate(self.seed_state(model, -1e-2), CAVITY, model, g, duration=60.0, dt=0.5)
-        assert np.max(np.abs(plus.alphas + minus.alphas)) < 1e-8
-        assert np.max(np.abs(plus.sx + minus.sx)) < 1e-8
-        assert np.max(np.abs(plus.sz - minus.sz)) < 1e-8
+        # -h* is a root of F too, with <sx> mirrored and <sz> kept
+        model, g = model_for(self.BATH), 1.3 * gc_of(self.BATH)
+        state = superradiant_state(CAVITY, model, g)
+        h = 4.0 * g * state.alpha.real
+        k = 8.0 * g**2 * CAVITY.omega0 / (CAVITY.omega0**2 + CAVITY.kappa**2)
+        (sx_plus, sz_plus), (sx_minus, sz_minus) = sx_in_field(model, h), sx_in_field(model, -h)
+        assert h > 0 and sx_plus < 0
+        assert abs(h + k * sx_plus) < 1e-12 and abs(-h + k * sx_minus) < 1e-12
+        assert abs(sx_plus + sx_minus) < 1e-15 and abs(sz_plus - sz_minus) < 1e-15
 
     def test_trace_and_positivity_preserved(self):
-        model = model_for(Thermal(gamma=0.1, temperature=0.5))
-        g = 1.2 * baths.closed_form_gc(Thermal(gamma=0.1, temperature=0.5), 1.0, CAVITY).g_c
-        traj = simulate(self.seed_state(model, 1e-2), CAVITY, model, g, duration=100.0, dt=0.25)
-        assert np.max(np.abs(traj.traces - 1.0)) < 1e-8
-        eigs = np.array([np.linalg.eigvalsh(r) for r in traj.rhos])
-        assert np.min(eigs) > -1e-8
+        bath = Thermal(gamma=0.1, temperature=0.5)
+        rho = superradiant_state(CAVITY, model_for(bath), 1.2 * gc_of(bath)).rho
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+        assert np.min(np.linalg.eigvalsh(rho)) > 0
 
-    def test_bad_dt_rejected(self):
-        model = model_for(self.BATH)
-        with pytest.raises(PreconditionError):
-            simulate(self.seed_state(model, 0.0), CAVITY, model, 0.1, duration=1.0, dt=0.0)
+
+# a point of each catalog family with a branch (dephasing has none), at kappa = 0.5
+BRANCHED = [Thermal(0.1, 0.2), Thermal(0.1, 0.5), Thermal(0.3, 1.0), Generalized(0.2, 0.0),
+            Generalized(0.2, 0.4), Generalized(0.5, 0.2), Generalized(0.3, 0.7)]
+
+
+class TestSuperradiantBranch:
+    @staticmethod
+    def roots(model, g):
+        """Sign changes of F on 400 points across its bracket (1e-8 K/2, (1 + 1e-9) K/2]."""
+        k = 8.0 * g**2 * CAVITY.omega0 / (CAVITY.omega0**2 + CAVITY.kappa**2)
+        hs = np.geomspace(1e-8 * k / 2, (1 + 1e-9) * k / 2, 400)
+        f = np.array([h + k * sx_in_field(model, h)[0] for h in hs])
+        return int(np.count_nonzero(np.diff(np.sign(f))))
+
+    @pytest.mark.parametrize("bath", BRANCHED)
+    def test_pitchfork_is_supercritical(self, bath):
+        # no root just below g_c, and one stable root just above it
+        model, gc = model_for(bath), gc_of(bath)
+        assert self.roots(model, 0.97 * gc) == 0
+        with pytest.raises(NoThresholdError):
+            superradiant_state(CAVITY, model, 0.97 * gc)
+        assert self.roots(model, 1.03 * gc) == 1
+        assert superradiant_state(CAVITY, model, 1.03 * gc).top_eigenvalue.real < 0
+
+    @pytest.mark.parametrize("bath", BRANCHED)
+    def test_gc_from_the_branch(self, bath):
+        # |alpha*|^2 vanishes linearly at g_c: extrapolated from two couplings just above,
+        # it meets the closed form within 1e-6 (bound fixed beforehand)
+        model, gc = model_for(bath), gc_of(bath)
+        g1, g2 = (1 + 1e-4) * gc, (1 + 2e-4) * gc
+        a1, a2 = (abs(superradiant_state(CAVITY, model, g).alpha) ** 2 for g in (g1, g2))
+        assert abs((g1 - a1 * (g2 - g1) / (a2 - a1)) / gc - 1) < 1e-6
+
+    def test_no_branch_is_a_typed_error(self):
+        # pure dephasing: <sx>(h) = 0, so F(h) = h keeps its sign; without dissipation
+        # the atom in a field has no unique steady state
+        for gamma, error in ((0.3, NoThresholdError), (0.0, DegenerateSteadyStateError)):
+            bath = Dephasing(gamma=gamma, sz=-0.5)
+            g = 1.5 * gc_of(bath)
+            with pytest.raises(error, match=rf"no superradiant fixed point at g = {g!r}: "):
+                superradiant_state(CAVITY, model_for(bath), g)
