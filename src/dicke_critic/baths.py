@@ -46,7 +46,7 @@ from . import qops
 from .errors import ConfigParseError, InvalidModelError, NoClosedFormError, PreconditionError
 
 
-# np.all and np.any check a sweep's column in a field as a float, with a float's message
+# the checks use np.all and np.any, so a sweep's column in one field is checked as a float is
 @dataclass(frozen=True)
 class CavityParams:
     """Cavity detuning and decay; omega0 > 0 is required for a transition."""

@@ -80,7 +80,7 @@ SETTINGS: dict[str, tuple[Callable[[str], object], object]] = {
 FINITE_KEYS = tuple(key for key, (parse, _) in SETTINGS.items() if parse is float)
 # the most points of any grid: spectrum solves its whole grid at once (1e6 frequencies
 # took 0.64 GB and 8.4 s on 2 cores, and 1e8 had the process killed for memory), and a
-# sweep of 1e6 points took 2.75 s and peaked at 468 MB
+# sweep of 1e6 points took 2.75 s and 468 MB on the same host
 MAX_GRID_POINTS = 1_000_000
 
 
