@@ -571,7 +571,8 @@ def test_decay_channel_sweep_rows_match_per_value_reference(tmp_path):
     ("finite_size_onset", ["--points", "-2", "--max-atoms", "1"], "--points = -2 must be >= 1"),
     ("finite_size_onset", ["--points", "2", "--max-atoms", "0"], "--max-atoms = 0 must be >= 1"),
 ], ids=["gamma-nan", "gamma-0", "gamma-inf", "kappa-negative", "points-0", "points-negative",
-        "points-too-many", "decay-missing-dir", "onset-missing-dir", "onset-gamma-0", "onset-kappa-negative",
+        "points-too-many", "decay-missing-dir", "onset-missing-dir", "onset-gamma-0",
+        "onset-kappa-negative",
         "onset-n-fock-1", "onset-points-negative", "onset-max-atoms-0"])
 def test_script_error_is_one_line(tmp_path, script, args, cause):
     # exit 1 and one "<script>: error: ..." line on stderr: no traceback, no file
@@ -969,7 +970,8 @@ class TestNumericFlags:
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command, key, raw, rule", CASES,
-                             ids=[f"{c[0]}-{k}={r if len(r) < 20 else 'long'}" for c, k, r, _ in CASES])
+                             ids=[f"{c[0]}-{k}={r if len(r) < 20 else 'long'}"
+                                  for c, k, r, _ in CASES])
     def test_bad_value_is_typed_error(self, capsys, tmp_path, source, command, key, raw, rule):
         if source == "flag":
             argv = [*command, f"--{key.replace('_', '-')}={raw}"]

@@ -25,7 +25,8 @@ def flow(cavity, model, g, alpha, rho):
     docstring states them, with rho as a 2x2 matrix."""
     h = 2.0 * g * (alpha + np.conj(alpha))
     d_alpha = -(1j * cavity.omega0 + cavity.kappa) * alpha - 2j * g * np.trace(SX @ rho)
-    d_rho = qops.devectorize(model.generator() @ qops.vectorize(rho)) - 1j * h * (SX @ rho - rho @ SX)
+    d_rho = qops.devectorize(model.generator() @ qops.vectorize(rho))
+    d_rho -= 1j * h * (SX @ rho - rho @ SX)
     return d_alpha, d_rho
 
 
@@ -57,7 +58,8 @@ class TestDerivative:
         assert np.max(np.abs(d_rho)) < 1e-12
 
     def test_decoupled_cavity_decay(self):
-        # at g = 0 the amplitudes decay at -(i omega0 + kappa) and its conjugate, apart from the atom
+        # at g = 0 the amplitudes decay at -(i omega0 + kappa) and its conjugate, apart from
+        # the atom
         jac = jacobian(CAVITY, model_for(Generalized(gamma=0.2, t=0.0)), 0.0)
         decay = -(1j * CAVITY.omega0 + CAVITY.kappa)
         assert np.array_equal(jac[:2, :2], np.diag([decay, np.conj(decay)]))
