@@ -43,7 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qops
-from .errors import ConfigParseError, InvalidModelError, NoClosedFormError, PreconditionError
+from .errors import (
+    ConfigParseError,
+    InvalidModelError,
+    NoClosedFormError,
+    NonIntegrableTailError,
+    PreconditionError,
+)
 
 
 # the checks use np.all and np.any, so a sweep's column in one field is checked as a float is
@@ -236,12 +242,37 @@ def closed_form_chi0(
 
 
 def closed_form_chi(bath: BathSpec, omega_z: float):
-    """Exact chi(omega), analytically continued; callable on complex omega."""
+    """Exact chi(omega), analytically continued; callable on real or complex omega.
+
+    chi(omega) = 4 <sz> omega_z / ((gamma_x - i omega)(gamma_y - i omega) + omega_z^2),
+    with the shape of its argument. An unpolarized bath (<sz> = 0) gives 0
+    everywhere, at resonances too. Without damping (dephasing at gamma = 0)
+    a call raises NonIntegrableTailError where omega comes within
+    RESONANCE_TOL max(1, |omega_z|) of +-omega_z, the undamped modes, where
+    the transform diverges. A denominator past the float range gives 0,
+    without a warning.
+    """
     sz = steady_sz(bath, omega_z)
-    gx, gy = transverse_rates(bath, omega_z)
+    with _float_range("thermal occupation"):  # the rates of the other baths cannot fail
+        gx, gy = transverse_rates(bath, omega_z)
+    reach = qops.RESONANCE_TOL * max(1.0, abs(omega_z))
 
     def chi(omega):
-        return 4.0 * sz * omega_z / ((gx - 1j * omega) * (gy - 1j * omega) + omega_z**2)
+        om = np.asarray(omega)
+        if sz == 0:
+            return np.zeros(om.shape, complex)[()]
+        if gx == gy == 0:
+            flat = om.reshape(-1)
+            near = np.minimum(abs(flat - omega_z), abs(flat + omega_z)) <= reach
+            if np.any(near):
+                w = flat[np.argmax(near)]
+                pole = omega_z if abs(w - omega_z) <= abs(w + omega_z) else -omega_z
+                raise NonIntegrableTailError(
+                    f"undamped mode (eigenvalue {complex(0.0, -pole):.6g}) evaluated at its "
+                    f"resonance omega = {w}"
+                )
+        with np.errstate(over="ignore"):
+            return (4.0 * sz * omega_z / ((gx - 1j * om) * (gy - 1j * om) + omega_z**2))[()]
 
     return chi
 

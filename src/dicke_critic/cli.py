@@ -11,9 +11,11 @@ Subcommands:
 * ``corr``     -- sampled two-time correlator S_x(t), stepped by one
   propagator, so it also runs at exceptional points of the generator
 * ``spectrum`` -- cavity determinant and susceptibility over frequency;
-  chi(omega) on the whole grid, omega = 0 included, comes from one batched
-  resolvent solve (``response.resolvent_chi``), not from the sampled
-  correlator, and the determinant from one ``response.cavity_det`` call
+  chi(omega) on the whole grid, omega = 0 included, is the closed form
+  ``baths.closed_form_chi`` that ``gc`` and ``sweep`` read chi0 from, and
+  the determinant comes from one ``response.cavity_det`` call. The
+  resolvent (``response.resolvent_chi``) and the correlator quadrature are
+  its checks, in the tests, not routes of the command
 * ``oracle``   -- closed form vs mean-field threshold table, ``critical.agreement``
   at each ``ORACLE_SUITE`` point; a point without a transition exits 2
 
@@ -32,7 +34,7 @@ kappa) that the subcommand reads, and their values.
 Every CSV table is written by ``csv_table``: the version line, the header,
 then one row per index of its columns, each float with 17 significant
 digits, so repeated runs are byte-identical. Frequencies are reported in
-units of omega_z unless --raw-units is given.
+units of omega_z unless --raw-units is given; omega_z = 0 is then an error.
 
 ``build_parser`` is cached: the argparse tree is built on the first
 ``main`` call of a process and reused by every later one, in-process
@@ -188,12 +190,21 @@ def _json_spell(values: np.ndarray) -> list[str]:
     return json.dumps(values.tolist())[1:-1].split(", ")
 
 
+def _unit(cfg: RunConfig) -> float:
+    """The unit of a table's frequencies: omega_z, or 1 under --raw-units."""
+    if cfg.raw_units:
+        return 1.0
+    if cfg.omega_z == 0:
+        raise DickeCriticError("omega_z = 0 cannot be the frequency unit; give --raw-units")
+    return cfg.omega_z
+
+
 def cmd_gc(cfg: RunConfig) -> int:
     point = critical.agreement(cfg.bath, cfg.omega_z, cfg.cavity, cfg.mode,
                                ("closed_form", "mean_field") if cfg.verify else ("closed_form",))
     result = point.results["closed_form"]
     g0 = critical.fully_polarized_gc(cfg.omega_z, cfg.cavity)
-    unit = 1.0 if cfg.raw_units else cfg.omega_z
+    unit = _unit(cfg)
     lines = [f"units = {'raw' if cfg.raw_units else 'omega_z'}",
              f"chi0 = {fmt(point.chi0 * unit)}"]
     if isinstance(result, NoTransition):
@@ -227,7 +238,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         mode=cfg.mode,
     )
     table = critical.sweep(plan)
-    unit = 1.0 if cfg.raw_units else cfg.omega_z
+    unit = _unit(cfg)
     ok = table.code == 0
     cols = [table.params, table.chi0 * unit, table.g_c / unit, table.gc_over_g0]
     cols[2:] = (np.where(ok, c, np.inf) for c in cols[2:])
@@ -256,26 +267,25 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_corr(cfg: RunConfig) -> int:
+    unit = _unit(cfg)
     model = baths.spin_model(cfg.bath, cfg.omega_z)
     from .lindblad import steady_state, two_time_sx
 
     series = two_time_sx(model, steady_state(model).rho, tmax=cfg.tmax, dt=cfg.dt)
-    unit = 1.0 if cfg.raw_units else cfg.omega_z
     _write(cfg.output, csv_table("t,re_sx,im_sx",
                                  [series.times * unit, series.values.real, series.values.imag]))
     return EXIT_OK
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    model = baths.spin_model(cfg.bath, cfg.omega_z)
+    unit = _unit(cfg)
     omega_max = cfg.omega_max if cfg.omega_max is not None else 2.5 * max(
         cfg.cavity.omega0, abs(cfg.omega_z)
     )
     omega_min = cfg.omega_min if cfg.omega_min is not None else -omega_max
     omegas = np.linspace(omega_min, omega_max, cfg.omega_points)
-    chis = response.resolvent_chi(model)(omegas)
+    chis = baths.closed_form_chi(cfg.bath, cfg.omega_z)(omegas)
     dets = response.cavity_det(omegas, cfg.cavity, cfg.g, chis)
-    unit = 1.0 if cfg.raw_units else cfg.omega_z
     _write(cfg.output, csv_table("omega,re_det,im_det,re_chi,im_chi", [
         omegas / unit, dets.real, dets.imag, chis.real * unit, chis.imag * unit]))
     return EXIT_OK

@@ -34,6 +34,9 @@ HERMITICITY_TOL = 1e-12
 DENSITY_MATRIX_TOL = 1e-9
 # an eigenvalue of a generator below this, times max(1, spectral radius), is zero
 NULL_SPACE_TOL = 1e-9
+# |lambda + i omega| below this, times the spectral scale, is a resonance with an undamped
+# mode lambda: the resolvent and the closed-form chi(omega) both read it here
+RESONANCE_TOL = 1e-12
 
 _SIGMA = {
     "x": np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),

@@ -15,8 +15,9 @@ Two routes compute it:
   It returns chi as a function of omega, like ``baths.closed_form_chi``:
   the steady state and L are built once per model, and each call is one
   4x4 linear solve per frequency, batched over its argument. It works on
-  complex omega, at exceptional points of L, and at any damping, and it
-  is the route of the ``spectrum`` command.
+  complex omega, at exceptional points of L, and at any damping, on any
+  channel list. It is the engine route that the closed form, which the
+  ``spectrum`` command evaluates, is checked against.
 * ``chi_from_correlator`` integrates a sampled correlator: a composite
   Boole rule over the samples, plus the transform past the window, which
   the same bordered solve (``_resolvent``) gives exactly from the state
@@ -54,11 +55,9 @@ from . import qops
 from .baths import CavityParams
 from .errors import InvalidModelError, NonIntegrableTailError, PreconditionError
 from .lindblad import CorrelationSeries, SpinModel, steady_state
+from .qops import RESONANCE_TOL
 
 CHI0_IMAG_TOL = 1e-10
-# |lambda + i omega| below this (times the spectral scale) is a resonance
-# with an undamped mode; the same threshold marks undamped modes in lindblad
-RESONANCE_TOL = 1e-12
 
 _SX = qops.sigma("x")
 
@@ -97,7 +96,9 @@ def _resolvent(gen: np.ndarray, rhs: np.ndarray, ref: np.ndarray, omega_scale=0.
     residual shows whether rhs excites that mode.
 
     The solver raises NonIntegrableTailError when it does, since the
-    transform then diverges.
+    transform then diverges, and PreconditionError naming omega when a
+    system is singular in floating point: a generator some 1e16 times the
+    unit border, such as rates of 1e300, rounds the border away.
     """
     lams = np.linalg.eigvals(gen)
     scale = max(1.0, float(np.max(np.abs(lams))), abs(omega_scale))
@@ -114,7 +115,19 @@ def _resolvent(gen: np.ndarray, rhs: np.ndarray, ref: np.ndarray, omega_scale=0.
         near = np.abs(modes[None, :] + 1j * flat[:, None]) <= RESONANCE_TOL * scale
         resonant = np.any(near, axis=1)
         mats = bordered + 1j * flat[:, None, None] * shift
-        x[~resonant] = np.linalg.solve(mats[~resonant], rhs[:, None])[..., 0]
+        try:
+            x[~resonant] = np.linalg.solve(mats[~resonant], rhs[:, None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            for k in np.flatnonzero(~resonant):  # name the first omega whose system fails
+                try:
+                    np.linalg.solve(mats[k], rhs)
+                except np.linalg.LinAlgError:
+                    raise PreconditionError(
+                        f"resolvent at omega = {np.asarray(omegas).reshape(-1)[k]} is singular "
+                        f"to working precision ({exc}): the generator's scale {scale:.3g} "
+                        f"swamps its unit trace border"
+                    ) from None
+            raise
         for k in np.flatnonzero(resonant):
             x[k] = np.linalg.lstsq(mats[k], rhs, rcond=None)[0]
             residual = float(np.max(np.abs(mats[k] @ x[k] - rhs)))

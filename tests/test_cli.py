@@ -757,6 +757,7 @@ class TestSpectrum:
         assert [float(r[0]) for r in rows] == [-1.0, 0.0, 1.0]
         chi0 = baths.closed_form_chi0(baths.parse_bath(bath), 1.0)
         assert float(rows[1][2]) == 0.0
+        assert rows[1][4] == "0"  # chi(0) is real
         want = omega0**2 + kappa**2 + 2 * omega0 * g**2 * chi0
         assert float(rows[1][1]) == pytest.approx(want, rel=1e-12)
 
@@ -783,7 +784,7 @@ class TestSpectrum:
         omega_max = 2.5 * max(omega0, omega_z)
         omegas = np.linspace(-omega_max, omega_max, points)
         assert (0.0 in omegas.tolist()) == (points % 2 == 1)
-        chis = response.resolvent_chi(baths.spin_model(parse_bath(bath), omega_z))(omegas)
+        chis = baths.closed_form_chi(parse_bath(bath), omega_z)(omegas)
         unit = 1.0 if raw else omega_z
         lines = [cli.HEADER, "omega,re_det,im_det,re_chi,im_chi"]
         for w, chi in zip(omegas, chis):
@@ -796,6 +797,42 @@ class TestSpectrum:
                 "--output", str(out_file), *(["--raw-units"] if raw else [])]
         assert run_cli(capsys, *argv)[0] == 0
         assert out_file.read_bytes() == "".join(f"{line}\n" for line in lines).encode()
+
+    @pytest.mark.parametrize("points", [41, 40], ids=["odd", "even"])
+    @pytest.mark.parametrize("bath", [
+        "dephasing(gamma=0.0039, sz=-0.4)", "thermal(gamma=0.0039, T=0.7)",
+        "generalized(gamma=0.0039, t=0.4)", "dephasing(gamma=0.39, sz=-0.4)",
+        "thermal(gamma=0.39, T=0.7)", "generalized(gamma=0.39, t=0.4)",
+        "generalized(gamma=1.3, t=0.5)",
+    ], ids=["dephasing-weak", "thermal-weak", "generalized-weak", "dephasing", "thermal",
+            "generalized", "exceptional_point"])
+    def test_chi_columns_match_the_resolvent(self, capsys, bath, points):
+        # gamma = 3e-3 and 0.3 omega_z, and 2 t gamma = omega_z, at omega_z = 1.3: the
+        # closed form the command writes meets the engine route within 1e-12 of max |chi|
+        omega_z = 1.3
+        code, out, err = run_cli(capsys, "spectrum", "--bath", bath, "--omega-z", str(omega_z),
+                                 "--kappa", "0.2", "--g", "0.4", "--omega-points", str(points),
+                                 "--raw-units")
+        assert (code, err) == (0, "")
+        rows = np.array([line.split(",") for line in out.splitlines()[2:]], dtype=float)
+        want = response.resolvent_chi(baths.spin_model(parse_bath(bath), omega_z))(rows[:, 0])
+        got = rows[:, 3] + 1j * rows[:, 4]
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would reach stderr
+    @pytest.mark.parametrize("bath", ["generalized(gamma=1e300, t=0.5)",
+                                      "dephasing(gamma=1e-200, sz=-0.5)"],
+                             ids=["overflow", "underflow"])
+    def test_extreme_rates_are_quiet(self, capsys, bath):
+        # the denominator overflows to chi = 0; gamma^2 underflows, harmlessly, next to
+        # |chi| ~ 1e200 near omega = +-omega_z: exit 0, and nothing on stderr
+        code, out, err = run_cli(capsys, "spectrum", "--bath", bath, "--g", "0.3")
+        assert (code, err) == (0, "")
+        rows = np.array([line.split(",") for line in out.splitlines()[2:]], dtype=float)
+        chi = baths.closed_form_chi(parse_bath(bath), 1.0)(rows[:, 0])
+        assert np.all(np.isfinite(rows))
+        assert np.array_equal(rows[:, 3] + 1j * rows[:, 4], chi)
+        assert np.any(chi != 0) == bath.startswith("dephasing")
 
 
 class TestOracleCommand:
@@ -924,6 +961,22 @@ class TestConfigFile:
             path.write_bytes(b"omega0 = 1\xff\n")
         assert run_cli(capsys, "gc", "--bath", "thermal(gamma=0.1, T=0.5)", "--config", str(path)) == (
             1, "", f"dicke-critic: error: cannot read config file {path}: {cause}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["corr", "--bath", "dephasing(gamma=0.3, sz=-0.5)"],
+    ["spectrum", "--bath", "dephasing(gamma=0.3, sz=-0.5)"],
+    ["sweep", "--bath", "thermal(gamma=0.1, T=0.5)", "--sweep-param", "omega_z",
+     "--sweep-values", "1,2"],
+], ids=["corr", "spectrum", "sweep"])
+def test_omega_z_zero_is_no_unit(capsys, argv):
+    # frequencies in units of omega_z = 0 would read 0, inf or nan: one typed line
+    code, out, err = run_cli(capsys, *argv, "--omega-z", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("dicke-critic: error: at bath = ") and err.count("\n") == 1
+    assert err.endswith(": omega_z = 0 cannot be the frequency unit; give --raw-units\n")
+    if argv[0] != "sweep":  # in raw units the table is written
+        assert run_cli(capsys, *argv, "--omega-z", "0", "--raw-units")[::2] == (0, "")
 
 
 @pytest.mark.parametrize("case, cause", [("missing_directory", "No such file or directory"),

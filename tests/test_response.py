@@ -4,7 +4,7 @@ import pytest
 from dicke_critic import baths, lindblad, qops, response
 from dicke_critic.baths import CavityParams, Custom, Dephasing, Generalized, Thermal
 from dicke_critic.critical import agreement, solve_gc
-from dicke_critic.errors import NonIntegrableTailError
+from dicke_critic.errors import NonIntegrableTailError, PreconditionError
 from dicke_critic.lindblad import steady_state, two_time_sx
 from dicke_critic.meanfield import jacobian
 from dicke_critic.response import cavity_det, chi_from_correlator, resolvent_chi
@@ -209,15 +209,32 @@ class TestResolventChi:
         assert max_rel_dev(np.array(got), baths.closed_form_chi(bath, 1.0)(1j * lams)) < 1e-12
 
     def test_unpolarized_response_vanishes(self):
-        model = baths.spin_model(Dephasing(gamma=0.0, sz=0.0), 1.0)
-        assert np.all(resolvent_chi(model)([0.0, 1.0, 2.0]) == 0)
+        # omega = 1 is the resonance of the undamped mode, where <sz> = 0 still gives 0
+        bath = Dephasing(gamma=0.0, sz=0.0)
+        for chi in (resolvent_chi(baths.spin_model(bath, 1.0)), baths.closed_form_chi(bath, 1.0)):
+            assert np.all(chi([0.0, 1.0, 2.0]) == 0)
 
     def test_undamped_resonance_is_typed_error(self):
-        model = baths.spin_model(Dephasing(gamma=0.0, sz=-0.5), 1.0)
-        chi = resolvent_chi(model)
-        assert chi(0.5) == pytest.approx(-2.0 / (1.0 - 0.25), rel=1e-12)
-        with pytest.raises(NonIntegrableTailError, match="omega = 1.0"):
-            chi([0.5, 1.0])
+        bath = Dephasing(gamma=0.0, sz=-0.5)
+        for chi in (resolvent_chi(baths.spin_model(bath, 1.0)), baths.closed_form_chi(bath, 1.0)):
+            assert chi(0.5) == pytest.approx(-2.0 / (1.0 - 0.25), rel=1e-12)
+            with pytest.raises(NonIntegrableTailError, match="omega = 1.0"):
+                chi([0.5, 1.0])
+            with pytest.raises(NonIntegrableTailError,
+                               match=r"eigenvalue 0\+1j\) evaluated at its resonance omega = -1.0"):
+                chi(np.array([-1.0]))
+        # within RESONANCE_TOL max(1, |omega_z|) of the pole, and not past it
+        chi = baths.closed_form_chi(bath, 2.0)
+        with pytest.raises(NonIntegrableTailError, match="eigenvalue 0-2j"):
+            chi(2.0 + 1.5e-12)
+        assert np.isfinite(chi(2.0 + 1e-11))
+
+    def test_singular_to_working_precision_is_typed_error(self):
+        # rates of 1e300 round the unit border of the resolvent away
+        model = baths.spin_model(Generalized(gamma=1e300, t=0.5), 1.0)
+        with pytest.raises(PreconditionError, match=r"omega = 0.0 is singular .*Singular matrix"):
+            resolvent_chi(model)(0.0)
+        assert baths.closed_form_chi(Generalized(gamma=1e300, t=0.5), 1.0)(0.0) == 0
 
 
 class TestCavityDet:
