@@ -250,11 +250,15 @@ def closed_form_chi(bath: BathSpec, omega_z: float):
     a call raises NonIntegrableTailError where omega comes within
     RESONANCE_TOL max(1, |omega_z|) of +-omega_z, the undamped modes, where
     the transform diverges. A denominator past the float range gives 0,
-    without a warning.
+    without a warning; a chi past it (a rate so small that gamma omega_z
+    underflows, at omega = +-omega_z) raises PreconditionError, as does an
+    omega_z whose square overflows.
     """
     sz = steady_sz(bath, omega_z)
     with _float_range("thermal occupation"):  # the rates of the other baths cannot fail
         gx, gy = transverse_rates(bath, omega_z)
+    with _float_range("chi"):
+        wz2 = omega_z**2
     reach = qops.RESONANCE_TOL * max(1.0, abs(omega_z))
 
     def chi(omega):
@@ -271,8 +275,13 @@ def closed_form_chi(bath: BathSpec, omega_z: float):
                     f"undamped mode (eigenvalue {complex(0.0, -pole):.6g}) evaluated at its "
                     f"resonance omega = {w}"
                 )
-        with np.errstate(over="ignore"):
-            return (4.0 * sz * omega_z / ((gx - 1j * om) * (gy - 1j * om) + omega_z**2))[()]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            values = 4.0 * sz * omega_z / ((gx - 1j * om) * (gy - 1j * om) + wz2)
+        finite = np.isfinite(values)
+        if not np.all(finite):
+            w = om.reshape(-1)[np.argmin(finite.reshape(-1))]
+            raise PreconditionError(f"chi leaves the float range at omega = {w}")
+        return values[()]
 
     return chi
 

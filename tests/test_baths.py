@@ -215,6 +215,12 @@ class TestClosedFormGc:
             closed_form_gc(Thermal(gamma=0.1, temperature=0.5), 1.0, CavityParams(1e200, 0.0))
         with pytest.raises(PreconditionError, match="g0"):
             fully_polarized_gc(1.0, CavityParams(1e200, 0.0))
+        # chi(omega): omega_z^2 beyond float range; chi itself beyond it at a denormal rate
+        with pytest.raises(PreconditionError, match="chi overflows the float range"):
+            baths.closed_form_chi(Thermal(gamma=0.1, temperature=0.5), 1e200)
+        chi = baths.closed_form_chi(Dephasing(gamma=5e-324, sz=-0.5), 1.0)
+        with pytest.raises(PreconditionError, match="chi leaves the float range at omega = -1.0"):
+            chi(np.array([0.5, -1.0]))
 
 
 class TestTextualForm:

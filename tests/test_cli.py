@@ -676,12 +676,15 @@ class TestCorr:
             0, "".join(f"{line}\n" for line in lines), "")
 
     def test_thermal_occupation_underflow_exits_1(self, capsys):
-        # omega_z / T underflows to 0: the occupation is a typed error naming the point
-        code, out, err = run_cli(capsys, "corr", "--bath", "thermal(gamma=0.1, T=1e300)",
-                                 "--omega-z", "1e-300")
-        assert (code, out) == (1, "")
-        assert err == ("dicke-critic: error: at bath = thermal(gamma=0.1, T=1e+300), "
-                       "omega_z = 1e-300: thermal occupation is undefined (division by zero)\n")
+        # omega_z / T underflows to 0: the occupation is a typed error naming the point,
+        # in corr (the channels) and in spectrum (the closed form's rates)
+        for command, point in (("corr", ""), ("spectrum", ", omega0 = 1, kappa = 0")):
+            code, out, err = run_cli(capsys, command, "--bath", "thermal(gamma=0.1, T=1e300)",
+                                     "--omega-z", "1e-300")
+            assert (code, out) == (1, "")
+            assert err == ("dicke-critic: error: at bath = thermal(gamma=0.1, T=1e+300), "
+                           f"omega_z = 1e-300{point}: thermal occupation is undefined "
+                           "(division by zero)\n")
 
 
 class TestSpectrum:
@@ -705,15 +708,20 @@ class TestSpectrum:
         assert neg[np.argmin(mags[omegas < 0])] == pytest.approx(-1.0, abs=0.02)
 
 
-    def test_undamped_resonance_exits_1(self, capsys):
-        # the default 201-point grid holds omega = +-omega_z exactly
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma, cause", [
+        ("0", "undamped mode (eigenvalue 0+1j) evaluated at its resonance omega = -1.0"),
+        ("5e-324", "chi leaves the float range at omega = -1.0"),
+    ], ids=["undamped", "denormal_rate"])
+    def test_undamped_resonance_exits_1(self, capsys, gamma, cause):
+        # the default 201-point grid holds omega = +-omega_z exactly; at the smallest
+        # rate chi there is about 1e323, past the float range
         code, out, err = run_cli(
-            capsys, "spectrum", "--bath", "dephasing(gamma=0,sz=-0.5)", "--g", "0.3",
+            capsys, "spectrum", "--bath", f"dephasing(gamma={gamma},sz=-0.5)", "--g", "0.3",
         )
         assert code == 1
         assert out == ""
-        assert "undamped mode" in err
-        assert "resonance omega = -1.0" in err
+        assert err.endswith(f": {cause}\n") and err.count("\n") == 1
 
     def test_error_names_the_point(self, capsys, tmp_path):
         out_file = tmp_path / "spec.csv"
