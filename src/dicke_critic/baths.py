@@ -30,6 +30,9 @@ Both variants are exposed through ``GcMode``:
   with direct quadrature of the correlator and with the mean-field and
   exact-diagonalization oracles.
 * ``GcMode.LITERATURE`` -- the quoted forms, kept for comparison.
+
+``closed_form_chi`` continues the exact form to any frequency; at omega = 0
+it is ``closed_form_chi0`` bit for bit, the chi0 that ``gc`` prints.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import contextlib
 import enum
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +154,16 @@ def _float_range(quantity: str):
         raise PreconditionError(f"{quantity} is undefined (division by zero)") from None
 
 
+def _cavity_scale(cavity: CavityParams, quantity: str):
+    """omega0^2 + kappa^2, which must be a normal float: below that it has lost its digits."""
+    with _float_range(quantity):
+        scale = _sq(cavity.omega0) + _sq(cavity.kappa)
+    if np.any(scale < sys.float_info.min):
+        raise PreconditionError(f"{quantity} is undefined: omega0^2 + kappa^2 underflows the "
+                                f"float range (below {sys.float_info.min:.6g})")
+    return scale
+
+
 def bose_occupation(omega_z: float, temperature: float) -> float:
     """Bose-Einstein occupation at energy omega_z; 0 at T = 0."""
     if temperature < 0:
@@ -159,6 +173,8 @@ def bose_occupation(omega_z: float, temperature: float) -> float:
     if temperature == 0.0:
         return 0.0
     x = omega_z / temperature
+    if x == 0.0:  # omega_z / T underflows, and 1 / expm1(0) has no value
+        raise PreconditionError("thermal occupation is undefined (division by zero)")
     if x > 700.0:  # exp would overflow; occupation is indistinguishable from 0
         return 0.0
     return 1.0 / math.expm1(x)
@@ -169,8 +185,7 @@ def channels_of(bath: BathSpec, omega_z: float) -> tuple[qops.LindbladChannel, .
     if isinstance(bath, Dephasing):
         return (qops.LindbladChannel(qops.sigma("z"), bath.gamma),)
     if isinstance(bath, Thermal):
-        with _float_range("thermal occupation"):
-            n = bose_occupation(omega_z, bath.temperature)
+        n = bose_occupation(omega_z, bath.temperature)
         return (
             qops.LindbladChannel(qops.sigma("minus"), (1.0 + n) * bath.gamma),
             qops.LindbladChannel(qops.sigma("plus"), n * bath.gamma),
@@ -245,20 +260,21 @@ def closed_form_chi(bath: BathSpec, omega_z: float):
     """Exact chi(omega), analytically continued; callable on real or complex omega.
 
     chi(omega) = 4 <sz> omega_z / ((gamma_x - i omega)(gamma_y - i omega) + omega_z^2),
-    with the shape of its argument. An unpolarized bath (<sz> = 0) gives 0
-    everywhere, at resonances too. Without damping (dephasing at gamma = 0)
-    a call raises NonIntegrableTailError where omega comes within
-    RESONANCE_TOL max(1, |omega_z|) of +-omega_z, the undamped modes, where
-    the transform diverges. A denominator past the float range gives 0,
-    without a warning; a chi past it (a rate so small that gamma omega_z
-    underflows, at omega = +-omega_z) raises PreconditionError, as does an
-    omega_z whose square overflows.
+    with the shape of its argument. At omega = 0 it divides by the real
+    denominator, as ``closed_form_chi0`` does, so chi(0) is chi0 bit for bit.
+    An unpolarized bath (<sz> = 0) gives 0 everywhere, at resonances too.
+    Without damping (dephasing at gamma = 0) a call raises
+    NonIntegrableTailError where omega comes within RESONANCE_TOL
+    max(1, |omega_z|) of +-omega_z, the undamped modes, where the transform
+    diverges. A denominator past the float range gives 0, without a
+    warning; a chi past it (a rate so small that gamma omega_z underflows,
+    at omega = +-omega_z) raises PreconditionError, as does an omega_z
+    whose square overflows.
     """
     sz = steady_sz(bath, omega_z)
-    with _float_range("thermal occupation"):  # the rates of the other baths cannot fail
-        gx, gy = transverse_rates(bath, omega_z)
+    gx, gy = transverse_rates(bath, omega_z)
     with _float_range("chi"):
-        wz2 = omega_z**2
+        wz2 = _sq(omega_z)
     reach = qops.RESONANCE_TOL * max(1.0, abs(omega_z))
 
     def chi(omega):
@@ -276,7 +292,8 @@ def closed_form_chi(bath: BathSpec, omega_z: float):
                     f"resonance omega = {w}"
                 )
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            values = 4.0 * sz * omega_z / ((gx - 1j * om) * (gy - 1j * om) + wz2)
+            num, denom = 4.0 * sz * omega_z, (gx - 1j * om) * (gy - 1j * om) + wz2
+            values = np.where(om == 0, num / denom.real, num / denom)
         finite = np.isfinite(values)
         if not np.all(finite):
             w = om.reshape(-1)[np.argmin(finite.reshape(-1))]

@@ -12,8 +12,9 @@ Subcommands:
   propagator, so it also runs at exceptional points of the generator
 * ``spectrum`` -- cavity determinant and susceptibility over frequency;
   chi(omega) on the whole grid, omega = 0 included, is the closed form
-  ``baths.closed_form_chi`` that ``gc`` and ``sweep`` read chi0 from, and
-  the determinant comes from one ``response.cavity_det`` call. The
+  ``baths.closed_form_chi`` that ``gc`` and ``sweep`` read chi0 from (the
+  omega = 0 row is their chi0 bit for bit), and the determinant comes from
+  one ``response.cavity_det`` call. The
   resolvent (``response.resolvent_chi``) and the correlator quadrature are
   its checks, in the tests, not routes of the command
 * ``oracle``   -- closed form vs mean-field threshold table, ``critical.agreement``
@@ -283,6 +284,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         cfg.cavity.omega0, abs(cfg.omega_z)
     )
     omega_min = cfg.omega_min if cfg.omega_min is not None else -omega_max
+    if not np.isfinite(omega_max - omega_min):
+        raise DickeCriticError(f"the frequency grid from {fmt(omega_min)} to {fmt(omega_max)} "
+                               "spans past the float range")
     omegas = np.linspace(omega_min, omega_max, cfg.omega_points)
     chis = baths.closed_form_chi(cfg.bath, cfg.omega_z)(omegas)
     dets = response.cavity_det(omegas, cfg.cavity, cfg.g, chis)

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import baths, lindblad, response
-from .baths import _BATH_FIELDS, BathSpec, CavityParams, GcMode, _float_range, _sq
+from .baths import _BATH_FIELDS, BathSpec, CavityParams, GcMode, _cavity_scale, _float_range
 from .errors import DickeCriticError, PreconditionError
 
 ZERO_TOL = 1e-14  # |chi0| <= ZERO_TOL is unpolarized
@@ -59,21 +58,16 @@ def solve_gc(chi0: float, cavity: CavityParams) -> CriticalResult:
     """Solve the zero-frequency condition for g_c."""
     if not np.isfinite(chi0):
         raise PreconditionError(f"chi0 = {chi0} is not finite")
-    if abs(chi0) <= ZERO_TOL:
-        return NoTransition(NoTransitionReason.UNPOLARIZED)
-    if chi0 > 0:
-        return NoTransition(NoTransitionReason.INVERTED)
+    code = int(_status(chi0))
+    if code:
+        return NoTransition(tuple(NoTransitionReason)[code - 1])
     return Transition(g_c=_critical_coupling(chi0, cavity, _cavity_scale(cavity, "g_c")))
 
 
-def _cavity_scale(cavity: CavityParams, quantity: str):
-    """omega0^2 + kappa^2, which must be a normal float: below that it has lost its digits."""
-    with _float_range(quantity):
-        scale = _sq(cavity.omega0) + _sq(cavity.kappa)
-    if np.any(scale < sys.float_info.min):
-        raise PreconditionError(f"{quantity} is undefined: omega0^2 + kappa^2 underflows the "
-                                f"float range (below {sys.float_info.min:.6g})")
-    return scale
+def _status(chi0):
+    """chi0's index into STATUS, on a float or an array: 0 (a transition) where chi0 < 0,
+    1 (unpolarized) where |chi0| <= ZERO_TOL, 2 (inverted) where chi0 > 0."""
+    return np.where(np.abs(chi0) <= ZERO_TOL, 1, 2 * (chi0 > 0))
 
 
 def _sqrt(x):
@@ -172,7 +166,7 @@ def sweep(plan: SweepPlan) -> SweepTable:
             chi0 = np.broadcast_to(baths.closed_form_chi0(bath, omega_z, plan.mode), len(params))
             if not np.isfinite(chi0).all():  # the one output the scalar path rejects
                 raise PreconditionError("chi0 is not finite")
-            code = np.where(np.abs(chi0) <= ZERO_TOL, 1, 2 * (chi0 > 0))
+            code = _status(chi0)
             scale = _cavity_scale(cavity, "g_c")
             g_c = _critical_coupling(np.where(code == 0, chi0, np.nan), cavity, scale)
             ratio = g_c / fully_polarized_gc(omega_z, cavity, scale)

@@ -515,12 +515,7 @@ def cutoff_stability(spec: FullSystemSpec, extra: int = 4,
     return abs(n1 - n0) / max(abs(n0), 1e-300)
 
 
-def full_regression_sx(
-    spec: FullSystemSpec,
-    tmax: float | None = None,
-    dt: float | None = None,
-    times: np.ndarray | None = None,
-) -> CorrelationSeries:
+def full_regression_sx(spec: FullSystemSpec, times: np.ndarray | None = None) -> CorrelationSeries:
     """Atomic S_x(t) evaluated inside the full Hilbert space at g = 0.
 
     Validates the full generator against the single-spin engine, which the
@@ -545,5 +540,4 @@ def full_regression_sx(
     perm = np.arange(4 * n * n).reshape(n, n, 2, 2).transpose(0, 2, 1, 3).ravel()
     gen = build_full_generator(spec).toarray()[np.ix_(perm, perm)]
     return correlation_series_from_generator(
-        gen, rho_full @ sx_full, sx_full, omega_scale=spec.model.omega_z, tmax=tmax, dt=dt,
-        times=times)
+        gen, rho_full @ sx_full, sx_full, omega_scale=spec.model.omega_z, times=times)

@@ -22,7 +22,8 @@ and b the coupling rows plus the kick columns b[2:, 0] = b[2:, 1] =
 2 D vec rho_0; no finite difference is taken. ``jacobian`` returns this
 complex matrix (indices 2 and 5 are rho00 and rho11). It is similar to the
 real Jacobian in (Re alpha, Im alpha, rho00, Re rho01, Im rho01, rho11),
-so ``growth_rate`` sees the spectrum of the real flow, and its
+so ``growth_rate`` sees the spectrum of the real flow (less the conserved
+directions, so that it reads below 0 where the state is stable), and its
 eigenvalues lambda are the polariton roots omega = i lambda of
 ``response.cavity_det``. The static self-consistency reproduces the
 zero-frequency determinant condition, g*^2 = -(omega0^2 + kappa^2) /
@@ -35,7 +36,9 @@ alpha = -2 i g <sx> / (i omega0 + kappa). The field h = 2 g (alpha +
 conj(alpha)) on the atom then solves F(h) = h + K <sx>(h) = 0, with
 K = 8 g^2 omega0 / (omega0^2 + kappa^2) and <sx>(h) from the steady state of
 L_atom + h D; ``superradiant_state`` finds the root h* > 0 (-h* is its Z2
-mirror) with the threshold's root finder.
+mirror) with the threshold's root finder. Its Jacobian there is a + g b
+again, from the same builder (``_linearization``): L_atom + h* D on the rho
+block and 2 D vec rho* in the kick columns.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qops
-from .baths import CavityParams
+from .baths import CavityParams, _cavity_scale
 from .errors import DegenerateSteadyStateError, NoThresholdError, PreconditionError
 from .lindblad import SpinModel, steady_state
 
@@ -68,21 +71,19 @@ class MeanFieldState:
     top_eigenvalue: complex  # of the Jacobian there, trace left out: stable where Re < 0
 
 
-def _flow_parts(cavity: CavityParams, model: SpinModel) -> tuple[np.ndarray, np.ndarray]:
-    """(m(0), c) with m(g) = m(0) + g c: c holds only the coupling rows."""
-    m0 = np.zeros((6, 6), dtype=complex)
-    m0[0, 0] = -(1j * cavity.omega0 + cavity.kappa)
-    m0[1, 1] = np.conj(m0[0, 0])
-    m0[2:, 2:] = model.generator()
-    c = np.zeros((6, 6), dtype=complex)
-    c[0, 2:], c[1, 2:] = -2j * _SX_ROW, 2j * _SX_ROW
-    return m0, c
-
-
-def _linearization(cavity: CavityParams, model: SpinModel) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) with the Jacobian at the normal fixed point exactly a + g b."""
-    a, b = _flow_parts(cavity, model)
-    b[2:, 0] = b[2:, 1] = 2.0 * _DRIVE @ qops.vectorize(steady_state(model).rho)
+def _linearization(cavity: CavityParams, model: SpinModel, vec: np.ndarray | None = None,
+                   h: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with the Jacobian exactly a + g b at the fixed point whose atom, in the field
+    h = 2 g (alpha + conj(alpha)), is in the state vec; by default the normal state."""
+    if vec is None:
+        vec = qops.vectorize(steady_state(model).rho)
+    a = np.zeros((6, 6), dtype=complex)
+    a[0, 0] = -(1j * cavity.omega0 + cavity.kappa)
+    a[1, 1] = np.conj(a[0, 0])
+    a[2:, 2:] = model.generator() + h * _DRIVE
+    b = np.zeros((6, 6), dtype=complex)
+    b[0, 2:], b[1, 2:] = -2j * _SX_ROW, 2j * _SX_ROW
+    b[2:, 0] = b[2:, 1] = 2.0 * _DRIVE @ vec
     return a, b
 
 
@@ -93,8 +94,10 @@ def jacobian(cavity: CavityParams, model: SpinModel, g: float) -> np.ndarray:
 
 
 def growth_rate(cavity: CavityParams, model: SpinModel, g: float) -> float:
-    """Largest real part of the linearization spectrum at the normal state."""
-    return float(np.max(np.real(np.linalg.eigvals(jacobian(cavity, model, g)))))
+    """Largest real part of the linearization spectrum at the normal state, the directions
+    conserved for every g (``_deflate``) left out: negative where the normal state is stable."""
+    a, b = _deflate(*_linearization(cavity, model))
+    return _top_mode(a + g * b)[0].real
 
 
 def _deflate(*mats: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -204,7 +207,7 @@ def superradiant_state(cavity: CavityParams, model: SpinModel, g: float) -> Mean
     ``DegenerateSteadyStateError`` where an atom without dissipation has no
     unique steady state in the field.
     """
-    k = 8.0 * g**2 * cavity.omega0 / (cavity.omega0**2 + cavity.kappa**2)
+    k = 8.0 * g**2 * cavity.omega0 / _cavity_scale(cavity, "K")
 
     def f(h: float) -> float:
         return h + k * float((_SX_ROW @ _field_state(model, h)).real)
@@ -222,10 +225,7 @@ def superradiant_state(cavity: CavityParams, model: SpinModel, g: float) -> Mean
             f"sign on ({lo!r}, {hi!r}]")
     h = _illinois(f, lo, hi, f_lo, f_hi)
     vec = _field_state(model, h)
-    m0, c = _flow_parts(cavity, model)
-    jac = m0 + g * c
-    jac[2:, 2:] += h * _DRIVE
-    jac[2:, 0] = jac[2:, 1] = 2.0 * g * (_DRIVE @ vec)
-    top, *_ = _top_mode(*_deflate(jac))
+    a, b = _linearization(cavity, model, vec, h)
+    top, *_ = _top_mode(*_deflate(a + g * b))
     alpha = -2j * g * float((_SX_ROW @ vec).real) / (1j * cavity.omega0 + cavity.kappa)
     return MeanFieldState(alpha=alpha, rho=qops.devectorize(vec), top_eigenvalue=top)

@@ -81,9 +81,8 @@ def vectorize(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=complex).reshape(-1, order="F")
 
 
-def devectorize(v: np.ndarray, d: int | None = None) -> np.ndarray:
-    if d is None:
-        d = int(round(np.sqrt(v.size)))
+def devectorize(v: np.ndarray) -> np.ndarray:
+    d = int(round(np.sqrt(v.size)))
     return np.asarray(v, dtype=complex).reshape(d, d, order="F")
 
 
@@ -244,8 +243,6 @@ def lindblad_generator(h, channels: list[LindbladChannel] | tuple):
             raise DimensionMismatchError(
                 f"channel operator shape {ch.op.shape} != Hamiltonian shape {h.shape}"
             )
-        if ch.rate < 0:
-            raise InvalidModelError(f"channel rate {ch.rate} < 0")
         gen += dissipator(ch.op, ch.rate)
     return gen
 

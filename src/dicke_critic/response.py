@@ -14,7 +14,7 @@ Two routes compute it:
 
   It returns chi as a function of omega, like ``baths.closed_form_chi``:
   the steady state and L are built once per model, and each call is one
-  4x4 linear solve per frequency, batched over its argument. It works on
+  4x4 linear solve per frequency of its argument. It works on
   complex omega, at exceptional points of L, and at any damping, on any
   channel list. It is the engine route that the closed form, which the
   ``spectrum`` command evaluates, is checked against.
@@ -82,21 +82,20 @@ def _integrate_samples(times: np.ndarray, values: np.ndarray) -> complex:
 
 
 def _resolvent(gen: np.ndarray, rhs: np.ndarray, ref: np.ndarray, omega_scale=0.0):
-    """A solver omegas -> x = (L + i omega)^{-1} rhs for a traceless rhs.
+    """A solver omega -> x = (L + i omega)^{-1} rhs for a traceless rhs, one omega a call.
 
-    The solver solves (L + |ref><1| + i omega (1 - |ref><1|)) x = rhs for
-    every omega at once as a stack of systems and returns one row per
-    omega; ref is any trace-one state. The eigenvalues of L and the border
-    are computed once, here. Tr o L = 0, so on traceless operators the
-    bordered matrix is L + i omega and the border changes no solution; it
-    replaces the zero eigenvalue of the steady state by 1, which makes
-    omega = 0 solvable. Where omega meets -i lambda for another undamped
-    mode lambda of L (the extra zero mode of a degenerate null space, as
-    under dephasing, is one), the system is solved by least squares: its
-    residual shows whether rhs excites that mode.
+    The solver solves (L + |ref><1| + i omega (1 - |ref><1|)) x = rhs; ref
+    is any trace-one state. The eigenvalues of L and the border are
+    computed once, here. Tr o L = 0, so on traceless operators the bordered
+    matrix is L + i omega and the border changes no solution; it replaces
+    the zero eigenvalue of the steady state by 1, which makes omega = 0
+    solvable. Where omega meets -i lambda for another undamped mode lambda
+    of L (the extra zero mode of a degenerate null space, as under
+    dephasing, is one), the system is solved by least squares: its residual
+    shows whether rhs excites that mode.
 
     The solver raises NonIntegrableTailError when it does, since the
-    transform then diverges, and PreconditionError naming omega when a
+    transform then diverges, and PreconditionError naming omega when the
     system is singular in floating point: a generator some 1e16 times the
     unit border, such as rates of 1e300, rounds the border away.
     """
@@ -107,37 +106,26 @@ def _resolvent(gen: np.ndarray, rhs: np.ndarray, ref: np.ndarray, omega_scale=0.
     bordered = gen + border
     shift = np.eye(rhs.size) - border
 
-    def solve(omegas) -> np.ndarray:
-        flat = np.asarray(omegas, dtype=complex).reshape(-1)
-        x = np.zeros((flat.size, rhs.size), dtype=complex)
+    def solve(omega) -> np.ndarray:
         if not np.any(rhs):
-            return x
-        near = np.abs(modes[None, :] + 1j * flat[:, None]) <= RESONANCE_TOL * scale
-        resonant = np.any(near, axis=1)
-        mats = bordered + 1j * flat[:, None, None] * shift
-        try:
-            x[~resonant] = np.linalg.solve(mats[~resonant], rhs[:, None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            for k in np.flatnonzero(~resonant):  # name the first omega whose system fails
-                try:
-                    np.linalg.solve(mats[k], rhs)
-                except np.linalg.LinAlgError:
-                    raise PreconditionError(
-                        f"resolvent at omega = {np.asarray(omegas).reshape(-1)[k]} is singular "
-                        f"to working precision ({exc}): the generator's scale {scale:.3g} "
-                        f"swamps its unit trace border"
-                    ) from None
-            raise
-        for k in np.flatnonzero(resonant):
-            x[k] = np.linalg.lstsq(mats[k], rhs, rcond=None)[0]
-            residual = float(np.max(np.abs(mats[k] @ x[k] - rhs)))
-            if residual > RESONANCE_TOL * scale * float(np.max(np.abs(rhs))):
-                lam = modes[np.argmax(near[k])]
-                raise NonIntegrableTailError(
-                    f"undamped mode (eigenvalue {complex(lam):.6g}) evaluated at its resonance "
-                    f"omega = {np.asarray(omegas).reshape(-1)[k]} (least-squares residual "
-                    f"{residual:.3g})"
-                )
+            return np.zeros(rhs.size, dtype=complex)
+        mat = bordered + 1j * omega * shift
+        near = np.abs(modes + 1j * omega) <= RESONANCE_TOL * scale
+        if not np.any(near):
+            try:
+                return np.linalg.solve(mat, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise PreconditionError(
+                    f"resolvent at omega = {omega} is singular to working precision ({exc}): "
+                    f"the generator's scale {scale:.3g} swamps its unit trace border"
+                ) from None
+        x = np.linalg.lstsq(mat, rhs, rcond=None)[0]
+        residual = float(np.max(np.abs(mat @ x - rhs)))
+        if residual > RESONANCE_TOL * scale * float(np.max(np.abs(rhs))):
+            raise NonIntegrableTailError(
+                f"undamped mode (eigenvalue {complex(modes[np.argmax(near)]):.6g}) evaluated at "
+                f"its resonance omega = {omega} (least-squares residual {residual:.3g})"
+            )
         return x
 
     return solve
@@ -165,7 +153,7 @@ def chi_from_correlator(corr: CorrelationSeries, omega: float) -> complex:
     end = corr.end_state
     rhs = (end - qops.vectorize(qops.devectorize(end).conj().T)) / 2j
     dim = math.isqrt(end.size)
-    x = _resolvent(corr.generator, rhs, qops.trace_functional(dim) / dim)(omega)[0]
+    x = _resolvent(corr.generator, rhs, qops.trace_functional(dim) / dim)(omega)
     value = body + 8.0 * cmath.exp(1j * omega * corr.times[-1]) * complex(corr.obs_row @ x)
     if omega == 0.0:
         if abs(value.imag) > CHI0_IMAG_TOL:
@@ -181,7 +169,7 @@ def resolvent_chi(model: SpinModel):
 
     The steady state rho, the generator L, its eigenvalues and the border
     are built once, here. Each call solves (L + i omega) x = rho sx - sx rho
-    for every omega at once by ``_resolvent``, bordered with rho, and
+    by ``_resolvent``, bordered with rho, one 4x4 solve per frequency, and
     returns chi = -4i Tr[sx x] with the shape of its argument. Complex
     omega continues chi analytically, so ``cavity_det`` vanishes at the
     polariton roots omega = i lambda, lambda the eigenvalues of the
@@ -198,16 +186,17 @@ def resolvent_chi(model: SpinModel):
     row = qops.observable_row(_SX)
 
     def chi(omegas):
-        om = np.asarray(omegas, dtype=complex)
-        flat = om.reshape(-1)
-        values = -4j * (solve(omegas) @ row)
-        static = flat == 0
-        if np.any(np.abs(values[static].imag) > CHI0_IMAG_TOL):
-            raise InvalidModelError(
-                f"Im chi(0) = {values[static][0].imag} should vanish; resolvent is inconsistent"
-            )
-        values[static] = values[static].real
-        return values.reshape(om.shape)[()]
+        om = np.asarray(omegas)
+        values = np.zeros(om.shape, dtype=complex)
+        for i, omega in enumerate(om.reshape(-1).tolist()):
+            value = -4j * (solve(omega) @ row)
+            if omega == 0:
+                if abs(value.imag) > CHI0_IMAG_TOL:
+                    raise InvalidModelError(
+                        f"Im chi(0) = {value.imag} should vanish; resolvent is inconsistent")
+                value = value.real
+            values.flat[i] = value
+        return values[()]
 
     return chi
 

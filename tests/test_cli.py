@@ -677,11 +677,19 @@ class TestCorr:
 
     def test_thermal_occupation_underflow_exits_1(self, capsys):
         # omega_z / T underflows to 0: the occupation is a typed error naming the point,
-        # in corr (the channels) and in spectrum (the closed form's rates)
-        for command, point in (("corr", ""), ("spectrum", ", omega0 = 1, kappa = 0")):
+        # in corr (the channels), in gc and sweep (chi0; sweep names the row) and in
+        # spectrum (the closed form's rates)
+        cavity = ", omega0 = 1, kappa = 0"
+        for command, extra, point in (
+            ("corr", [], ""),
+            ("gc", [], cavity),
+            ("sweep", ["--sweep-param", "T", "--sweep-values", "1e300"],
+             f"{cavity}: row 0, T = 1e+300"),
+            ("spectrum", [], cavity),
+        ):
             code, out, err = run_cli(capsys, command, "--bath", "thermal(gamma=0.1, T=1e300)",
-                                     "--omega-z", "1e-300")
-            assert (code, out) == (1, "")
+                                     "--omega-z", "1e-300", *extra)
+            assert (code, out) == (1, ""), command
             assert err == ("dicke-critic: error: at bath = thermal(gamma=0.1, T=1e+300), "
                            f"omega_z = 1e-300{point}: thermal occupation is undefined "
                            "(division by zero)\n")
@@ -752,22 +760,63 @@ class TestSpectrum:
         assert np.max(np.abs(rows[:, 3] + 1j * rows[:, 4] - chi)) < 1e-12
 
     def test_zero_frequency_row_is_exact(self, capsys):
-        from dicke_critic import baths
+        omega0, kappa, g = 1.1, 0.3, 0.4
+        for bath, omega_z in (
+            ("thermal(gamma=0.1,T=0.5)", 1.0),
+            # a complex division there put chi(0) an ulp from chi0
+            ("generalized(gamma=0.331024638654852, t=0.04425354658686846)", 2.853585038879616),
+        ):
+            code, out, _ = run_cli(
+                capsys, "spectrum", "--bath", bath, "--g", str(g), "--omega0", str(omega0),
+                "--kappa", str(kappa), "--omega-min", "-1", "--omega-max", "1",
+                "--omega-points", "3", "--omega-z", repr(omega_z), "--raw-units",
+            )
+            assert code == 0
+            rows = [line.split(",") for line in out.splitlines()[2:]]
+            assert [float(r[0]) for r in rows] == [-1.0, 0.0, 1.0]
+            chi0 = baths.closed_form_chi0(baths.parse_bath(bath), omega_z)
+            assert float(rows[1][2]) == 0.0
+            assert rows[1][3:] == [cli.fmt(chi0), "0"]  # chi(0) is chi0, and real
+            # the zero-frequency condition, in cavity_det's order of operations
+            want = omega0**2 + kappa**2 + 2.0 * omega0 * (g**2 * chi0)
+            assert rows[1][1] == cli.fmt(want), bath
 
-        bath, omega0, kappa, g = "thermal(gamma=0.1,T=0.5)", 1.1, 0.3, 0.4
-        code, out, _ = run_cli(
-            capsys, "spectrum", "--bath", bath, "--g", str(g), "--omega0", str(omega0),
-            "--kappa", str(kappa), "--omega-min", "-1", "--omega-max", "1",
-            "--omega-points", "3",
-        )
-        assert code == 0
-        rows = [line.split(",") for line in out.splitlines()[2:]]
-        assert [float(r[0]) for r in rows] == [-1.0, 0.0, 1.0]
-        chi0 = baths.closed_form_chi0(baths.parse_bath(bath), 1.0)
-        assert float(rows[1][2]) == 0.0
-        assert rows[1][4] == "0"  # chi(0) is real
-        want = omega0**2 + kappa**2 + 2 * omega0 * g**2 * chi0
-        assert float(rows[1][1]) == pytest.approx(want, rel=1e-12)
+    @pytest.mark.parametrize("raw", [False, True], ids=["omega_z", "raw"])
+    def test_zero_frequency_chi_is_gc_chi0(self, capsys, raw):
+        # gc's chi0, a one-row sweep's chi0 and spectrum's omega = 0 re_chi are one text,
+        # at 24 seeded points of the three families and at one where a complex division
+        # put chi(0) an ulp from chi0
+        rng = np.random.default_rng(38)
+        points = [("generalized(gamma=0.331024638654852, t=0.04425354658686846)",
+                   2.853585038879616)]
+        for i in range(24):
+            gamma, omega_z = 10.0 ** rng.uniform(-2, 1), 10.0 ** rng.uniform(-1, 1)
+            points.append(((f"dephasing(gamma={gamma!r}, sz={rng.uniform(-0.5, 0.5)!r})",
+                            f"thermal(gamma={gamma!r}, T={10.0 ** rng.uniform(-1, 1)!r})",
+                            f"generalized(gamma={gamma!r}, t={rng.uniform(0, 1)!r})")[i % 3],
+                           omega_z))
+        for bath, omega_z in points:
+            point = ["--bath", bath, "--omega-z", repr(omega_z), *(["--raw-units"] if raw else [])]
+            texts = (
+                parse_record(run_cli(capsys, "gc", *point)[1])["chi0"],
+                run_cli(capsys, "sweep", *point, "--sweep-param", "omega0",
+                        "--sweep-values", "1")[1].splitlines()[2].split(",")[1],
+                run_cli(capsys, "spectrum", *point, "--omega-min=-1", "--omega-max", "1",
+                        "--omega-points", "3")[1].splitlines()[3].split(",")[3],
+            )
+            assert len(set(texts)) == 1, (bath, omega_z, texts)
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would reach stderr
+    def test_grid_past_the_float_range_exits_1(self, capsys):
+        # the default grid at omega0 = 8e307, where 2.5 omega0 is inf, and a grid spanning
+        # 2e308: one typed line naming the grid ends
+        for extra, ends in ((["--omega0", "8e307"], "-inf to inf"),
+                            (["--omega-min=-1e308", "--omega-max", "1e308"], "-1e+308 to 1e+308")):
+            code, out, err = run_cli(capsys, "spectrum", "--bath", "thermal(gamma=0.1, T=0.5)",
+                                     *extra)
+            assert (code, out) == (1, "")
+            assert err.endswith(f": the frequency grid from {ends} spans past the float range\n")
+            assert err.count("\n") == 1
 
     def test_repeated_runs_are_byte_identical(self, capsys, tmp_path):
         args = ["spectrum", "--bath", "thermal(gamma=0.003,T=0.5)", "--g", "0.3",

@@ -210,11 +210,14 @@ class TestSimulate:
     BATH = Generalized(gamma=0.2, t=0.0)
 
     def test_below_threshold_decays(self):
-        # no branch, and the normal state is stable: every seed decays to it
-        model, g = model_for(self.BATH), 0.5 * gc_of(self.BATH)
-        with pytest.raises(NoThresholdError):
-            superradiant_state(CAVITY, model, g)
-        assert normal_top(model, g).real < 0
+        # no branch, and the normal state is stable: every seed decays to it; growth_rate
+        # reads its decay rate, not the 0 of the conserved trace
+        for bath in (self.BATH, Thermal(0.1, 0.5), Dephasing(0.3, -0.5)):
+            model, g = model_for(bath), 0.5 * gc_of(bath)
+            with pytest.raises(NoThresholdError):
+                superradiant_state(CAVITY, model, g)
+            top = normal_top(model, g).real
+            assert top < 0 and growth_rate(CAVITY, model, g) == pytest.approx(top, rel=1e-12)
 
     def test_above_threshold_saturates(self):
         # |alpha| where an adaptive RK45 run (rtol = atol = 1e-10) of the flow from
@@ -289,9 +292,18 @@ class TestSuperradiantBranch:
 
     def test_no_branch_is_a_typed_error(self):
         # pure dephasing: <sx>(h) = 0, so F(h) = h keeps its sign; without dissipation
-        # the atom in a field has no unique steady state
-        for gamma, error in ((0.3, NoThresholdError), (0.0, DegenerateSteadyStateError)):
+        # the atom in a field has no unique steady state; below the smallest normal float
+        # omega0^2 + kappa^2 has lost its digits, and K = 8 g^2 omega0 / (omega0^2 + kappa^2)
+        # with it
+        no_branch = "no superradiant fixed point at g = {g!r}: "
+        underflow = r"^K is undefined: omega0\^2 \+ kappa\^2 underflows"
+        for gamma, cavity, error, cause in (
+            (0.3, CAVITY, NoThresholdError, no_branch),
+            (0.0, CAVITY, DegenerateSteadyStateError, no_branch),
+            (0.3, CavityParams(1e-170, 1e-170), PreconditionError, underflow),
+            (0.3, CavityParams(1e-160, 0.0), PreconditionError, underflow),
+        ):
             bath = Dephasing(gamma=gamma, sz=-0.5)
             g = 1.5 * gc_of(bath)
-            with pytest.raises(error, match=rf"no superradiant fixed point at g = {g!r}: "):
-                superradiant_state(CAVITY, model_for(bath), g)
+            with pytest.raises(error, match=cause.format(g=g)):
+                superradiant_state(cavity, model_for(bath), g)
