@@ -58,7 +58,7 @@ def solve_gc(chi0: float, cavity: CavityParams) -> CriticalResult:
     """Solve the zero-frequency condition for g_c."""
     if not np.isfinite(chi0):
         raise PreconditionError(f"chi0 = {chi0} is not finite")
-    code = int(_status(chi0))
+    code = _status(chi0)
     if code:
         return NoTransition(tuple(NoTransitionReason)[code - 1])
     return Transition(g_c=_critical_coupling(chi0, cavity, _cavity_scale(cavity, "g_c")))
@@ -67,7 +67,7 @@ def solve_gc(chi0: float, cavity: CavityParams) -> CriticalResult:
 def _status(chi0):
     """chi0's index into STATUS, on a float or an array: 0 (a transition) where chi0 < 0,
     1 (unpolarized) where |chi0| <= ZERO_TOL, 2 (inverted) where chi0 > 0."""
-    return np.where(np.abs(chi0) <= ZERO_TOL, 1, 2 * (chi0 > 0))
+    return (abs(chi0) <= ZERO_TOL) + 2 * (chi0 > ZERO_TOL)
 
 
 def _sqrt(x):
