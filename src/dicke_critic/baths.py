@@ -177,7 +177,10 @@ def bose_occupation(omega_z: float, temperature: float) -> float:
         raise PreconditionError("thermal occupation is undefined (division by zero)")
     if x > 700.0:  # exp would overflow; occupation is indistinguishable from 0
         return 0.0
-    return 1.0 / math.expm1(x)
+    n = 1.0 / math.expm1(x)
+    if n == math.inf:  # x subnormal: float / overflows without an exception
+        raise PreconditionError("thermal occupation overflows the float range")
+    return n
 
 
 def channels_of(bath: BathSpec, omega_z: float) -> tuple[qops.LindbladChannel, ...]:

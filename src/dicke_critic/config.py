@@ -78,9 +78,9 @@ SETTINGS: dict[str, tuple[Callable[[str], object], object]] = {
 }
 # a float setting must be finite, whichever source gave it
 FINITE_KEYS = tuple(key for key, (parse, _) in SETTINGS.items() if parse is float)
-# the most points of any grid: spectrum solves its whole grid at once (1e6 frequencies
-# took 0.64 GB and 8.4 s on 2 cores, and 1e8 had the process killed for memory), and a
-# sweep of 1e6 points took 2.75 s and 468 MB on the same host
+# the most points of any grid: spectrum evaluates the closed form on its whole grid at once
+# (1e6 frequencies took 3.0-3.8 s and 523 MB peak RSS on a 2-core x86-64 host with one BLAS
+# thread), and a sweep of 1e6 points took 2.75 s and 468 MB on the same host
 MAX_GRID_POINTS = 1_000_000
 
 

@@ -70,15 +70,18 @@ def _status(chi0):
     return (abs(chi0) <= ZERO_TOL) + 2 * (chi0 > ZERO_TOL)
 
 
-def _sqrt(x):
-    """Correctly rounded square root: np.sqrt on an array, math.sqrt (a Python float) otherwise."""
+def _sqrt(x, quantity: str):
+    """Correctly rounded square root: np.sqrt on an array, math.sqrt (a Python float) otherwise.
+    An infinite x, which float * and / give without an exception, raises naming quantity."""
+    if np.any(np.isinf(x)):
+        raise PreconditionError(f"{quantity} overflows the float range")
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 def _critical_coupling(chi0, cavity: CavityParams, scale):
     """Root of the zero-frequency condition at chi0 < 0; scale is ``_cavity_scale``."""
     with _float_range("g_c"):
-        return _sqrt(-scale / (2.0 * cavity.omega0 * chi0))
+        return _sqrt(-scale / (2.0 * cavity.omega0 * chi0), "g_c")
 
 
 def fully_polarized_gc(omega_z: float, cavity: CavityParams, scale=None) -> float:
@@ -90,7 +93,7 @@ def fully_polarized_gc(omega_z: float, cavity: CavityParams, scale=None) -> floa
         raise PreconditionError("the fully polarized reference needs omega_z > 0")
     scale = _cavity_scale(cavity, "g0") if scale is None else scale
     with _float_range("g0"):
-        return 0.5 * _sqrt(omega_z * scale / cavity.omega0)
+        return 0.5 * _sqrt(omega_z * scale / cavity.omega0, "g0")
 
 
 # --- sweeps -----------------------------------------------------------------

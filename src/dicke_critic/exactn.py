@@ -445,7 +445,8 @@ def steady_full(spec: FullSystemSpec) -> np.ndarray:
     The even-parity unknowns are solved for when ops["atoms"] never moves
     n_10 + n_01 by an odd number (module docstring), all of them otherwise;
     unknown 0 is even. r = kron(qops.trace_functional(n_fock), ops["trace"])
-    replaces the row of unknown 0 in that block L, and _eliminate solves
+    replaces the row of unknown 0 in that block L, the border of
+    ``qops.trace_border`` in the count basis, and _eliminate solves
     L' x = e for e the unit vector of that row, last in the order of
     family.keep: the k < m half and the diagonal nodes by elimination, the
     k > m half as their mirror image (module docstring), which the residual

@@ -181,14 +181,15 @@ def _window(
 ) -> tuple[float, float, float]:
     """(tmax, dt, slowest damped rate) from the eigenvalues of the generator.
 
-    Zero modes are stationary and left out. dt resolves the fastest
-    nonzero mode and omega_scale; tmax spans ENVELOPE_EFOLDS of the slowest
-    damped mode, or DISPLAY_PERIODS periods when no mode is damped.
+    Zero modes, within qops.RESONANCE_TOL of the spectral scale, are
+    stationary and left out, and a rate below it is undamped. dt resolves
+    the fastest nonzero mode and omega_scale; tmax spans ENVELOPE_EFOLDS of
+    the slowest damped mode, or DISPLAY_PERIODS periods when none is damped.
     """
-    scale = max(1.0, float(np.max(np.abs(lams))), abs(omega_scale))
-    modes = lams[np.abs(lams) > 1e-12 * scale]
+    zero = qops.RESONANCE_TOL * max(1.0, float(np.max(np.abs(lams))), abs(omega_scale))
+    modes = lams[np.abs(lams) > zero]
     rates = np.clip(-np.real(modes), 0.0, None)
-    damped = rates[rates >= 1e-12 * scale]
+    damped = rates[rates >= zero]
     slow = float(np.min(damped)) if damped.size else 0.0
     freq = float(np.max(np.abs(np.imag(modes)), initial=0.0))
     fastest = max(float(np.max(rates, initial=0.0)), abs(omega_scale), freq) or 1.0

@@ -61,7 +61,6 @@ BELOW = 1e-6
 
 _SX_ROW = qops.observable_row(qops.sigma("x"))  # Tr[sx rho] = _SX_ROW @ vec(rho)
 _DRIVE = qops.hamiltonian_superop(qops.sigma("x"))  # -i [sx, .] as a superoperator
-_TRACE_ROW, _UNIT = qops.trace_functional(2), np.eye(4)[0]  # row 0 of a bordered solve: Tr = 1
 
 
 @dataclass(frozen=True)
@@ -191,10 +190,8 @@ def stability_threshold(cavity: CavityParams, model: SpinModel, g_lo: float, g_h
 
 
 def _field_state(model: SpinModel, h: float) -> np.ndarray:
-    """vec rho of the steady state of L_atom + h D: one solve, the trace row in place of row 0."""
-    m = model.generator() + h * _DRIVE
-    m[0] = _TRACE_ROW
-    return np.linalg.solve(m, _UNIT)
+    """vec rho of the steady state of L_atom + h D: one solve, bordered by ``qops.trace_border``."""
+    return np.linalg.solve(*qops.trace_border(model.generator() + h * _DRIVE, np.zeros(4), 1.0))
 
 
 def superradiant_state(cavity: CavityParams, model: SpinModel, g: float) -> MeanFieldState:

@@ -23,6 +23,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,10 +33,9 @@ from .errors import DimensionMismatchError, InvalidModelError, UnknownOperatorEr
 HERMITICITY_TOL = 1e-12
 # a density matrix's trace, Hermiticity and eigenvalues may miss by this much
 DENSITY_MATRIX_TOL = 1e-9
-# an eigenvalue of a generator below this, times max(1, spectral radius), is zero
-NULL_SPACE_TOL = 1e-9
 # |lambda + i omega| below this, times the spectral scale, is a resonance with an undamped
-# mode lambda: the resolvent and the closed-form chi(omega) both read it here
+# mode lambda, and a null mode at omega = 0: null_space, the correlator window, the
+# resolvent and the closed-form chi(omega) all read it here
 RESONANCE_TOL = 1e-12
 
 _SIGMA = {
@@ -248,12 +248,22 @@ def lindblad_generator(h, channels: list[LindbladChannel] | tuple):
 
 
 def null_space(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of the generator with |eigenvalue| below NULL_SPACE_TOL * scale.
+    """Eigenvectors of the generator with |eigenvalue| below RESONANCE_TOL * scale.
 
-    Returns (eigenvalues, columns). The tolerance is absolute when the
-    spectrum is O(1); it is scaled by max(1, spectral radius) otherwise.
+    Returns (eigenvalues, columns): the resonances at omega = 0, with the
+    scale max(1, spectral radius).
     """
     vals, vecs = np.linalg.eig(gen)
     scale = max(1.0, float(np.max(np.abs(vals))))
-    mask = np.abs(vals) < NULL_SPACE_TOL * scale
+    mask = np.abs(vals) < RESONANCE_TOL * scale
     return vals[mask], vecs[:, mask]
+
+
+def trace_border(mat: np.ndarray, rhs: np.ndarray, trace: complex):
+    """Copies of mat and rhs with row 0 the trace row and rhs[0] the trace wanted of x.
+
+    The border of each singular solve mat x = rhs, mat a generator L or L + i omega, Tr rhs = 0:
+    Tr o L = 0, so row 0 follows from the others once Tr x is fixed (to 0 at omega != 0)."""
+    mat, rhs = mat.copy(), rhs.astype(complex)
+    mat[0], rhs[0] = trace_functional(math.isqrt(rhs.size)), trace
+    return mat, rhs

@@ -20,7 +20,7 @@ Two routes compute it:
   ``spectrum`` command evaluates, is checked against.
 * ``chi_from_correlator`` integrates a sampled correlator: a composite
   Boole rule over the samples, plus the transform past the window, which
-  the same bordered solve (``_resolvent``) gives exactly from the state
+  the same solve (``_resolvent``) gives exactly from the state
   at the end of the window. For undamped (purely oscillatory) correlators
   that term is the Abel limit. The Boole body is the independent
   time-domain check of the resolvent.
@@ -47,7 +47,6 @@ ensemble pulls the polariton root toward zero frequency.
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
@@ -81,46 +80,34 @@ def _integrate_samples(times: np.ndarray, values: np.ndarray) -> complex:
     return complex(np.sum(_boole_weights(n) * values) * dt)
 
 
-def _resolvent(gen: np.ndarray, rhs: np.ndarray, ref: np.ndarray, omega_scale=0.0):
+def _resolvent(gen: np.ndarray, rhs: np.ndarray, omega_scale=0.0):
     """A solver omega -> x = (L + i omega)^{-1} rhs for a traceless rhs, one omega a call.
 
-    The solver solves (L + |ref><1| + i omega (1 - |ref><1|)) x = rhs; ref
-    is any trace-one state. The eigenvalues of L and the border are
-    computed once, here. Tr o L = 0, so on traceless operators the bordered
-    matrix is L + i omega and the border changes no solution; it replaces
-    the zero eigenvalue of the steady state by 1, which makes omega = 0
-    solvable. Where omega meets -i lambda for another undamped mode lambda
-    of L (the extra zero mode of a degenerate null space, as under
-    dephasing, is one), the system is solved by least squares: its residual
-    shows whether rhs excites that mode.
-
-    The solver raises NonIntegrableTailError when it does, since the
-    transform then diverges, and PreconditionError naming omega when the
-    system is singular in floating point: a generator some 1e16 times the
-    unit border, such as rates of 1e300, rounds the border away.
+    The solver solves L + i omega with row 0 the trace row and Tr x = 0
+    (``qops.trace_border``). Tr o L = 0 and Tr rhs = 0, so at omega != 0
+    that row holds for every solution and the border changes none; at
+    omega = 0 it picks the traceless one, which makes the zero mode of the
+    steady state solvable at any scale of L. The eigenvalues of L are
+    computed once, here. Where omega meets -i lambda for another undamped
+    mode lambda of L (the extra zero mode of a degenerate null space, as
+    under dephasing, is one), the system is solved by least squares: its
+    residual shows whether rhs excites that mode, and the solver raises
+    NonIntegrableTailError when it does, since the transform then diverges.
     """
     lams = np.linalg.eigvals(gen)
     scale = max(1.0, float(np.max(np.abs(lams))), abs(omega_scale))
     modes = np.delete(lams, np.argmin(np.abs(lams)))  # all but the steady state
-    border = np.outer(ref, qops.trace_functional(math.isqrt(rhs.size)))
-    bordered = gen + border
-    shift = np.eye(rhs.size) - border
+    eye = np.eye(rhs.size)
 
     def solve(omega) -> np.ndarray:
         if not np.any(rhs):
             return np.zeros(rhs.size, dtype=complex)
-        mat = bordered + 1j * omega * shift
+        mat, b = qops.trace_border(gen + 1j * omega * eye, rhs, 0.0)
         near = np.abs(modes + 1j * omega) <= RESONANCE_TOL * scale
         if not np.any(near):
-            try:
-                return np.linalg.solve(mat, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise PreconditionError(
-                    f"resolvent at omega = {omega} is singular to working precision ({exc}): "
-                    f"the generator's scale {scale:.3g} swamps its unit trace border"
-                ) from None
-        x = np.linalg.lstsq(mat, rhs, rcond=None)[0]
-        residual = float(np.max(np.abs(mat @ x - rhs)))
+            return np.linalg.solve(mat, b)
+        x = np.linalg.lstsq(mat, b, rcond=None)[0]
+        residual = float(np.max(np.abs(mat @ x - b)))
         if residual > RESONANCE_TOL * scale * float(np.max(np.abs(rhs))):
             raise NonIntegrableTailError(
                 f"undamped mode (eigenvalue {complex(modes[np.argmax(near)]):.6g}) evaluated at "
@@ -141,10 +128,9 @@ def chi_from_correlator(corr: CorrelationSeries, omega: float) -> complex:
         int_T^inf e^{i omega t} Im f dt
             = -e^{i omega T} obs (L + i omega)^{-1} (x_T - x_T^+) / 2i,
 
-    one bordered resolvent solve (``_resolvent``, bordered with the
-    maximally mixed state); for undamped modes it is the Abel limit. At
-    omega = 0 the imaginary part must vanish; it is checked against
-    CHI0_IMAG_TOL and discarded.
+    one resolvent solve (``_resolvent``); for undamped modes it is the
+    Abel limit. At omega = 0 the imaginary part must vanish; it is checked
+    against CHI0_IMAG_TOL and discarded.
     """
     integrand = -8.0 * np.imag(corr.values)
     if omega != 0.0:
@@ -152,8 +138,7 @@ def chi_from_correlator(corr: CorrelationSeries, omega: float) -> complex:
     body = _integrate_samples(corr.times, integrand)
     end = corr.end_state
     rhs = (end - qops.vectorize(qops.devectorize(end).conj().T)) / 2j
-    dim = math.isqrt(end.size)
-    x = _resolvent(corr.generator, rhs, qops.trace_functional(dim) / dim)(omega)
+    x = _resolvent(corr.generator, rhs)(omega)
     value = body + 8.0 * cmath.exp(1j * omega * corr.times[-1]) * complex(corr.obs_row @ x)
     if omega == 0.0:
         if abs(value.imag) > CHI0_IMAG_TOL:
@@ -167,10 +152,10 @@ def chi_from_correlator(corr: CorrelationSeries, omega: float) -> complex:
 def resolvent_chi(model: SpinModel):
     """chi(omega) of a model as a callable on real or complex frequencies.
 
-    The steady state rho, the generator L, its eigenvalues and the border
-    are built once, here. Each call solves (L + i omega) x = rho sx - sx rho
-    by ``_resolvent``, bordered with rho, one 4x4 solve per frequency, and
-    returns chi = -4i Tr[sx x] with the shape of its argument. Complex
+    The steady state rho, the generator L and its eigenvalues are built
+    once, here. Each call solves (L + i omega) x = rho sx - sx rho by
+    ``_resolvent``, one 4x4 solve per frequency, and returns chi =
+    -4i Tr[sx x] with the shape of its argument. Complex
     omega continues chi analytically, so ``cavity_det`` vanishes at the
     polariton roots omega = i lambda, lambda the eigenvalues of the
     mean-field Jacobian; sx does not see the extra zero mode of a degenerate
@@ -182,7 +167,7 @@ def resolvent_chi(model: SpinModel):
     """
     rho = steady_state(model).rho
     rhs = qops.vectorize(rho @ _SX - _SX @ rho)
-    solve = _resolvent(model.generator(), rhs, qops.vectorize(rho), model.omega_z)
+    solve = _resolvent(model.generator(), rhs, model.omega_z)
     row = qops.observable_row(_SX)
 
     def chi(omegas):

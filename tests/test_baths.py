@@ -55,11 +55,13 @@ class TestChannels:
         assert chan.rate == 0.2
 
     def test_thermal_occupation_underflow_is_typed_error(self):
-        # omega_z / T underflows to 0, so 1 / expm1(0) has no value: the channels, chi0 and
-        # chi name that cause
-        for route in (channels_of, closed_form_chi0, baths.closed_form_chi):
-            with pytest.raises(PreconditionError, match="^thermal occupation is undefined"):
-                route(Thermal(gamma=0.1, temperature=1e300), 1e-300)
+        # omega_z / T underflows to 0, so 1 / expm1(0) has no value, or to a subnormal, whose
+        # 1 / expm1 overflows: the channels, chi0 and chi name that cause
+        for temperature, omega_z, cause in ((1e300, 1e-300, "is undefined"),
+                                            (1.0, 1e-310, "overflows the float range")):
+            for route in (channels_of, closed_form_chi0, baths.closed_form_chi):
+                with pytest.raises(PreconditionError, match=f"^thermal occupation {cause}"):
+                    route(Thermal(gamma=0.1, temperature=temperature), omega_z)
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(InvalidModelError):

@@ -64,13 +64,13 @@ class TestGc:
         assert float(parse_record(out)["g_c"]) == pytest.approx(expected, rel=1e-15)
 
     def test_verify_runs_oracle(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "gc", "--bath", "generalized(gamma=0.2,t=0.4)",
-            "--kappa", "0.5", "--verify",
-        )
-        rec = parse_record(out)
-        assert code == 0
-        assert float(rec["oracle_rel_dev"]) < 1e-6
+        # weak damping too: the steady state stays unique down to gamma = 1e-12
+        weak = [f"{family}(gamma={gamma}, {arg})" for gamma in ("3e-10", "1e-12")
+                for family, arg in (("thermal", "T=0.5"), ("generalized", "t=0.3"))]
+        for text in ("generalized(gamma=0.2,t=0.4)", *weak):
+            code, out, err = run_cli(capsys, "gc", "--bath", text, "--kappa", "0.5", "--verify")
+            assert (code, err) == (0, ""), text
+            assert float(parse_record(out)["oracle_rel_dev"]) < 1e-6
 
     @pytest.mark.parametrize("argv, expected", [
         (("--bath", "generalized(gamma=0.2, t=0.4)"), 0),
@@ -136,10 +136,22 @@ class TestGc:
             (["--bath", "thermal(gamma=0.1, T=0.5)", "--omega0", "1e200"], "g_c overflows"),
             (["--bath", "generalized(gamma=0.5, t=0.3)", "--omega0", "1e-300"],
              "g_c is undefined: omega0^2 + kappa^2 underflows"),
+            # float * and / overflow to inf without an exception
+            (["--bath", "dephasing(gamma=0.3, sz=-0.5)", "--omega-z", "1e10", "--omega0", "1e150",
+              "--raw-units"], "g0 overflows the float range"),
+            (["--bath", "dephasing(gamma=3e6, sz=-0.5)", "--omega0", "1e-300", "--kappa", "1",
+              "--raw-units"], "g_c overflows the float range"),
         ):
             code, out, err = run_cli(capsys, "gc", *args)
             assert (code, out) == (1, "")
             assert err.startswith("dicke-critic: error: at bath = ") and quantity in err
+        for point, cause in ((["dephasing(gamma=0.3, sz=-0.5)", "--omega-z", "1e10", "--omega0",
+                               "1e150"], "g0"),
+                             (["dephasing(gamma=3e6, sz=-0.5)", "--omega0", "1e-300"], "g_c")):
+            code, out, err = run_cli(capsys, "sweep", "--bath", *point, "--raw-units",
+                                     "--sweep-param", "kappa", "--sweep-values", "1,2")
+            assert (code, out) == (1, "")
+            assert err.endswith(f": row 0, kappa = 1.0: {cause} overflows the float range\n")
         code, out, err = run_cli(capsys, "sweep", "--bath", "dephasing(gamma=0, sz=-0.5)",
                                  "--sweep-param", "omega_z", "--sweep-values", "1,0")
         assert (code, out) == (1, "")
@@ -693,6 +705,18 @@ class TestCorr:
             assert err == ("dicke-critic: error: at bath = thermal(gamma=0.1, T=1e+300), "
                            f"omega_z = 1e-300{point}: thermal occupation is undefined "
                            "(division by zero)\n")
+
+
+    def test_thermal_occupation_overflow_exits_1(self, capsys):
+        # omega_z / T is subnormal, so 1 / expm1 overflows: gc, corr and spectrum name it alike
+        for command, point in (("gc", ", omega0 = 1, kappa = 0"), ("corr", ""),
+                               ("spectrum", ", omega0 = 1, kappa = 0")):
+            code, out, err = run_cli(capsys, command, "--bath", "thermal(gamma=0.1, T=1)",
+                                     "--omega-z", "1e-310", "--raw-units")
+            assert (code, out) == (1, ""), command
+            assert err == ("dicke-critic: error: at bath = thermal(gamma=0.1, T=1.0), omega_z = "
+                           f"9.9999999999999694e-311{point}: thermal occupation overflows the "
+                           "float range\n")
 
 
 class TestSpectrum:

@@ -108,6 +108,15 @@ class TestAgreement:
                 outcomes.add(closed.reason)
         assert outcomes == {Transition, *NoTransitionReason, InvalidModelError}
 
+    @pytest.mark.parametrize("gamma", [3e-10, 1e-12])
+    def test_routes_agree_at_weak_damping(self, gamma):
+        # bounds from c04 and c09; the steady state is unique however weak the damping
+        for bath in (Thermal(gamma=gamma, temperature=0.5), Generalized(gamma=gamma, t=0.3)):
+            point = agreement(bath, 1.0, CavityParams(1.0, 0.5))
+            closed, quadrature, mean_field = point.results.values()
+            assert abs(quadrature.g_c - closed.g_c) <= 1e-8 * closed.g_c, bath
+            assert abs(mean_field.g_c - closed.g_c) <= 1e-6 * closed.g_c, bath
+
     def test_named_routes_only(self):
         bath, cavity = Generalized(gamma=0.2, t=0.4), CavityParams(1.0, 0.5)
         closed = agreement(bath, 1.0, cavity, routes=("closed_form",))
@@ -324,6 +333,10 @@ class TestSweepKernel:
         (Generalized(gamma=0.4, t=0.3), "omega0", 0.0),
         (Generalized(gamma=0.4, t=0.3), "kappa", math.nan),
         (Generalized(gamma=0.4, t=0.3), "omega0", 1e200),
+        # float * and / overflow to inf without an exception: g_c, g0 and the occupation
+        (Dephasing(gamma=3e6, sz=-0.5), "omega0", 1e-300),
+        (Generalized(gamma=0.4, t=0.3), "kappa", 1.3e154),
+        (Thermal(gamma=0.2, temperature=0.4), "omega_z", 1e-310),
     )
 
     @pytest.mark.parametrize("bath,axis,bad", INVALID)

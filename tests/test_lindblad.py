@@ -60,10 +60,25 @@ class TestSteadyState:
         assert ss.degenerate
         assert ss.sz == pytest.approx(-0.4, abs=1e-15)
 
+    @pytest.mark.parametrize("gamma", [3e-10, 1e-12])
+    def test_weak_damping_is_unique(self, gamma):
+        # every rate lies above RESONANCE_TOL of the spectral scale: one null mode
+        for bath in (Thermal(gamma=gamma, temperature=0.5), Generalized(gamma=gamma, t=0.3)):
+            ss = steady_state(model_for(bath))
+            assert ss.null_dim == 1
+            assert abs(ss.sz - baths.steady_sz(bath, 1.0)) <= 1e-12
+
     def test_degenerate_without_designation_raises(self):
-        model = SpinModel(omega_z=1.0, channels=baths.channels_of(Dephasing(0.3, -0.4), 1.0))
-        with pytest.raises(DegenerateSteadyStateError):
-            steady_state(model)
+        # two null modes at any rate: dephasing; a Hermitian channel without a field, which
+        # conserves the spin along its axis, at rates of 0.7 and 7e8; no channel at all
+        axis = 0.6 * qops.sigma("x") + 0.8 * qops.sigma("y")
+        for model in (
+            SpinModel(omega_z=1.0, channels=baths.channels_of(Dephasing(0.3, -0.4), 1.0)),
+            *(SpinModel(0.0, (qops.LindbladChannel(axis, rate),)) for rate in (0.7, 7e8)),
+            SpinModel(omega_z=1.0),
+        ):
+            with pytest.raises(DegenerateSteadyStateError, match=r"\(null dimension 2\)"):
+                steady_state(model)
 
 
 class TestPropagate:

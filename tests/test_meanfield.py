@@ -36,6 +36,22 @@ def sx_in_field(model, h):
     return np.trace(SX @ rho).real, np.trace(qops.sigma("z") @ rho).real
 
 
+def test_field_state_is_the_trace_row_solve_bitwise():
+    # L + h D with the trace row in place of row 0, solved for the unit vector, on 240
+    # seeded (model, h) points of the three families
+    rng = np.random.default_rng(39)
+    drive = qops.hamiltonian_superop(SX)
+    for i in range(240):
+        gamma, omega_z = 10 ** rng.uniform(-3, 1), rng.uniform(0.1, 3.0)
+        bath = (Thermal(gamma, rng.uniform(0.0, 2.0)), Generalized(gamma, rng.uniform(0.0, 1.0)),
+                Dephasing(gamma, rng.uniform(-0.5, 0.5)))[i % 3]
+        model, h = model_for(bath, omega_z), rng.normal() * 10 ** rng.uniform(-3, 1)
+        m = model.generator() + h * drive
+        m[0] = qops.trace_functional(2)
+        want = np.linalg.solve(m, np.eye(4)[0])
+        assert meanfield._field_state(model, h).tobytes() == want.tobytes(), (bath, h)
+
+
 def gc_of(bath, cavity=CAVITY):
     return baths.closed_form_gc(bath, 1.0, cavity).g_c
 
