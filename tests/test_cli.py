@@ -706,7 +706,6 @@ class TestCorr:
                            f"omega_z = 1e-300{point}: thermal occupation is undefined "
                            "(division by zero)\n")
 
-
     def test_thermal_occupation_overflow_exits_1(self, capsys):
         # omega_z / T is subnormal, so 1 / expm1 overflows: gc, corr and spectrum name it alike
         for command, point in (("gc", ", omega0 = 1, kappa = 0"), ("corr", ""),

@@ -230,8 +230,8 @@ class TestResolventChi:
         assert np.isfinite(chi(2.0 + 1e-11))
 
     def test_strong_damping_matches_closed_form(self):
-        # the trace row borders the solve at any scale of L, where a unit border added to
-        # rates past about 1e16 rounded away; at 1e300 chi0 underflows to 0 in both
+        # the trace row borders the solve at any scale of L; at 1e300 chi0 underflows to 0
+        # in both
         for gamma in (1e17, 1e20, 1e100):
             bath = Generalized(gamma=gamma, t=0.5)
             want = baths.closed_form_chi0(bath, 1.0)
