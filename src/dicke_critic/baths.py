@@ -154,6 +154,15 @@ def _float_range(quantity: str):
         raise PreconditionError(f"{quantity} is undefined (division by zero)") from None
 
 
+def _in_float_range(values, omega, quantity: str):
+    """values[()]; a value that is not finite raises PreconditionError naming its omega."""
+    finite = np.isfinite(values).reshape(-1)
+    if not np.all(finite):
+        w = np.broadcast_to(omega, values.shape).reshape(-1)[np.argmin(finite)]
+        raise PreconditionError(f"{quantity} leaves the float range at omega = {w}")
+    return values[()]
+
+
 def _cavity_scale(cavity: CavityParams, quantity: str):
     """omega0^2 + kappa^2, which must be a normal float: below that it has lost its digits."""
     with _float_range(quantity):
@@ -268,7 +277,7 @@ def closed_form_chi(bath: BathSpec, omega_z: float):
     An unpolarized bath (<sz> = 0) gives 0 everywhere, at resonances too.
     Without damping (dephasing at gamma = 0) a call raises
     NonIntegrableTailError where omega comes within RESONANCE_TOL
-    max(1, |omega_z|) of +-omega_z, the undamped modes, where the transform
+    |omega_z| of +-omega_z, the undamped modes, where the transform
     diverges. A denominator past the float range gives 0, without a
     warning; a chi past it (a rate so small that gamma omega_z underflows,
     at omega = +-omega_z) raises PreconditionError, as does an omega_z
@@ -278,7 +287,7 @@ def closed_form_chi(bath: BathSpec, omega_z: float):
     gx, gy = transverse_rates(bath, omega_z)
     with _float_range("chi"):
         wz2 = _sq(omega_z)
-    reach = qops.RESONANCE_TOL * max(1.0, abs(omega_z))
+    reach = qops.RESONANCE_TOL * abs(omega_z)
 
     def chi(omega):
         om = np.asarray(omega)
@@ -297,11 +306,7 @@ def closed_form_chi(bath: BathSpec, omega_z: float):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             num, denom = 4.0 * sz * omega_z, (gx - 1j * om) * (gy - 1j * om) + wz2
             values = np.where(om == 0, num / denom.real, num / denom)
-        finite = np.isfinite(values)
-        if not np.all(finite):
-            w = om.reshape(-1)[np.argmin(finite.reshape(-1))]
-            raise PreconditionError(f"chi leaves the float range at omega = {w}")
-        return values[()]
+        return _in_float_range(values, om, "chi")
 
     return chi
 

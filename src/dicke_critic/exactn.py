@@ -453,18 +453,18 @@ def steady_full(spec: FullSystemSpec) -> np.ndarray:
     check below covers too. Tr o L = 0 makes that row of L a combination of
     the others, so L' is singular exactly when the null space of L has
     dimension > 1; a zero pivot of a front (np.linalg.LinAlgError) is a
-    DegenerateSteadyStateError, and a solution with max |L x| > 1e-8, over
-    every row of L (one pass over the merged pattern of A and B), is a
-    ConvergenceError. The block solve cannot see a null vector that lives
-    only in the odd block; the kernel of a Lindbladian is spanned by steady
-    density matrices, so that would be a second steady state, which only
-    the zero pivot and the checks here guard against. Three degenerate
-    cases are rejected before the solve, since pivots need not vanish
-    exactly: without an atomic channel of positive rate, for N >= 2, the
-    collective coupling conserves total spin and every total-spin sector
-    holds a steady state; with kappa = 0 and g = 0 every photon number does;
-    with kappa = 0 and no atomic jump that flips sz, the maximally mixed
-    states of both parity sectors Pi = +-1 are steady.
+    DegenerateSteadyStateError, and a solution with max |L x| > 1e-8
+    max(omega0, |omega_z|, kappa, channel rates), over every row of L (one
+    pass over the merged pattern of A and B), is a ConvergenceError. The block
+    solve cannot see a null vector that lives only in the odd block; the
+    kernel of a Lindbladian is spanned by steady density matrices, so that
+    would be a second steady state, which only the zero pivot and the checks
+    here guard against. Three degenerate cases are rejected before the solve,
+    since pivots need not vanish exactly: without an atomic channel of
+    positive rate, for N >= 2, the collective coupling conserves total spin
+    and every total-spin sector holds a steady state; with kappa = 0 and g = 0
+    every photon number does; with kappa = 0 and no atomic jump that flips sz,
+    the maximally mixed states of both parity sectors Pi = +-1 are steady.
     """
     point = (f"n_atoms = {spec.n_atoms}, n_fock = {spec.n_fock}, g = {spec.g}, omega_z = "
              f"{spec.model.omega_z}, omega0 = {spec.cavity.omega0}, kappa = {spec.cavity.kappa}")
@@ -486,7 +486,9 @@ def steady_full(spec: FullSystemSpec) -> np.ndarray:
             f"full steady state is degenerate at {point}: bordered generator is singular ({exc})"
         ) from None
     residual = _residual(family, s, x)
-    if not residual <= 1e-8:  # also catches a non-finite solution
+    unit = max(spec.cavity.omega0, abs(spec.model.omega_z), spec.cavity.kappa,
+               *(ch.rate for ch in spec.model.channels))
+    if not residual <= 1e-8 * unit:  # also catches a non-finite solution
         raise ConvergenceError(f"direct steady-state solve left residual {residual} at {point}")
     return x / (family.trace @ x).real  # the trace of a Hermitian x is real
 

@@ -111,7 +111,7 @@ def steady_state(model: SpinModel) -> SteadyState:
     """Null vector of the generator, normalized to trace 1.
 
     Degenerate null spaces require model.initial_sz; the designated state
-    is then the diagonal matrix with that polarization.
+    is then the diagonal matrix with that polarization, stationary to 1e-10 max |L|.
     """
     gen = model.generator()
     _, vecs = qops.null_space(gen)
@@ -125,16 +125,12 @@ def steady_state(model: SpinModel) -> SteadyState:
         qops.validate_density_matrix(rho)
         return SteadyState(rho=rho, null_dim=1)
     if model.initial_sz is None:
-        raise DegenerateSteadyStateError(
-            f"steady state is degenerate (null dimension {null_dim}); "
-            "designate a polarization via SpinModel.initial_sz"
-        )
+        raise DegenerateSteadyStateError(f"steady state is degenerate (null dimension {null_dim}); "
+                                         "designate a polarization via SpinModel.initial_sz")
     sz = model.initial_sz
     rho = np.diag([0.5 + sz, 0.5 - sz]).astype(complex)
-    if np.max(np.abs(gen @ qops.vectorize(rho))) > 1e-10:
-        raise InvalidModelError(
-            "designated diagonal state is not stationary for these channels"
-        )
+    if np.max(np.abs(gen @ qops.vectorize(rho))) > 1e-10 * np.max(np.abs(gen)):
+        raise InvalidModelError("designated diagonal state is not stationary for these channels")
     return SteadyState(rho=rho, null_dim=null_dim)
 
 
@@ -181,12 +177,12 @@ def _window(
 ) -> tuple[float, float, float]:
     """(tmax, dt, slowest damped rate) from the eigenvalues of the generator.
 
-    Zero modes, within qops.RESONANCE_TOL of the spectral scale, are
+    Zero modes, within qops.RESONANCE_TOL of the spectral radius, are
     stationary and left out, and a rate below it is undamped. dt resolves
     the fastest nonzero mode and omega_scale; tmax spans ENVELOPE_EFOLDS of
     the slowest damped mode, or DISPLAY_PERIODS periods when none is damped.
     """
-    zero = qops.RESONANCE_TOL * max(1.0, float(np.max(np.abs(lams))), abs(omega_scale))
+    zero = qops.RESONANCE_TOL * float(np.max(np.abs(lams)))
     modes = lams[np.abs(lams) > zero]
     rates = np.clip(-np.real(modes), 0.0, None)
     damped = rates[rates >= zero]
@@ -195,15 +191,13 @@ def _window(
     fastest = max(float(np.max(rates, initial=0.0)), abs(omega_scale), freq) or 1.0
 
     if tmax is None:
-        if damped.size:
-            tmax = ENVELOPE_EFOLDS / slow
-        else:
-            tmax = DISPLAY_PERIODS * 2.0 * np.pi / (freq or abs(omega_scale) or 1.0)
+        tmax = (ENVELOPE_EFOLDS / slow if damped.size
+                else DISPLAY_PERIODS * 2.0 * np.pi / (freq or abs(omega_scale) or 1.0))
+    elif tmax <= 0:
+        raise PreconditionError(f"tmax = {tmax} must be positive")
     elif damped.size and slow * tmax < np.log(0.25e10):
-        raise PreconditionError(
-            f"tmax = {tmax} leaves the envelope above 1e-10 "
-            f"(need tmax >= {np.log(0.25e10) / slow:.6g})"
-        )
+        raise PreconditionError(f"tmax = {tmax} leaves the envelope above 1e-10 "
+                                f"(need tmax >= {np.log(0.25e10) / slow:.6g})")
 
     if dt is None:
         dt = DEFAULT_DT_FACTOR / fastest

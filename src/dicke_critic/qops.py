@@ -33,9 +33,9 @@ from .errors import DimensionMismatchError, InvalidModelError, UnknownOperatorEr
 HERMITICITY_TOL = 1e-12
 # a density matrix's trace, Hermiticity and eigenvalues may miss by this much
 DENSITY_MATRIX_TOL = 1e-9
-# |lambda + i omega| below this, times the spectral scale, is a resonance with an undamped
-# mode lambda, and a null mode at omega = 0: null_space, the correlator window, the
-# resolvent and the closed-form chi(omega) all read it here
+# |lambda + i omega| within this share of the spectral radius of L is a resonance with an
+# undamped mode lambda, a null mode at omega = 0: null_space, the correlator window, the
+# resolvent (and its residual) and the closed-form chi(omega) (of |omega_z|) all read it here
 RESONANCE_TOL = 1e-12
 
 _SIGMA = {
@@ -248,14 +248,12 @@ def lindblad_generator(h, channels: list[LindbladChannel] | tuple):
 
 
 def null_space(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of the generator with |eigenvalue| below RESONANCE_TOL * scale.
+    """Eigenvectors of the generator with |eigenvalue| <= RESONANCE_TOL * spectral radius.
 
-    Returns (eigenvalues, columns): the resonances at omega = 0, with the
-    scale max(1, spectral radius).
+    Returns (eigenvalues, columns): the resonances at omega = 0, the same in any unit of L.
     """
     vals, vecs = np.linalg.eig(gen)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    mask = np.abs(vals) < RESONANCE_TOL * scale
+    mask = np.abs(vals) <= RESONANCE_TOL * float(np.max(np.abs(vals)))
     return vals[mask], vecs[:, mask]
 
 

@@ -51,12 +51,11 @@ import cmath
 import numpy as np
 
 from . import qops
-from .baths import CavityParams
+from .baths import CavityParams, _float_range, _in_float_range
 from .errors import InvalidModelError, NonIntegrableTailError, PreconditionError
 from .lindblad import CorrelationSeries, SpinModel, steady_state
-from .qops import RESONANCE_TOL
 
-CHI0_IMAG_TOL = 1e-10
+CHI0_IMAG_TOL = 1e-10  # the share of sum |terms| that Im chi(0) may reach (_real_chi0)
 
 _SX = qops.sigma("x")
 
@@ -80,7 +79,14 @@ def _integrate_samples(times: np.ndarray, values: np.ndarray) -> complex:
     return complex(np.sum(_boole_weights(n) * values) * dt)
 
 
-def _resolvent(gen: np.ndarray, rhs: np.ndarray, omega_scale=0.0):
+def _real_chi0(value: complex, terms: np.ndarray, route: str) -> float:
+    """Re chi(0) = Re value, value the sum of terms: raises if |Im| > CHI0_IMAG_TOL sum |terms|."""
+    if abs(value.imag) > CHI0_IMAG_TOL * float(np.sum(np.abs(terms))):
+        raise InvalidModelError(f"Im chi(0) = {value.imag} should vanish; {route} is inconsistent")
+    return value.real
+
+
+def _resolvent(gen: np.ndarray, rhs: np.ndarray):
     """A solver omega -> x = (L + i omega)^{-1} rhs for a traceless rhs, one omega a call.
 
     The solver solves L + i omega with row 0 the trace row and Tr x = 0
@@ -88,14 +94,15 @@ def _resolvent(gen: np.ndarray, rhs: np.ndarray, omega_scale=0.0):
     that row holds for every solution and the border changes none; at
     omega = 0 it picks the traceless one, which makes the zero mode of the
     steady state solvable at any scale of L. The eigenvalues of L are
-    computed once, here. Where omega meets -i lambda for another undamped
-    mode lambda of L (the extra zero mode of a degenerate null space, as
-    under dephasing, is one), the system is solved by least squares: its
-    residual shows whether rhs excites that mode, and the solver raises
-    NonIntegrableTailError when it does, since the transform then diverges.
+    computed once, here. Where omega meets -i lambda, within RESONANCE_TOL of
+    the spectral radius, for another undamped mode lambda of L (the extra zero
+    mode of a degenerate null space, as under dephasing, is one), the system
+    is solved by least squares: its residual M x - b shows whether rhs excites
+    that mode, past RESONANCE_TOL max_i(|M_i| |x| + |b_i|), and the solver then
+    raises NonIntegrableTailError, since the transform diverges.
     """
     lams = np.linalg.eigvals(gen)
-    scale = max(1.0, float(np.max(np.abs(lams))), abs(omega_scale))
+    reach = qops.RESONANCE_TOL * float(np.max(np.abs(lams)))
     modes = np.delete(lams, np.argmin(np.abs(lams)))  # all but the steady state
     eye = np.eye(rhs.size)
 
@@ -103,16 +110,15 @@ def _resolvent(gen: np.ndarray, rhs: np.ndarray, omega_scale=0.0):
         if not np.any(rhs):
             return np.zeros(rhs.size, dtype=complex)
         mat, b = qops.trace_border(gen + 1j * omega * eye, rhs, 0.0)
-        near = np.abs(modes + 1j * omega) <= RESONANCE_TOL * scale
+        near = np.abs(modes + 1j * omega) <= reach
         if not np.any(near):
             return np.linalg.solve(mat, b)
         x = np.linalg.lstsq(mat, b, rcond=None)[0]
         residual = float(np.max(np.abs(mat @ x - b)))
-        if residual > RESONANCE_TOL * scale * float(np.max(np.abs(rhs))):
+        if residual > qops.RESONANCE_TOL * float(np.max(np.abs(mat) @ np.abs(x) + np.abs(b))):
             raise NonIntegrableTailError(
                 f"undamped mode (eigenvalue {complex(modes[np.argmax(near)]):.6g}) evaluated at "
-                f"its resonance omega = {omega} (least-squares residual {residual:.3g})"
-            )
+                f"its resonance omega = {omega} (least-squares residual {residual:.3g})")
         return x
 
     return solve
@@ -129,8 +135,8 @@ def chi_from_correlator(corr: CorrelationSeries, omega: float) -> complex:
             = -e^{i omega T} obs (L + i omega)^{-1} (x_T - x_T^+) / 2i,
 
     one resolvent solve (``_resolvent``); for undamped modes it is the
-    Abel limit. At omega = 0 the imaginary part must vanish; it is checked
-    against CHI0_IMAG_TOL and discarded.
+    Abel limit. At omega = 0 the imaginary part must vanish (``_real_chi0``,
+    over the body and the tail's terms); it is discarded.
     """
     integrand = -8.0 * np.imag(corr.values)
     if omega != 0.0:
@@ -141,11 +147,7 @@ def chi_from_correlator(corr: CorrelationSeries, omega: float) -> complex:
     x = _resolvent(corr.generator, rhs)(omega)
     value = body + 8.0 * cmath.exp(1j * omega * corr.times[-1]) * complex(corr.obs_row @ x)
     if omega == 0.0:
-        if abs(value.imag) > CHI0_IMAG_TOL:
-            raise InvalidModelError(
-                f"Im chi(0) = {value.imag} should vanish; correlator is inconsistent"
-            )
-        return complex(value.real)
+        return complex(_real_chi0(value, np.append(body, 8.0 * corr.obs_row * x), "correlator"))
     return value
 
 
@@ -163,24 +165,20 @@ def resolvent_chi(model: SpinModel):
 
     A call raises NonIntegrableTailError when omega meets -i lambda for an
     undamped mode lambda of L, where the transform diverges, and
-    InvalidModelError when Im chi(0) exceeds CHI0_IMAG_TOL.
+    InvalidModelError when Im chi(0) does not vanish (``_real_chi0``).
     """
     rho = steady_state(model).rho
     rhs = qops.vectorize(rho @ _SX - _SX @ rho)
-    solve = _resolvent(model.generator(), rhs, model.omega_z)
+    solve = _resolvent(model.generator(), rhs)
     row = qops.observable_row(_SX)
 
     def chi(omegas):
         om = np.asarray(omegas)
         values = np.zeros(om.shape, dtype=complex)
         for i, omega in enumerate(om.reshape(-1).tolist()):
-            value = -4j * (solve(omega) @ row)
-            if omega == 0:
-                if abs(value.imag) > CHI0_IMAG_TOL:
-                    raise InvalidModelError(
-                        f"Im chi(0) = {value.imag} should vanish; resolvent is inconsistent")
-                value = value.real
-            values.flat[i] = value
+            x = solve(omega)
+            value = -4j * (x @ row)
+            values.flat[i] = _real_chi0(value, 4.0 * x * row, "resolvent") if omega == 0 else value
         return values[()]
 
     return chi
@@ -192,9 +190,12 @@ def cavity_det(omega, cavity: CavityParams, g: float, chi):
     On real omega each element is bitwise Python's complex arithmetic at that element:
     (omega + i kappa)^2 is written as the product its complex multiply forms, and omega = 0
     takes the zero-frequency reduction, exact, not rounded. A scalar call gives np.complex128.
+    A det past the float range raises PreconditionError, without a warning, naming an omega.
     """
     w, k, w0 = np.asarray(omega), cavity.kappa, cavity.omega0
-    sigma = g**2 * np.asarray(chi)
-    shifted_sq = (w * w - k * k) + 1j * (w * k + k * w)
-    return np.where(w == 0, w0**2 + k**2 + 2.0 * w0 * sigma,
-                    w0**2 + 2.0 * w0 * sigma - shifted_sq)[()]
+    with _float_range("det"), np.errstate(over="ignore", invalid="ignore"):
+        sigma = g**2 * np.asarray(chi)
+        shifted_sq = (w * w - k * k) + 1j * (w * k + k * w)
+        det = np.where(w == 0, w0**2 + k**2 + 2.0 * w0 * sigma,
+                       w0**2 + 2.0 * w0 * sigma - shifted_sq)
+    return _in_float_range(det, w, "det")

@@ -72,6 +72,18 @@ class TestGc:
             assert (code, err) == (0, ""), text
             assert float(parse_record(out)["oracle_rel_dev"]) < 1e-6
 
+    def test_small_scale_points_run(self, capsys):
+        # omega_z = 1e-6 and 1e-12 in raw units: the zero-mode rule is relative, so the steady
+        # state stays unique, and gc prints the g_c / g0 of the unit-scale point
+        _, unit, _ = run_cli(capsys, "gc", "--verify", "--bath", "thermal(gamma=1e-7, T=0.5)")
+        code, out, err = run_cli(capsys, "gc", "--verify", "--raw-units", "--omega-z", "1e-6",
+                                 "--omega0", "1e-6", "--bath", "thermal(gamma=1e-13, T=5e-7)")
+        assert (code, err) == (0, "")
+        assert parse_record(out)["g_c_over_g0"] == parse_record(unit)["g_c_over_g0"]
+        code, out, err = run_cli(capsys, "corr", "--omega-z", "1e-12", "--bath",
+                                 "generalized(gamma=2e-13, t=0.4)")
+        assert (code, err) == (0, "")
+
     @pytest.mark.parametrize("argv, expected", [
         (("--bath", "generalized(gamma=0.2, t=0.4)"), 0),
         (("--bath", "generalized(gamma=0.2, t=1)"), 2),
@@ -687,6 +699,17 @@ class TestCorr:
         assert run_cli(capsys, "corr", "--bath", bath, *extra) == (
             0, "".join(f"{line}\n" for line in lines), "")
 
+    @pytest.mark.filterwarnings("error")
+    def test_nonpositive_tmax_exits_1(self, capsys):
+        # undamped and damped alike: one typed line naming the sign, not a numpy traceback or
+        # the envelope bound
+        for bath in ("dephasing(gamma=0, sz=-0.5)", "thermal(gamma=0.1, T=0.5)"):
+            for tmax in ("-1", "0"):
+                code, out, err = run_cli(capsys, "corr", "--bath", bath, "--tmax", tmax)
+                assert (code, out) == (1, ""), (bath, tmax)
+                assert err.endswith(f": tmax = {float(tmax)} must be positive\n")
+                assert err.count("\n") == 1
+
     def test_thermal_occupation_underflow_exits_1(self, capsys):
         # omega_z / T underflows to 0: the occupation is a typed error naming the point,
         # in corr (the channels), in gc and sweep (chi0; sweep names the row) and in
@@ -840,6 +863,21 @@ class TestSpectrum:
             assert (code, out) == (1, "")
             assert err.endswith(f": the frequency grid from {ends} spans past the float range\n")
             assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would reach stderr
+    def test_det_past_the_float_range_exits_1(self, capsys):
+        # g^2 and omega0^2 overflow as Python floats (OverflowError), g^2 chi as numpy
+        # (inf without an exception): one typed line each, and no row
+        for extra, cause in (
+            (["--g", "1e200"], "det overflows the float range"),
+            (["--omega0", "1e160", "--raw-units", "--omega-min", "0", "--omega-max", "1"],
+             "det overflows the float range"),
+            (["--g", "1e154"], "det leaves the float range at omega = -1.6"),
+        ):
+            code, out, err = run_cli(capsys, "spectrum", "--bath", "thermal(gamma=0.1, T=0.5)",
+                                     *extra)
+            assert (code, out) == (1, ""), extra
+            assert err.endswith(f": {cause}\n") and err.count("\n") == 1, err
 
     def test_repeated_runs_are_byte_identical(self, capsys, tmp_path):
         args = ["spectrum", "--bath", "thermal(gamma=0.003,T=0.5)", "--g", "0.3",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicke_critic import baths, lindblad, meanfield, response
+from dicke_critic import baths, exactn, lindblad, meanfield, response
 from dicke_critic.baths import (
     CavityParams,
     Dephasing,
@@ -116,6 +116,32 @@ class TestAgreement:
             closed, quadrature, mean_field = point.results.values()
             assert abs(quadrature.g_c - closed.g_c) <= 1e-8 * closed.g_c, bath
             assert abs(mean_field.g_c - closed.g_c) <= 1e-6 * closed.g_c, bath
+
+    @pytest.mark.parametrize("make", [
+        lambda s: Thermal(gamma=0.1 * s, temperature=0.5 * s),
+        lambda s: Generalized(gamma=0.2 * s, t=0.4),
+        lambda s: Dephasing(gamma=0.3 * s, sz=-0.5),
+        lambda s: Thermal(gamma=1e-3 * s, temperature=0.5 * s),
+    ], ids=["thermal", "generalized", "dephasing", "thermal-weak"])
+    def test_routes_are_scale_covariant(self, make):
+        # every frequency times s: g_c / s by each route, s chi(0) by the resolvent and the
+        # exact N = 2 photon number at 1.2 g_c keep their unit-scale values, within 1e-10
+        # (1e-8 for exact N), since every zero, resonance and residual check is relative
+        def values(s):
+            bath, cavity = make(s), CavityParams(s, 0.5 * s)
+            model = baths.spin_model(bath, s)
+            point = agreement(bath, s, cavity)
+            g_c = [result.g_c / s for result in point.results.values()]
+            chi0 = response.resolvent_chi(model)(0.0).real * s
+            spec = exactn.FullSystemSpec(2, 8, 1.2 * point.results["closed_form"].g_c, cavity,
+                                         model)
+            return np.array([*g_c, chi0]), exactn.full_steady_observables(spec).photon_number
+
+        want, want_photons = values(1.0)
+        for s in (1e-12, 1e-8, 1e-4, 1e4, 1e8, 1e12):
+            got, photons = values(s)
+            assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want)), (s, got, want)
+            assert abs(photons - want_photons) <= 1e-8 * want_photons, (s, photons)
 
     def test_named_routes_only(self):
         bath, cavity = Generalized(gamma=0.2, t=0.4), CavityParams(1.0, 0.5)

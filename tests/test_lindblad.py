@@ -7,7 +7,7 @@ import scipy.linalg
 from dicke_critic import baths, qops
 from dicke_critic.baths import Dephasing, Generalized, Thermal
 from dicke_critic import lindblad
-from dicke_critic.errors import DegenerateSteadyStateError, PreconditionError
+from dicke_critic.errors import DegenerateSteadyStateError, InvalidModelError, PreconditionError
 from dicke_critic.lindblad import SpinModel, steady_state, two_time_sx
 
 
@@ -70,14 +70,24 @@ class TestSteadyState:
 
     def test_degenerate_without_designation_raises(self):
         # two null modes at any rate: dephasing; a Hermitian channel without a field, which
-        # conserves the spin along its axis, at rates of 0.7 and 7e8; no channel at all
+        # conserves the spin along its axis, at rates of 0.7, 7e8 and 7e-13; no channel at all
         axis = 0.6 * qops.sigma("x") + 0.8 * qops.sigma("y")
         for model in (
             SpinModel(omega_z=1.0, channels=baths.channels_of(Dephasing(0.3, -0.4), 1.0)),
-            *(SpinModel(0.0, (qops.LindbladChannel(axis, rate),)) for rate in (0.7, 7e8)),
+            *(SpinModel(0.0, (qops.LindbladChannel(axis, rate),)) for rate in (0.7, 7e8, 7e-13)),
             SpinModel(omega_z=1.0),
         ):
             with pytest.raises(DegenerateSteadyStateError, match=r"\(null dimension 2\)"):
+                steady_state(model)
+
+
+    def test_designated_state_must_be_stationary(self):
+        # the Hermitian channel keeps the spin along its axis, not along z: a designated
+        # diagonal state is not stationary, at a rate of 0.7 and at 0.7e-12 alike
+        axis = 0.6 * qops.sigma("x") + 0.8 * qops.sigma("y")
+        for rate in (0.7, 0.7e-12):
+            model = SpinModel(0.0, (qops.LindbladChannel(axis, rate),), initial_sz=-0.4)
+            with pytest.raises(InvalidModelError, match="designated diagonal state is not"):
                 steady_state(model)
 
 
@@ -245,6 +255,15 @@ class TestTwoTimeCorrelator:
         rho = steady_state(model).rho
         with pytest.raises(PreconditionError):
             two_time_sx(model, rho, tmax=12.0 / 0.3)  # envelope ~ 6e-6 > 1e-10
+
+    @pytest.mark.filterwarnings("error")
+    def test_nonpositive_tmax_is_typed_error(self):
+        # named as dt is, undamped or damped, before any window is sampled
+        for bath in (Dephasing(gamma=0.0, sz=-0.5), Dephasing(gamma=0.3, sz=-0.5)):
+            model = model_for(bath)
+            for tmax in (-1.0, 0.0):
+                with pytest.raises(PreconditionError, match=f"tmax = {tmax} must be positive"):
+                    two_time_sx(model, steady_state(model).rho, tmax=tmax)
 
     def test_exceptional_point_matches_closed_form(self, transverse_sx):
         # 2 t gamma = omega_z: the two transverse modes merge at -gamma (1 + t^2)

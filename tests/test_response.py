@@ -223,11 +223,27 @@ class TestResolventChi:
             with pytest.raises(NonIntegrableTailError,
                                match=r"eigenvalue 0\+1j\) evaluated at its resonance omega = -1.0"):
                 chi(np.array([-1.0]))
-        # within RESONANCE_TOL max(1, |omega_z|) of the pole, and not past it
+        # within RESONANCE_TOL |omega_z| of the pole, and not past it
         chi = baths.closed_form_chi(bath, 2.0)
         with pytest.raises(NonIntegrableTailError, match="eigenvalue 0-2j"):
             chi(2.0 + 1.5e-12)
         assert np.isfinite(chi(2.0 + 1e-11))
+
+    def test_undamped_resonances_at_any_scale(self):
+        # the resonance window is RESONANCE_TOL of the spectral radius, and the residual is
+        # measured against the terms it cancels: omega = 0 is no resonance at omega_z = 1e-12,
+        # and omega = +-omega_z is one at omega_z = 1e12 and 1e14
+        for omega_z in (1e-12, 1.0, 1e12, 1e14):
+            bath = Dephasing(gamma=0.0, sz=-0.4)
+            chi, closed = resolvent_chi(baths.spin_model(bath, omega_z)), baths.closed_form_chi(
+                bath, omega_z)
+            want = baths.closed_form_chi0(bath, omega_z)
+            assert abs(chi(0.0) - want) <= 1e-12 * abs(want), omega_z
+            assert abs(chi(omega_z / 2) - closed(omega_z / 2)) <= 1e-12 * abs(want), omega_z
+            for f in (chi, closed):
+                for omega in (omega_z, -omega_z):
+                    with pytest.raises(NonIntegrableTailError, match="evaluated at its resonance"):
+                        f(omega)
 
     def test_strong_damping_matches_closed_form(self):
         # the trace row borders the solve at any scale of L; at 1e300 chi0 underflows to 0
