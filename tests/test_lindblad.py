@@ -80,7 +80,6 @@ class TestSteadyState:
             with pytest.raises(DegenerateSteadyStateError, match=r"\(null dimension 2\)"):
                 steady_state(model)
 
-
     def test_designated_state_must_be_stationary(self):
         # the Hermitian channel keeps the spin along its axis, not along z: a designated
         # diagonal state is not stationary, at a rate of 0.7 and at 0.7e-12 alike

@@ -233,10 +233,10 @@ class TestResolventChi:
         # the resonance window is RESONANCE_TOL of the spectral radius, and the residual is
         # measured against the terms it cancels: omega = 0 is no resonance at omega_z = 1e-12,
         # and omega = +-omega_z is one at omega_z = 1e12 and 1e14
+        bath = Dephasing(gamma=0.0, sz=-0.4)
         for omega_z in (1e-12, 1.0, 1e12, 1e14):
-            bath = Dephasing(gamma=0.0, sz=-0.4)
-            chi, closed = resolvent_chi(baths.spin_model(bath, omega_z)), baths.closed_form_chi(
-                bath, omega_z)
+            chi = resolvent_chi(baths.spin_model(bath, omega_z))
+            closed = baths.closed_form_chi(bath, omega_z)
             want = baths.closed_form_chi0(bath, omega_z)
             assert abs(chi(0.0) - want) <= 1e-12 * abs(want), omega_z
             assert abs(chi(omega_z / 2) - closed(omega_z / 2)) <= 1e-12 * abs(want), omega_z
