@@ -46,7 +46,8 @@ def main() -> None:
         bath = Generalized(gamma=args.gamma, t=0.0)
         cavity = CavityParams(omega0=1.0, kappa=args.kappa)
         model = spin_model(bath, 1.0)
-        # a --gamma so large that chi0 falls within critical.ZERO_TOL of 0 has no transition
+        # a --gamma so large that chi0 at unit scale (frequencies over gamma, to a power of
+        # two) falls within critical.ZERO_TOL of 0 has no transition
         if isinstance(result := closed_form_gc(bath, 1.0, cavity), NoTransition):
             print(f"no transition at gamma = {args.gamma}: {result.reason.value}", file=sys.stderr)
             sys.exit(2)

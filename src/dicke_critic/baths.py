@@ -38,6 +38,7 @@ it is ``closed_form_chi0`` bit for bit, the chi0 that ``gc`` prints.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import enum
 import math
 import re
@@ -173,6 +174,66 @@ def _cavity_scale(cavity: CavityParams, quantity: str):
     return scale
 
 
+def _ldexp(x, k):
+    """x 2^k, exact away from the float range's ends: math.ldexp (a Python float, which raises
+    OverflowError) on floats, np.ldexp where x or k is an array."""
+    if isinstance(x, np.ndarray) or isinstance(k, np.ndarray):
+        return np.ldexp(x, k)
+    return math.ldexp(x, k)
+
+
+def _unit_exponent(*frequencies):
+    """The k of a point's unit scale: frexp(largest |frequency|) - 1, so that 2^-k puts the
+    largest in [1, 2) and a point already there keeps k = 0. On a sweep's columns, one k per
+    row, by np.frexp on whole arrays. k is 0, the raw scale, where a nonzero frequency is
+    subnormal before or after, as on a point that spans more than the normal float range, and
+    where no frequency is finite and nonzero.
+    """
+    tiny = sys.float_info.min
+    if not any(isinstance(f, np.ndarray) for f in frequencies):  # math.frexp on floats
+        top, low = max(map(abs, frequencies)), min((abs(f) for f in frequencies if f), default=0)
+        if not tiny <= low <= top < math.inf:
+            return 0
+        k = math.frexp(top)[1] - 1
+        return k if math.ldexp(low, -k) >= tiny else 0
+    f = np.abs(np.broadcast_arrays(*frequencies))
+    top, low = f.max(axis=0), np.where(f > 0, f, np.inf).min(axis=0)
+    k = np.frexp(top)[1] - 1
+    return np.where(np.isfinite(top) & (tiny <= low) & (low <= top) & (np.ldexp(low, -k) >= tiny),
+                    k, 0)
+
+
+def _frequencies(bath: BathSpec, omega_z, cavity: CavityParams) -> tuple:
+    """The frequencies of a point that fix its unit scale: omega_z, omega0, kappa, T and the
+    channel rates, on floats or a sweep's columns."""
+    temperature = (bath.temperature,) if isinstance(bath, Thermal) else ()
+    return (omega_z, cavity.omega0, cavity.kappa, *temperature, *_channel_rates(bath, omega_z))
+
+
+# the fields of a record that hold a frequency; a channel tuple holds its rates
+_FREQUENCY_FIELDS = ("omega_z", "omega0", "kappa", "gamma", "temperature", "rate", "channels")
+
+
+def _unit_scale(part, k):
+    """part with every frequency times 2^-k: the point at unit scale, k of ``_unit_exponent``.
+
+    A part is a frequency, a tuple of parts or a record (CavityParams, a
+    bath, a SpinModel) whose frequency fields are omega_z, omega0, kappa,
+    gamma, temperature and the channel rates. + - * / and sqrt commute with
+    2^-k, and a bath's occupation reads omega_z / T, so each result at unit
+    scale is scaled back exactly by ``_ldexp``: g_c by 2^k, chi by 2^-k.
+    """
+    if not k:
+        return part
+    if isinstance(part, tuple):
+        return tuple(_unit_scale(item, k) for item in part)
+    if not dataclasses.is_dataclass(part):
+        return _ldexp(part, -k)
+    return dataclasses.replace(part, **{name: _unit_scale(value, k)
+                                        for name, value in vars(part).items()
+                                        if name in _FREQUENCY_FIELDS})
+
+
 def bose_occupation(omega_z: float, temperature: float) -> float:
     """Bose-Einstein occupation at energy omega_z; 0 at T = 0."""
     if temperature < 0:
@@ -192,22 +253,30 @@ def bose_occupation(omega_z: float, temperature: float) -> float:
     return n
 
 
+def _channel_rates(bath: BathSpec, omega_z) -> tuple:
+    """The rates of the bath's channels, in the order of ``channels_of``, on floats or a
+    sweep's columns."""
+    if isinstance(bath, Thermal):
+        n = _each(bose_occupation, omega_z, bath.temperature)
+        return (1.0 + n) * bath.gamma, n * bath.gamma
+    if isinstance(bath, Custom):
+        return tuple(ch.rate for ch in bath.channels)
+    return (bath.gamma,)
+
+
 def channels_of(bath: BathSpec, omega_z: float) -> tuple[qops.LindbladChannel, ...]:
     """Lindblad channels realizing the bath, doubled-convention rates."""
     if isinstance(bath, Dephasing):
-        return (qops.LindbladChannel(qops.sigma("z"), bath.gamma),)
-    if isinstance(bath, Thermal):
-        n = bose_occupation(omega_z, bath.temperature)
-        return (
-            qops.LindbladChannel(qops.sigma("minus"), (1.0 + n) * bath.gamma),
-            qops.LindbladChannel(qops.sigma("plus"), n * bath.gamma),
-        )
-    if isinstance(bath, Generalized):
-        op = qops.sigma("minus") + bath.t * qops.sigma("plus")
-        return (qops.LindbladChannel(op, bath.gamma),)
-    if isinstance(bath, Custom):
+        ops = (qops.sigma("z"),)
+    elif isinstance(bath, Thermal):
+        ops = (qops.sigma("minus"), qops.sigma("plus"))
+    elif isinstance(bath, Generalized):
+        ops = (qops.sigma("minus") + bath.t * qops.sigma("plus"),)
+    elif isinstance(bath, Custom):
         return bath.channels
-    raise InvalidModelError(f"unknown bath spec {bath!r}")
+    else:
+        raise InvalidModelError(f"unknown bath spec {bath!r}")
+    return tuple(map(qops.LindbladChannel, ops, _channel_rates(bath, omega_z)))
 
 
 def spin_model(bath: BathSpec, omega_z: float):
@@ -317,10 +386,11 @@ def closed_form_gc(
     cavity: CavityParams,
     mode: GcMode = GcMode.SELF_CONSISTENT,
 ):
-    """Critical coupling from the closed-form chi0 (a CriticalResult)."""
-    from .critical import solve_gc
+    """Critical coupling from the closed-form chi0 (a CriticalResult): the closed-form route of
+    ``critical.agreement``, so judged at unit scale (``_unit_scale``)."""
+    from .critical import agreement
 
-    return solve_gc(closed_form_chi0(bath, omega_z, mode), cavity)
+    return agreement(bath, omega_z, cavity, mode, routes=()).results["closed_form"]
 
 
 # --- canonical textual form ------------------------------------------------

@@ -30,10 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baths, lindblad, response
-from .baths import _BATH_FIELDS, BathSpec, CavityParams, GcMode, _cavity_scale, _float_range
+from .baths import (
+    _BATH_FIELDS, BathSpec, CavityParams, GcMode, _cavity_scale, _float_range, _frequencies,
+    _ldexp, _unit_exponent, _unit_scale,
+)
 from .errors import DickeCriticError, PreconditionError
 
-ZERO_TOL = 1e-14  # |chi0| <= ZERO_TOL is unpolarized
+ZERO_TOL = 1e-14  # |chi0| <= ZERO_TOL is unpolarized; the routes judge chi0 at unit scale
 
 
 class NoTransitionReason(enum.Enum):
@@ -55,10 +58,19 @@ CriticalResult = Transition | NoTransition
 
 
 def solve_gc(chi0: float, cavity: CavityParams) -> CriticalResult:
-    """Solve the zero-frequency condition for g_c."""
+    """Solve the zero-frequency condition for g_c, chi0 judged against ZERO_TOL as given."""
+    return _solve_at_unit_scale(chi0, cavity, 0)
+
+
+def _solve_at_unit_scale(chi0: float, cavity: CavityParams, k: int) -> CriticalResult:
+    """solve_gc with chi0 judged at unit scale, as 2^k chi0 (k of ``baths._unit_exponent``).
+
+    g_c is solved from chi0 and cavity as given: that is 2^k times its value
+    at unit scale, exactly, since + - * / and sqrt commute with a power of two.
+    """
     if not np.isfinite(chi0):
         raise PreconditionError(f"chi0 = {chi0} is not finite")
-    code = _status(chi0)
+    code = _status(_ldexp(chi0, k))
     if code:
         return NoTransition(tuple(NoTransitionReason)[code - 1])
     return Transition(g_c=_critical_coupling(chi0, cavity, _cavity_scale(cavity, "g_c")))
@@ -154,8 +166,10 @@ def _point(plan: SweepPlan, name: str, value):
 def sweep(plan: SweepPlan) -> SweepTable:
     """closed_form_chi0, solve_gc and fully_polarized_gc as one broadcast over the grid.
 
-    Each element equals the scalar calls at its row bitwise. Where a check
-    fails, the scalar path is replayed row by row to raise its error.
+    Each element equals the scalar calls at its row bitwise: chi0 and the
+    closed form's verdict by ``agreement``, judged at each row's unit scale
+    (``baths._unit_exponent``), and g_c over ``fully_polarized_gc``. Where a
+    check fails, the scalar path is replayed row by row to raise its error.
     """
     keys = next((k for cls, k in _BATH_FIELDS.values() if isinstance(plan.bath, cls)), {})
     name = keys.get(plan.axis, plan.axis)  # the record field the axis names
@@ -169,7 +183,7 @@ def sweep(plan: SweepPlan) -> SweepTable:
             chi0 = np.broadcast_to(baths.closed_form_chi0(bath, omega_z, plan.mode), len(params))
             if not np.isfinite(chi0).all():  # the one output the scalar path rejects
                 raise PreconditionError("chi0 is not finite")
-            code = _status(chi0)
+            code = _status(_ldexp(chi0, _unit_exponent(*_frequencies(bath, omega_z, cavity))))
             scale = _cavity_scale(cavity, "g_c")
             g_c = _critical_coupling(np.where(code == 0, chi0, np.nan), cavity, scale)
             ratio = g_c / fully_polarized_gc(omega_z, cavity, scale)
@@ -177,7 +191,7 @@ def sweep(plan: SweepPlan) -> SweepTable:
         for i, value in enumerate(plan.values):
             try:
                 bath, omega_z, cavity = _point(plan, name, value)
-                solve_gc(baths.closed_form_chi0(bath, omega_z, plan.mode), cavity)
+                agreement(bath, omega_z, cavity, plan.mode, routes=())
                 fully_polarized_gc(omega_z, cavity)
             except DickeCriticError as exc:
                 raise type(exc)(f"row {i}, {plan.axis} = {value!r}: {exc}") from None
@@ -217,23 +231,32 @@ def agreement(bath: BathSpec, omega_z: float, cavity: CavityParams,
       closed-form g_c, a ``Transition``; ``NotRun()`` where the closed form
       has none.
 
-    Each route is called through its module, so a wrapper set on the
-    module attribute sees the call.
+    Every judgement runs at unit scale (``baths._unit_scale``): ZERO_TOL
+    on each route's chi0, and the zero-mode and rank judgements of the
+    quadrature and mean-field routes, which run on the point scaled so that
+    its largest frequency lies in [1, 2). chi0 and each g_c are scaled
+    back exactly. Each route is called through its module, so a wrapper
+    set on the module attribute sees the call.
     """
     chi0 = baths.closed_form_chi0(bath, omega_z, mode)
-    closed = solve_gc(chi0, cavity)
+    k = _unit_exponent(*_frequencies(bath, omega_z, cavity))
+    closed = _solve_at_unit_scale(chi0, cavity, k)
     results: dict[str, CriticalResult | NotRun] = {"closed_form": closed}
     mean_field = "mean_field" in routes and isinstance(closed, Transition)
     if "quadrature" in routes or mean_field:
-        model = baths.spin_model(bath, omega_z)
+        unit_bath, unit_omega_z, unit_cavity = _unit_scale((bath, omega_z, cavity), k)
+        model = baths.spin_model(unit_bath, unit_omega_z)
     if "quadrature" in routes:
         series = lindblad.two_time_sx(model, lindblad.steady_state(model).rho)
-        results["quadrature"] = solve_gc(response.chi_from_correlator(series, 0.0).real, cavity)
+        chi0_quadrature = _ldexp(response.chi_from_correlator(series, 0.0).real, -k)
+        results["quadrature"] = _solve_at_unit_scale(chi0_quadrature, cavity, k)
     if mean_field:
         from . import meanfield  # here, so that import dicke_critic (the exact-N route) skips it
 
-        lo, hi = (f * closed.g_c for f in MEAN_FIELD_BRACKET)
-        results["mean_field"] = Transition(meanfield.stability_threshold(cavity, model, lo, hi))
+        lo, hi = (_ldexp(f * closed.g_c, -k) for f in MEAN_FIELD_BRACKET)
+        with _float_range("g_star"):
+            results["mean_field"] = Transition(
+                _ldexp(meanfield.stability_threshold(unit_cavity, model, lo, hi), k))
     elif "mean_field" in routes:
         results["mean_field"] = NotRun()
     return Agreement(chi0, results)

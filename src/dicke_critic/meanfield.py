@@ -194,6 +194,16 @@ def _field_state(model: SpinModel, h: float) -> np.ndarray:
     return np.linalg.solve(*qops.trace_border(model.generator() + h * _DRIVE, np.zeros(4), 1.0))
 
 
+def _unique_in_field(model: SpinModel, h: float, g: float) -> None:
+    """Raise DegenerateSteadyStateError where L_atom + h D has more than one zero mode, by the
+    zero-mode rule of ``qops.null_space``, which ``steady_state`` applies."""
+    dim = qops.null_space(model.generator() + h * _DRIVE)[1].shape[1]
+    if dim > 1:
+        raise DegenerateSteadyStateError(
+            f"no superradiant fixed point at g = {g!r}: the atom in the field h = {h!r} has no "
+            f"unique steady state (null dimension {dim})")
+
+
 def superradiant_state(cavity: CavityParams, model: SpinModel, g: float) -> MeanFieldState:
     """The fixed point with alpha != 0 at coupling g: the root h* > 0 of F.
 
@@ -201,8 +211,11 @@ def superradiant_state(cavity: CavityParams, model: SpinModel, g: float) -> Mean
     positive at the top, and it is negative near 0 where the normal state is
     statically unstable; ``NoThresholdError`` names g where it keeps its sign
     (below the threshold, and under pure dephasing, where <sx>(h) = 0).
-    ``DegenerateSteadyStateError`` where an atom without dissipation has no
-    unique steady state in the field.
+    ``DegenerateSteadyStateError`` where the atom has no unique steady state
+    in the field (``_unique_in_field``) at the top of the bracket or at the
+    root. The bottom, a field of 1e-8 the top, is not judged: there pure
+    dephasing mixes the populations at about h^2 gamma / (omega_z^2 +
+    gamma^2), below the rule, though its steady state 1/2 is unique.
     """
     k = 8.0 * g**2 * cavity.omega0 / _cavity_scale(cavity, "K")
 
@@ -210,6 +223,7 @@ def superradiant_state(cavity: CavityParams, model: SpinModel, g: float) -> Mean
         return h + k * float((_SX_ROW @ _field_state(model, h)).real)
 
     lo, hi = 1e-8 * k / 2, (1 + 1e-9) * k / 2
+    _unique_in_field(model, hi, g)
     try:
         f_lo, f_hi = f(lo), f(hi)
     except np.linalg.LinAlgError:
@@ -221,6 +235,7 @@ def superradiant_state(cavity: CavityParams, model: SpinModel, g: float) -> Mean
             f"no superradiant fixed point at g = {g!r}: F(h) = h + K <sx>(h) keeps its "
             f"sign on ({lo!r}, {hi!r}]")
     h = _illinois(f, lo, hi, f_lo, f_hi)
+    _unique_in_field(model, h, g)
     vec = _field_state(model, h)
     a, b = _linearization(cavity, model, vec, h)
     top, *_ = _top_mode(*_deflate(a + g * b))

@@ -28,7 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidModelError, UnknownOperatorError
+from .errors import (
+    DimensionMismatchError, InvalidModelError, PreconditionError, UnknownOperatorError,
+)
 
 HERMITICITY_TOL = 1e-12
 # a density matrix's trace, Hermiticity and eigenvalues may miss by this much
@@ -234,16 +236,19 @@ def hamiltonian_superop(h):
 
 
 def lindblad_generator(h, channels: list[LindbladChannel] | tuple):
-    """Generator acting on vec(rho); a numpy array or Triplets like h."""
+    """Generator acting on vec(rho); a numpy array or Triplets like h, every entry finite."""
     if not is_hermitian(h):
         raise InvalidModelError("Hamiltonian must be Hermitian within 1e-12")
     gen = hamiltonian_superop(h)
-    for ch in channels:
-        if ch.op.shape != h.shape:
-            raise DimensionMismatchError(
-                f"channel operator shape {ch.op.shape} != Hamiltonian shape {h.shape}"
-            )
-        gen += dissipator(ch.op, ch.rate)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
+        for ch in channels:
+            if ch.op.shape != h.shape:
+                raise DimensionMismatchError(
+                    f"channel operator shape {ch.op.shape} != Hamiltonian shape {h.shape}"
+                )
+            gen += dissipator(ch.op, ch.rate)
+    if not np.isfinite(gen.data if isinstance(gen, Triplets) else gen).all():
+        raise PreconditionError("the generator overflows the float range")
     return gen
 
 

@@ -51,7 +51,9 @@ import cmath
 import numpy as np
 
 from . import qops
-from .baths import CavityParams, _float_range, _in_float_range
+from .baths import (
+    CavityParams, _float_range, _in_float_range, _unit_exponent, _unit_scale,
+)
 from .errors import InvalidModelError, NonIntegrableTailError, PreconditionError
 from .lindblad import CorrelationSeries, SpinModel, steady_state
 
@@ -86,7 +88,7 @@ def _real_chi0(value: complex, terms: np.ndarray, route: str) -> float:
     return value.real
 
 
-def _resolvent(gen: np.ndarray, rhs: np.ndarray):
+def _resolvent(gen: np.ndarray, rhs: np.ndarray, unit: float = 1.0):
     """A solver omega -> x = (L + i omega)^{-1} rhs for a traceless rhs, one omega a call.
 
     The solver solves L + i omega with row 0 the trace row and Tr x = 0
@@ -99,7 +101,9 @@ def _resolvent(gen: np.ndarray, rhs: np.ndarray):
     mode of a degenerate null space, as under dephasing, is one), the system
     is solved by least squares: its residual M x - b shows whether rhs excites
     that mode, past RESONANCE_TOL max_i(|M_i| |x| + |b_i|), and the solver then
-    raises NonIntegrableTailError, since the transform diverges.
+    raises NonIntegrableTailError, since the transform diverges. gen may be
+    L times unit, a power of two: the solve then runs at that scale, on omega
+    unit, and returns x / unit; the error names omega and lambda unscaled.
     """
     lams = np.linalg.eigvals(gen)
     reach = qops.RESONANCE_TOL * float(np.max(np.abs(lams)))
@@ -109,16 +113,17 @@ def _resolvent(gen: np.ndarray, rhs: np.ndarray):
     def solve(omega) -> np.ndarray:
         if not np.any(rhs):
             return np.zeros(rhs.size, dtype=complex)
-        mat, b = qops.trace_border(gen + 1j * omega * eye, rhs, 0.0)
-        near = np.abs(modes + 1j * omega) <= reach
+        mat, b = qops.trace_border(gen + 1j * (omega * unit) * eye, rhs, 0.0)
+        near = np.abs(modes + 1j * (omega * unit)) <= reach
         if not np.any(near):
             return np.linalg.solve(mat, b)
         x = np.linalg.lstsq(mat, b, rcond=None)[0]
         residual = float(np.max(np.abs(mat @ x - b)))
         if residual > qops.RESONANCE_TOL * float(np.max(np.abs(mat) @ np.abs(x) + np.abs(b))):
             raise NonIntegrableTailError(
-                f"undamped mode (eigenvalue {complex(modes[np.argmax(near)]):.6g}) evaluated at "
-                f"its resonance omega = {omega} (least-squares residual {residual:.3g})")
+                f"undamped mode (eigenvalue {complex(modes[np.argmax(near)]) / unit:.6g}) "
+                f"evaluated at its resonance omega = {omega} (least-squares residual "
+                f"{residual:.3g})")
         return x
 
     return solve
@@ -155,7 +160,8 @@ def resolvent_chi(model: SpinModel):
     """chi(omega) of a model as a callable on real or complex frequencies.
 
     The steady state rho, the generator L and its eigenvalues are built
-    once, here. Each call solves (L + i omega) x = rho sx - sx rho by
+    once, here, at unit scale (``baths._unit_scale``); chi is scaled back
+    exactly. Each call solves (L + i omega) x = rho sx - sx rho by
     ``_resolvent``, one 4x4 solve per frequency, and returns chi =
     -4i Tr[sx x] with the shape of its argument. Complex
     omega continues chi analytically, so ``cavity_det`` vanishes at the
@@ -167,9 +173,11 @@ def resolvent_chi(model: SpinModel):
     undamped mode lambda of L, where the transform diverges, and
     InvalidModelError when Im chi(0) does not vanish (``_real_chi0``).
     """
+    k = _unit_exponent(model.omega_z, *(ch.rate for ch in model.channels))
+    model, unit = _unit_scale(model, k), 2.0**-k
     rho = steady_state(model).rho
     rhs = qops.vectorize(rho @ _SX - _SX @ rho)
-    solve = _resolvent(model.generator(), rhs)
+    solve = _resolvent(model.generator(), rhs, unit)
     row = qops.observable_row(_SX)
 
     def chi(omegas):
@@ -179,7 +187,7 @@ def resolvent_chi(model: SpinModel):
             x = solve(omega)
             value = -4j * (x @ row)
             values.flat[i] = _real_chi0(value, 4.0 * x * row, "resolvent") if omega == 0 else value
-        return values[()]
+        return (values * unit)[()]
 
     return chi
 

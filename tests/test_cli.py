@@ -74,7 +74,17 @@ class TestGc:
 
     def test_small_scale_points_run(self, capsys):
         # omega_z = 1e-6 and 1e-12 in raw units: the zero-mode rule is relative, so the steady
-        # state stays unique, and gc prints the g_c / g0 of the unit-scale point
+        # state stays unique, and gc prints the g_c / g0 of the unit-scale point; a dephasing
+        # rate of 2e7 (raw chi0 = -5e-15) and optical frequencies (raw chi0 = -6.9e-16) lie
+        # inside ZERO_TOL only in raw units, and at unit scale have a transition
+        for argv, ratio in (
+            (["--bath", "dephasing(gamma=2e7, sz=-0.5)"], 2.0000000000000026e7),
+            (["--omega-z", "2.4e15", "--omega0", "2.4e15", "--kappa", "1e15", "--bath",
+              "thermal(gamma=1e14, T=1e15)"], 1.0966011476878366),
+        ):
+            code, out, err = run_cli(capsys, "gc", *argv)
+            assert (code, err) == (0, ""), argv
+            assert float(parse_record(out)["g_c_over_g0"]) == pytest.approx(ratio, rel=1e-14)
         _, unit, _ = run_cli(capsys, "gc", "--verify", "--bath", "thermal(gamma=1e-7, T=0.5)")
         code, out, err = run_cli(capsys, "gc", "--verify", "--raw-units", "--omega-z", "1e-6",
                                  "--omega0", "1e-6", "--bath", "thermal(gamma=1e-13, T=5e-7)")
@@ -112,8 +122,12 @@ class TestGc:
         unit = 1.0 if "--raw-units" in extra else omega_z
         chi0 = baths.closed_form_chi0(bath, omega_z, mode)
         g_c = solve_gc(chi0, cavity).g_c
-        g_star = meanfield.stability_threshold(
-            cavity, baths.spin_model(bath, omega_z), 0.4 * g_c, 2.5 * g_c)
+        # the threshold of the point at unit scale, every frequency over omega_z (a power of
+        # two), times omega_z: not bitwise the threshold at omega_z = 2
+        unit_bath = baths.Generalized(gamma=bath.gamma / omega_z, t=bath.t)
+        g_star = omega_z * meanfield.stability_threshold(
+            CavityParams(1.0 / omega_z, 0.0), baths.spin_model(unit_bath, 1.0),
+            0.4 * g_c / omega_z, 2.5 * g_c / omega_z)
         lines = [f"units = {'raw' if '--raw-units' in extra else 'omega_z'}",
                  f"chi0 = {cli.fmt(chi0 * unit)}", f"g_c = {cli.fmt(g_c / unit)}",
                  f"g_c_over_g0 = {cli.fmt(g_c / fully_polarized_gc(omega_z, cavity))}",
@@ -729,16 +743,23 @@ class TestCorr:
                            f"omega_z = 1e-300{point}: thermal occupation is undefined "
                            "(division by zero)\n")
 
+    @pytest.mark.filterwarnings("error")
     def test_thermal_occupation_overflow_exits_1(self, capsys):
-        # omega_z / T is subnormal, so 1 / expm1 overflows: gc, corr and spectrum name it alike
-        for command, point in (("gc", ", omega0 = 1, kappa = 0"), ("corr", ""),
-                               ("spectrum", ", omega0 = 1, kappa = 0")):
-            code, out, err = run_cli(capsys, command, "--bath", "thermal(gamma=0.1, T=1)",
-                                     "--omega-z", "1e-310", "--raw-units")
+        # omega_z / T is subnormal, so 1 / expm1 overflows: gc, corr and spectrum name it alike;
+        # a rate of 1e308 takes the generator that corr steps past the float range
+        thermal = ("thermal(gamma=0.1, T=1)", "1e-310", "thermal(gamma=0.1, T=1.0), omega_z = "
+                   "9.9999999999999694e-311", "thermal occupation")
+        generator = ("generalized(gamma=1e308, t=0.5)", "1",
+                     "generalized(gamma=1e+308, t=0.5), omega_z = 1", "the generator")
+        for command, (bath, omega_z, named, cause), point in (
+            ("gc", thermal, ", omega0 = 1, kappa = 0"), ("corr", thermal, ""),
+            ("spectrum", thermal, ", omega0 = 1, kappa = 0"), ("corr", generator, ""),
+        ):
+            code, out, err = run_cli(capsys, command, "--bath", bath, "--omega-z", omega_z,
+                                     "--raw-units")
             assert (code, out) == (1, ""), command
-            assert err == ("dicke-critic: error: at bath = thermal(gamma=0.1, T=1.0), omega_z = "
-                           f"9.9999999999999694e-311{point}: thermal occupation overflows the "
-                           "float range\n")
+            assert err == (f"dicke-critic: error: at bath = {named}{point}: {cause} overflows "
+                           "the float range\n")
 
 
 class TestSpectrum:

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from dicke_critic import baths, meanfield, qops
+from dicke_critic import baths, lindblad, meanfield, qops
 from dicke_critic.baths import CavityParams, Dephasing, Generalized, Thermal
 from dicke_critic.critical import agreement
 from dicke_critic.errors import DegenerateSteadyStateError, NoThresholdError, PreconditionError
@@ -323,3 +323,11 @@ class TestSuperradiantBranch:
             g = 1.5 * gc_of(bath)
             with pytest.raises(error, match=cause.format(g=g)):
                 superradiant_state(cavity, model_for(bath), g)
+        # a decay rate below the zero-mode rule: steady_state finds null dimension 2, and so
+        # does the atom in the field
+        weak = lindblad.SpinModel(1.0, (qops.LindbladChannel(qops.sigma("minus"), 1e-14),))
+        with pytest.raises(DegenerateSteadyStateError, match="null dimension 2"):
+            lindblad.steady_state(weak)
+        with pytest.raises(DegenerateSteadyStateError,
+                           match=re.escape(no_branch.format(g=2.0)) + ".*null dimension 2"):
+            superradiant_state(CavityParams(1.0, 0.5), weak, 2.0)
