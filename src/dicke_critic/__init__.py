@@ -19,7 +19,6 @@ from .baths import (  # noqa: F401
     Thermal,
     closed_form_chi0,
     closed_form_gc,
-    effective_rate,
     format_bath,
     parse_bath,
     spin_model,

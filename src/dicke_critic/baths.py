@@ -129,19 +129,14 @@ class GcMode(enum.Enum):
 def _each(f, *args):
     """f(*args), element by element through Python floats where an argument is an array.
 
-    Only what must match libm bit for bit goes through here: ``pow`` (``_sq``),
-    ``tanh`` (``steady_sz``) and ``expm1`` (``bose_occupation``), where numpy's
-    square, tanh and expm1 differ from Python's in the last bit. + - * / and
-    sqrt are correctly rounded in both, so they run on whole arrays.
+    Only tanh (``steady_sz``) and expm1 (``bose_occupation``) go through here,
+    since numpy's differ from libm's in the last bit. + - * / and sqrt are
+    correctly rounded in both, so they run on whole arrays, and every square
+    is written x * x, never pow, so it is correctly rounded too.
     """
     if not any(isinstance(a, np.ndarray) for a in args):
         return f(*args)
     return np.array(list(map(f, *(a.tolist() for a in np.broadcast_arrays(*args)))), float)
-
-
-def _sq(x):
-    """x**2 as Python computes it (libm pow), not x*x."""
-    return _each(pow, x, 2.0)
 
 
 @contextlib.contextmanager
@@ -166,8 +161,9 @@ def _in_float_range(values, omega, quantity: str):
 
 def _cavity_scale(cavity: CavityParams, quantity: str):
     """omega0^2 + kappa^2, which must be a normal float: below that it has lost its digits."""
-    with _float_range(quantity):
-        scale = _sq(cavity.omega0) + _sq(cavity.kappa)
+    scale = cavity.omega0 * cavity.omega0 + cavity.kappa * cavity.kappa
+    if np.any(np.isinf(scale)):
+        raise PreconditionError(f"{quantity} overflows the float range")
     if np.any(scale < sys.float_info.min):
         raise PreconditionError(f"{quantity} is undefined: omega0^2 + kappa^2 underflows the "
                                 f"float range (below {sys.float_info.min:.6g})")
@@ -296,13 +292,9 @@ def transverse_rates(bath: BathSpec, omega_z: float) -> tuple[float, float]:
         r = (1.0 + 2.0 * n) * bath.gamma
         return r, r
     if isinstance(bath, Generalized):
-        return bath.gamma * _sq(1.0 - bath.t), bath.gamma * _sq(1.0 + bath.t)
+        below, above = 1.0 - bath.t, 1.0 + bath.t
+        return bath.gamma * (below * below), bath.gamma * (above * above)
     raise NoClosedFormError(f"no closed-form rates for {type(bath).__name__}")
-
-
-def effective_rate(bath: BathSpec, omega_z: float) -> float:
-    """Decay rate of the sx coherence component (the quoted gamma_eff)."""
-    return transverse_rates(bath, omega_z)[0]
 
 
 def steady_sz(bath: BathSpec, omega_z: float) -> float:
@@ -315,7 +307,7 @@ def steady_sz(bath: BathSpec, omega_z: float) -> float:
         return _each(lambda w, T: -0.5 if T == 0.0 else -0.5 * math.tanh(w / (2.0 * T)),
                      omega_z, bath.temperature)
     if isinstance(bath, Generalized):
-        t2 = _sq(bath.t)
+        t2 = bath.t * bath.t
         return -0.5 * (1.0 - t2) / (1.0 + t2)
     raise NoClosedFormError(f"no closed-form polarization for {type(bath).__name__}")
 
@@ -323,18 +315,26 @@ def steady_sz(bath: BathSpec, omega_z: float) -> float:
 def closed_form_chi0(
     bath: BathSpec, omega_z: float, mode: GcMode = GcMode.SELF_CONSISTENT
 ) -> float:
-    """Static susceptibility chi(0) = Sigma(0)/g^2 in closed form, on floats or arrays."""
+    """Static susceptibility chi(0) = Sigma(0)/g^2 in closed form, on floats or arrays.
+
+    The modes differ only for the generalized bath: elsewhere gamma_x = gamma_y, so the
+    exact product is the quoted gamma_eff^2 bit for bit. A square of omega_z, or of gamma
+    in the quoted form, past the float range raises PreconditionError.
+    """
     with _float_range("chi0"):
         sz = steady_sz(bath, omega_z)
-        if mode is GcMode.SELF_CONSISTENT:
-            gx, gy = transverse_rates(bath, omega_z)
-            denom = _sq(omega_z) + gx * gy
-        elif isinstance(bath, Generalized):
+        squares = [omega_z * omega_z]
+        if mode is GcMode.LITERATURE and isinstance(bath, Generalized):
             # quoted form: (1-t)^2 appears unsquared relative to the exact product
-            denom = _sq(omega_z) + _sq(bath.gamma) * _sq(1.0 - bath.t)
+            below = 1.0 - bath.t
+            squares.append(bath.gamma * bath.gamma)
+            rates = squares[1] * (below * below)
         else:
-            denom = _sq(omega_z) + _sq(effective_rate(bath, omega_z))
-        return 4.0 * sz * omega_z / denom
+            gx, gy = transverse_rates(bath, omega_z)
+            rates = gx * gy
+        if any(np.any(np.isinf(square)) for square in squares):
+            raise PreconditionError("chi0 overflows the float range")
+        return 4.0 * sz * omega_z / (squares[0] + rates)
 
 
 def closed_form_chi(bath: BathSpec, omega_z: float):
@@ -354,8 +354,9 @@ def closed_form_chi(bath: BathSpec, omega_z: float):
     """
     sz = steady_sz(bath, omega_z)
     gx, gy = transverse_rates(bath, omega_z)
-    with _float_range("chi"):
-        wz2 = _sq(omega_z)
+    wz2 = omega_z * omega_z
+    if np.any(np.isinf(wz2)):
+        raise PreconditionError("chi overflows the float range")
     reach = qops.RESONANCE_TOL * abs(omega_z)
 
     def chi(omega):

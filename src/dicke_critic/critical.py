@@ -14,8 +14,9 @@ parameters as arrays: a ``SweepTable`` of columns, bitwise the scalar calls.
 The grid, + - * /, the square root and the status labels run on whole
 arrays. numpy's sqrt is the correctly rounded IEEE sqrt, as ``math.sqrt``
 is; a float argument keeps ``math.sqrt``, so a scalar result stays a
-Python float. Only libm's ``pow`` (``baths._sq``), ``tanh`` and ``expm1``
-stay per element, through ``baths._each``.
+Python float. Every square is x * x, correctly rounded on floats and arrays
+alike; only libm's ``tanh`` and ``expm1`` stay per element, through
+``baths._each``.
 
 ``agreement`` runs the routes to g_c at one point and returns one typed
 result per route: ``gc --verify``, ``oracle`` and ``oracle_table.py`` are its views.
@@ -104,8 +105,7 @@ def fully_polarized_gc(omega_z: float, cavity: CavityParams, scale=None) -> floa
     if np.any(omega_z <= 0):
         raise PreconditionError("the fully polarized reference needs omega_z > 0")
     scale = _cavity_scale(cavity, "g0") if scale is None else scale
-    with _float_range("g0"):
-        return 0.5 * _sqrt(omega_z * scale / cavity.omega0, "g0")
+    return 0.5 * _sqrt(omega_z * scale / cavity.omega0, "g0")
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -206,16 +206,11 @@ MEAN_FIELD_BRACKET = (0.4, 2.5)  # the mean-field search bracket, in units of th
 
 
 @dataclass(frozen=True)
-class NotRun:
-    """The mean-field route where the closed form has no transition: no g_c to bracket."""
-
-
-@dataclass(frozen=True)
 class Agreement:
     """g_c at one point by each route run, in ROUTES order, and the closed form's chi0."""
 
     chi0: float
-    results: dict[str, CriticalResult | NotRun]
+    results: dict[str, CriticalResult]
 
 
 def agreement(bath: BathSpec, omega_z: float, cavity: CavityParams,
@@ -228,8 +223,8 @@ def agreement(bath: BathSpec, omega_z: float, cavity: CavityParams,
     * quadrature: the steady state, the sampled S_x(t), chi(0) by
       quadrature, then ``solve_gc``.
     * mean_field: the static threshold in ``MEAN_FIELD_BRACKET`` times the
-      closed-form g_c, a ``Transition``; ``NotRun()`` where the closed form
-      has none.
+      closed-form g_c, a ``Transition``; left out of ``results`` where the
+      closed form has none, since there is no g_c to bracket.
 
     Every judgement runs at unit scale (``baths._unit_scale``): ZERO_TOL
     on each route's chi0, and the zero-mode and rank judgements of the
@@ -241,7 +236,7 @@ def agreement(bath: BathSpec, omega_z: float, cavity: CavityParams,
     chi0 = baths.closed_form_chi0(bath, omega_z, mode)
     k = _unit_exponent(*_frequencies(bath, omega_z, cavity))
     closed = _solve_at_unit_scale(chi0, cavity, k)
-    results: dict[str, CriticalResult | NotRun] = {"closed_form": closed}
+    results: dict[str, CriticalResult] = {"closed_form": closed}
     mean_field = "mean_field" in routes and isinstance(closed, Transition)
     if "quadrature" in routes or mean_field:
         unit_bath, unit_omega_z, unit_cavity = _unit_scale((bath, omega_z, cavity), k)
@@ -257,6 +252,4 @@ def agreement(bath: BathSpec, omega_z: float, cavity: CavityParams,
         with _float_range("g_star"):
             results["mean_field"] = Transition(
                 _ldexp(meanfield.stability_threshold(unit_cavity, model, lo, hi), k))
-    elif "mean_field" in routes:
-        results["mean_field"] = NotRun()
     return Agreement(chi0, results)

@@ -53,7 +53,7 @@ DEFAULT_DT_FACTOR = 0.02
 MAX_SAMPLES = 2_000_000
 # window of a correlator without damped modes, in periods of its fastest mode
 DISPLAY_PERIODS = 12
-_UNIT_ROUNDOFF = 2.0**-53
+_UNIT_ROUNDOFF = math.ldexp(1.0, -53)
 
 _SX = qops.sigma("x")
 logger = logging.getLogger("dicke_critic")
@@ -220,8 +220,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     """
     norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
     s = max(0, math.frexp(norm)[1] + 1)
-    x = a * 2.0**-s
-    r = term = norm * 2.0**-s
+    x = a * math.ldexp(1.0, -s)
+    r = term = norm * math.ldexp(1.0, -s)
     m = 1
     while term > _UNIT_ROUNDOFF:
         m += 1

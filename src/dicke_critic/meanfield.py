@@ -216,8 +216,11 @@ def superradiant_state(cavity: CavityParams, model: SpinModel, g: float) -> Mean
     root. The bottom, a field of 1e-8 the top, is not judged: there pure
     dephasing mixes the populations at about h^2 gamma / (omega_z^2 +
     gamma^2), below the rule, though its steady state 1/2 is unique.
+    ``PreconditionError`` where K overflows the float range.
     """
-    k = 8.0 * g**2 * cavity.omega0 / _cavity_scale(cavity, "K")
+    k = 8.0 * (g * g) * cavity.omega0 / _cavity_scale(cavity, "K")
+    if not np.isfinite(k):
+        raise PreconditionError("K overflows the float range")
 
     def f(h: float) -> float:
         return h + k * float((_SX_ROW @ _field_state(model, h)).real)

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import qops
 from .baths import (
-    CavityParams, _float_range, _in_float_range, _unit_exponent, _unit_scale,
+    CavityParams, _in_float_range, _ldexp, _unit_exponent, _unit_scale,
 )
 from .errors import InvalidModelError, NonIntegrableTailError, PreconditionError
 from .lindblad import CorrelationSeries, SpinModel, steady_state
@@ -174,7 +174,7 @@ def resolvent_chi(model: SpinModel):
     InvalidModelError when Im chi(0) does not vanish (``_real_chi0``).
     """
     k = _unit_exponent(model.omega_z, *(ch.rate for ch in model.channels))
-    model, unit = _unit_scale(model, k), 2.0**-k
+    model, unit = _unit_scale(model, k), _ldexp(1.0, -k)
     rho = steady_state(model).rho
     rhs = qops.vectorize(rho @ _SX - _SX @ rho)
     solve = _resolvent(model.generator(), rhs, unit)
@@ -198,12 +198,15 @@ def cavity_det(omega, cavity: CavityParams, g: float, chi):
     On real omega each element is bitwise Python's complex arithmetic at that element:
     (omega + i kappa)^2 is written as the product its complex multiply forms, and omega = 0
     takes the zero-frequency reduction, exact, not rounded. A scalar call gives np.complex128.
-    A det past the float range raises PreconditionError, without a warning, naming an omega.
+    A square of g, omega0 or kappa past the float range raises PreconditionError, and so does
+    a det past it, without a warning, naming an omega.
     """
     w, k, w0 = np.asarray(omega), cavity.kappa, cavity.omega0
-    with _float_range("det"), np.errstate(over="ignore", invalid="ignore"):
-        sigma = g**2 * np.asarray(chi)
-        shifted_sq = (w * w - k * k) + 1j * (w * k + k * w)
-        det = np.where(w == 0, w0**2 + k**2 + 2.0 * w0 * sigma,
-                       w0**2 + 2.0 * w0 * sigma - shifted_sq)
+    g2, w02, k2 = g * g, w0 * w0, k * k
+    if np.any(np.isinf((g2, w02, k2))):
+        raise PreconditionError("det overflows the float range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = g2 * np.asarray(chi)
+        shifted_sq = (w * w - k2) + 1j * (w * k + k * w)
+        det = np.where(w == 0, w02 + k2 + 2.0 * w0 * sigma, w02 + 2.0 * w0 * sigma - shifted_sq)
     return _in_float_range(det, w, "det")

@@ -274,16 +274,25 @@ def test_c10_exact_small_n_oracle():
 
 
 def test_c11_mode_discrepancy_is_generalized_only():
-    # modes agree exactly for dephasing and thermal baths
-    for bath in (
-        Dephasing(gamma=0.4, sz=-0.35),
-        Dephasing(gamma=0.0, sz=-0.5),
-        Thermal(gamma=0.2, temperature=0.8),
-        Thermal(gamma=0.1, temperature=0.0),
-    ):
-        assert baths.closed_form_chi0(bath, 1.0, GcMode.SELF_CONSISTENT) == baths.closed_form_chi0(
-            bath, 1.0, GcMode.LITERATURE
-        )
+    # modes agree exactly for dephasing and thermal baths: at fixed points, at a thermal point
+    # where a square by libm pow once split them by an ulp, and at seeded points
+    points = [
+        (Dephasing(gamma=0.4, sz=-0.35), 1.0),
+        (Dephasing(gamma=0.0, sz=-0.5), 1.0),
+        (Thermal(gamma=0.2, temperature=0.8), 1.0),
+        (Thermal(gamma=0.1, temperature=0.0), 1.0),
+        (Thermal(gamma=1.1610594349251047, temperature=1.2049284769018285), 1.9882470916878519),
+    ]
+    rng = np.random.default_rng(11)
+    for i in range(2000):
+        gamma, omega_z = 10.0 ** rng.uniform(-3, 2), 10.0 ** rng.uniform(-2, 2)
+        bath = (Dephasing(gamma, rng.uniform(-0.5, 0.5)) if i % 2
+                else Thermal(gamma, 10.0 ** rng.uniform(-2, 2)))
+        points.append((bath, omega_z))
+    for bath, omega_z in points:
+        assert baths.closed_form_chi0(bath, omega_z, GcMode.SELF_CONSISTENT) == baths.closed_form_chi0(
+            bath, omega_z, GcMode.LITERATURE
+        ), (bath, omega_z)
     # and differ for the mixed channel at interior t
     bath = Generalized(gamma=0.5, t=0.5)
     assert baths.closed_form_chi0(bath, 1.0, GcMode.SELF_CONSISTENT) != baths.closed_form_chi0(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,13 +18,14 @@ from dicke_critic.baths import (
     channels_of,
     closed_form_chi0,
     closed_form_gc,
-    effective_rate,
     format_bath,
     parse_bath,
     steady_sz,
     transverse_rates,
 )
-from dicke_critic.critical import NoTransition, NoTransitionReason, Transition, fully_polarized_gc
+from dicke_critic.critical import (
+    NoTransition, NoTransitionReason, SweepPlan, Transition, fully_polarized_gc, sweep,
+)
 from dicke_critic.errors import (
     ConfigParseError,
     InvalidModelError,
@@ -74,13 +76,14 @@ class TestChannels:
 
 class TestRatesAndPolarization:
     def test_effective_rate_examples(self):
-        assert effective_rate(Dephasing(gamma=0.3, sz=-0.5), 1.0) == 0.3
-        assert effective_rate(Generalized(gamma=0.7, t=1.0), 1.0) == 0.0
-        assert effective_rate(Thermal(gamma=0.25, temperature=0.0), 1.0) == 0.25
+        # the quoted gamma_eff is gamma_x; dephasing and thermal baths decay symmetrically
+        assert transverse_rates(Dephasing(gamma=0.3, sz=-0.5), 1.0) == (0.3, 0.3)
+        assert transverse_rates(Generalized(gamma=0.7, t=1.0), 1.0) == (0.0, 2.8)
+        assert transverse_rates(Thermal(gamma=0.25, temperature=0.0), 1.0) == (0.25, 0.25)
 
     def test_thermal_rate_is_coth_enhanced(self):
-        rate = effective_rate(Thermal(gamma=0.1, temperature=0.5), 1.0)
-        assert rate == pytest.approx(0.1 / math.tanh(1.0), rel=1e-12)
+        rate, same = transverse_rates(Thermal(gamma=0.1, temperature=0.5), 1.0)
+        assert rate == same == pytest.approx(0.1 / math.tanh(1.0), rel=1e-12)
 
     def test_generalized_rates_are_asymmetric(self):
         gx, gy = transverse_rates(Generalized(gamma=0.2, t=0.4), 1.0)
@@ -106,7 +109,7 @@ class TestRatesAndPolarization:
 
         custom = Custom(channels=(LindbladChannel(sigma("minus"), 0.1),))
         with pytest.raises(NoClosedFormError):
-            effective_rate(custom, 1.0)
+            transverse_rates(custom, 1.0)
 
     def test_bose_occupation_ln2(self):
         assert bose_occupation(math.log(2.0), 1.0) == pytest.approx(1.0, rel=1e-12)
@@ -225,6 +228,55 @@ class TestClosedFormGc:
         chi = baths.closed_form_chi(Dephasing(gamma=5e-324, sz=-0.5), 1.0)
         with pytest.raises(PreconditionError, match="chi leaves the float range at omega = -1.0"):
             chi(np.array([0.5, -1.0]))
+
+    def test_closed_forms_are_exactly_scale_covariant(self):
+        # every frequency times 2^k: chi0 times 2^-k, g_c and g0 times 2^k, bit for bit, since
+        # + - * / and sqrt, squares included, are correctly rounded; first a point where a
+        # square by libm pow once missed by an ulp
+        rng = np.random.default_rng(42)
+        points = [(Dephasing(gamma=0.00719881469620615, sz=0.26220531522940793),
+                   2.927607358514831, CavityParams(1.0, 0.5), -5)]
+        for i in range(3000):
+            gamma, omega_z = 10.0 ** rng.uniform(-3, 2), 10.0 ** rng.uniform(-2, 2)
+            bath = (Dephasing(gamma, rng.uniform(-0.5, 0.5)),
+                    Thermal(gamma, 10.0 ** rng.uniform(-2, 2)),
+                    Generalized(gamma, rng.uniform(0, 1)))[i % 3]
+            kappa = 10.0 ** rng.uniform(-2, 1) if i % 2 else 0.0
+            cavity = CavityParams(10.0 ** rng.uniform(-1, 1), kappa)
+            points.append((bath, omega_z, cavity, int(rng.integers(-60, 60))))
+
+        def scaled(bath, omega_z, cavity, k):
+            fields = {name: math.ldexp(getattr(bath, name), k)
+                      for name in ("gamma", "temperature") if hasattr(bath, name)}
+            return (dataclasses.replace(bath, **fields), math.ldexp(omega_z, k),
+                    CavityParams(math.ldexp(cavity.omega0, k), math.ldexp(cavity.kappa, k)))
+
+        for bath, omega_z, cavity, k in points:
+            big = scaled(bath, omega_z, cavity, k)
+            assert closed_form_chi0(*big[:2]) == math.ldexp(closed_form_chi0(bath, omega_z), -k)
+            result, big_result = closed_form_gc(bath, omega_z, cavity), closed_form_gc(*big)
+            if isinstance(result, Transition):
+                assert big_result.g_c == math.ldexp(result.g_c, k), (bath, omega_z, cavity, k)
+            else:
+                assert big_result == result, (bath, omega_z, cavity, k)
+            g0 = fully_polarized_gc(omega_z, cavity)
+            assert fully_polarized_gc(*big[1:]) == math.ldexp(g0, k), (bath, omega_z, cavity, k)
+
+    def test_square_past_the_float_range_is_a_typed_error(self):
+        # a square past the float range is inf, not an exception: each closed form checks its
+        # squares, so the point is a typed error rather than chi0 = -0.0, an unpolarized verdict
+        overflow = "chi0 overflows the float range"
+        with pytest.raises(PreconditionError, match=f"^{overflow}$"):
+            closed_form_chi0(Thermal(gamma=0.1, temperature=0.5), 1e200)
+        with pytest.raises(PreconditionError, match=f"^{overflow}$"):
+            closed_form_chi0(Generalized(gamma=1e200, t=1.0), 1.0, GcMode.LITERATURE)
+        plan = SweepPlan(Thermal(gamma=0.1, temperature=0.5), 1.0, CavityParams(1.0, 0.0),
+                         "omega_z", (1.0, 1e200))
+        with pytest.raises(PreconditionError, match=f"^row 1, omega_z = 1e\\+200: {overflow}$"):
+            sweep(plan)
+        # a sum of squares past the float range names g_c, where it once gave g_c = nan
+        with pytest.raises(PreconditionError, match="^g_c overflows the float range$"):
+            closed_form_gc(Dephasing(gamma=0.0, sz=-0.3), 1e-160, CavityParams(1e154, 1e154))
 
     def test_chi_at_zero_frequency_is_chi0(self):
         # bit for bit, at 2100 seeded points of the three families: a complex division

@@ -20,7 +20,6 @@ from dicke_critic.baths import (
 from dicke_critic.critical import (
     ROUTES,
     NoTransition,
-    NotRun,
     NoTransitionReason,
     SweepPlan,
     Transition,
@@ -97,14 +96,16 @@ class TestAgreement:
                     lindblad.steady_state(baths.spin_model(bath, omega_z))
                 outcomes.add(type(exc))
                 continue
-            assert list(point.results) == list(ROUTES)
-            closed, quadrature, mean_field = point.results.values()
+            closed = point.results["closed_form"]
             if isinstance(closed, Transition):
+                assert list(point.results) == list(ROUTES)
+                quadrature, mean_field = point.results["quadrature"], point.results["mean_field"]
                 assert abs(quadrature.g_c - closed.g_c) <= 1e-8 * closed.g_c, (bath, omega_z, kappa)
                 assert abs(mean_field.g_c - closed.g_c) <= 1e-6 * closed.g_c, (bath, omega_z, kappa)
                 outcomes.add(Transition)
             else:
-                assert (quadrature, mean_field) == (closed, NotRun()), (bath, omega_z, kappa)
+                assert point.results == {"closed_form": closed, "quadrature": closed}, (
+                    bath, omega_z, kappa)
                 outcomes.add(closed.reason)
         assert outcomes == {Transition, *NoTransitionReason, InvalidModelError}
 
@@ -164,8 +165,7 @@ class TestAgreement:
         monkeypatch.setattr(meanfield, "stability_threshold", None)  # a call would fail
         point = agreement(Dephasing(gamma=0.3, sz=0.3), 1.0, CavityParams(1.0, 0.5),
                           routes=("mean_field",))
-        assert point.results == {"closed_form": NoTransition(NoTransitionReason.INVERTED),
-                                 "mean_field": NotRun()}
+        assert point.results == {"closed_form": NoTransition(NoTransitionReason.INVERTED)}
 
     def test_routes_are_called_through_their_modules(self, monkeypatch):
         # a wrapper set on the module attribute, as a tracer sets it, sees each route's call

@@ -323,6 +323,9 @@ class TestSuperradiantBranch:
             g = 1.5 * gc_of(bath)
             with pytest.raises(error, match=cause.format(g=g)):
                 superradiant_state(cavity, model_for(bath), g)
+        # g^2 past the float range takes K with it: a typed error, not a bare OverflowError
+        with pytest.raises(PreconditionError, match="^K overflows the float range$"):
+            superradiant_state(CAVITY, model_for(Thermal(gamma=0.1, temperature=0.5)), 1e200)
         # a decay rate below the zero-mode rule: steady_state finds null dimension 2, and so
         # does the atom in the field
         weak = lindblad.SpinModel(1.0, (qops.LindbladChannel(qops.sigma("minus"), 1e-14),))
