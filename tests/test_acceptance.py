@@ -290,9 +290,8 @@ def test_c11_mode_discrepancy_is_generalized_only():
                 else Thermal(gamma, 10.0 ** rng.uniform(-2, 2)))
         points.append((bath, omega_z))
     for bath, omega_z in points:
-        assert baths.closed_form_chi0(bath, omega_z, GcMode.SELF_CONSISTENT) == baths.closed_form_chi0(
-            bath, omega_z, GcMode.LITERATURE
-        ), (bath, omega_z)
+        exact, quoted = (baths.closed_form_chi0(bath, omega_z, mode) for mode in GcMode)
+        assert exact == quoted, (bath, omega_z)
     # and differ for the mixed channel at interior t
     bath = Generalized(gamma=0.5, t=0.5)
     assert baths.closed_form_chi0(bath, 1.0, GcMode.SELF_CONSISTENT) != baths.closed_form_chi0(
