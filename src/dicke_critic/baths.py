@@ -37,7 +37,6 @@ it is ``closed_form_chi0`` bit for bit, the chi0 that ``gc`` prints.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import enum
 import math
@@ -139,17 +138,6 @@ def _each(f, *args):
     return np.array(list(map(f, *(a.tolist() for a in np.broadcast_arrays(*args)))), float)
 
 
-@contextlib.contextmanager
-def _float_range(quantity: str):
-    """Raise float overflow or division by zero in a closed form as a typed error."""
-    try:
-        yield
-    except OverflowError:
-        raise PreconditionError(f"{quantity} overflows the float range") from None
-    except ZeroDivisionError:
-        raise PreconditionError(f"{quantity} is undefined (division by zero)") from None
-
-
 def _in_float_range(values, omega, quantity: str):
     """values[()]; a value that is not finite raises PreconditionError naming its omega."""
     finite = np.isfinite(values).reshape(-1)
@@ -159,12 +147,13 @@ def _in_float_range(values, omega, quantity: str):
     return values[()]
 
 
-def _cavity_scale(cavity: CavityParams, quantity: str):
-    """omega0^2 + kappa^2, which must be a normal float: below that it has lost its digits."""
+def _cavity_scale(cavity: CavityParams, quantity: str, rows=True):
+    """omega0^2 + kappa^2, which must be a normal float: below that it has lost its digits.
+    Only the rows where rows holds are checked (on a sweep's columns, those with a transition)."""
     scale = cavity.omega0 * cavity.omega0 + cavity.kappa * cavity.kappa
-    if np.any(np.isinf(scale)):
+    if np.any(np.isinf(scale) & rows):
         raise PreconditionError(f"{quantity} overflows the float range")
-    if np.any(scale < sys.float_info.min):
+    if np.any((scale < sys.float_info.min) & rows):
         raise PreconditionError(f"{quantity} is undefined: omega0^2 + kappa^2 underflows the "
                                 f"float range (below {sys.float_info.min:.6g})")
     return scale
@@ -180,23 +169,18 @@ def _ldexp(x, k):
 
 def _unit_exponent(*frequencies):
     """The k of a point's unit scale: frexp(largest |frequency|) - 1, so that 2^-k puts the
-    largest in [1, 2) and a point already there keeps k = 0. On a sweep's columns, one k per
-    row, by np.frexp on whole arrays. k is 0, the raw scale, where a nonzero frequency is
-    subnormal before or after, as on a point that spans more than the normal float range, and
-    where no frequency is finite and nonzero.
+    largest in [1, 2) and a point already there keeps k = 0. One spelling, np.frexp on whole
+    arrays, serves floats (k a Python int) and a sweep's columns (one k per row). k is 0, the
+    raw scale, where a nonzero frequency is subnormal before or after, as on a point that
+    spans more than the normal float range, and where no frequency is finite and nonzero or
+    one is nan, wherever it sits.
     """
     tiny = sys.float_info.min
-    if not any(isinstance(f, np.ndarray) for f in frequencies):  # math.frexp on floats
-        top, low = max(map(abs, frequencies)), min((abs(f) for f in frequencies if f), default=0)
-        if not tiny <= low <= top < math.inf:
-            return 0
-        k = math.frexp(top)[1] - 1
-        return k if math.ldexp(low, -k) >= tiny else 0
     f = np.abs(np.broadcast_arrays(*frequencies))
-    top, low = f.max(axis=0), np.where(f > 0, f, np.inf).min(axis=0)
+    top, low = f.max(axis=0), f.min(axis=0, initial=np.inf, where=f > 0)
     k = np.frexp(top)[1] - 1
-    return np.where(np.isfinite(top) & (tiny <= low) & (low <= top) & (np.ldexp(low, -k) >= tiny),
-                    k, 0)
+    k = k * ((tiny <= low) & (low <= top) & (top < np.inf) & (np.ldexp(low, -k) >= tiny))
+    return k if k.ndim else int(k)
 
 
 def _frequencies(bath: BathSpec, omega_z, cavity: CavityParams) -> tuple:
@@ -319,22 +303,25 @@ def closed_form_chi0(
 
     The modes differ only for the generalized bath: elsewhere gamma_x = gamma_y, so the
     exact product is the quoted gamma_eff^2 bit for bit. A square of omega_z, or of gamma
-    in the quoted form, past the float range raises PreconditionError.
+    in the quoted form, past the float range raises PreconditionError, as does a zero
+    denominator (omega_z^2 and the rates both 0).
     """
-    with _float_range("chi0"):
-        sz = steady_sz(bath, omega_z)
-        squares = [omega_z * omega_z]
-        if mode is GcMode.LITERATURE and isinstance(bath, Generalized):
-            # quoted form: (1-t)^2 appears unsquared relative to the exact product
-            below = 1.0 - bath.t
-            squares.append(bath.gamma * bath.gamma)
-            rates = squares[1] * (below * below)
-        else:
-            gx, gy = transverse_rates(bath, omega_z)
-            rates = gx * gy
-        if any(np.any(np.isinf(square)) for square in squares):
-            raise PreconditionError("chi0 overflows the float range")
-        return 4.0 * sz * omega_z / (squares[0] + rates)
+    sz = steady_sz(bath, omega_z)
+    squares = [omega_z * omega_z]
+    if mode is GcMode.LITERATURE and isinstance(bath, Generalized):
+        # quoted form: (1-t)^2 appears unsquared relative to the exact product
+        below = 1.0 - bath.t
+        squares.append(bath.gamma * bath.gamma)
+        rates = squares[1] * (below * below)
+    else:
+        gx, gy = transverse_rates(bath, omega_z)
+        rates = gx * gy
+    if any(np.any(np.isinf(square)) for square in squares):
+        raise PreconditionError("chi0 overflows the float range")
+    denominator = squares[0] + rates
+    if np.any(denominator == 0):
+        raise PreconditionError("chi0 is undefined (division by zero)")
+    return 4.0 * sz * omega_z / denominator
 
 
 def closed_form_chi(bath: BathSpec, omega_z: float):

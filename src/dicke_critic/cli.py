@@ -204,7 +204,6 @@ def cmd_gc(cfg: RunConfig) -> int:
     point = critical.agreement(cfg.bath, cfg.omega_z, cfg.cavity, cfg.mode,
                                ("closed_form", "mean_field") if cfg.verify else ("closed_form",))
     result = point.results["closed_form"]
-    g0 = critical.fully_polarized_gc(cfg.omega_z, cfg.cavity)
     unit = _unit(cfg)
     lines = [f"units = {'raw' if cfg.raw_units else 'omega_z'}",
              f"chi0 = {fmt(point.chi0 * unit)}"]
@@ -213,6 +212,7 @@ def cmd_gc(cfg: RunConfig) -> int:
         lines.append("g_c_over_g0 = inf")
         _write(cfg.output, "\n".join(lines) + "\n")
         return EXIT_NO_TRANSITION
+    g0 = critical.fully_polarized_gc(cfg.omega_z, cfg.cavity)  # only where g_c is formed
     lines.append(f"g_c = {fmt(result.g_c / unit)}")
     lines.append(f"g_c_over_g0 = {fmt(result.g_c / g0)}")
     status = EXIT_OK

@@ -9,14 +9,13 @@ which has a real positive solution g_c exactly when chi0 < 0. chi0 = 0
 (unpolarized atoms) and chi0 > 0 (population-inverted atoms) are reported
 as distinct no-transition outcomes rather than errors.
 
-A sweep evaluates the same expressions once over its grid, with swept
-parameters as arrays: a ``SweepTable`` of columns, bitwise the scalar calls.
-The grid, + - * /, the square root and the status labels run on whole
-arrays. numpy's sqrt is the correctly rounded IEEE sqrt, as ``math.sqrt``
-is; a float argument keeps ``math.sqrt``, so a scalar result stays a
-Python float. Every square is x * x, correctly rounded on floats and arrays
-alike; only libm's ``tanh`` and ``expm1`` stay per element, through
-``baths._each``.
+One route serves a point and a sweep: ``_solve`` judges chi0 at unit scale
+and solves for g_c elementwise, on a float or on a sweep's columns, so a
+``SweepTable`` of columns is bitwise the scalar calls. A float stays a
+Python float through it: numpy's sqrt is the correctly rounded IEEE sqrt,
+as ``math.sqrt`` is, and a float argument keeps ``math.sqrt``. Every square
+is x * x, correctly rounded on floats and arrays alike; only libm's
+``tanh`` and ``expm1`` stay per element, through ``baths._each``.
 
 ``agreement`` runs the routes to g_c at one point and returns one typed
 result per route: ``gc --verify``, ``oracle`` and ``oracle_table.py`` are its views.
@@ -32,8 +31,8 @@ import numpy as np
 
 from . import baths, lindblad, response
 from .baths import (
-    _BATH_FIELDS, BathSpec, CavityParams, GcMode, _cavity_scale, _float_range, _frequencies,
-    _ldexp, _unit_exponent, _unit_scale,
+    _BATH_FIELDS, BathSpec, CavityParams, GcMode, _cavity_scale, _frequencies, _ldexp,
+    _unit_exponent, _unit_scale,
 )
 from .errors import DickeCriticError, PreconditionError
 
@@ -60,21 +59,32 @@ CriticalResult = Transition | NoTransition
 
 def solve_gc(chi0: float, cavity: CavityParams) -> CriticalResult:
     """Solve the zero-frequency condition for g_c, chi0 judged against ZERO_TOL as given."""
-    return _solve_at_unit_scale(chi0, cavity, 0)
+    return _result(*_solve(chi0, cavity, 0))
 
 
-def _solve_at_unit_scale(chi0: float, cavity: CavityParams, k: int) -> CriticalResult:
-    """solve_gc with chi0 judged at unit scale, as 2^k chi0 (k of ``baths._unit_exponent``).
+def _result(code: int, g_c: float) -> CriticalResult:
+    """The CriticalResult of a point's STATUS code and g_c (``_solve``)."""
+    return NoTransition(tuple(NoTransitionReason)[code - 1]) if code else Transition(g_c)
+
+
+def _solve(chi0, cavity: CavityParams, k):
+    """chi0's STATUS code, judged at unit scale as 2^k chi0 (k of ``baths._unit_exponent``),
+    and g_c, nan where the code is not 0: on a float or a sweep's columns, elementwise.
 
     g_c is solved from chi0 and cavity as given: that is 2^k times its value
     at unit scale, exactly, since + - * / and sqrt commute with a power of two.
+    Only a row with a transition is checked; the others divide by nan.
     """
-    if not np.isfinite(chi0):
+    if not np.all(np.isfinite(chi0)):
         raise PreconditionError(f"chi0 = {chi0} is not finite")
     code = _status(_ldexp(chi0, k))
-    if code:
-        return NoTransition(tuple(NoTransitionReason)[code - 1])
-    return Transition(g_c=_critical_coupling(chi0, cavity, _cavity_scale(cavity, "g_c")))
+    ok = code == 0
+    scale = _cavity_scale(cavity, "g_c", ok)
+    chi0 = np.where(ok, chi0, np.nan) if isinstance(ok, np.ndarray) else chi0 if ok else math.nan
+    denominator = 2.0 * cavity.omega0 * chi0
+    if np.any(denominator == 0):
+        raise PreconditionError("g_c is undefined (division by zero)")
+    return code, _sqrt(-scale / denominator, "g_c")
 
 
 def _status(chi0):
@@ -91,21 +101,11 @@ def _sqrt(x, quantity: str):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
-def _critical_coupling(chi0, cavity: CavityParams, scale):
-    """Root of the zero-frequency condition at chi0 < 0; scale is ``_cavity_scale``."""
-    with _float_range("g_c"):
-        return _sqrt(-scale / (2.0 * cavity.omega0 * chi0), "g_c")
-
-
-def fully_polarized_gc(omega_z: float, cavity: CavityParams, scale=None) -> float:
-    """Critical coupling of a fully polarized, dissipation-free ensemble.
-
-    scale is omega0^2 + kappa^2 (``_cavity_scale``) where the caller has it.
-    """
+def fully_polarized_gc(omega_z: float, cavity: CavityParams) -> float:
+    """Critical coupling of a fully polarized, dissipation-free ensemble."""
     if np.any(omega_z <= 0):
         raise PreconditionError("the fully polarized reference needs omega_z > 0")
-    scale = _cavity_scale(cavity, "g0") if scale is None else scale
-    return 0.5 * _sqrt(omega_z * scale / cavity.omega0, "g0")
+    return 0.5 * _sqrt(omega_z * _cavity_scale(cavity, "g0") / cavity.omega0, "g0")
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -164,12 +164,14 @@ def _point(plan: SweepPlan, name: str, value):
 
 
 def sweep(plan: SweepPlan) -> SweepTable:
-    """closed_form_chi0, solve_gc and fully_polarized_gc as one broadcast over the grid.
+    """closed_form_chi0, ``_solve`` and fully_polarized_gc on the grid's columns.
 
-    Each element equals the scalar calls at its row bitwise: chi0 and the
-    closed form's verdict by ``agreement``, judged at each row's unit scale
-    (``baths._unit_exponent``), and g_c over ``fully_polarized_gc``. Where a
-    check fails, the scalar path is replayed row by row to raise its error.
+    The route of a point (``agreement``'s closed form) runs on the columns:
+    chi0, each row's verdict at its unit scale (``baths._unit_exponent``)
+    and g_c, so each element equals the scalar calls at its row bitwise.
+    g_c over ``fully_polarized_gc`` is formed only on the rows with a
+    transition, as ``gc`` forms it. Where a check fails, the scalar path is
+    replayed row by row to raise its error.
     """
     keys = next((k for cls, k in _BATH_FIELDS.values() if isinstance(plan.bath, cls)), {})
     name = keys.get(plan.axis, plan.axis)  # the record field the axis names
@@ -181,18 +183,17 @@ def sweep(plan: SweepPlan) -> SweepTable:
         bath, omega_z, cavity = _point(plan, name, params)
         with np.errstate(all="ignore"):
             chi0 = np.broadcast_to(baths.closed_form_chi0(bath, omega_z, plan.mode), len(params))
-            if not np.isfinite(chi0).all():  # the one output the scalar path rejects
-                raise PreconditionError("chi0 is not finite")
-            code = _status(_ldexp(chi0, _unit_exponent(*_frequencies(bath, omega_z, cavity))))
-            scale = _cavity_scale(cavity, "g_c")
-            g_c = _critical_coupling(np.where(code == 0, chi0, np.nan), cavity, scale)
-            ratio = g_c / fully_polarized_gc(omega_z, cavity, scale)
+            code, g_c = _solve(chi0, cavity, _unit_exponent(*_frequencies(bath, omega_z, cavity)))
+            ok, ratio = code == 0, np.full(len(params), np.nan)
+            if ok.any():
+                ratio[ok] = g_c[ok] / fully_polarized_gc(*_point(plan, name, params[ok])[1:])
     except DickeCriticError:  # the scalar path, row by row, raises its error naming the row
         for i, value in enumerate(plan.values):
             try:
                 bath, omega_z, cavity = _point(plan, name, value)
-                agreement(bath, omega_z, cavity, plan.mode, routes=())
-                fully_polarized_gc(omega_z, cavity)
+                point = agreement(bath, omega_z, cavity, plan.mode, routes=())
+                if isinstance(point.results["closed_form"], Transition):
+                    fully_polarized_gc(omega_z, cavity)
             except DickeCriticError as exc:
                 raise type(exc)(f"row {i}, {plan.axis} = {value!r}: {exc}") from None
         raise
@@ -235,7 +236,7 @@ def agreement(bath: BathSpec, omega_z: float, cavity: CavityParams,
     """
     chi0 = baths.closed_form_chi0(bath, omega_z, mode)
     k = _unit_exponent(*_frequencies(bath, omega_z, cavity))
-    closed = _solve_at_unit_scale(chi0, cavity, k)
+    closed = _result(*_solve(chi0, cavity, k))
     results: dict[str, CriticalResult] = {"closed_form": closed}
     mean_field = "mean_field" in routes and isinstance(closed, Transition)
     if "quadrature" in routes or mean_field:
@@ -244,12 +245,12 @@ def agreement(bath: BathSpec, omega_z: float, cavity: CavityParams,
     if "quadrature" in routes:
         series = lindblad.two_time_sx(model, lindblad.steady_state(model).rho)
         chi0_quadrature = _ldexp(response.chi_from_correlator(series, 0.0).real, -k)
-        results["quadrature"] = _solve_at_unit_scale(chi0_quadrature, cavity, k)
+        results["quadrature"] = _result(*_solve(chi0_quadrature, cavity, k))
     if mean_field:
         from . import meanfield  # here, so that import dicke_critic (the exact-N route) skips it
 
+        # g_c^2 is finite, so g_star, below 2.5 g_c, is too
         lo, hi = (_ldexp(f * closed.g_c, -k) for f in MEAN_FIELD_BRACKET)
-        with _float_range("g_star"):
-            results["mean_field"] = Transition(
-                _ldexp(meanfield.stability_threshold(unit_cavity, model, lo, hi), k))
+        results["mean_field"] = Transition(
+            _ldexp(meanfield.stability_threshold(unit_cavity, model, lo, hi), k))
     return Agreement(chi0, results)

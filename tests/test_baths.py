@@ -75,7 +75,7 @@ class TestChannels:
 
 
 class TestRatesAndPolarization:
-    def test_effective_rate_examples(self):
+    def test_transverse_rates_examples(self):
         # the quoted gamma_eff is gamma_x; dephasing and thermal baths decay symmetrically
         assert transverse_rates(Dephasing(gamma=0.3, sz=-0.5), 1.0) == (0.3, 0.3)
         assert transverse_rates(Generalized(gamma=0.7, t=1.0), 1.0) == (0.0, 2.8)
@@ -289,6 +289,44 @@ class TestClosedFormGc:
                     Generalized(gamma, rng.uniform(0, 1)))[i % 3]
             chi = baths.closed_form_chi(bath, omega_z)(0.0)
             assert chi.imag == 0 and chi.real == closed_form_chi0(bath, omega_z), (bath, omega_z)
+
+
+# (frequencies, k): the unit scale's edge rules; k = 0 keeps the raw scale
+UNIT_EXPONENTS = (
+    ((0.0, 0.0, 0.0), 0),          # no frequency is nonzero
+    ((5e-324, 1.0), 0),            # subnormal before scaling
+    ((1e308, 0.1), 0),             # 0.1 2^-1023 is subnormal after it
+    ((1e-300, 1e300), 0),          # a span wider than the normal range
+    ((math.inf, 1.0), 0),
+    ((-math.inf, 1.0), 0),
+    ((-0.0, 4.0), 2),              # -0.0 is a zero frequency, left out
+    ((-0.0,), 0),
+    ((2.0,), 1),
+    ((1.5,), 0),
+    ((1e-3, -0.5), -1),
+    ((math.nan, 4.0, 1.0), 0),     # a nan anywhere keeps the raw scale
+    ((4.0, math.nan, 1.0), 0),
+    ((4.0, 1.0, math.nan), 0),
+    ((4.0, math.nan), 0),
+)
+
+
+class TestUnitExponent:
+    @pytest.mark.parametrize("frequencies, k", UNIT_EXPONENTS)
+    def test_edge_rules_on_floats_and_columns(self, frequencies, k):
+        # one spelling serves both: a Python int on floats, one k per row on columns
+        got = baths._unit_exponent(*frequencies)
+        assert type(got) is int and got == k
+        column = baths._unit_exponent(*(np.array([f]) for f in frequencies))
+        assert column.tolist() == [k]
+
+    def test_rows_keep_their_own_exponent(self):
+        table = np.array(UNIT_EXPONENTS, dtype=object)
+        width = max(len(f) for f in table[:, 0])
+        # pad each row with zeros, which the rule leaves out, so the rows stack as columns
+        rows = np.array([f + (0.0,) * (width - len(f)) for f in table[:, 0]])
+        assert baths._unit_exponent(*rows.T).tolist() == table[:, 1].tolist()
+        assert baths._unit_exponent(np.array([3.0, 1e-3]), 0.5).tolist() == [1, -1]
 
 
 class TestTextualForm:

@@ -54,6 +54,21 @@ class TestGc:
         assert code == 2
         assert "no transition: unpolarized" in out
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["--raw-units", "--kappa", "0.5", "--omega-z", "-1", "--bath",
+          "dephasing(gamma=0.3, sz=-0.5)"], "inverted"),
+        (["--raw-units", "--kappa", "0.5", "--omega-z", "0", "--bath",
+          "dephasing(gamma=0.3, sz=-0.5)"], "unpolarized"),
+        (["--bath", "dephasing(gamma=0.3, sz=0)", "--omega0", "1e-300"], "unpolarized"),
+    ], ids=["inverted", "omega_z_zero", "underflowing_cavity"])
+    def test_no_transition_needs_no_reference(self, capsys, argv, reason):
+        # g0 needs omega_z > 0 and a normal omega0^2 + kappa^2, but a point without a
+        # transition prints g_c_over_g0 = inf without it
+        code, out, err = run_cli(capsys, "gc", *argv)
+        assert (code, err) == (2, "")
+        rec = parse_record(out)
+        assert (rec["g_c"], rec["g_c_over_g0"]) == (f"no transition: {reason}", "inf")
+
     def test_thermal_zero_temperature(self, capsys):
         code, out, _ = run_cli(
             capsys, "gc", "--bath", "thermal(gamma=0.1,T=0)",
@@ -199,6 +214,23 @@ REPEATED_SWEEPS = (
 
 
 class TestSweep:
+    def test_rows_without_a_transition_at_nonpositive_omega_z(self, capsys):
+        # each row prints what gc prints at its point: no g0 where there is no g_c
+        argv = ["--raw-units", "--kappa", "0.5", "--bath", "dephasing(gamma=0.3, sz=-0.5)"]
+        code, out, err = run_cli(capsys, "sweep", *argv, "--sweep-param", "omega_z",
+                                 "--sweep-values=-1,0,1")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        assert [row[-1] for row in rows] == [
+            "no-transition:inverted", "no-transition:unpolarized", "ok"]
+        for row, omega_z in zip(rows, ("-1", "0", "1")):
+            rec = parse_record(run_cli(capsys, "gc", *argv, "--omega-z", omega_z)[1])
+            assert row[1] == rec["chi0"]
+            if row[-1] == "ok":
+                assert row[2:4] == [rec["g_c"], rec["g_c_over_g0"]]
+            else:
+                assert row[2:4] == ["inf", "inf"] and rec["g_c_over_g0"] == "inf"
+
     def test_csv_structure_and_order(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
         code, _, _ = run_cli(

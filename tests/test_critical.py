@@ -60,6 +60,20 @@ class TestSolveGc:
         residual = omega0**2 + kappa**2 + 2.0 * omega0 * result.g_c**2 * chi0
         assert abs(residual) < 1e-12 * (omega0**2 + kappa**2)
 
+    def test_results_stay_python_floats(self):
+        # the route is elementwise: a point is never wrapped as an array
+        cavity = CavityParams(1.0, 0.5)
+        point = agreement(Generalized(gamma=0.2, t=0.4), 1.0, cavity, routes=("quadrature",))
+        assert type(point.chi0) is float
+        assert {type(result.g_c) for result in point.results.values()} == {float}
+        assert type(solve_gc(-1.6, cavity).g_c) is float
+        assert type(fully_polarized_gc(1.0, cavity)) is float
+
+    def test_zero_denominator_is_typed_error(self):
+        # 2 omega0 chi0 underflows to -0.0 beside a normal omega0^2 + kappa^2
+        with pytest.raises(PreconditionError, match=r"^g_c is undefined \(division by zero\)$"):
+            solve_gc(-0.1, CavityParams(5e-324, 1e-100))
+
     def test_underflowing_cavity_scale_is_typed_error(self):
         # omega0^2 + kappa^2 below the smallest normal float has lost its digits:
         # at 1e-300 it is 0, at 1e-154 it is subnormal
@@ -277,7 +291,10 @@ def _scalar_point(plan, axes, values):
         else:
             bath = dataclasses.replace(bath, **{{"T": "temperature"}.get(axis, axis): value})
     point = agreement(bath, omega_z, cavity, plan.mode, routes=())  # what gc prints
-    return point.chi0, point.results["closed_form"], fully_polarized_gc(omega_z, cavity)
+    result = point.results["closed_form"]
+    # gc forms g0 only where it forms g_c: a point without a transition needs no reference
+    g0 = fully_polarized_gc(omega_z, cavity) if isinstance(result, Transition) else math.nan
+    return point.chi0, result, g0
 
 
 def scalar_sweep(plan):
@@ -359,6 +376,22 @@ class TestSweepKernel:
         plan = SweepPlan(Generalized(0.4, 0.3), 1.1, CavityParams(0.9, 0.3), "t", (1.0,))
         assert math.copysign(1.0, assert_bitwise_equal(plan).chi0[0]) == -1.0
 
+    def test_rows_without_a_transition_need_no_reference(self):
+        # g0 needs omega_z > 0 and a normal omega0^2 + kappa^2; a row without a transition
+        # is not divided by it, as gc prints no g_c_over_g0 there
+        plan = SweepPlan(Dephasing(0.3, -0.5), 1.0, CavityParams(1.0, 0.5), "omega_z",
+                         (-1.0, 0.0, 1.0))
+        assert assert_bitwise_equal(plan).status.tolist() == [
+            "no-transition:inverted", "no-transition:unpolarized", "ok"]
+        plan = SweepPlan(Dephasing(0.3, 0.0), 1.0, CavityParams(1.0, 0.0), "omega0",
+                         (1e-300, 1.0, 1e-160))
+        table = assert_bitwise_equal(plan)
+        assert set(table.status) == {"no-transition:unpolarized"}
+        assert np.isnan(table.gc_over_g0).all()
+        plan = SweepPlan(Dephasing(0.3, 0.0), -1.0, CavityParams(1.0, 0.0), "sz", (-0.5, 0.0))
+        assert assert_bitwise_equal(plan).status.tolist() == [
+            "no-transition:inverted", "no-transition:unpolarized"]
+
     INVALID = (
         (Thermal(gamma=0.2, temperature=0.4), "gamma", 0.0),
         (Thermal(gamma=0.2, temperature=0.4), "T", -1.0),
@@ -374,6 +407,8 @@ class TestSweepKernel:
         (Dephasing(gamma=3e6, sz=-0.5), "omega0", 1e-300),
         (Generalized(gamma=0.4, t=0.3), "kappa", 1.3e154),
         (Thermal(gamma=0.2, temperature=0.4), "omega_z", 1e-310),
+        # 2 omega0 chi0 underflows to -0.0: g_c is undefined on the row, as at the point
+        (Dephasing(gamma=0.3, sz=-0.05), "omega0", 5e-324),
     )
 
     @pytest.mark.parametrize("bath,axis,bad", INVALID)
