@@ -5,9 +5,8 @@ Subcommands:
 * ``gc``       -- critical coupling for one parameter point
 * ``sweep``    -- phase-boundary table over a grid of one parameter, from the
   columns of one ``critical.sweep`` broadcast; the JSON is the text
-  ``json.dumps(rows, indent=2)`` would give, without its slow encoder. A
-  column whose values repeat (chi0 along omega0 or kappa takes one value)
-  is spelled once per distinct value, at unchanged bytes
+  ``json.dumps(rows, indent=2)`` would give, without its slow encoder: each
+  number is a byte row of ``spelling.spell``, joined with the layout
 * ``corr``     -- sampled two-time correlator S_x(t), stepped by one
   propagator, so it also runs at exceptional points of the generator
 * ``spectrum`` -- cavity determinant and susceptibility over frequency;
@@ -33,8 +32,11 @@ message on stderr starts with the point settings (bath, omega_z, omega0,
 kappa) that the subcommand reads, and their values.
 
 Every CSV table is written by ``csv_table``: the version line, the header,
-then one row per index of its columns, each float with 17 significant
-digits, so repeated runs are byte-identical. Frequencies are reported in
+then one row per index of its columns, each float as ``fmt`` writes it, with
+17 significant digits, so repeated runs are byte-identical. A table of at
+least ``SPELL_MIN_CELLS`` float cells has its floats spelled by
+``spelling.spell`` and its rows joined a block at a time; a smaller one is
+written by a per-row template, at the same bytes. Frequencies are reported in
 units of omega_z unless --raw-units is given; omega_z = 0 is then an error.
 
 ``build_parser`` is cached: the argparse tree is built on the first
@@ -53,12 +55,12 @@ import argparse
 import functools
 import json
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, baths, critical, response
+from . import __version__, baths, critical, response, spelling
 from .baths import GcMode, parse_bath
 from .config import SETTINGS, RunConfig, merge_config
 from .critical import Agreement, NoTransition, SweepPlan
@@ -70,6 +72,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_TRANSITION = 2
 EXIT_ORACLE_DISAGREEMENT = 3
+
+_NULL = np.frombuffer(b"null".ljust(spelling.WIDTH, b"\0"), np.uint8)  # JSON's null as a row
 
 
 def fmt(x: float) -> str:
@@ -150,45 +154,44 @@ def _write(cfg_output: str, text: str) -> None:
         raise DickeCriticError(f"cannot write {cfg_output}: {exc.strerror}") from None
 
 
+# csv_table spells the floats of a table of at least this many float cells with
+# spelling.spell, and of a smaller one with a per-row template. On a process's first table
+# the two cost the same at about 2,000 cells: 5 float columns of 400 rows took 0.97-1.12 ms
+# with the kernel and 1.04-1.14 ms with the template, of 200 rows 0.69-1.01 and 0.56-0.93 ms
+# (5 fresh processes each, one outlier dropped, 2-core x86-64 host). spectrum's tables hold
+# 55 to 705 cells.
+SPELL_MIN_CELLS = 2000
+
+
 def csv_table(header: str, columns: Sequence[np.ndarray | Sequence[str]]) -> str:
     """The CSV text of a table: the version line, header, then a row per index of columns.
 
-    A column of str is written as it is; any other column is an array of
-    floats, each written "%.17g" after + 0.0, which flushes negative zero
-    (a row without a transition holds inf, written inf).
+    A column of str is written as it is (it holds no NUL); any other column is an array of
+    real numbers, each written "%.17g" after + 0.0, which flushes negative zero (a row
+    without a transition holds inf, written inf).
     """
     cells = [np.asarray(c) for c in columns]
-    template = ",".join("%s" if c.dtype.kind in "OU" else "%.17g" for c in cells) + "\n"
-    cells = [(c if c.dtype.kind in "OU" else c + 0.0).tolist() for c in cells]
-    return f"{HEADER}\n{header}\n" + "".join(map(template.__mod__, zip(*cells, strict=True)))
+    floats = [c for c in cells if c.dtype.kind not in "OU"]
+    head = f"{HEADER}\n{header}\n"
+    if len(floats) * len(cells[0]) < SPELL_MIN_CELLS:
+        template = ",".join("%s" if c.dtype.kind in "OU" else "%.17g" for c in cells) + "\n"
+        cells = [(c if c.dtype.kind in "OU" else c + 0.0).tolist() for c in cells]
+        return head + "".join(map(template.__mod__, zip(*cells, strict=True)))
+    # the checks the template makes: zip's strict lengths, and "%.17g" of a complex number
+    if len({len(c) for c in cells}) > 1:
+        raise ValueError("the columns of a table differ in length")
+    if any(c.dtype.kind == "c" for c in floats):
+        raise TypeError("a CSV column holds complex numbers")
 
+    def pieces(rows: slice) -> list[np.ndarray | bytes]:
+        spelled = iter(np.split(spelling.spell(np.concatenate([c[rows] for c in floats])),
+                                len(floats)))
+        row = []
+        for c in cells:
+            row += [spelling.text_rows(c[rows]) if c.dtype.kind in "OU" else next(spelled), b","]
+        return row[:-1] + [b"\n"]
 
-def _spelled_once(column: np.ndarray, spell: Callable[[np.ndarray], list[str]]
-                  ) -> np.ndarray | None:
-    """The text of each row of a float column, each distinct value spelled once; None when
-    over half the rows hold distinct values.
-
-    Values are told apart by their float64 bit patterns, so -0.0 and 0.0 are
-    spelled apart. Returns an object array of str.
-    """
-    bits = column.view(np.int64)
-    keys = np.sort(bits)  # not np.unique: it imports numpy.ma and costs more per call
-    distinct = np.concatenate((keys[:1], keys[1:][np.diff(keys) != 0]))
-    # spelling once then indexing costs more than spelling each row past about half the
-    # rows distinct in CSV (0.85 in JSON); on an all-distinct column, 1.28x and 1.16x
-    if 2 * distinct.size > bits.size:
-        return None
-    texts = np.array(spell(distinct.view(np.float64)), dtype=object)
-    return texts[np.searchsorted(distinct, bits)]
-
-
-def _csv_spell(values: np.ndarray) -> list[str]:
-    return [fmt(v) for v in values.tolist()]
-
-
-def _json_spell(values: np.ndarray) -> list[str]:
-    # json.dumps spells each number of a list as it spells the number alone
-    return json.dumps(values.tolist())[1:-1].split(", ")
+    return head + spelling.join(len(cells[0]), pieces)
 
 
 def _unit(cfg: RunConfig) -> float:
@@ -243,27 +246,23 @@ def cmd_sweep(cfg: RunConfig) -> int:
     ok = table.code == 0
     cols = [table.params, table.chi0 * unit, table.g_c / unit, table.gc_over_g0]
     cols[2:] = (np.where(ok, c, np.inf) for c in cols[2:])
-    # a column of few values (chi0 and g_c/g0 along omega0 or kappa) is spelled once per
-    # value; any other stays a float column, which csv_table or one json.dumps spells
-    once = [_spelled_once(c, _csv_spell if cfg.format == "csv" else _json_spell) for c in cols]
     if cfg.format == "csv":
-        cols = [c if texts is None else texts for c, texts in zip(cols, once)]
         _write(cfg.output, csv_table(f"{cfg.sweep_param},chi0,g_c,g_c_over_g0,status",
                                      [*cols, table.status]))
-    else:
-        # the bytes of json.dumps(rows, indent=2): its compact C encoder spells
-        # each number (float repr, -0.0, Infinity), the layout is written here
-        key = json.dumps(cfg.sweep_param)
-        x, chi0, g_c, ratio = (np.array(_json_spell(c), dtype=object) if texts is None else texts
-                               for c, texts in zip(cols, once))
-        g_c[~ok] = ratio[~ok] = "null"  # a row without a transition
-        status = table.status.tolist()
-        rows = [
-            f'  {{\n    {key}: {x_i},\n    "chi0": {chi0_i},\n    "g_c": {g_c_i},\n'
-            f'    "g_c_over_g0": {ratio_i},\n    "status": "{status_i}"\n  }}'
-            for x_i, chi0_i, g_c_i, ratio_i, status_i in zip(x, chi0, g_c, ratio, status)
-        ]
-        _write(cfg.output, "[\n" + ",\n".join(rows) + "\n]\n")
+        return EXIT_OK
+    # the bytes of json.dumps(rows, indent=2): each number as json.dumps spells it
+    # (spelling.spell), null where a row has no transition, the layout written here
+    key = json.dumps(cfg.sweep_param).encode()
+
+    def pieces(rows: slice) -> list[np.ndarray | bytes]:
+        x, chi0, g_c, ratio = np.split(
+            spelling.spell(np.concatenate([c[rows] for c in cols]), json=True), 4)
+        g_c, ratio = (np.where(ok[rows, None], c, _NULL) for c in (g_c, ratio))
+        return [b"  {\n    " + key + b": ", x, b',\n    "chi0": ', chi0, b',\n    "g_c": ', g_c,
+                b',\n    "g_c_over_g0": ', ratio, b',\n    "status": "',
+                spelling.text_rows(table.status[rows]), b'"\n  },\n']
+
+    _write(cfg.output, "[\n" + spelling.join(len(ok), pieces)[:-2] + "\n]\n")
     return EXIT_OK
 
 

@@ -344,6 +344,8 @@ class TestSweep:
             ("thermal(gamma=0.1, T=0.5)", "gamma", "1e-300,0.3,1e300"),
             ("generalized(gamma=0.5, t=0.3)", "omega0", "1e-100,1,1e100"),
             *REPEATED_SWEEPS,
+            # 4004 float cells, past cli.SPELL_MIN_CELLS: spelled by spelling.spell
+            ("dephasing(gamma=0.2, sz=-0.5)", "sz", ",".join(repr(k / 1000) for k in range(-500, 501))),
         ):
             argv = ["sweep", "--bath", bath, "--sweep-param", axis, f"--sweep-values={values}",
                     "--omega-z", "1.3", "--kappa", "0.2", *(["--raw-units"] if raw else [])]
@@ -360,25 +362,15 @@ class TestSweep:
             assert out == "".join(line + "\n" for line in lines)
             assert "-0," not in out and ",-0," not in out
 
-    def test_repeated_values_spelled_once(self):
-        # the columns of REPEATED_SWEEPS take the spelled path; -0.0 and 0.0 stay apart
-        for bath, axis, values in REPEATED_SWEEPS:
-            table = sweep(SweepPlan(parse_bath(bath), 1.3, CavityParams(1.0, 0.2), axis,
-                                    parse_float_list(values)))
-            assert cli._spelled_once(table.chi0 * 1.3, cli._json_spell) is not None
-        texts = cli._spelled_once(np.array([-0.0, 0.0, 0.0, -0.0]), cli._json_spell)
-        assert texts.tolist() == ["-0.0", "0.0", "0.0", "-0.0"]
-        assert cli._spelled_once(np.array([0.1, np.inf, 0.1, 0.1]), cli._csv_spell).tolist() == [
-            "0.10000000000000001", "inf", "0.10000000000000001", "0.10000000000000001"]
-        assert cli._spelled_once(np.array([0.1, 0.2, 0.1]), cli._csv_spell) is None
-
     def test_repeated_values_import_no_numpy_ma(self):
-        # np.unique would import numpy.ma (over 1 MB of resident memory) on its first call
-        script = textwrap.dedent("""
+        # np.unique would import numpy.ma (over 1 MB of resident memory) on its first call;
+        # both tables are spelled by spelling.spell
+        script = textwrap.dedent(f"""
             import contextlib, io, sys
             from dicke_critic import cli
             argv = ["sweep", "--bath", "thermal(gamma=0.1, T=0.5)", "--sweep-param", "kappa",
-                    "--sweep-start", "0", "--sweep-stop", "2", "--sweep-points", "20"]
+                    "--sweep-start", "0", "--sweep-stop", "2",
+                    "--sweep-points", "{cli.SPELL_MIN_CELLS // 4}"]
             with contextlib.redirect_stdout(io.StringIO()):
                 codes = [cli.main(argv), cli.main([*argv, "--format", "json"])]
             print(codes, "numpy.ma" in sys.modules)
@@ -400,16 +392,32 @@ class TestSweep:
         )
 
 
+def test_csv_table_same_bytes_either_side_of_the_threshold(monkeypatch):
+    # one float cell below SPELL_MIN_CELLS the per-row template writes the table, at it
+    # spelling.spell; the bytes are the same
+    spell, spelled = cli.spelling.spell, []
+    monkeypatch.setattr(cli.spelling, "spell", lambda *a, **k: spelled.append(1) or spell(*a, **k))
+    values = np.array([-0.0, 0.1, np.inf, -2.5e-7, 1e300, 123456789.0, np.nan, -1e-20])
+    for cells in (cli.SPELL_MIN_CELLS - 1, cli.SPELL_MIN_CELLS):
+        x = np.resize(values, cells)
+        labels = [f"row{i}" for i in range(cells)]
+        lines = [f"{cli.fmt(v)},{label}\n" for v, label in zip(x.tolist(), labels)]
+        assert cli.csv_table("x,label", [x, labels]) == f"{cli.HEADER}\nx,label\n" + "".join(lines)
+    assert len(spelled) == 1
+
+
 def test_csv_table_writes_rows_from_columns():
     # -0.0 flushed, inf kept, a text column as it is; columns of unequal length
     # or of complex values are errors, not truncated or misprinted rows
     text = cli.csv_table("a,b,c", [np.array([-0.0, np.inf]), ["x", "y"], np.array([0.1, 1e300])])
     assert text == f"{cli.HEADER}\na,b,c\n0,x,0.10000000000000001\ninf,y,1.0000000000000001e+300\n"
     assert cli.csv_table("a", [np.array([])]) == f"{cli.HEADER}\na\n"
-    with pytest.raises(ValueError):
-        cli.csv_table("a,b", [np.zeros(2), np.zeros(3)])
-    with pytest.raises(TypeError):
-        cli.csv_table("a", [np.array([1j])])
+    big = cli.SPELL_MIN_CELLS  # the same errors from a table that spelling.spell writes
+    for n in (2, big):
+        with pytest.raises(ValueError):
+            cli.csv_table("a,b", [np.zeros(n), np.zeros(n + 1)])
+        with pytest.raises(TypeError):
+            cli.csv_table("a", [np.full(n, 1j)])
 
 
 # every bath along one bath axis, omega_z and kappa, at omega_z = 1.3, omega0 = 0.8,
