@@ -226,9 +226,8 @@ def spell(values: np.ndarray, json: bool = False) -> np.ndarray:
     if not rows.size:
         return _layout(*_decimal(x, json), x < 0, json)
     out = np.zeros((len(x), WIDTH), np.uint8)
-    if rows.size < len(x):
-        window = x[inside]
-        out[inside] = _layout(*_decimal(window, json), window < 0, json)
+    window = x[inside]
+    out[inside] = _layout(*_decimal(window, json), window < 0, json)
     rest = x[rows]
     # ±0, ±inf and nan, spelled once each; any other value one at a time
     for constant in (np.isnan(rest), rest == np.inf, rest == -np.inf,
