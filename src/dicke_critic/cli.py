@@ -184,11 +184,10 @@ def csv_table(header: str, columns: Sequence[np.ndarray | Sequence[str]]) -> str
         raise TypeError("a CSV column holds complex numbers")
 
     def pieces(rows: slice) -> list[np.ndarray | bytes]:
-        spelled = iter(np.split(spelling.spell(np.concatenate([c[rows] for c in floats])),
-                                len(floats)))
         row = []
         for c in cells:
-            row += [spelling.text_rows(c[rows]) if c.dtype.kind in "OU" else next(spelled), b","]
+            row += [spelling.text_rows(c[rows]) if c.dtype.kind in "OU" else spelling.spell(c[rows]),
+                    b","]
         return row[:-1] + [b"\n"]
 
     return head + spelling.join(len(cells[0]), pieces)
@@ -255,8 +254,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     key = json.dumps(cfg.sweep_param).encode()
 
     def pieces(rows: slice) -> list[np.ndarray | bytes]:
-        x, chi0, g_c, ratio = np.split(
-            spelling.spell(np.concatenate([c[rows] for c in cols]), json=True), 4)
+        x, chi0, g_c, ratio = (spelling.spell(c[rows], json=True) for c in cols)
         g_c, ratio = (np.where(ok[rows, None], c, _NULL) for c in (g_c, ratio))
         return [b"  {\n    " + key + b": ", x, b',\n    "chi0": ', chi0, b',\n    "g_c": ', g_c,
                 b',\n    "g_c_over_g0": ', ratio, b',\n    "status": "',

@@ -241,10 +241,11 @@ def spell(values: np.ndarray, json: bool = False) -> np.ndarray:
 
 
 # rows spelled and joined at a time, so that a long table holds one block of byte rows, not
-# the whole table's: corr's 2,000,000 rows at thermal(gamma=1e-6, T=0.5) took 1.45, 1.43,
-# 2.07, 2.81 and 3.83 s and peaked at 337, 329, 345, 427 and 1943 MB in blocks of 4096,
-# 16384, 65536, 262144 and all rows (one run each, 2-core x86-64 host)
-ROW_BLOCK = 16384
+# the whole table's, and a column's arrays in spell stay at 64 KB: corr's 1,999,997 rows at
+# thermal(gamma=1e-6, T=0.5) took 2.27-2.39, 1.99-2.07 and 1.74-2.07 s and peaked at 335, 338
+# and 343 MB in blocks of 4096, 8192 and 16384 rows (three runs each), 1.70 s and 352 MB in
+# blocks of 32768 (one run; 2-core x86-64 host)
+ROW_BLOCK = 8192
 
 
 def join(n: int, pieces: Callable[[slice], Sequence[np.ndarray | bytes]]) -> str:
