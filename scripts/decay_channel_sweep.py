@@ -14,12 +14,11 @@ points. A bad input or an unwritable --output is one error line and exit 1.
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from dicke_critic import CavityParams, DickeCriticError, GcMode, Generalized, SweepPlan, sweep
-from dicke_critic.cli import csv_table
+from dicke_critic.cli import csv_table, write
 from dicke_critic.config import MAX_GRID_POINTS, parse_float_list
 
 
@@ -46,15 +45,10 @@ def main() -> None:
             for mode in (GcMode.SELF_CONSISTENT, GcMode.LITERATURE):
                 table = sweep(SweepPlan(bath, omega_z, cavity, "t", ts, mode=mode))
                 cols.append(np.where(table.code == 0, table.gc_over_g0, np.inf))
+        write(args.output, csv_table(",".join(names), cols))
     except DickeCriticError as exc:
         sys.exit(f"{ap.prog}: error: {exc}")
-
-    out = Path(args.output)
-    try:
-        out.write_text(csv_table(",".join(names), cols), encoding="utf-8")
-    except OSError as exc:
-        sys.exit(f"{ap.prog}: error: cannot write {out}: {exc.strerror}")
-    print(f"wrote {out} ({len(ts)} rows, {len(args.gamma_ratios)} damping strengths)")
+    print(f"wrote {args.output} ({len(ts)} rows, {len(args.gamma_ratios)} damping strengths)")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ unknowns: N = 6 at the default n_fock = 12. A bad input or an unwritable
 import argparse
 import os
 import sys
-from pathlib import Path
 
 # One BLAS thread unless the environment sets its own, before numpy loads BLAS:
 # the photon numbers differ in their last digits between thread counts, and
@@ -25,7 +24,7 @@ import numpy as np  # noqa: E402
 from dicke_critic import (  # noqa: E402
     CavityParams, DickeCriticError, Generalized, NoTransition, closed_form_gc, spin_model,
 )
-from dicke_critic.cli import csv_table, fmt  # noqa: E402
+from dicke_critic.cli import csv_table, fmt, write  # noqa: E402
 from dicke_critic.exactn import FullSystemSpec, full_steady_observables  # noqa: E402
 
 
@@ -66,12 +65,11 @@ def main() -> None:
         sys.exit(f"{ap.prog}: error: {exc}")
 
     header = "g_over_gc," + ",".join(f"photons_N{n}" for n in atom_counts) + ",sz_mean_largest"
-    out = Path(args.output)
     try:
-        out.write_text(csv_table(header, [gs / gc, *photons.T, sz_last]), encoding="utf-8")
-    except OSError as exc:
-        sys.exit(f"{ap.prog}: error: cannot write {out}: {exc.strerror}")
-    print(f"wrote {out}: infinite-N threshold gc = {fmt(gc)}")
+        write(args.output, csv_table(header, [gs / gc, *photons.T, sz_last]))
+    except DickeCriticError as exc:
+        sys.exit(f"{ap.prog}: error: {exc}")
+    print(f"wrote {args.output}: infinite-N threshold gc = {fmt(gc)}")
 
 
 if __name__ == "__main__":

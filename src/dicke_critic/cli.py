@@ -6,7 +6,10 @@ Subcommands:
 * ``sweep``    -- phase-boundary table over a grid of one parameter, from the
   columns of one ``critical.sweep`` broadcast; the JSON is the text
   ``json.dumps(rows, indent=2)`` would give, without its slow encoder: each
-  number is a byte row of ``spelling.spell``, joined with the layout
+  number is spelled by ``spelling.spell`` into its place in a block of rows
+  (``spelling.blocks``), the layout is written into the block once, each
+  status is its ``critical.STATUS`` label, and the closing ``]`` ends the
+  last block
 * ``corr``     -- sampled two-time correlator S_x(t), stepped by one
   propagator, so it also runs at exceptional points of the generator
 * ``spectrum`` -- cavity determinant and susceptibility over frequency;
@@ -31,12 +34,14 @@ Exit codes: 0 success, 1 usage or parse error, 2 no transition,
 message on stderr starts with the point settings (bath, omega_z, omega0,
 kappa) that the subcommand reads, and their values.
 
-Every CSV table is written by ``csv_table``: the version line, the header,
+Every CSV table is formed by ``csv_table``: the version line, the header,
 then one row per index of its columns, each float as ``fmt`` writes it, with
 17 significant digits, so repeated runs are byte-identical. A table of at
 least ``SPELL_MIN_CELLS`` float cells has its floats spelled by
-``spelling.spell`` and its rows joined a block at a time; a smaller one is
-written by a per-row template, at the same bytes. Frequencies are reported in
+``spelling.spell`` into a block of rows, ``spelling.ROW_BLOCK`` rows at a
+time; a smaller one is one block, written by a per-row template, at the same
+bytes. Every output goes through ``write``, a block at a time, to stdout or
+to a file opened once: no output is held whole. Frequencies are reported in
 units of omega_z unless --raw-units is given; omega_z = 0 is then an error.
 
 ``build_parser`` is cached: the argparse tree is built on the first
@@ -53,10 +58,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
-from collections.abc import Sequence
-from pathlib import Path
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -74,6 +79,10 @@ EXIT_NO_TRANSITION = 2
 EXIT_ORACLE_DISAGREEMENT = 3
 
 _NULL = np.frombuffer(b"null".ljust(spelling.WIDTH, b"\0"), np.uint8)  # JSON's null as a row
+# each row's status, by its code: the critical.STATUS labels as NUL-padded bytes
+_LABELS = np.array([label.encode() for label in critical.STATUS])
+# the end of a JSON row: a comma, or on the last row the closing bracket
+_COMMA, _CLOSE = (np.frombuffer(end.ljust(3, b"\0"), np.uint8) for end in (b",\n", b"\n]\n"))
 
 
 def fmt(x: float) -> str:
@@ -144,14 +153,25 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     return merge_config(values, getattr(args, "config", None))
 
 
-def _write(cfg_output: str, text: str) -> None:
-    if cfg_output == "-":
-        sys.stdout.write(text)
+def write(output: str, blocks: Iterable[bytes]) -> None:
+    """Write blocks of UTF-8 text, in turn, to stdout (output '-') or to the file output.
+
+    The file is opened once, after the first block is formed, so a run that fails before
+    that writes no file.
+    """
+    if output == "-":
+        for block in blocks:
+            sys.stdout.write(block.decode())
         return
+    blocks = iter(blocks)
+    first = next(blocks, b"")
     try:
-        Path(cfg_output).write_text(text, encoding="utf-8", newline="")
+        with open(output, "wb") as file:
+            file.write(first)
+            for block in blocks:
+                file.write(block)
     except OSError as exc:
-        raise DickeCriticError(f"cannot write {cfg_output}: {exc.strerror}") from None
+        raise DickeCriticError(f"cannot write {output}: {exc.strerror}") from None
 
 
 # csv_table spells the floats of a table of at least this many float cells with
@@ -163,34 +183,41 @@ def _write(cfg_output: str, text: str) -> None:
 SPELL_MIN_CELLS = 2000
 
 
-def csv_table(header: str, columns: Sequence[np.ndarray | Sequence[str]]) -> str:
-    """The CSV text of a table: the version line, header, then a row per index of columns.
+def csv_table(header: str, columns: Sequence[np.ndarray | Sequence[str]]) -> Iterable[bytes]:
+    """The CSV text of a table, as blocks of UTF-8 bytes for ``write``: the version line,
+    header, then a row per index of columns.
 
-    A column of str is written as it is (it holds no NUL); any other column is an array of
-    real numbers, each written "%.17g" after + 0.0, which flushes negative zero (a row
-    without a transition holds inf, written inf).
+    A column of str, or of bytes already encoded, is written as it is (it holds no NUL); any
+    other column is an array of real numbers, each written "%.17g" after + 0.0, which flushes
+    negative zero (a row without a transition holds inf, written inf). The columns are
+    checked here, before any block is formed. A table of fewer than SPELL_MIN_CELLS float
+    cells is one block.
     """
     cells = [np.asarray(c) for c in columns]
-    floats = [c for c in cells if c.dtype.kind not in "OU"]
-    head = f"{HEADER}\n{header}\n"
+    cells = [np.array([str(cell).encode() for cell in c.tolist()], bytes) if c.dtype.kind in "OU"
+             else c for c in cells]
+    head = f"{HEADER}\n{header}\n".encode()
+    floats = [c for c in cells if c.dtype.kind != "S"]
     if len(floats) * len(cells[0]) < SPELL_MIN_CELLS:
-        template = ",".join("%s" if c.dtype.kind in "OU" else "%.17g" for c in cells) + "\n"
-        cells = [(c if c.dtype.kind in "OU" else c + 0.0).tolist() for c in cells]
-        return head + "".join(map(template.__mod__, zip(*cells, strict=True)))
+        template = b",".join(b"%s" if c.dtype.kind == "S" else b"%.17g" for c in cells) + b"\n"
+        cells = [(c if c.dtype.kind == "S" else c + 0.0).tolist() for c in cells]
+        return [head + b"".join(map(template.__mod__, zip(*cells, strict=True)))]
     # the checks the template makes: zip's strict lengths, and "%.17g" of a complex number
     if len({len(c) for c in cells}) > 1:
         raise ValueError("the columns of a table differ in length")
     if any(c.dtype.kind == "c" for c in floats):
         raise TypeError("a CSV column holds complex numbers")
 
-    def pieces(rows: slice) -> list[np.ndarray | bytes]:
-        row = []
-        for c in cells:
-            row += [spelling.text_rows(c[rows]) if c.dtype.kind in "OU" else spelling.spell(c[rows]),
-                    b","]
-        return row[:-1] + [b"\n"]
+    def fill(rows: slice, fields: list[np.ndarray]) -> None:
+        for c, field in zip(cells, fields):
+            if c.dtype.kind == "S":
+                field[:] = c[rows].view(np.uint8).reshape(len(field), c.itemsize)
+            else:
+                spelling.spell(c[rows], out=field)
 
-    return head + spelling.join(len(cells[0]), pieces)
+    pieces = [piece for c in cells for piece in (c.itemsize if c.dtype.kind == "S"
+                                                 else spelling.WIDTH, b",")]
+    return itertools.chain([head], spelling.blocks(len(cells[0]), [*pieces[:-1], b"\n"], fill))
 
 
 def _unit(cfg: RunConfig) -> float:
@@ -212,7 +239,7 @@ def cmd_gc(cfg: RunConfig) -> int:
     if isinstance(result, NoTransition):
         lines.append(f"g_c = no transition: {result.reason.value}")
         lines.append("g_c_over_g0 = inf")
-        _write(cfg.output, "\n".join(lines) + "\n")
+        write(cfg.output, ["\n".join(lines).encode() + b"\n"])
         return EXIT_NO_TRANSITION
     g0 = critical.fully_polarized_gc(cfg.omega_z, cfg.cavity)  # only where g_c is formed
     lines.append(f"g_c = {fmt(result.g_c / unit)}")
@@ -225,7 +252,7 @@ def cmd_gc(cfg: RunConfig) -> int:
         lines.append(f"oracle_rel_dev = {fmt(dev)}")
         if dev > cfg.tol:
             status = EXIT_ORACLE_DISAGREEMENT
-    _write(cfg.output, "\n".join(lines) + "\n")
+    write(cfg.output, ["\n".join(lines).encode() + b"\n"])
     return status
 
 
@@ -246,21 +273,29 @@ def cmd_sweep(cfg: RunConfig) -> int:
     cols = [table.params, table.chi0 * unit, table.g_c / unit, table.gc_over_g0]
     cols[2:] = (np.where(ok, c, np.inf) for c in cols[2:])
     if cfg.format == "csv":
-        _write(cfg.output, csv_table(f"{cfg.sweep_param},chi0,g_c,g_c_over_g0,status",
-                                     [*cols, table.status]))
+        write(cfg.output, csv_table(f"{cfg.sweep_param},chi0,g_c,g_c_over_g0,status",
+                                    [*cols, _LABELS[table.code]]))
         return EXIT_OK
     # the bytes of json.dumps(rows, indent=2): each number as json.dumps spells it
     # (spelling.spell), null where a row has no transition, the layout written here
     key = json.dumps(cfg.sweep_param).encode()
+    width = spelling.WIDTH
 
-    def pieces(rows: slice) -> list[np.ndarray | bytes]:
-        x, chi0, g_c, ratio = (spelling.spell(c[rows], json=True) for c in cols)
-        g_c, ratio = (np.where(ok[rows, None], c, _NULL) for c in (g_c, ratio))
-        return [b"  {\n    " + key + b": ", x, b',\n    "chi0": ', chi0, b',\n    "g_c": ', g_c,
-                b',\n    "g_c_over_g0": ', ratio, b',\n    "status": "',
-                spelling.text_rows(table.status[rows]), b'"\n  },\n']
+    def fill(rows: slice, fields: list[np.ndarray]) -> None:
+        *numbers, status, end = fields
+        for c, field in zip(cols, numbers):
+            spelling.spell(c[rows], json=True, out=field)
+        for field in numbers[2:]:
+            field[~ok[rows]] = _NULL
+        status[:] = _LABELS[table.code[rows]].view(np.uint8).reshape(len(status), -1)
+        end[:] = _COMMA
+        if rows.stop == len(ok):
+            end[-1] = _CLOSE
 
-    _write(cfg.output, "[\n" + spelling.join(len(ok), pieces)[:-2] + "\n]\n")
+    pieces = [b"  {\n    " + key + b": ", width, b',\n    "chi0": ', width, b',\n    "g_c": ',
+              width, b',\n    "g_c_over_g0": ', width, b',\n    "status": "', _LABELS.itemsize,
+              b'"\n  }', len(_CLOSE)]
+    write(cfg.output, itertools.chain([b"[\n"], spelling.blocks(len(ok), pieces, fill)))
     return EXIT_OK
 
 
@@ -270,8 +305,8 @@ def cmd_corr(cfg: RunConfig) -> int:
     from .lindblad import steady_state, two_time_sx
 
     series = two_time_sx(model, steady_state(model).rho, tmax=cfg.tmax, dt=cfg.dt)
-    _write(cfg.output, csv_table("t,re_sx,im_sx",
-                                 [series.times * unit, series.values.real, series.values.imag]))
+    write(cfg.output, csv_table("t,re_sx,im_sx",
+                                [series.times * unit, series.values.real, series.values.imag]))
     return EXIT_OK
 
 
@@ -287,7 +322,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     omegas = np.linspace(omega_min, omega_max, cfg.omega_points)
     chis = baths.closed_form_chi(cfg.bath, cfg.omega_z)(omegas)
     dets = response.cavity_det(omegas, cfg.cavity, cfg.g, chis)
-    _write(cfg.output, csv_table("omega,re_det,im_det,re_chi,im_chi", [
+    write(cfg.output, csv_table("omega,re_det,im_det,re_chi,im_chi", [
         omegas / unit, dets.real, dets.imag, chis.real * unit, chis.imag * unit]))
     return EXIT_OK
 
@@ -327,7 +362,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     g_c, g_star = (np.array([p.results[route].g_c for p in points]) for route in routes)
     texts, kappas = zip(*ORACLE_SUITE)
     dev = abs(g_star - g_c) / g_c
-    _write(cfg.output, csv_table("bath,omega_z,omega0,kappa,g_c_closed,g_star,rel_dev", [
+    write(cfg.output, csv_table("bath,omega_z,omega0,kappa,g_c_closed,g_star,rel_dev", [
         [f'"{text}"' for text in texts], np.full(len(texts), cfg.omega_z),
         np.full(len(texts), cfg.cavity.omega0), np.array(kappas), g_c, g_star, dev]))
     return EXIT_OK if dev.max() <= cfg.tol else EXIT_ORACLE_DISAGREEMENT

@@ -25,11 +25,15 @@ from .errors import ConfigParseError
 
 
 def parse_float_list(raw: str) -> tuple[float, ...]:
-    """Comma-separated floats, as in "0.2, 0.5"; an empty entry is a ValueError."""
+    """Comma-separated floats, as in "0.2, 0.5"; an empty entry is a ValueError, named as such
+    before any entry float cannot read."""
     entries = raw.split(",")
-    if not all(map(str.strip, entries)):
-        raise ValueError(f"empty entry in {raw!r}")
-    return tuple(map(float, entries))
+    try:
+        return tuple(map(float, entries))  # float rejects an empty or blank entry too
+    except ValueError:
+        if not all(map(str.strip, entries)):
+            raise ValueError(f"empty entry in {raw!r}") from None
+        raise
 
 
 def _bool(raw: str) -> bool:

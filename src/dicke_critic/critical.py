@@ -15,7 +15,7 @@ and solves for g_c elementwise, on a float or on a sweep's columns, so a
 Python float through it: numpy's sqrt is the correctly rounded IEEE sqrt,
 as ``math.sqrt`` is, and a float argument keeps ``math.sqrt``. Every square
 is x * x, correctly rounded on floats and arrays alike; only libm's
-``tanh`` and ``expm1`` stay per element, through ``baths._each``.
+``tanh`` and ``expm1`` stay per element, through ``baths._libm``.
 
 ``agreement`` runs the routes to g_c at one point and returns one typed
 result per route: ``gc --verify``, ``oracle`` and ``oracle_table.py`` are its views.

@@ -3,8 +3,10 @@
 ``spell(values, json)`` gives a ``(len(values), WIDTH)`` array of bytes,
 NUL-padded: row i with its NULs dropped is ``format(v + 0.0, ".17g")``, the
 CSV cell ``cli.fmt`` writes, or with ``json=True`` ``json.dumps(v)``, of
-``v = values[i]``. ``join`` glues such byte rows and literal pieces into the
-text of a table's rows, a block of rows at a time.
+``v = values[i]``; with ``out=`` the rows are written in place, into a
+column of a block of table rows. ``blocks`` lays out the rows of a table, a
+block at a time, in one buffer reused for every block, and gives the text of
+each block.
 
 Inside the window ``10**E_MIN <= |v| < 10**(E_MAX + 1)`` the digits come
 from exact integer arithmetic on numpy arrays, and are the digits of
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import json as _json
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -170,12 +172,15 @@ def _decimal8(v: np.ndarray) -> np.ndarray:
     return q | (x - q * 10) << 8
 
 
-def _layout(d: np.ndarray, e: np.ndarray, negative: np.ndarray, json: bool) -> np.ndarray:
-    """The byte rows of the values of 17 digits d (10^16 <= d < 10^17), decimal exponents e
-    and signs, laid out as ``_notation`` says.
+def _layout(d: np.ndarray, e: np.ndarray, negative: np.ndarray, json: bool,
+            out: np.ndarray) -> np.ndarray:
+    """out, a (len(d), WIDTH) array of bytes whose rows are contiguous, with the byte rows of
+    the values of 17 digits d (10^16 <= d < 10^17), decimal exponents e and signs written in,
+    laid out as ``_notation`` says.
 
     Trailing zeros after the point become NUL, and the point too where no digit follows it,
-    so dropping NULs leaves Python's text.
+    so dropping NULs leaves Python's text. Every byte of a row is written: the fields of
+    ``_ROW`` cover all WIDTH bytes.
     """
     head = d // 10**9
     tail = d - head * 10**9
@@ -195,7 +200,7 @@ def _layout(d: np.ndarray, e: np.ndarray, negative: np.ndarray, json: bool) -> n
     words[:2] += _ASCII0
     words[2] += ord("0")
     ints = np.take(masks, i, axis=1)  # a quarter of the time of masks[:, i]
-    row = np.zeros(len(d), _ROW)
+    row = out.view(_ROW)[:, 0]
     row["sign"] = negative * np.uint8(ord("-"))
     row["int0"], row["int1"], row["int2"] = words & ints
     row["int0"] |= int0[i]
@@ -203,7 +208,7 @@ def _layout(d: np.ndarray, e: np.ndarray, negative: np.ndarray, json: bool) -> n
     row["zeros"] = zeros[i]
     row["frac0"], row["frac1"], row["frac2"] = words & (np.take(_KEEP, keep, axis=1) ^ ints)
     row["exp"] = exp[i]
-    return row.view(np.uint8).reshape(len(d), WIDTH)
+    return out
 
 
 def _python(values: np.ndarray, json: bool) -> np.ndarray:
@@ -213,21 +218,25 @@ def _python(values: np.ndarray, json: bool) -> np.ndarray:
     return texts.view(np.uint8).reshape(len(values), WIDTH)
 
 
-def spell(values: np.ndarray, json: bool = False) -> np.ndarray:
+def spell(values: np.ndarray, json: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """The text of each float of values as NUL-padded ASCII rows of WIDTH bytes.
 
     Row i with its NULs dropped is ``format(v + 0.0, ".17g")`` (``json=False``, negative
     zero reads 0) or ``json.dumps(v)`` (``json=True``: 1.0, -0.0, NaN, Infinity) of
-    ``v = values[i]``.
+    ``v = values[i]``. The rows are written into ``out``, a (len(values), WIDTH) array of
+    bytes whose rows are contiguous (a column of ``blocks``' buffer), where it is given, and
+    each of its bytes is written.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
+    if out is None:
+        out = np.empty((len(x), WIDTH), np.uint8)
     inside = (np.abs(x) >= _TENS[1]) & (np.abs(x) < _TENS[-2])  # nan is outside
     rows = np.flatnonzero(~inside)
     if not rows.size:
-        return _layout(*_decimal(x, json), x < 0, json)
-    out = np.zeros((len(x), WIDTH), np.uint8)
+        return _layout(*_decimal(x, json), x < 0, json, out)
     window = x[inside]
-    out[inside] = _layout(*_decimal(window, json), window < 0, json)
+    out[inside] = _layout(*_decimal(window, json), window < 0, json,
+                          np.empty((len(window), WIDTH), np.uint8))
     rest = x[rows]
     # ±0, ±inf and nan, spelled once each; any other value one at a time
     for constant in (np.isnan(rest), rest == np.inf, rest == -np.inf,
@@ -240,33 +249,40 @@ def spell(values: np.ndarray, json: bool = False) -> np.ndarray:
     return out
 
 
-# rows spelled and joined at a time, so that a long table holds one block of byte rows, not
-# the whole table's, and a column's arrays in spell stay at 64 KB: corr's 1,999,997 rows at
+# rows laid out at a time, so that a long table holds one block of rows, not the whole
+# table's, and a column's arrays in spell stay at 64 KB: corr's 1,999,997 rows at
 # thermal(gamma=1e-6, T=0.5) took 2.27-2.39, 1.99-2.07 and 1.74-2.07 s and peaked at 335, 338
 # and 343 MB in blocks of 4096, 8192 and 16384 rows (three runs each), 1.70 s and 352 MB in
 # blocks of 32768 (one run; 2-core x86-64 host)
 ROW_BLOCK = 8192
 
 
-def join(n: int, pieces: Callable[[slice], Sequence[np.ndarray | bytes]]) -> str:
-    """The text of n rows, glued ROW_BLOCK rows at a time from ``pieces(rows)`` with their
-    NULs dropped.
+def blocks(n: int, pieces: Sequence[bytes | int],
+           fill: Callable[[slice, list[np.ndarray]], None]) -> Iterator[bytearray]:
+    """The UTF-8 text of a table's n rows, ROW_BLOCK rows at a time, with NULs dropped.
 
-    ``pieces(rows)`` gives the pieces of the rows in the slice rows, left to right: an array
-    of bytes with a row per table row, or a bytes literal repeated on every row; at least one
-    is an array. The text is UTF-8.
+    A row is ``pieces`` left to right: a bytes literal, the same on every row, or the width
+    of a field. The rows of a block are laid out in one buffer, allocated for the table and
+    reused for every block. The literals are written into it once; ``fill(rows, fields)``
+    writes every byte of the fields of the rows of the slice rows, one (rows, width) view
+    of the buffer per field (``spell(..., out=field)``, NUL-padded text).
     """
-    return "".join(_join(pieces(slice(lo, lo + ROW_BLOCK))) for lo in range(0, n, ROW_BLOCK))
-
-
-def _join(pieces: Sequence[np.ndarray | bytes]) -> str:
-    n = next(len(p) for p in pieces if isinstance(p, np.ndarray))
-    cells = [p if isinstance(p, np.ndarray)
-             else np.broadcast_to(np.frombuffer(p, np.uint8), (n, len(p))) for p in pieces]
-    return np.hstack(cells).tobytes().translate(None, b"\0").decode()
-
-
-def text_rows(column: Sequence) -> np.ndarray:
-    """The text of each cell, ``str(cell)``, as NUL-padded UTF-8 rows, as ``join`` takes them."""
-    texts = np.array([str(cell).encode() for cell in column], dtype=bytes)
-    return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
+    widths = [p if isinstance(p, int) else len(p) for p in pieces]
+    size = min(n, ROW_BLOCK)
+    store = bytearray(size * sum(widths))
+    buffer = np.frombuffer(store, np.uint8).reshape(size, sum(widths))
+    fields, at = [], 0
+    for piece, width in zip(pieces, widths):
+        cell = buffer[:, at:at + width]
+        if isinstance(piece, int):
+            fields.append(cell)
+        else:
+            cell[:] = np.frombuffer(piece, np.uint8)
+        at += width
+    for lo in range(0, n, ROW_BLOCK):
+        rows = slice(lo, min(lo + ROW_BLOCK, n))
+        m = rows.stop - lo
+        fill(rows, [field[:m] for field in fields])
+        if m < size:
+            buffer[m:] = 0  # the last block's unused rows drop out with the NULs
+        yield store.translate(None, b"\0")

@@ -115,6 +115,54 @@ class TestRatesAndPolarization:
         assert bose_occupation(math.log(2.0), 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
+class TestThermalColumns:
+    """A thermal bath on a sweep's columns is the scalar calls row by row, bit for bit: libm's
+    expm1 and tanh, whose numpy twins differ in the last bit, on one column that holds T = 0
+    rows, rows past x = omega_z / T > 700, where the occupation is 0, and ordinary rows."""
+
+    DRAWS = np.random.default_rng(46).uniform(0.0, 5.0, 300)
+    TEMPERATURES = np.array([0.0, 1e-4, 1 / 701, 1 / 699, 0.5, 1.0, 0.0, 3.7, 1e3, 1e300,
+                             *DRAWS, *DRAWS / 1000])
+    OMEGA_Z = np.array([1e-3, 0.7, 1.0, 349.9, 350.0, 350.1, 1e4, 1e300, *DRAWS, *DRAWS * 200])
+    FUNCTIONS = {"steady_sz": lambda bath, w: (steady_sz(bath, w),),
+                 "transverse_rates": transverse_rates, "channel_rates": baths._channel_rates}
+
+    @staticmethod
+    def assert_rows_bitwise(f, baths_and_omega_z, bath, omega_z):
+        columns = f(bath, omega_z)
+        rows = [f(*row) for row in baths_and_omega_z]
+        for k, column in enumerate(columns):
+            assert isinstance(column, np.ndarray)
+            assert column.tobytes() == np.array([row[k] for row in rows]).tobytes()
+
+    @pytest.mark.parametrize("f", FUNCTIONS.values(), ids=FUNCTIONS.keys())
+    def test_column_along_T(self, f):
+        bath = Thermal(0.3, self.TEMPERATURES)
+        assert (1.3 / self.TEMPERATURES[self.TEMPERATURES > 0] > 700).sum() >= 10
+        self.assert_rows_bitwise(
+            f, [(Thermal(0.3, t), 1.3) for t in self.TEMPERATURES.tolist()], bath, 1.3)
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.5])
+    @pytest.mark.parametrize("f", FUNCTIONS.values(), ids=FUNCTIONS.keys())
+    def test_column_along_omega_z(self, f, temperature):
+        bath = Thermal(0.3, temperature)
+        assert (self.OMEGA_Z / 0.5 > 700).sum() >= 10
+        self.assert_rows_bitwise(f, [(bath, w) for w in self.OMEGA_Z.tolist()], bath, self.OMEGA_Z)
+
+    @pytest.mark.parametrize("omega_z, temperature, error, match", [
+        (1e-300, 1e300, PreconditionError, "undefined"),  # omega_z / T underflows to 0
+        (1e-310, 1.0, PreconditionError, "overflows"),  # omega_z / T subnormal
+        (-1.0, 0.5, InvalidModelError, "omega_z > 0"),
+    ])
+    def test_invalid_row_raises_the_scalar_error(self, omega_z, temperature, error, match):
+        with pytest.raises(error, match=match):
+            bose_occupation(omega_z, temperature)
+        for w, t in ((np.array([1.0, omega_z, 1.0]), temperature),
+                     (omega_z, np.array([0.5, temperature]))):
+            with pytest.raises(error, match=match):
+                transverse_rates(Thermal(0.1, t), w)
+
+
 class TestClosedFormGc:
     def test_equilibrium_point(self):
         result = closed_form_gc(Dephasing(gamma=0.0, sz=-0.5), 1.0, CavityParams(1.0, 0.0))

@@ -392,6 +392,11 @@ class TestSweep:
         )
 
 
+def text(blocks):
+    """The text of a table's blocks, as write writes it."""
+    return b"".join(blocks).decode()
+
+
 def test_csv_table_same_bytes_either_side_of_the_threshold(monkeypatch):
     # one float cell below SPELL_MIN_CELLS the per-row template writes the table, at it
     # spelling.spell; the bytes are the same
@@ -402,22 +407,107 @@ def test_csv_table_same_bytes_either_side_of_the_threshold(monkeypatch):
         x = np.resize(values, cells)
         labels = [f"row{i}" for i in range(cells)]
         lines = [f"{cli.fmt(v)},{label}\n" for v, label in zip(x.tolist(), labels)]
-        assert cli.csv_table("x,label", [x, labels]) == f"{cli.HEADER}\nx,label\n" + "".join(lines)
+        table = text(cli.csv_table("x,label", [x, labels]))
+        assert table == f"{cli.HEADER}\nx,label\n" + "".join(lines)
     assert len(spelled) == 1
 
 
 def test_csv_table_writes_rows_from_columns():
     # -0.0 flushed, inf kept, a text column as it is; columns of unequal length
     # or of complex values are errors, not truncated or misprinted rows
-    text = cli.csv_table("a,b,c", [np.array([-0.0, np.inf]), ["x", "y"], np.array([0.1, 1e300])])
-    assert text == f"{cli.HEADER}\na,b,c\n0,x,0.10000000000000001\ninf,y,1.0000000000000001e+300\n"
-    assert cli.csv_table("a", [np.array([])]) == f"{cli.HEADER}\na\n"
+    table = text(cli.csv_table("a,b,c", [np.array([-0.0, np.inf]), ["x", "y"],
+                                         np.array([0.1, 1e300])]))
+    assert table == f"{cli.HEADER}\na,b,c\n0,x,0.10000000000000001\ninf,y,1.0000000000000001e+300\n"
+    assert text(cli.csv_table("a", [np.array([])])) == f"{cli.HEADER}\na\n"
     big = cli.SPELL_MIN_CELLS  # the same errors from a table that spelling.spell writes
     for n in (2, big):
         with pytest.raises(ValueError):
             cli.csv_table("a,b", [np.zeros(n), np.zeros(n + 1)])
         with pytest.raises(TypeError):
             cli.csv_table("a", [np.full(n, 1j)])
+
+
+class TestWriter:
+    """Tables go to stdout or to --output a block at a time, through cli.write."""
+
+    BLOCK = 600  # spelling.ROW_BLOCK here: a CSV sweep of 500 rows or more is spelled in blocks
+
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        """The blocks of each cli.write call, in turn."""
+        monkeypatch.setattr(cli.spelling, "ROW_BLOCK", self.BLOCK)
+        write, calls = cli.write, []
+
+        def record(output, blocks):
+            calls.append(list(blocks))
+            write(output, calls[-1])
+
+        monkeypatch.setattr(cli, "write", record)
+        return calls
+
+    @staticmethod
+    def reference(fmt, axis, table, unit):
+        """The table formed as one string, row by row."""
+        rows = list(zip(table.params.tolist(), (table.chi0 * unit).tolist(),
+                        (table.g_c / unit).tolist(), table.gc_over_g0.tolist(),
+                        table.status.tolist()))
+        if fmt == "json":
+            return json.dumps([{axis: x, "chi0": chi0, "g_c": g_c if status == "ok" else None,
+                                "g_c_over_g0": ratio if status == "ok" else None,
+                                "status": status}
+                               for x, chi0, g_c, ratio, status in rows], indent=2) + "\n"
+        spell = lambda v: format(v + 0.0, ".17g")
+        lines = [cli.HEADER, f"{axis},chi0,g_c,g_c_over_g0,status"]
+        for x, chi0, g_c, ratio, status in rows:
+            tail = [spell(g_c), spell(ratio)] if status == "ok" else ["inf", "inf"]
+            lines.append(",".join([spell(x), spell(chi0), *tail, status]))
+        return "".join(line + "\n" for line in lines)
+
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("axis", ["T", "omega_z"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_blocks_read_as_the_one_string_table(self, capsys, tmp_path, writes, fmt, axis, rows):
+        # a thermal sweep from T = 0, with rows past x = omega_z / T > 700, or along omega_z
+        # past x > 700, on stdout and in --output
+        i = np.arange(rows)
+        grid = (2.0 * (i / self.BLOCK) ** 3 if axis == "T" else 0.1 + 400 * i / self.BLOCK).tolist()
+        argv = ["sweep", "--bath", "thermal(gamma=0.1, T=0.5)", "--omega-z", "1.3", "--kappa",
+                "0.2", "--sweep-param", axis, "--sweep-values=" + ",".join(map(repr, grid)),
+                "--format", fmt]
+        table = sweep(SweepPlan(parse_bath("thermal(gamma=0.1, T=0.5)"), 1.3,
+                                CavityParams(1.0, 0.2), axis, grid))
+        want = self.reference(fmt, axis, table, 1.3)
+        assert run_cli(capsys, *argv) == (0, want, "")
+        path = tmp_path / f"out.{fmt}"
+        assert run_cli(capsys, *argv, "--output", str(path)) == (0, "", "")
+        assert path.read_bytes() == want.encode()
+        assert writes[0] == writes[1]
+        spelled = fmt == "json" or 4 * rows >= cli.SPELL_MIN_CELLS  # else the per-row template
+        # the head, then a block of at most BLOCK rows at a time; the template's one block
+        assert len(writes[0]) == (1 + -(-rows // self.BLOCK) if spelled else 1)
+        if fmt == "json":
+            assert writes[0][0] == b"[\n" and writes[0][-1].endswith(b"\n  }\n]\n")
+            assert writes[0][-1].count(b"{") == rows - self.BLOCK * (len(writes[0]) - 2)
+
+    def test_small_table_is_one_write(self, capsys, writes, monkeypatch):
+        # below SPELL_MIN_CELLS the whole table, head included, goes to stdout at once
+        stdout = []
+        monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": stdout.append})())
+        assert cli.main(["spectrum", "--bath", "thermal(gamma=0.1, T=0.5)"]) == 0
+        assert len(writes) == 1 and len(writes[0]) == 1 and len(stdout) == 1
+        assert stdout[0].startswith(cli.HEADER) and stdout[0].count("\n") == 203
+
+    def test_failed_run_writes_no_file(self, capsys, tmp_path):
+        path = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "sweep", "--bath", "thermal(gamma=0.1, T=0.5)",
+                               "--sweep-param", "gamma", "--sweep-values", "0.1,0",
+                               "--output", str(path))
+        assert code == 1 and "row 1, gamma = 0.0" in err
+        assert not path.exists()
+        for n in (2, cli.SPELL_MIN_CELLS):  # a table the template or the kernel would write
+            with pytest.raises(ValueError):
+                cli.write(str(path), cli.csv_table("a,b", [np.zeros(n), np.zeros(n + 1)]))
+            assert not path.exists()
 
 
 # every bath along one bath axis, omega_z and kappa, at omega_z = 1.3, omega0 = 0.8,
@@ -1265,6 +1355,14 @@ class TestSweepGrid:
                 parse_float_list(raw)
         with pytest.raises(ValueError):
             parse_float_list("0.2, abc")
+
+    def test_float_list_empty_entry_named_before_a_bad_one(self):
+        # an empty entry is named as such wherever it sits, also after an entry float rejects
+        for raw in ("1,x,,2", "1,,x"):
+            with pytest.raises(ValueError, match=re.escape(f"empty entry in {raw!r}")):
+                parse_float_list(raw)
+        with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
+            parse_float_list("1,x,2")
 
 
 def test_help_defaults_are_the_settings_defaults():

@@ -60,11 +60,32 @@ def test_rows_match_python(values):
     assert texts(values, as_json=True) == reference(values, as_json=True)
 
 
-def test_join_in_blocks(monkeypatch):
-    # rows glued a block at a time read as rows glued at once
-    values = EDGE[:50]
-    rows = lambda r: [spelling.spell(values[r]), b";", spelling.text_rows(["ok", "é"] * 25)[r], b"\n"]
-    whole = spelling.join(50, rows)
-    assert whole == "".join(f"{a};{b}\n" for a, b in zip(reference(values), ["ok", "é"] * 25))
+def test_spell_writes_every_byte_of_out():
+    # a column of a block buffer full of stale bytes reads as the rows spell returns
+    for values in (EDGE, EDGE[8:60]):  # with and without values outside the window
+        for as_json in (False, True):
+            buffer = np.full((len(values), spelling.WIDTH + 9), 0xAA, np.uint8)
+            out = buffer[:, 5:5 + spelling.WIDTH]
+            assert spelling.spell(values, as_json, out=out) is out
+            assert np.array_equal(out, spelling.spell(values, as_json))
+            assert (buffer[:, :5] == 0xAA).all() and (buffer[:, -4:] == 0xAA).all()
+
+
+def test_blocks_read_as_rows_laid_out_at_once(monkeypatch):
+    # rows laid out a block at a time in one reused buffer, the last block short, read as
+    # the rows at once
+    values, labels = EDGE[:50], np.array([label.encode() for label in ["ok", "é"] * 25])
+
+    def fill(rows, fields):
+        spelling.spell(values[rows], out=fields[0])
+        fields[1][:] = labels[rows].view(np.uint8).reshape(len(fields[1]), -1)
+
+    def text():
+        pieces = [b"<", spelling.WIDTH, b";", labels.itemsize, b"\n"]
+        return b"".join(spelling.blocks(50, pieces, fill)).decode()
+
+    whole = text()
+    assert whole == "".join(f"<{a};{b}\n" for a, b in zip(reference(values), ["ok", "é"] * 25))
     monkeypatch.setattr(spelling, "ROW_BLOCK", 7)
-    assert spelling.join(50, rows) == whole
+    assert len(list(spelling.blocks(50, [b"x", 1], lambda rows, fields: None))) == 8
+    assert text() == whole
